@@ -1,0 +1,11 @@
+"""Benchmark self-tests: run with `python -m pytest perfbench/tests`."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
+
+import run  # noqa: E402
+
+run.prepare_environment()
