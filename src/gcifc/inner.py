@@ -304,7 +304,7 @@ def _cv2(vs, c1, c2, v1, v12, v2):
     ok = det > 1e-12 * scale
     safe_det = np.where(ok, det, 1.0)
     quad = (v2 * np.abs(c1) ** 2 + v1 * np.abs(c2) ** 2
-            - 2.0 * np.real(v12 * np.conj(c1) * c2)) / safe_det
+            - 2.0 * np.real(v12 * c1 * np.conj(c2))) / safe_det
     full = pos(np.asarray(vs, dtype=float) - np.where(ok, quad, 0.0))
     single = np.minimum(_cv1(vs, c1, v1), _cv1(vs, c2, v2))
     return np.where(ok, full, single)

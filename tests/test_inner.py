@@ -276,16 +276,19 @@ class TestSchemeC:
         assert abs(v[0, 1]) < 1e-12
 
     def test_oracle_equivalence(self, rng):
-        for _ in range(40):
-            ch = channel_draw(rng)
+        # the last 40 draws have complex a and a complex auxiliary c1
+        for k in range(80):
+            cplx = k >= 40
+            ch = channel_draw(rng, complex_a=cplx)
             al = rng.uniform(0.05, 0.95)
             s1 = rng.uniform(0.2, 2.0)
             s2 = rng.uniform(0.0, 2.0)
+            c1 = complex(rng.normal(), rng.normal()) * 2.0 if cplx else None
             c2 = ch.b
             rho = (-min(1.0, c2 * al * ch.p1 / math.sqrt(s1 * s2))
                    if s1 * s2 > 0 else 0.0)
-            sys = scheme_c_system(ch, al, s1, s2, rho)
-            m1, m2, ms = inner.scheme_c_rates(ch, al, s1, s2)
+            sys = scheme_c_system(ch, al, s1, s2, rho, c1=c1)
+            m1, m2, ms = inner.scheme_c_rates(ch, al, s1, s2, c1=c1)
             w1 = (gaussmi.mutual_info(sys, "Y1", "U1pb")
                   - gaussmi.mutual_info(sys, "U1pb", "X2"))
             w2 = gaussmi.mutual_info(sys, "Y2", ["U2pb", "X2"])
@@ -333,10 +336,14 @@ class TestSchemeF:
         assert diff.max() > 1e-2
 
     def test_oracle_equivalence(self, rng):
-        for _ in range(25):
-            ch = channel_draw(rng)
+        # the last 40 draws have complex a and complex lambda
+        for k in range(65):
+            cplx = k >= 25
+            ch = channel_draw(rng, complex_a=cplx)
             al, be, ga = rng.uniform(0.05, 0.95, 3)
             lam = rng.normal() * 0.6
+            if cplx:
+                lam += 0.6j * rng.normal()
             sys = scheme_f_system(ch, al, be, ga, lam)
             w = lam * math.sqrt((1 - be) * ch.p2)
             m1, ms, m2r = inner.scheme_f_rates(ch, al, be, ga, w)

@@ -153,6 +153,16 @@ class TestSuite:
         assert {"soundness", "capacity-certification", "additive-gap",
                 "multiplicative-gap", "constant-gap-rows"} <= ids
 
+    def test_soundness_complex_a_channel(self):
+        # channel 9 of random_channels(10, 7, complex_a=True): a wrong
+        # conjugate in scheme F's conditional variance once put its sum
+        # bound 0.865 bits above the S-channel capacity bound here
+        ch = ChannelParams(0.4114382137648871 + 0.07772236300349977j,
+                           4.356696883464403, 16.80013772748854,
+                           0.18814245869020496)
+        rep = verify.check_soundness(ch)
+        assert rep.holds, rep.worst_violation
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             verify.run_verification(n=0)
