@@ -25,9 +25,6 @@ from .region import (R1_GRID_DEFAULT, Kind, RateRegion, from_pareto_points,
                      union)
 from .util import alpha_of_r1, cap, pos, r1_grid
 
-SCHEME_IDS = ("a", "b", "c", "c46", "d", "e", "e:sweep", "e:costa1", "e:zero",
-              "f", "tdma", "best")
-
 _TINY = 1e-300
 
 
@@ -137,6 +134,15 @@ def _rect_sum_vertices(m1, m2, ms):
     v2r1 = np.minimum(m1, pos(ms - m2))
     v2 = np.stack([v2r1, pos(np.minimum(m2, ms - v2r1))], axis=-1)
     return np.concatenate([v1.reshape(-1, 2), v2.reshape(-1, 2)], axis=0)
+
+
+def _fan_rows(r1s, r2s):
+    """(n, 2) rate pairs from per-vertex (scale, split) arrays.
+
+    Rows are scale-major, then vertex, then split.
+    """
+    return np.stack([np.stack(r1s, axis=1), np.stack(r2s, axis=1)],
+                    axis=-1).reshape(-1, 2)
 
 
 # -- scheme A: primary silent, cognitive broadcasts both messages ------------
@@ -465,6 +471,22 @@ def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
     return np.minimum(m29a, m29b), np.minimum(m29c, m29d), m29e
 
 
+def _scheme_f_vertices(ch: ChannelParams, alpha, beta, gamma, w):
+    """Three Pareto vertices of the split strategy at each point of w.
+
+    w: (scales, splits) pre-coding amplitudes; rows as in `_fan_rows`.
+    Its (scales, splits) temporaries are freed on return, before the
+    caller builds the envelope.
+    """
+    m1, ms, m2r = scheme_f_rates(ch, alpha, beta, gamma, w)
+    r1a = np.minimum(m1, np.minimum(ms, m2r / 2.0))
+    r2a = pos(np.minimum(ms - r1a, m2r - 2.0 * r1a))
+    r1b = np.clip(m2r - ms, 0.0, r1a)
+    r2b = pos(np.minimum(ms - r1b, m2r - 2.0 * r1b))
+    r2c = pos(np.minimum(ms, m2r))
+    return _fan_rows([r1a, r1b, np.zeros_like(r2c)], [r2a, r2b, r2c])
+
+
 def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
              gamma_grid=None, n_lambda: int = 41, face_lambda: int = 201,
              grid: int = R1_GRID_DEFAULT) -> RateRegion:
@@ -491,17 +513,8 @@ def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
     if abs(ch.a.imag) > 1e-12:
         phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 5))
         scales = np.outer(scales, phases).ravel()
-    chunks = []
-    for t in scales:
-        m1, ms, m2r = scheme_f_rates(ch, av, bv, gv, t * w_c)
-        r1a = np.minimum(m1, np.minimum(ms, m2r / 2.0))
-        r2a = pos(np.minimum(ms - r1a, m2r - 2.0 * r1a))
-        r1b = np.clip(m2r - ms, 0.0, r1a)
-        r2b = pos(np.minimum(ms - r1b, m2r - 2.0 * r1b))
-        r2c = pos(np.minimum(ms, m2r))
-        chunks.append(np.stack([
-            np.concatenate([r1a, r1b, np.zeros_like(r2c)]),
-            np.concatenate([r2a, r2b, r2c])], axis=1))
+    chunks = [_scheme_f_vertices(ch, av, bv, gv,
+                                 np.multiply.outer(scales, w_c))]
 
     # dense collapse faces: beta = gamma = 0 is exactly the pre-coded
     # common scheme, beta = gamma = 1 (no pre-coding) the all-common one
@@ -569,10 +582,10 @@ def cheap_achievable_points(ch: ChannelParams) -> np.ndarray:
     chunks = [np.stack([r1b, r2b], axis=1),
               np.stack([v1, pos(sd - v1)], axis=1),
               np.stack([np.zeros_like(sd), sd], axis=1)]
-    for t in np.linspace(0.0, 2.0, 41):
-        f1, r2, ss = scheme_e_rates(ch, al, t * w_c1)
-        chunks.append(np.stack([f1, np.minimum(r2, ss - f1)], axis=1))
-        chunks.append(np.stack([np.minimum(f1, pos(ss - r2)), r2], axis=1))
+    f1, r2, ss = scheme_e_rates(
+        ch, al, np.multiply.outer(np.linspace(0.0, 2.0, 41), w_c1))
+    chunks.append(_fan_rows([f1, np.minimum(f1, pos(ss - r2))],
+                            [np.minimum(r2, ss - f1), r2]))
     av, bv, gv = np.meshgrid(np.linspace(0, 1, 9), np.linspace(0, 1, 9),
                              np.linspace(0, 1, 9), indexing="ij")
     av, bv, gv = av.ravel(), bv.ravel(), gv.ravel()
@@ -580,13 +593,12 @@ def cheap_achievable_points(ch: ChannelParams) -> np.ndarray:
     amp = np.sqrt(pos(1 - av) * pos(1 - gv) * ch.p1) \
         + ch.a * np.sqrt(pos(1 - bv) * ch.p2)
     w_cf = a_pow * amp / (a_pow + 1.0)
-    for t in np.linspace(0.0, 2.0, 11):
-        m1, ms, m2r = scheme_f_rates(ch, av, bv, gv, t * w_cf)
-        r1f = np.minimum(m1, np.minimum(ms, m2r / 2.0))
-        chunks.append(np.stack(
-            [r1f, pos(np.minimum(ms - r1f, m2r - 2 * r1f))], axis=1))
-        chunks.append(np.stack(
-            [np.zeros_like(ms), pos(np.minimum(ms, m2r))], axis=1))
+    m1, ms, m2r = scheme_f_rates(
+        ch, av, bv, gv, np.multiply.outer(np.linspace(0.0, 2.0, 11), w_cf))
+    r1f = np.minimum(m1, np.minimum(ms, m2r / 2.0))
+    chunks.append(_fan_rows([r1f, np.zeros_like(ms)],
+                            [pos(np.minimum(ms - r1f, m2r - 2 * r1f)),
+                             pos(np.minimum(ms, m2r))]))
     peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
     chunks.append(np.array([[float(cap(ch.p1)), 0.0], [0.0, float(cap(peq))]]))
     return np.clip(np.concatenate(chunks, axis=0), 0.0, None)

@@ -25,10 +25,6 @@ from .region import (ALPHA_GRID_DEFAULT, R1_GRID_DEFAULT, Kind, RateRegion,
                      from_boundary, from_pareto_points, intersect)
 from .util import alpha_of_r1, cap, pos, r1_grid
 
-BOUND_IDS = ("weak", "strong", "unified", "bc-pr", "bc-dms-deg", "bc-dms-s",
-             "pl-si", "transform:tos", "transform:toweak", "transform:tovs",
-             "best")
-
 _PRESETS = ("tos", "toweak", "tovs")
 
 
@@ -163,50 +159,43 @@ def _recv_powers(ch: ChannelParams, c11, c12, c22):
     return pos(at1), pos(at2)
 
 
-def _dpc_points(ch: ChannelParams, b1, b2):
+def _dpc_points(ch: ChannelParams, b1, b2, axis: int = 0):
     """Rate pairs of both precoding orders for covariance splits b1 + b2.
 
     b1, b2: triples of arrays (c11, c12, c22), the cognitive and primary
-    shares. Returns an (n, 2) stack of points from both orders.
+    shares, broadcast against each other. The two orders stack along
+    `axis` of the broadcast shape; returns the (n, 2) flattened stack.
     """
     s1r1, s1r2 = _recv_powers(ch, *b1)
     s2r1, s2r2 = _recv_powers(ch, *b2)
+    shape = list(np.broadcast_shapes(s1r1.shape, s2r1.shape))
+    pts = np.empty(shape[:axis] + [2] + shape[axis:] + [2])
+    o1, o2 = np.moveaxis(pts, axis, 0)
     # order 1: cognitive precoded first (clean at rx1), primary sees b1 at rx2
-    r1_o1 = cap(s1r1)
-    r2_o1 = cap(s2r2 / (1.0 + s1r2))
+    o1[..., 0] = cap(s1r1)
+    o1[..., 1] = cap(s2r2 / (1.0 + s1r2))
     # order 2: primary precoded first (clean at rx2), cognitive sees b2 at rx1
-    r1_o2 = cap(s1r1 / (1.0 + s2r1))
-    r2_o2 = cap(s2r2)
-    pts = np.stack([np.concatenate([r1_o1, r1_o2]),
-                    np.concatenate([r2_o1, r2_o2])], axis=1)
-    return pts
+    o2[..., 0] = cap(s1r1 / (1.0 + s2r1))
+    o2[..., 1] = cap(s2r2)
+    return pts.reshape(-1, 2)
 
 
-def _split_grids(ch: ChannelParams, n: int, phases):
-    """Coarse covariance splits: free sweep over share fractions/correlations.
+def _coarse_points(ch: ChannelParams, t, q):
+    """Both orders of the free sweep over share fractions and correlations.
 
-    A real cross gain with no phase fan keeps every covariance real.
+    t: the share-fraction grid; q: the (phase, rho) grid of correlations.
+    The sweep spans the axes (rot1, rot2, order, a1, a2, q1, q2), flattened
+    in that order; each share's powers span only its own four axes.
     """
-    t = np.linspace(0.0, 1.0, n)
-    rho = np.linspace(-1.0, 1.0, n)
-    a1, a2, q1, q2 = np.meshgrid(t, t, rho, rho, indexing="ij")
-    a1, a2, q1, q2 = (v.ravel() for v in (a1, a2, q1, q2))
-    if ch.a.imag == 0.0 and phases == (0.0,):
-        rots = (1.0,)
-    else:
-        rots = tuple(np.exp(1j * ph) for ph in phases)
-    s1 = np.sqrt(a1 * ch.p1 * a2 * ch.p2)
-    s2 = np.sqrt((1 - a1) * ch.p1 * (1 - a2) * ch.p2)
-    b1c = (a1 * ch.p1, a2 * ch.p2)
-    b2c = ((1 - a1) * ch.p1, (1 - a2) * ch.p2)
-    out = []
-    for rot1 in rots:
-        for rot2 in rots:
-            r1c, r2c = q1 * rot1, q2 * rot2
-            b1 = (b1c[0], r1c * s1, b1c[1])
-            b2 = (b2c[0], r2c * s2, b2c[1])
-            out.append((b1, b2, (a1, a2, r1c, r2c)))
-    return out
+    nr, n = q.shape
+    a1 = t.reshape(1, 1, n, 1, 1, 1)
+    a2 = t.reshape(1, 1, 1, n, 1, 1)
+    q1 = q.reshape(nr, 1, 1, 1, n, 1)
+    q2 = q.reshape(1, nr, 1, 1, 1, n)
+    b1 = (a1 * ch.p1, q1 * np.sqrt(a1 * ch.p1 * a2 * ch.p2), a2 * ch.p2)
+    b2 = ((1 - a1) * ch.p1, q2 * np.sqrt((1 - a1) * ch.p1 * (1 - a2) * ch.p2),
+          (1 - a2) * ch.p2)
+    return _dpc_points(ch, b1, b2, axis=2)
 
 
 def _structured_slices(ch: ChannelParams, n: int):
@@ -300,17 +289,18 @@ def bc_pr_outer(ch: ChannelParams, coarse: int = 21,
     phases = (0.0, math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4) \
         if complex_a else (0.0,)
     n = 13 if complex_a else coarse
-    splits = _split_grids(ch, n, phases)
-    coarse_pts = np.concatenate([_dpc_points(ch, b1, b2)
-                                 for b1, b2, _ in splits], axis=0)
+    t = np.linspace(0.0, 1.0, n)
+    # a real cross gain with no phase fan keeps every covariance real
+    rots = np.ones(1) if ch.a.imag == 0.0 else np.exp(1j * np.array(phases))
+    q = np.multiply.outer(rots, np.linspace(-1.0, 1.0, n))
+    coarse_pts = _coarse_points(ch, t, q)
 
     pts = [_decimate(coarse_pts, 4 * grid)]
     for b1, b2 in _structured_slices(ch, slice_points):
         pts.append(_dpc_points(ch, b1, b2))
 
     if refine:
-        pts.append(_refine_pass(ch, [par for _, _, par in splits],
-                                coarse_pts, n))
+        pts.append(_refine_pass(ch, t, q, coarse_pts))
 
     if floor_points is not None and len(floor_points):
         pts.append(np.asarray(floor_points, float).reshape(-1, 2))
@@ -343,21 +333,19 @@ def _phase(q):
     return np.exp(1j * np.angle(q))
 
 
-def _refine_pass(ch: ChannelParams, par_chunks, coarse_pts: np.ndarray,
-                 n: int):
+def _refine_pass(ch: ChannelParams, t, q, coarse_pts: np.ndarray):
     """Re-grid locally around incumbent Pareto points of the coarse sweep.
 
-    `coarse_pts` stacks one chunk per entry of `par_chunks`; each chunk
-    holds both precoding orders of the chunk's parameter points.
+    `coarse_pts` is `_coarse_points(ch, t, q)`; each incumbent's split
+    parameters follow from its flat index into that sweep's axes.
     """
     keep = _bin_incumbents(coarse_pts, 64)
     if not keep.size:
         return np.zeros((0, 2))
-    m = par_chunks[0][0].size
-    chunk, j = np.divmod(keep, 2 * m)
-    j %= m
-    a1, a2, q1, q2 = (np.array([par_chunks[c][k][i] for c, i in zip(chunk, j)])
-                      for k in range(4))
+    nr, n = q.shape
+    rot1, rot2, _, i1, i2, j1, j2 = np.unravel_index(
+        keep, (nr, nr, 2, n, n, n, n))
+    a1, a2, q1, q2 = t[i1], t[i2], q[rot1, j1], q[rot2, j2]
     step = 1.0 / (n - 1)
     offs = np.linspace(-step, step, 5)
     oa, ob, oc, od = np.meshgrid(offs, offs, offs, offs, indexing="ij")
