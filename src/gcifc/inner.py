@@ -137,10 +137,8 @@ def _rect_sum_vertices(m1, m2, ms):
 
 
 def _fan_rows(r1s, r2s):
-    """(n, 2) rate pairs from per-vertex (scale, split) arrays.
-
-    Rows are scale-major, then vertex, then split.
-    """
+    """(n, 2) rate pairs from per-vertex (scale, split) arrays, ordered by
+    scale, then vertex, then split."""
     return np.stack([np.stack(r1s, axis=1), np.stack(r2s, axis=1)],
                     axis=-1).reshape(-1, 2)
 
@@ -472,12 +470,8 @@ def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
 
 
 def _scheme_f_vertices(ch: ChannelParams, alpha, beta, gamma, w):
-    """Three Pareto vertices of the split strategy at each point of w.
-
-    w: (scales, splits) pre-coding amplitudes; rows as in `_fan_rows`.
-    Its (scales, splits) temporaries are freed on return, before the
-    caller builds the envelope.
-    """
+    """Three Pareto vertices of the split strategy at each point of the
+    (scales, splits) amplitudes w; rows as in `_fan_rows`."""
     m1, ms, m2r = scheme_f_rates(ch, alpha, beta, gamma, w)
     r1a = np.minimum(m1, np.minimum(ms, m2r / 2.0))
     r2a = pos(np.minimum(ms - r1a, m2r - 2.0 * r1a))
@@ -513,8 +507,9 @@ def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
     if abs(ch.a.imag) > 1e-12:
         phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 5))
         scales = np.outer(scales, phases).ravel()
-    chunks = [_scheme_f_vertices(ch, av, bv, gv,
-                                 np.multiply.outer(scales, w_c))]
+    # one n_lambda fan per call: temporaries under the 4 MB huge-page cut
+    chunks = [_scheme_f_vertices(ch, av, bv, gv, np.multiply.outer(fan, w_c))
+              for fan in scales.reshape(-1, n_lambda)]
 
     # dense collapse faces: beta = gamma = 0 is exactly the pre-coded
     # common scheme, beta = gamma = 1 (no pre-coding) the all-common one

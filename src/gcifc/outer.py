@@ -159,18 +159,21 @@ def _recv_powers(ch: ChannelParams, c11, c12, c22):
     return pos(at1), pos(at2)
 
 
-def _dpc_points(ch: ChannelParams, b1, b2, axis: int = 0):
+def _dpc_points(ch: ChannelParams, b1, b2):
     """Rate pairs of both precoding orders for covariance splits b1 + b2.
 
     b1, b2: triples of arrays (c11, c12, c22), the cognitive and primary
-    shares, broadcast against each other. The two orders stack along
-    `axis` of the broadcast shape; returns the (n, 2) flattened stack.
+    shares, broadcast against each other. Returns the (n, 2) stack of
+    both orders, order-major.
     """
-    s1r1, s1r2 = _recv_powers(ch, *b1)
-    s2r1, s2r2 = _recv_powers(ch, *b2)
-    shape = list(np.broadcast_shapes(s1r1.shape, s2r1.shape))
-    pts = np.empty(shape[:axis] + [2] + shape[axis:] + [2])
-    o1, o2 = np.moveaxis(pts, axis, 0)
+    return _order_points(_recv_powers(ch, *b1), _recv_powers(ch, *b2))
+
+
+def _order_points(s1, s2):
+    """`_dpc_points` from the shares' received powers (at rx1, at rx2)."""
+    (s1r1, s1r2), (s2r1, s2r2) = s1, s2
+    pts = np.empty((2,) + np.broadcast_shapes(s1r1.shape, s2r1.shape) + (2,))
+    o1, o2 = pts
     # order 1: cognitive precoded first (clean at rx1), primary sees b1 at rx2
     o1[..., 0] = cap(s1r1)
     o1[..., 1] = cap(s2r2 / (1.0 + s1r2))
@@ -183,19 +186,21 @@ def _dpc_points(ch: ChannelParams, b1, b2, axis: int = 0):
 def _coarse_points(ch: ChannelParams, t, q):
     """Both orders of the free sweep over share fractions and correlations.
 
-    t: the share-fraction grid; q: the (phase, rho) grid of correlations.
-    The sweep spans the axes (rot1, rot2, order, a1, a2, q1, q2), flattened
-    in that order; each share's powers span only its own four axes.
+    t: share fractions; q: the (phase, rho) grid of correlations. Points
+    run over (rot1, rot2, order, a1, a2, q1, q2) in that order. Each share's
+    powers span its own phase and three split axes; points are formed one
+    phase pair at a time, so no temporary outgrows one pair's sweep.
     """
     nr, n = q.shape
-    a1 = t.reshape(1, 1, n, 1, 1, 1)
-    a2 = t.reshape(1, 1, 1, n, 1, 1)
-    q1 = q.reshape(nr, 1, 1, 1, n, 1)
-    q2 = q.reshape(1, nr, 1, 1, 1, n)
-    b1 = (a1 * ch.p1, q1 * np.sqrt(a1 * ch.p1 * a2 * ch.p2), a2 * ch.p2)
-    b2 = ((1 - a1) * ch.p1, q2 * np.sqrt((1 - a1) * ch.p1 * (1 - a2) * ch.p2),
-          (1 - a2) * ch.p2)
-    return _dpc_points(ch, b1, b2, axis=2)
+    a1, a2 = t.reshape(n, 1, 1, 1), t.reshape(1, n, 1, 1)
+    q1, q2 = q.reshape(nr, 1, 1, n, 1), q.reshape(nr, 1, 1, 1, n)
+    s1 = _recv_powers(ch, a1 * ch.p1, q1 * np.sqrt(a1 * ch.p1 * a2 * ch.p2),
+                      a2 * ch.p2)
+    s2 = _recv_powers(ch, (1 - a1) * ch.p1,
+                      q2 * np.sqrt((1 - a1) * ch.p1 * (1 - a2) * ch.p2),
+                      (1 - a2) * ch.p2)
+    return np.concatenate([_order_points(p1, p2)
+                           for p1 in zip(*s1) for p2 in zip(*s2)])
 
 
 def _structured_slices(ch: ChannelParams, n: int):
