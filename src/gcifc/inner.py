@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, very_strong_condition
+from .channel import ChannelParams
 from .errors import DegenerateDenominator
 from .region import (R1_GRID_DEFAULT, Kind, RateRegion, from_pareto_points,
                      union)
@@ -27,28 +27,8 @@ from .util import alpha_of_r1, cap, pos, r1_grid
 
 _TINY = 1e-300
 
-
-@dataclass(frozen=True)
-class SchemeParams:
-    """One parameter point of the pre-coding schemes."""
-
-    alpha: float = 1.0
-    lam: complex = 0.0
-    rho: complex = 0.0
-    beta: float = 1.0
-    gamma: float = 1.0
-    sigma1pb_sq: float = 1.0
-    sigma2pb_sq: float = 0.0
-    rho_pb: complex = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0
-                and 0.0 <= self.gamma <= 1.0):
-            raise ValueError("splits must lie in [0, 1]")
-        if abs(self.rho) > 1.0 + 1e-12 or abs(self.rho_pb) > 1.0 + 1e-12:
-            raise ValueError("correlation magnitudes must be <= 1")
-        if self.sigma1pb_sq < 0.0 or self.sigma2pb_sq < 0.0:
-            raise ValueError("test-channel noise variances must be >= 0")
+# test-channel noise variances (sigma1^2, sigma2^2) of the binning schemes
+_SIGMA_PAIRS = ((1.0, 0.0), (1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -199,20 +179,16 @@ def scheme_d_rates(ch: ChannelParams, rho):
     return r1, np.minimum(s1, s2)
 
 
-def scheme_d(ch: ChannelParams, rho_grid=None,
-             grid: int = R1_GRID_DEFAULT) -> RateRegion:
+def scheme_d(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Superposition strategy: both receivers decode both messages."""
-    if rho_grid is None:
-        am = alpha_of_r1(r1_grid(ch.p1, 513), ch.p1)
-        base = np.unique(np.concatenate([np.sqrt(1.0 - am),
-                                         np.linspace(0.0, 1.0, 489)]))
-        rho = np.concatenate([base, -base])
-        if abs(ch.a.imag) > 1e-12:
-            phases = np.exp(1j * np.linspace(0.0, np.pi, 17))
-            rho = np.outer(base, phases).ravel()
-            rho = np.concatenate([rho, -rho])
-    else:
-        rho = np.asarray(rho_grid, dtype=complex)
+    am = alpha_of_r1(r1_grid(ch.p1, 513), ch.p1)
+    base = np.unique(np.concatenate([np.sqrt(1.0 - am),
+                                     np.linspace(0.0, 1.0, 489)]))
+    rho = np.concatenate([base, -base])
+    if abs(ch.a.imag) > 1e-12:
+        phases = np.exp(1j * np.linspace(0.0, np.pi, 17))
+        rho = np.outer(base, phases).ravel()
+        rho = np.concatenate([rho, -rho])
     r1, s = scheme_d_rates(ch, rho)
     v1r1 = np.minimum(r1, s)
     pts = np.concatenate([
@@ -246,7 +222,7 @@ def scheme_e_rates(ch: ChannelParams, alpha, lam):
     return f1, pos(ssum - f2), ssum
 
 
-def scheme_e(ch: ChannelParams, alpha_grid=None, lambda_grid=None,
+def scheme_e(ch: ChannelParams, alpha_grid=None,
              lambda_policy: str = "sweep", n_lambda: int = 201,
              grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Pre-coded common-message strategy.
@@ -254,17 +230,13 @@ def scheme_e(ch: ChannelParams, alpha_grid=None, lambda_grid=None,
     lambda_policy: "costa1" pins the r1-maximizing coefficient, "zero"
     disables pre-coding, "sweep" unions scaled multiples of the costa1
     coefficient in [0, 2] (plus a phase fan for complex channels).
-    An explicit lambda_grid overrides the policy.
     """
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
     a_pow = al * ch.p1
     u1, u2 = _scheme_e_amplitudes(ch, al)
     w_c1 = a_pow * u1 / (a_pow + 1.0)
 
-    if lambda_grid is not None:
-        w = np.multiply.outer(np.asarray(lambda_grid, dtype=complex),
-                              np.full(al.shape, math.sqrt(ch.p2)))
-    elif lambda_policy == "costa1":
+    if lambda_policy == "costa1":
         w = w_c1[None, :]
     elif lambda_policy == "zero":
         w = np.zeros((1, al.size), dtype=complex)
@@ -285,11 +257,10 @@ def scheme_e(ch: ChannelParams, alpha_grid=None, lambda_grid=None,
     alpar = np.concatenate([al2, al2])
     lam_re = np.where(ch.p2 > 0, np.real(w) / max(math.sqrt(ch.p2), _TINY), 0.0)
     lam2 = np.broadcast_to(lam_re, f1.shape).ravel()
-    policy_id = "e" if lambda_grid is not None else f"e:{lambda_policy}"
     return from_pareto_points(
         pts, Kind.INNER, grid=grid,
         params={"alpha": alpar, "lambda_re": np.concatenate([lam2, lam2])},
-        region_id=policy_id)
+        region_id=f"e:{lambda_policy}")
 
 
 # -- schemes C / C46: cognitive broadcasts a primary layer with binning ------
@@ -365,8 +336,7 @@ def scheme_c_rates(ch: ChannelParams, alpha, sigma1_sq, sigma2_sq,
     return m1, m2, ms
 
 
-def scheme_c(ch: ChannelParams, alpha_grid=None,
-             sigma_pairs=((1.0, 0.0), (1.0, 1.0)),
+def scheme_c(ch: ChannelParams, alpha_grid=None, sigma_pairs=_SIGMA_PAIRS,
              grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Double-binning strategy on the channel-matched auxiliaries."""
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
@@ -382,23 +352,17 @@ def scheme_c(ch: ChannelParams, alpha_grid=None,
                               region_id="c")
 
 
-def scheme_c46(ch: ChannelParams, alpha_grid=None,
-               sigma_pairs=((1.0, 0.0), (1.0, 1.0)),
-               c1_grid=None, c2_grid=None,
-               grid: int = R1_GRID_DEFAULT) -> RateRegion:
-    """Double-binning strategy with tunable auxiliary mixing coefficients."""
-    al = (default_alpha_grid(ch, matched=129, uniform=101)
-          if alpha_grid is None else np.asarray(alpha_grid))
-    if c1_grid is None:
-        span1 = max(1.0, abs(ch.a))
-        c1_grid = ch.a.real + np.linspace(-1.0, 1.0, 9) * span1
-    if c2_grid is None:
-        span2 = max(1.0, ch.b)
-        c2_grid = ch.b + np.linspace(-1.0, 1.0, 9) * span2
+def scheme_c46(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
+    """Double-binning strategy with tuned auxiliary mixing coefficients."""
+    al = default_alpha_grid(ch, matched=129, uniform=101)
+    # nine mixing coefficients around each channel-matched one (c1 = a, c2 = b)
+    offs = np.linspace(-1.0, 1.0, 9)
+    c1_grid = ch.a.real + offs * max(1.0, abs(ch.a))
+    c2_grid = ch.b + offs * max(1.0, ch.b)
     chunks = []
-    for s1, s2 in sigma_pairs:
-        for c1 in np.asarray(c1_grid):
-            for c2 in np.asarray(c2_grid):
+    for s1, s2 in _SIGMA_PAIRS:
+        for c1 in c1_grid:
+            for c2 in c2_grid:
                 m1, m2, ms = scheme_c_rates(ch, al, s1, s2, c1=c1, c2=c2)
                 chunks.append(_rect_sum_vertices(m1, m2, ms))
     pts = np.concatenate(chunks, axis=0)

@@ -4,7 +4,9 @@ The alpha-parameterized closed-form bounds all share the cognitive-rate
 constraint r1 <= cap(alpha * p1), so their boundaries are evaluated
 exactly on the r1 grid by inverting alpha(r1), with no envelope
 resampling error. The cooperative broadcast bound is a parameter sweep
-and is sampled conservatively (step-up).
+sampled from below and snapped down by `region._decimate`, so it is a
+subset of the true cooperative bound; only its step-up interpolation
+between samples is conservative.
 
 Cross-term convention: every alpha-parameterized bound uses
 2*sqrt(abar * b^2 * p1 * p2), i.e. input correlation sqrt(1 - alpha),
@@ -13,7 +15,6 @@ so the cooperation term vanishes at alpha = 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,8 @@ import numpy as np
 from .channel import CapacityResult, ChannelParams, classify, s_channel_thresholds
 from .errors import InvalidTransform, RegimeMismatch, SingularPreset
 from .region import (ALPHA_GRID_DEFAULT, R1_GRID_DEFAULT, Kind, RateRegion,
-                     from_boundary, from_pareto_points, intersect)
+                     _bin_incumbents, _decimate, from_boundary,
+                     from_pareto_points, intersect)
 from .util import alpha_of_r1, cap, pos, r1_grid
 
 _PRESETS = ("tos", "toweak", "tovs")
@@ -256,32 +258,9 @@ def _equal_power_ratios(ch: ChannelParams):
     return out
 
 
-def _decimate(pts: np.ndarray, nbins: int) -> np.ndarray:
-    """Keep one point per r1 bin (max r2), snapping r1 down to the bin edge.
-
-    Every output point is dominated by an input point, so the decimated
-    cloud describes a subset of the sampled region (sound for a bound
-    sampled from below); the r1 snap loses less than one bin width.
-    """
-    if pts.shape[0] <= nbins:
-        return pts
-    top = pts[:, 0].max()
-    if top <= 0.0:
-        return pts[:1]
-    idx = np.minimum((pts[:, 0] / top * nbins).astype(np.int64), nbins - 1)
-    acc = np.full(nbins, -1.0)
-    np.maximum.at(acc, idx, pts[:, 1])
-    keep = acc >= 0.0
-    edges = np.arange(nbins)[keep] * (top / nbins)
-    out = np.stack([edges, acc[keep]], axis=1)
-    ends = pts[pts[:, 0] >= top * (1.0 - 1e-12)]
-    return np.concatenate([out, ends[:1]], axis=0)
-
-
 def bc_pr_outer(ch: ChannelParams, coarse: int = 21,
                 slice_points: int = ALPHA_GRID_DEFAULT,
-                refine: bool = True, grid: int = R1_GRID_DEFAULT,
-                floor_points=None) -> RateRegion:
+                grid: int = R1_GRID_DEFAULT, floor_points=None) -> RateRegion:
     """Full-transmitter-cooperation broadcast bound (private rates).
 
     Sampled from below over covariance splits and both precoding orders,
@@ -303,32 +282,13 @@ def bc_pr_outer(ch: ChannelParams, coarse: int = 21,
     pts = [_decimate(coarse_pts, 4 * grid)]
     for b1, b2 in _structured_slices(ch, slice_points):
         pts.append(_dpc_points(ch, b1, b2))
-
-    if refine:
-        pts.append(_refine_pass(ch, t, q, coarse_pts))
+    pts.append(_refine_pass(ch, t, q, coarse_pts))
 
     if floor_points is not None and len(floor_points):
         pts.append(np.asarray(floor_points, float).reshape(-1, 2))
     all_pts = _decimate(np.concatenate(pts, axis=0), 4 * grid)
     return from_pareto_points(all_pts, Kind.OUTER, grid=grid,
                               region_id="bc-pr")
-
-
-def _bin_incumbents(pts: np.ndarray, nb: int) -> np.ndarray:
-    """Per r1 bin (nb bins), the last index attaining the bin's largest r2.
-
-    Bins are visited in ascending order and empty ones are skipped.
-    """
-    top = pts[:, 0].max()
-    if top <= 0.0:
-        return np.zeros(0, dtype=np.int64)
-    binidx = np.minimum((pts[:, 0] / top * nb).astype(np.int64), nb - 1)
-    best = np.full(nb, -np.inf)
-    np.maximum.at(best, binidx, pts[:, 1])
-    hit = np.flatnonzero(pts[:, 1] == best[binidx])
-    last = np.full(nb, -1, dtype=np.int64)
-    np.maximum.at(last, binidx[hit], hit)
-    return last[last >= 0]
 
 
 def _phase(q):
@@ -456,31 +416,20 @@ def capacity_region(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegio
     return intersect([bc_dms_s_outer(ch, grid), strong_outer(ch, grid)], grid)
 
 
-def transformed_outer(ch: ChannelParams, triples=None, preset: str | None = None,
+def transformed_outer(ch: ChannelParams, preset: str,
                       grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Outer bound inherited from a transformed channel.
 
-    With a preset, the target is designed to land in a known-capacity
-    regime and its exact capacity region is returned; with explicit
-    triples, the targets' depth-limited best outer bounds are intersected.
+    The preset's target is designed to land in a known-capacity regime,
+    whose exact capacity region is returned; a target outside every such
+    regime gets its depth-limited best outer bound.
     """
-    if (triples is None) == (preset is None):
-        raise ValueError("pass exactly one of triples/preset")
-    if preset is not None:
-        tgt = _preset_target(ch, preset)
-        rep = classify(tgt)
-        if rep.capacity_known is CapacityResult.UNKNOWN:
-            reg = best_outer(tgt, grid=grid, depth=1)
-        else:
-            reg = capacity_region(tgt, grid)
-        return RateRegion(Kind.OUTER, reg.r1, reg.r2,
-                          {"id": f"transform:{preset}"})
-    regions = []
-    for tr in triples:
-        tgt = transform_target(ch, tr)
-        regions.append(best_outer(tgt, grid=grid, depth=1))
-    out = intersect(regions, grid) if len(regions) > 1 else regions[0]
-    return RateRegion(Kind.OUTER, out.r1, out.r2, {"id": "transform"})
+    tgt = _preset_target(ch, preset)
+    if classify(tgt).capacity_known is CapacityResult.UNKNOWN:
+        reg = best_outer(tgt, grid=grid, depth=1)
+    else:
+        reg = capacity_region(tgt, grid)
+    return RateRegion(Kind.OUTER, reg.r1, reg.r2, {"id": f"transform:{preset}"})
 
 
 def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,

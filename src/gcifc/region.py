@@ -3,8 +3,10 @@
 A region is stored as a sampled boundary r2max(r1) on an ascending r1
 grid. Inner (achievable) regions interpolate with the upper concave
 envelope, since chords are reachable by time sharing; outer regions
-interpolate step-up (each cell takes the max of its bracketing samples)
-so that sampling can never understate a converse bound.
+interpolate step-up (each cell takes the max of its bracketing samples),
+which never understates the boundary between its samples. A bound that is
+exact on the grid therefore stays an upper bound; a bound sampled from
+below (the cooperative broadcast bound) stays a subset of the true one.
 """
 
 from __future__ import annotations
@@ -150,6 +152,17 @@ def _uniform_grid(r1max: float, grid: int) -> np.ndarray:
     return gx
 
 
+def _bin_max(x: np.ndarray, y: np.ndarray, nbins: int):
+    """Each point's bin, min(int(x / top * nbins), nbins - 1) with
+    top = x.max() > 0, and each bin's largest y (-inf when empty): the one
+    binning rule of the envelope reducers, finite on subnormal supports."""
+    top = x.max()
+    idx = np.minimum((x / top * nbins).astype(np.int64), nbins - 1)
+    best = np.full(nbins, -np.inf)
+    np.maximum.at(best, idx, y)
+    return idx, best
+
+
 def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
                    nbins: int = 4096) -> np.ndarray:
     """Indices of non-dominated points, ascending in r1 (r2 descending).
@@ -159,12 +172,9 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
     bin holds strictly larger r1, so they are dominated. This linear pass
     leaves only a thin band along the front for the sort.
     """
-    top = float(r1.max())
-    if r1.size > nbins and top > 0.0:
-        idx = np.minimum((r1 * (nbins / top)).astype(np.int64), nbins - 1)
-        best = np.full(nbins + 1, -np.inf)
-        np.maximum.at(best, idx, r2)
-        later = np.maximum.accumulate(best[::-1])[::-1]
+    if r1.size > nbins and r1.max() > 0.0:
+        idx, best = _bin_max(r1, r2, nbins)
+        later = np.maximum.accumulate(np.r_[best, -np.inf][::-1])[::-1]
         cand = np.flatnonzero(r2 > later[idx + 1])
     else:
         cand = np.arange(r1.size)
@@ -179,6 +189,40 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
     keep[-1] = True
     keep[:-1] = r2s[:-1] > suffix[1:]
     return cand[order[keep]]
+
+
+def _decimate(pts: np.ndarray, nbins: int) -> np.ndarray:
+    """Keep one point per r1 bin (max r2), snapping r1 down to the bin edge.
+
+    Every output point is dominated by an input point, so the decimated
+    cloud describes a subset of the sampled region (sound for a bound
+    sampled from below); the r1 snap loses less than one bin width.
+    """
+    if pts.shape[0] <= nbins:
+        return pts
+    top = pts[:, 0].max()
+    if top <= 0.0:
+        return pts[:1]
+    _, best = _bin_max(pts[:, 0], pts[:, 1], nbins)
+    keep = best >= 0.0
+    edges = np.arange(nbins)[keep] * (top / nbins)
+    out = np.stack([edges, best[keep]], axis=1)
+    ends = pts[pts[:, 0] >= top * (1.0 - 1e-12)]
+    return np.concatenate([out, ends[:1]], axis=0)
+
+
+def _bin_incumbents(pts: np.ndarray, nb: int) -> np.ndarray:
+    """Per r1 bin (nb bins), the last index attaining the bin's largest r2.
+
+    Bins are visited in ascending order and empty ones are skipped.
+    """
+    if pts[:, 0].max() <= 0.0:
+        return np.zeros(0, dtype=np.int64)
+    binidx, best = _bin_max(pts[:, 0], pts[:, 1], nb)
+    hit = np.flatnonzero(pts[:, 1] == best[binidx])
+    last = np.full(nb, -1, dtype=np.int64)
+    np.maximum.at(last, binidx[hit], hit)
+    return last[last >= 0]
 
 
 def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -304,8 +348,6 @@ def union(regions, grid: int = R1_GRID_DEFAULT) -> RateRegion:
     if kind is Kind.INNER:
         hull = _upper_hull(gx, gy)
         gy = np.interp(gx, gx[hull], gy[hull])
-    else:
-        gy = np.minimum.accumulate(gy)
     return RateRegion(kind, gx, gy, {"id": "|".join(r.region_id for r in regions)})
 
 
@@ -318,14 +360,8 @@ def intersect(regions, grid: int = R1_GRID_DEFAULT) -> RateRegion:
     gx = _uniform_grid(min(r.r1_max for r in regions), grid)
     gy = np.full(gx.shape, np.inf)
     for r in regions:
-        # Regions already sampled on this exact grid contribute without
-        # interpolation, preserving exactly constructed boundaries.
-        if r.r1.size == gx.size and np.array_equal(r.r1, gx):
-            gy = np.minimum(gy, r.r2)
-        else:
-            gy = np.minimum(gy, r.boundary_at(gx, outside=np.inf))
-    gy = np.minimum.accumulate(np.clip(gy, 0.0, None))
-    return RateRegion(kind, gx, np.asarray(gy),
+        gy = np.minimum(gy, r.boundary_at(gx, outside=np.inf))
+    return RateRegion(kind, gx, np.clip(gy, 0.0, None),
                       {"id": "&".join(r.region_id for r in regions)})
 
 

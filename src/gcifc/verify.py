@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import (CapacityResult, ChannelParams, classify,
                       s_channel_thresholds)
-from .errors import RegimeMismatch
+from .errors import RegimeMismatch  # re-exported as verify.RegimeMismatch
 from . import inner, outer, region
 from .region import Kind, RateRegion, from_pareto_points
 from .util import cap, pos
@@ -90,10 +90,9 @@ def q_alpha(ch: ChannelParams, alpha):
             - (ch.b ** 2 - 1.0) * (ch.p1 + abs(ch.a) ** 2 * ch.p2 + cross + 1.0))
 
 
-def random_channels(n: int, seed: int, complex_a: bool = False,
-                    rng: np.random.Generator | None = None):
+def random_channels(n: int, seed: int, complex_a: bool = False):
     """Seeded channel draws from the reference distribution."""
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         p1, p2 = 10.0 ** rng.uniform(-1.0, 2.0, 2)
@@ -257,9 +256,9 @@ def check_table3(ch: ChannelParams) -> TheoremReport:
                          tested, 0.0, details)
 
 
-def check_soundness(ch: ChannelParams, fast: bool = True) -> TheoremReport:
+def check_soundness(ch: ChannelParams) -> TheoremReport:
     """Every achievable region is inside the composed outer bound."""
-    bo, bi = best_pair(ch, fast=fast)
+    bo, bi = best_pair(ch)
     ok, viol = region.contains(bo, bi, SOUNDNESS_TOL_BITS)
     worst = max((v[1] for v in viol), default=0.0)
     return TheoremReport("soundness", ok, worst, 1, SOUNDNESS_TOL_BITS,
@@ -267,8 +266,8 @@ def check_soundness(ch: ChannelParams, fast: bool = True) -> TheoremReport:
 
 
 def atlas(a_range=(-5.0, 5.0), b_range=(0.0, 5.0), resolution: int = 41,
-          p1: float = 10.0, p2: float = 10.0, mode: str = "regime",
-          a_imag: float = 0.0) -> list[AtlasCell]:
+          p1: float = 10.0, p2: float = 10.0,
+          mode: str = "regime") -> list[AtlasCell]:
     """Regime labels (or best-pair gaps) over an (a, b) grid."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -277,7 +276,7 @@ def atlas(a_range=(-5.0, 5.0), b_range=(0.0, 5.0), resolution: int = 41,
     cells = []
     for b in np.linspace(b_range[0], b_range[1], resolution):
         for ar in np.linspace(a_range[0], a_range[1], resolution):
-            ch = ChannelParams(complex(ar, a_imag), float(b), p1, p2)
+            ch = ChannelParams(float(ar), float(b), p1, p2)
             rep = classify(ch)
             gap = None
             if mode == "gap":

@@ -3,6 +3,10 @@
 These evaluate one phase pair, or one lambda scale, at a time, as the
 library did before it broadcast both sweeps. The equivalence tests in
 test_sweeps.py require the broadcast forms to reproduce them bit for bit.
+
+`_decimate` and `_bin_incumbents` are frozen copies of the bc-pr reducers
+as they stood before region.py took over their binning rule, so the
+references do not follow later changes to the library's reducers.
 """
 
 import math
@@ -63,9 +67,48 @@ def coarse_sweep(ch, coarse=21):
     return pts, [par for _, _, par in splits], n
 
 
+def _decimate(pts: np.ndarray, nbins: int) -> np.ndarray:
+    """Keep one point per r1 bin (max r2), snapping r1 down to the bin edge.
+
+    Every output point is dominated by an input point, so the decimated
+    cloud describes a subset of the sampled region (sound for a bound
+    sampled from below); the r1 snap loses less than one bin width.
+    """
+    if pts.shape[0] <= nbins:
+        return pts
+    top = pts[:, 0].max()
+    if top <= 0.0:
+        return pts[:1]
+    idx = np.minimum((pts[:, 0] / top * nbins).astype(np.int64), nbins - 1)
+    acc = np.full(nbins, -1.0)
+    np.maximum.at(acc, idx, pts[:, 1])
+    keep = acc >= 0.0
+    edges = np.arange(nbins)[keep] * (top / nbins)
+    out = np.stack([edges, acc[keep]], axis=1)
+    ends = pts[pts[:, 0] >= top * (1.0 - 1e-12)]
+    return np.concatenate([out, ends[:1]], axis=0)
+
+
+def _bin_incumbents(pts: np.ndarray, nb: int) -> np.ndarray:
+    """Per r1 bin (nb bins), the last index attaining the bin's largest r2.
+
+    Bins are visited in ascending order and empty ones are skipped.
+    """
+    top = pts[:, 0].max()
+    if top <= 0.0:
+        return np.zeros(0, dtype=np.int64)
+    binidx = np.minimum((pts[:, 0] / top * nb).astype(np.int64), nb - 1)
+    best = np.full(nb, -np.inf)
+    np.maximum.at(best, binidx, pts[:, 1])
+    hit = np.flatnonzero(pts[:, 1] == best[binidx])
+    last = np.full(nb, -1, dtype=np.int64)
+    np.maximum.at(last, binidx[hit], hit)
+    return last[last >= 0]
+
+
 def refine_pass(ch, par_chunks, coarse_pts, n):
     """Local re-grid around the incumbents, looked up in per-pair chunks."""
-    keep = outer._bin_incumbents(coarse_pts, 64)
+    keep = _bin_incumbents(coarse_pts, 64)
     if not keep.size:
         return np.zeros((0, 2))
     m = par_chunks[0][0].size
@@ -90,18 +133,17 @@ def refine_pass(ch, par_chunks, coarse_pts, n):
     return dpc_points(ch, b1, b2)
 
 
-def bc_pr_outer(ch, coarse=21, slice_points=ALPHA_GRID_DEFAULT, refine=True,
+def bc_pr_outer(ch, coarse=21, slice_points=ALPHA_GRID_DEFAULT,
                 grid=R1_GRID_DEFAULT, floor_points=None):
     """outer.bc_pr_outer with the per-pair coarse sweep and refine lookup."""
     coarse_pts, par_chunks, n = coarse_sweep(ch, coarse)
-    pts = [outer._decimate(coarse_pts, 4 * grid)]
+    pts = [_decimate(coarse_pts, 4 * grid)]
     for b1, b2 in outer._structured_slices(ch, slice_points):
         pts.append(dpc_points(ch, b1, b2))
-    if refine:
-        pts.append(refine_pass(ch, par_chunks, coarse_pts, n))
+    pts.append(refine_pass(ch, par_chunks, coarse_pts, n))
     if floor_points is not None and len(floor_points):
         pts.append(np.asarray(floor_points, float).reshape(-1, 2))
-    all_pts = outer._decimate(np.concatenate(pts, axis=0), 4 * grid)
+    all_pts = _decimate(np.concatenate(pts, axis=0), 4 * grid)
     return from_pareto_points(all_pts, Kind.OUTER, grid=grid,
                               region_id="bc-pr")
 

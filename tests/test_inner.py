@@ -401,11 +401,3 @@ class TestTdmaAndAggregates:
         bound = outer.weak_outer(ch)
         gap, _ = region.additive_gap(bound, bi)
         assert gap <= 1e-4
-
-    def test_scheme_params_validation(self):
-        with pytest.raises(ValueError):
-            inner.SchemeParams(alpha=1.5)
-        with pytest.raises(ValueError):
-            inner.SchemeParams(rho=1.5)
-        p = inner.SchemeParams(alpha=0.5, lam=0.3 + 0.1j)
-        assert p.sigma1pb_sq == 1.0

@@ -342,13 +342,6 @@ class TestTransforms:
                     assert ok, (ch, preset, viol[:3])
         assert hits > 10
 
-    def test_triples_path_identity(self):
-        ch = ChannelParams(0.4, 1.7, 2.0, 3.0)
-        reg = outer.transformed_outer(
-            ch, triples=[outer.TransformTriple(1.0, 0.0, 1.0)])
-        bo = outer.best_outer(ch, depth=1)
-        assert np.max(np.abs(reg.r2 - bo.r2)) < 1e-9
-
 
 class TestBestOuter:
     def test_weak_channel_equals_capacity(self):

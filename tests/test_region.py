@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcifc.errors import EmptyInput, MixedKinds
-from gcifc.outer import _bin_incumbents
-from gcifc.region import (GapReport, Kind, RateRegion, _pareto_filter,
-                          _upper_hull, additive_gap, contains, from_boundary,
+from gcifc.region import (GapReport, Kind, RateRegion, _bin_incumbents,
+                          _decimate, _pareto_filter, _upper_hull,
+                          additive_gap, contains, from_boundary,
                           from_pareto_points, gap_report, intersect,
                           multiplicative_gap, union)
+import sweep_reference as ref
 
 
 def line_region(intercept, slope, kind=Kind.INNER, grid=257):
@@ -48,6 +49,19 @@ class TestFromParetoPoints:
                                  params={"alpha": [0.0, 1.0]})
         assert "alpha" in reg.meta["params"]
         assert reg.meta["params"]["alpha"].shape == reg.r1.shape
+
+    @pytest.mark.parametrize("kind", [Kind.INNER, Kind.OUTER])
+    def test_subnormal_scale_large_cloud(self, kind):
+        # more points than the pre-cull has bins, with r1 below 2.3e-305:
+        # the number of bins over the largest r1 overflows to inf
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 1e-306, 5000)
+        y = 3.0 - x * 1e306 + rng.uniform(0.0, 0.5, x.size)
+        reg = from_pareto_points(np.stack([x, y], axis=1), kind, grid=129)
+        assert reg.kind is kind and reg.r1[0] == 0.0
+        assert 0.0 < reg.r1_max <= x.max()
+        assert reg.r2[0] == y.max()
+        assert np.all(np.isfinite(reg.r2)) and np.all(np.diff(reg.r2) <= 0.0)
 
 
 class TestSetOps:
@@ -280,10 +294,22 @@ class TestEnvelopeKernels:
             want = _pareto_lexsort(x, y)
             for nbins in (1, 3, 8, 4096):
                 assert np.array_equal(_pareto_filter(x, y, nbins), want)
-        for _ in range(5):  # large clouds take the culling path by default
+        for trial in range(6):  # large clouds take the culling path by default
             x = rng.integers(0, 2000, 20000) / 7.0
             y = np.floor(30.0 - x / 10.0 + rng.integers(0, 5, x.size))
+            if trial == 5:  # a tiny support, where nbins / top overflows
+                x = x * 1e-308
             assert np.array_equal(_pareto_filter(x, y), _pareto_lexsort(x, y))
+
+    def test_decimate_matches_frozen_copy(self, rng):
+        # ties, negative r2, all-zero r1, tiny scales, and clouds at or
+        # below nbins (returned unchanged)
+        for x, y in _clouds(rng, 400):
+            for scale in (1.0, 0.0, 1e-308, 5e-324):
+                pts = np.stack([x * scale, y], axis=1)
+                for nbins in (1, 3, 8, 64):
+                    assert np.array_equal(_decimate(pts, nbins),
+                                          ref._decimate(pts, nbins))
 
     def test_refine_incumbents_match_lexsort_rule(self, rng):
         nb = 64
