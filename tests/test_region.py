@@ -52,8 +52,8 @@ class TestFromParetoPoints:
 
     @pytest.mark.parametrize("kind", [Kind.INNER, Kind.OUTER])
     def test_subnormal_scale_large_cloud(self, kind):
-        # more points than the pre-cull has bins, with r1 below 2.3e-305:
-        # the number of bins over the largest r1 overflows to inf
+        # more points than the pre-cull has bins, and r1 below 2.3e-305,
+        # where scaling r1 by nbins / top would overflow to inf
         rng = np.random.default_rng(5)
         x = rng.uniform(0.0, 1e-306, 5000)
         y = 3.0 - x * 1e306 + rng.uniform(0.0, 0.5, x.size)
