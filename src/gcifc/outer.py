@@ -6,7 +6,11 @@ exactly on the r1 grid by inverting alpha(r1), with no envelope
 resampling error. The cooperative broadcast bound is a parameter sweep
 sampled from below and snapped down by `region._decimate`, so it is a
 subset of the true cooperative bound; only its step-up interpolation
-between samples is conservative.
+between samples is conservative. Its coarse sweep does not depend on the
+floor, so the decimated sweep and its refine incumbents are memoised per
+(channel, coarse, grid) in a small bounded cache of read-only arrays; the
+slices, the refine pass, the floor and the final decimation run on every
+call.
 
 Cross-term convention: every alpha-parameterized bound uses
 2*sqrt(abar * b^2 * p1 * p2), i.e. input correlation sqrt(1 - alpha),
@@ -15,6 +19,7 @@ so the cooperation term vanishes at alpha = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +28,7 @@ import numpy as np
 from .channel import CapacityResult, ChannelParams, classify, s_channel_thresholds
 from .errors import InvalidTransform, RegimeMismatch, SingularPreset
 from .region import (ALPHA_GRID_DEFAULT, R1_GRID_DEFAULT, Kind, RateRegion,
-                     _bin_incumbents, _decimate, from_boundary,
+                     _bin_reduce, _decimate, from_boundary,
                      from_pareto_points, intersect)
 from .util import alpha_of_r1, cap, pos, r1_grid
 
@@ -185,15 +190,24 @@ def _order_points(s1, s2):
     return pts.reshape(-1, 2)
 
 
-def _coarse_points(ch: ChannelParams, t, q):
-    """Both orders of the free sweep over share fractions and correlations.
+def _coarse_points(ch: ChannelParams, coarse: int):
+    """The free sweep over share fractions and correlations, both orders.
 
-    t: share fractions; q: the (phase, rho) grid of correlations. Points
-    run over (rot1, rot2, order, a1, a2, q1, q2) in that order. Each share's
-    powers span its own phase and three split axes; points are formed one
-    phase pair at a time, so no temporary outgrows one pair's sweep.
+    Returns (t, q, top, chunks): the share fractions t, the (phase, rho)
+    grid q of correlations, the largest r1 of the sweep, and a generator
+    of its points one phase pair at a time. Points run over (rot1, rot2,
+    order, a1, a2, q1, q2) in that order. Each share's powers span its own
+    phase and three split axes, so no temporary outgrows one pair's sweep.
     """
-    nr, n = q.shape
+    complex_a = abs(ch.a.imag) > 1e-12
+    phases = (0.0, math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4) \
+        if complex_a else (0.0,)
+    n = 13 if complex_a else coarse
+    t = np.linspace(0.0, 1.0, n)
+    # a real cross gain with no phase fan keeps every covariance real
+    rots = np.ones(1) if ch.a.imag == 0.0 else np.exp(1j * np.array(phases))
+    q = np.multiply.outer(rots, np.linspace(-1.0, 1.0, n))
+    nr = q.shape[0]
     a1, a2 = t.reshape(n, 1, 1, 1), t.reshape(1, n, 1, 1)
     q1, q2 = q.reshape(nr, 1, 1, n, 1), q.reshape(nr, 1, 1, 1, n)
     s1 = _recv_powers(ch, a1 * ch.p1, q1 * np.sqrt(a1 * ch.p1 * a2 * ch.p2),
@@ -201,8 +215,24 @@ def _coarse_points(ch: ChannelParams, t, q):
     s2 = _recv_powers(ch, (1 - a1) * ch.p1,
                       q2 * np.sqrt((1 - a1) * ch.p1 * (1 - a2) * ch.p2),
                       (1 - a2) * ch.p2)
-    return np.concatenate([_order_points(p1, p2)
-                           for p1 in zip(*s1) for p2 in zip(*s2)])
+    # order 1 puts r1 = cap(s1r1), and order 2 divides s1r1 by 1 + s2r1
+    top = cap(s1[0]).max()
+    return t, q, top, (_order_points(p1, p2)
+                       for p1 in zip(*s1) for p2 in zip(*s2))
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_reduced(ch: ChannelParams, coarse: int, grid: int):
+    """(t, q, decimated coarse sweep, its 64 refine incumbents), read-only.
+
+    The coarse sweep does not depend on the floor, so a channel's second
+    `bc_pr_outer` call (verify builds `best_outer` twice) reuses it.
+    """
+    t, q, top, chunks = _coarse_points(ch, coarse)
+    out = (t, q) + _bin_reduce(chunks, top, 4 * grid, 64)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _structured_slices(ch: ChannelParams, n: int):
@@ -269,20 +299,11 @@ def bc_pr_outer(ch: ChannelParams, coarse: int = 21,
     exactly; `floor_points` may supply achievable rate pairs (always
     members of the true bound) to floor the sample.
     """
-    complex_a = abs(ch.a.imag) > 1e-12
-    phases = (0.0, math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4) \
-        if complex_a else (0.0,)
-    n = 13 if complex_a else coarse
-    t = np.linspace(0.0, 1.0, n)
-    # a real cross gain with no phase fan keeps every covariance real
-    rots = np.ones(1) if ch.a.imag == 0.0 else np.exp(1j * np.array(phases))
-    q = np.multiply.outer(rots, np.linspace(-1.0, 1.0, n))
-    coarse_pts = _coarse_points(ch, t, q)
-
-    pts = [_decimate(coarse_pts, 4 * grid)]
+    t, q, coarse_pts, keep = _coarse_reduced(ch, coarse, grid)
+    pts = [coarse_pts]
     for b1, b2 in _structured_slices(ch, slice_points):
         pts.append(_dpc_points(ch, b1, b2))
-    pts.append(_refine_pass(ch, t, q, coarse_pts))
+    pts.append(_refine_pass(ch, t, q, keep))
 
     if floor_points is not None and len(floor_points):
         pts.append(np.asarray(floor_points, float).reshape(-1, 2))
@@ -298,13 +319,12 @@ def _phase(q):
     return np.exp(1j * np.angle(q))
 
 
-def _refine_pass(ch: ChannelParams, t, q, coarse_pts: np.ndarray):
+def _refine_pass(ch: ChannelParams, t, q, keep: np.ndarray):
     """Re-grid locally around incumbent Pareto points of the coarse sweep.
 
-    `coarse_pts` is `_coarse_points(ch, t, q)`; each incumbent's split
-    parameters follow from its flat index into that sweep's axes.
+    `keep` holds the incumbents' flat indices into the coarse sweep of
+    `_coarse_points`; their split parameters follow from its axes.
     """
-    keep = _bin_incumbents(coarse_pts, 64)
     if not keep.size:
         return np.zeros((0, 2))
     nr, n = q.shape

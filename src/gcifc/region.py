@@ -152,11 +152,11 @@ def _uniform_grid(r1max: float, grid: int) -> np.ndarray:
     return gx
 
 
-def _bin_max(x: np.ndarray, y: np.ndarray, nbins: int):
-    """Each point's bin, min(int(x / top * nbins), nbins - 1) with
-    top = x.max() > 0, and each bin's largest y (-inf when empty): the one
-    binning rule of the envelope reducers, finite on subnormal supports."""
-    top = x.max()
+def _bin_max(x: np.ndarray, y: np.ndarray, top: float, nbins: int):
+    """Each point's bin, min(int(x / top * nbins), nbins - 1) for a caller's
+    top > 0 (the largest x of the cloud x belongs to), and each bin's
+    largest y (-inf when empty): the one binning rule of the envelope
+    reducers, finite on subnormal supports."""
     idx = np.minimum((x / top * nbins).astype(np.int64), nbins - 1)
     best = np.full(nbins, -np.inf)
     np.maximum.at(best, idx, y)
@@ -172,8 +172,9 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
     bin holds strictly larger r1, so they are dominated. This linear pass
     leaves only a thin band along the front for the sort.
     """
-    if r1.size > nbins and r1.max() > 0.0:
-        idx, best = _bin_max(r1, r2, nbins)
+    top = r1.max() if r1.size > nbins else 0.0
+    if top > 0.0:
+        idx, best = _bin_max(r1, r2, top, nbins)
         later = np.maximum.accumulate(np.r_[best, -np.inf][::-1])[::-1]
         cand = np.flatnonzero(r2 > later[idx + 1])
     else:
@@ -191,38 +192,58 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
     return cand[order[keep]]
 
 
-def _decimate(pts: np.ndarray, nbins: int) -> np.ndarray:
-    """Keep one point per r1 bin (max r2), snapping r1 down to the bin edge.
+def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
+    """Stream point chunks, in order, through two r1 binnings at once.
 
-    Every output point is dominated by an input point, so the decimated
-    cloud describes a subset of the sampled region (sound for a bound
-    sampled from below); the r1 snap loses less than one bin width.
+    `top` is the largest r1 over all chunks. Returns (decimated,
+    incumbents), exactly what the one-shot reductions give on the
+    concatenated cloud, without ever holding it:
+
+    - decimated: one point per nonempty r1 bin of `nbins` (its largest r2),
+      r1 snapped down to the bin edge, plus the first point with
+      r1 >= top * (1 - 1e-12). Every output point is dominated by an input
+      point, so the decimated cloud describes a subset of the sampled
+      region (sound for a bound sampled from below); the snap loses less
+      than one bin width. A cloud of at most `nbins` points comes back
+      whole, and one with top <= 0 as its first point.
+    - incumbents: per r1 bin of `nb`, ascending and skipping empty ones,
+      the last flat index attaining the bin's largest r2; none when
+      top <= 0 or nb = 0.
     """
-    if pts.shape[0] <= nbins:
-        return pts
-    top = pts[:, 0].max()
+    best = np.full(nbins, -np.inf)
+    inc_best = np.full(nb, -np.inf)
+    inc_last = np.full(nb, -1, dtype=np.int64)
+    held, end, count = [], None, 0
+    for pts in chunks:
+        if count <= nbins:
+            held.append(pts)
+        if not top <= 0.0:  # a NaN top bins, and fails there
+            x, y = pts[:, 0], pts[:, 1]
+            np.maximum(best, _bin_max(x, y, top, nbins)[1], out=best)
+            if nb:
+                idx, chunk_best = _bin_max(x, y, top, nb)
+                np.maximum(inc_best, chunk_best, out=inc_best)
+                # a later index beats every earlier hit of a lower maximum
+                hit = np.flatnonzero(y == inc_best[idx])
+                np.maximum.at(inc_last, idx[hit], hit + count)
+            if end is None:
+                near = np.flatnonzero(x >= top * (1.0 - 1e-12))
+                end = pts[near[:1]] if near.size else None
+        count += pts.shape[0]
+    incumbents = inc_last[inc_last >= 0]
+    if count <= nbins:
+        return np.concatenate(held), incumbents
     if top <= 0.0:
-        return pts[:1]
-    _, best = _bin_max(pts[:, 0], pts[:, 1], nbins)
+        return np.concatenate(held)[:1], incumbents
     keep = best >= 0.0
     edges = np.arange(nbins)[keep] * (top / nbins)
     out = np.stack([edges, best[keep]], axis=1)
-    ends = pts[pts[:, 0] >= top * (1.0 - 1e-12)]
-    return np.concatenate([out, ends[:1]], axis=0)
+    return (out if end is None else np.concatenate([out, end])), incumbents
 
 
-def _bin_incumbents(pts: np.ndarray, nb: int) -> np.ndarray:
-    """Per r1 bin (nb bins), the last index attaining the bin's largest r2.
-
-    Bins are visited in ascending order and empty ones are skipped.
-    """
-    if pts[:, 0].max() <= 0.0:
-        return np.zeros(0, dtype=np.int64)
-    binidx, best = _bin_max(pts[:, 0], pts[:, 1], nb)
-    hit = np.flatnonzero(pts[:, 1] == best[binidx])
-    last = np.full(nb, -1, dtype=np.int64)
-    np.maximum.at(last, binidx[hit], hit)
-    return last[last >= 0]
+def _decimate(pts: np.ndarray, nbins: int) -> np.ndarray:
+    """`_bin_reduce`'s decimated cloud of one array of points."""
+    return _bin_reduce([pts], pts[:, 0].max(initial=-np.inf), nbins)[0]
 
 
 def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:

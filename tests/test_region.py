@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcifc.errors import EmptyInput, MixedKinds
-from gcifc.region import (GapReport, Kind, RateRegion, _bin_incumbents,
+from gcifc.region import (GapReport, Kind, RateRegion, _bin_reduce,
                           _decimate, _pareto_filter, _upper_hull,
                           additive_gap, contains, from_boundary,
                           from_pareto_points, gap_report, intersect,
@@ -321,10 +321,24 @@ class TestEnvelopeKernels:
                 r2[:] = 1.0
             pts = np.stack([r1, r2], axis=1)
             top = r1.max()
+            got = _bin_reduce([pts], top, 8, nb)[1]
             if top <= 0.0:
-                assert _bin_incumbents(pts, nb).size == 0
+                assert got.size == 0
                 continue
             binidx = np.minimum((r1 / top * nb).astype(np.int64), nb - 1)
             order = np.lexsort((r2, binidx))
             last = np.flatnonzero(np.diff(binidx[order], append=nb + 1) != 0)
-            assert np.array_equal(_bin_incumbents(pts, nb), order[last])
+            assert np.array_equal(got, order[last])
+
+    def test_streamed_reduction_matches_one_shot(self, rng):
+        # chunk boundaries at random, so ties and bin maxima split across
+        # chunks; top <= 0, clouds at or below nbins, subnormal tops
+        for x, y in _clouds(rng, 400):
+            for scale in (1.0, 0.0, 1e-308, 5e-324):
+                pts = np.stack([x * scale, y], axis=1)
+                cuts = np.sort(rng.integers(0, len(pts) + 1, 3))
+                chunks = np.split(pts, cuts)
+                for nbins in (1, 3, 8, 64):
+                    dec, inc = _bin_reduce(chunks, pts[:, 0].max(), nbins, 4)
+                    assert np.array_equal(dec, ref._decimate(pts, nbins))
+                    assert np.array_equal(inc, ref._bin_incumbents(pts, 4))

@@ -32,29 +32,44 @@ def _same(a, b):
 
 
 @pytest.mark.parametrize("ch", CHANNELS)
-def test_coarse_points_match_per_pair_loop(ch, monkeypatch):
-    seen = []
-    sweep = outer._coarse_points
-
-    def spy(*args):
-        seen.append(sweep(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(outer, "_coarse_points", spy)
-    outer.bc_pr_outer(ch)
+def test_coarse_points_match_per_pair_loop(ch):
+    t, q, top, chunks = outer._coarse_points(ch, 21)
     want, _, _ = ref.coarse_sweep(ch)
-    assert np.array_equal(seen[0], want)
+    assert np.array_equal(np.concatenate(list(chunks)), want)
+    assert top == want[:, 0].max()
 
 
+@pytest.mark.parametrize("grid", [2048, 512])
 @pytest.mark.parametrize("ch", CHANNELS)
-def test_regions_match_loop_forms(ch, monkeypatch):
+def test_regions_match_loop_forms(ch, grid, monkeypatch):
     floor = inner.cheap_achievable_points(ch)
     assert np.array_equal(floor, ref.cheap_achievable_points(ch))
-    _same(outer.bc_pr_outer(ch, floor_points=floor),
-          ref.bc_pr_outer(ch, floor_points=floor))
-    _same(inner.scheme_f(ch), ref.scheme_f(ch))
-    got = outer.best_outer(ch)
+    _same(outer.bc_pr_outer(ch, grid=grid, floor_points=floor),
+          ref.bc_pr_outer(ch, grid=grid, floor_points=floor))
+    _same(inner.scheme_f(ch, grid=grid), ref.scheme_f(ch, grid=grid))
+    got = outer.best_outer(ch, grid=grid)
     monkeypatch.setattr(outer, "bc_pr_outer", ref.bc_pr_outer)
     monkeypatch.setattr(inner, "cheap_achievable_points",
                         ref.cheap_achievable_points)
-    _same(got, outer.best_outer(ch))
+    _same(got, outer.best_outer(ch, grid=grid))
+
+
+@pytest.mark.parametrize("ch", CHANNELS[4:6])
+def test_memoised_coarse_sweep(ch):
+    outer._coarse_reduced.cache_clear()
+    miss = outer._coarse_reduced(ch, 21, 512)
+    hit = outer._coarse_reduced(ch, 21, 512)
+    assert outer._coarse_reduced.cache_info().hits == 1
+    assert all(a is b for a, b in zip(miss, hit))
+    outer._coarse_reduced.cache_clear()
+    for fresh, kept in zip(outer._coarse_reduced(ch, 21, 512), miss):
+        assert np.array_equal(fresh, kept)
+        with pytest.raises(ValueError):
+            kept[:1] = 0
+    # a second build with another floor reuses the sweep of the first
+    floor = inner.cheap_achievable_points(ch)[::3]
+    outer.best_outer(ch, grid=512)
+    warm = outer.best_outer(ch, grid=512, extra_floor=floor)
+    assert outer._coarse_reduced.cache_info().hits == 2
+    outer._coarse_reduced.cache_clear()
+    _same(warm, outer.best_outer(ch, grid=512, extra_floor=floor))
