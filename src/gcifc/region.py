@@ -200,12 +200,14 @@ def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
     concatenated cloud, without ever holding it:
 
     - decimated: one point per nonempty r1 bin of `nbins` (its largest r2),
-      r1 snapped down to the bin edge, plus the first point with
-      r1 >= top * (1 - 1e-12). Every output point is dominated by an input
-      point, so the decimated cloud describes a subset of the sampled
-      region (sound for a bound sampled from below); the snap loses less
-      than one bin width. A cloud of at most `nbins` points comes back
-      whole, and one with top <= 0 as its first point.
+      r1 snapped down to the bin edge, plus the end point: of the points
+      at r1 = top, the one with the largest r2 (the first on ties), which
+      keeps both the support and the corner at the top. Every output
+      point is dominated by an input point, so the decimated cloud
+      describes a subset of the sampled region (sound for a bound sampled
+      from below); the snap loses less than one bin width. A cloud of at
+      most `nbins` points comes back whole, and one with top <= 0 as its
+      first point.
     - incumbents: per r1 bin of `nb`, ascending and skipping empty ones,
       the last flat index attaining the bin's largest r2; none when
       top <= 0 or nb = 0.
@@ -217,7 +219,7 @@ def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
     for pts in chunks:
         if count <= nbins:
             held.append(pts)
-        if not top <= 0.0:  # a NaN top bins, and fails there
+        if not top <= 0.0:  # a NaN top must reach the binning and raise
             x, y = pts[:, 0], pts[:, 1]
             np.maximum(best, _bin_max(x, y, top, nbins)[1], out=best)
             if nb:
@@ -226,9 +228,11 @@ def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
                 # a later index beats every earlier hit of a lower maximum
                 hit = np.flatnonzero(y == inc_best[idx])
                 np.maximum.at(inc_last, idx[hit], hit + count)
-            if end is None:
-                near = np.flatnonzero(x >= top * (1.0 - 1e-12))
-                end = pts[near[:1]] if near.size else None
+            at_top = np.flatnonzero(x >= top)
+            if at_top.size:
+                j = at_top[np.argmax(y[at_top])]
+                if end is None or y[j] > end[0, 1]:
+                    end = pts[j:j + 1]
         count += pts.shape[0]
     incumbents = inc_last[inc_last >= 0]
     if count <= nbins:

@@ -219,7 +219,7 @@ def _table_rows(ch: ChannelParams):
             pts.append((float(f1), float(min(r2, ss - f1))))
         rows.append(("partial-cancel", applies2, _point_region(pts), so))
 
-        al4 = min(1.0, 1.0 / ch.p1)
+        al4 = 1.0 / max(ch.p1, 1.0)  # min(1, 1 / p1); at p1 = 0 the origin
         a_pt = (float(cap((1 - al4) * ch.p1 / (1 + al4 * ch.p1))),
                 float(cap(al4 * b2p1)))
         rows.append(("broadcast-strong", b2p1 > ch.p2,

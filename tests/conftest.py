@@ -11,6 +11,20 @@ from gcifc.channel import ChannelParams
 from gcifc import gaussmi
 
 
+# zero, subnormal and huge powers and the singular lines, by name
+EDGE_CHANNELS = [
+    ("p1=0", ChannelParams(0.5, 1.3, 0.0, 4.0)),
+    ("p2=0", ChannelParams(0.5, 2.0, 6.0, 0.0)),
+    ("b=0", ChannelParams(0.7, 0.0, 3.0, 7.0)),
+    ("a=1", ChannelParams(1.0, 1.5, 4.0, 4.0)),
+    ("a=-1", ChannelParams(-1.0, 0.8, 4.0, 4.0)),
+    ("ab=1", ChannelParams(0.5, 2.0, 5.0, 3.0)),
+    ("tiny-imag-a", ChannelParams(0.5 + 1e-13j, 1.3, 6.0, 4.0)),
+    ("subnormal-p1", ChannelParams(0.5, 1.3, 5e-324, 4.0)),
+    ("p=1e8", ChannelParams(-0.6 + 0.2j, 1.7, 1e8, 1e8)),
+]
+
+
 def channel_draw(rng, b_low=0.0, b_high=5.0, complex_a=False):
     p1, p2 = 10.0 ** rng.uniform(-1, 2, 2)
     a = rng.uniform(-5, 5)

@@ -4,9 +4,10 @@ These evaluate one phase pair, or one lambda scale, at a time, as the
 library did before it broadcast both sweeps. The equivalence tests in
 test_sweeps.py require the broadcast forms to reproduce them bit for bit.
 
-`_decimate` and `_bin_incumbents` are frozen copies of the bc-pr reducers
-as they stood before region.py took over their binning rule, so the
-references do not follow later changes to the library's reducers.
+`_decimate` and `_bin_incumbents` are frozen one-shot copies of the bc-pr
+reducers, so the references do not follow later changes to the library's
+streamed reducer. `_decimate` keeps, of the points at the largest r1,
+the one with the largest r2 (the first on ties).
 """
 
 import math
@@ -85,8 +86,9 @@ def _decimate(pts: np.ndarray, nbins: int) -> np.ndarray:
     keep = acc >= 0.0
     edges = np.arange(nbins)[keep] * (top / nbins)
     out = np.stack([edges, acc[keep]], axis=1)
-    ends = pts[pts[:, 0] >= top * (1.0 - 1e-12)]
-    return np.concatenate([out, ends[:1]], axis=0)
+    ends = pts[pts[:, 0] == top]
+    best_end = np.argsort(-ends[:, 1], kind="stable")[:1]
+    return np.concatenate([out, ends[best_end]], axis=0)
 
 
 def _bin_incumbents(pts: np.ndarray, nb: int) -> np.ndarray:

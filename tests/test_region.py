@@ -311,6 +311,13 @@ class TestEnvelopeKernels:
                     assert np.array_equal(_decimate(pts, nbins),
                                           ref._decimate(pts, nbins))
 
+    def test_decimate_keeps_best_top_point(self):
+        # of the points at the largest r1, the first has the lowest r2
+        pts = np.array([[3.0, 0.5], [3.0, 3.0], [1.0, 2.0], [3.0, 3.0],
+                        [2.0, 4.0], [0.0, 5.0]])
+        out = _decimate(pts, 2)
+        assert np.array_equal(out, [[0.0, 5.0], [1.5, 4.0], [3.0, 3.0]])
+
     def test_refine_incumbents_match_lexsort_rule(self, rng):
         nb = 64
         for trial in range(50):

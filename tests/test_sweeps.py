@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from gcifc import inner, outer
-from gcifc.channel import ChannelParams
-from conftest import channel_draw
+from conftest import EDGE_CHANNELS, channel_draw
 import sweep_reference as ref
 
 _rng = np.random.default_rng(20261018)
@@ -14,17 +13,7 @@ CHANNELS = (
     [pytest.param(channel_draw(_rng), id=f"real{k}") for k in range(4)]
     + [pytest.param(channel_draw(_rng, complex_a=True), id=f"complex{k}")
        for k in range(2)]
-    + [pytest.param(ch, id=name) for name, ch in [
-        ("p1=0", ChannelParams(0.5, 1.3, 0.0, 4.0)),
-        ("p2=0", ChannelParams(0.5, 2.0, 6.0, 0.0)),
-        ("b=0", ChannelParams(0.7, 0.0, 3.0, 7.0)),
-        ("a=1", ChannelParams(1.0, 1.5, 4.0, 4.0)),
-        ("a=-1", ChannelParams(-1.0, 0.8, 4.0, 4.0)),
-        ("ab=1", ChannelParams(0.5, 2.0, 5.0, 3.0)),
-        ("tiny-imag-a", ChannelParams(0.5 + 1e-13j, 1.3, 6.0, 4.0)),
-        ("subnormal-p1", ChannelParams(0.5, 1.3, 5e-324, 4.0)),
-        ("p=1e8", ChannelParams(-0.6 + 0.2j, 1.7, 1e8, 1e8)),
-    ]])
+    + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS])
 
 
 def _same(a, b):
@@ -33,7 +22,7 @@ def _same(a, b):
 
 @pytest.mark.parametrize("ch", CHANNELS)
 def test_coarse_points_match_per_pair_loop(ch):
-    t, q, top, chunks = outer._coarse_points(ch, 21)
+    _, _, top, chunks = outer._coarse_points(ch, 21)
     want, _, _ = ref.coarse_sweep(ch)
     assert np.array_equal(np.concatenate(list(chunks)), want)
     assert top == want[:, 0].max()

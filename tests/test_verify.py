@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gcifc.channel import CapacityResult, ChannelParams, classify
-from gcifc import verify
-from conftest import channel_draw
+from gcifc import inner, outer, verify
+from gcifc.errors import GcifcError
+from conftest import EDGE_CHANNELS, channel_draw
 
 
 class TestQAlpha:
@@ -109,6 +110,17 @@ class TestGapChecks:
             seen |= {d["row"] for d in rep.details}
         assert {"perfect-cancel", "broadcast-strong"} <= seen
 
+    @pytest.mark.parametrize("ch", [ChannelParams(0.5, 1.3, 0.0, 4.0),
+                                    ChannelParams(0.5, 2.0, 0.0, 0.0),
+                                    ChannelParams(0.5 + 0.5j, 2.0, 0.0, 6.0)])
+    def test_table_rows_at_zero_p1(self, ch):
+        # the broadcast-strong row's corner point sits at the origin
+        rows = {row: reg for row, _, reg, _ in verify._table_rows(ch)}
+        strong = rows["broadcast-strong"]
+        assert strong.r1_max == 0.0 and strong.r2[0] == pytest.approx(
+            math.log2(1.0 + ch.p2), abs=1e-12)
+        assert verify.check_table3(ch).holds
+
 
 class TestAtlas:
     def test_determinism(self):
@@ -163,6 +175,23 @@ class TestSuite:
         rep = verify.check_soundness(ch)
         assert rep.holds, rep.worst_violation
 
+    def test_soundness_top_corner_channel(self):
+        # the atlas-gap cell (0, 5) at p = 10: the bc-pr decimation once
+        # kept the first sample near the largest r1, (3.4594, 0.056), and
+        # dropped the corner (3.4594, 3.4594) and the floor point there
+        rep = verify.check_soundness(ChannelParams(0.0, 5.0, 10.0, 10.0))
+        assert rep.holds, rep.worst_violation
+
+    @pytest.mark.parametrize("p2", [1e-310, 5e-324])
+    def test_subnormal_p2(self, p2):
+        # p1 / p2 overflows: the costa coefficient must stay finite
+        ch = ChannelParams(0.5, 1.3, 4.0, p2)
+        assert np.isfinite(inner.cheap_achievable_points(ch)).all()
+        for reg in (outer.best_outer(ch), inner.scheme_f(ch)):
+            assert reg.r1_max > 0.0 and np.isfinite(reg.r2).all()
+        rep = verify.check_soundness(ch)
+        assert rep.holds, rep.worst_violation
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             verify.run_verification(n=0)
@@ -172,3 +201,28 @@ class TestSuite:
         threaded = verify.run_verification(n=4, seed=9, workers=4)
         key = lambda rs: sorted((r.theorem_id, r.worst_violation) for r in rs)
         assert key(serial) == key(threaded)
+
+
+ROBUSTNESS_CHANNELS = EDGE_CHANNELS + [
+    ("top-corner", ChannelParams(0.0, 5.0, 10.0, 10.0)),
+    ("p2=1e-310", ChannelParams(0.5, 1.3, 4.0, 1e-310)),
+    ("p2=5e-324", ChannelParams(0.5, 1.3, 4.0, 5e-324)),
+    ("p1=p2=0", ChannelParams(0.5, 2.0, 0.0, 0.0)),
+    ("complex-p1=0", ChannelParams(0.5 + 0.5j, 2.0, 0.0, 6.0)),
+    ("p1=1e12", ChannelParams(3.0, 0.2, 1e12, 1e-3)),
+]
+
+
+@pytest.mark.parametrize("ch", [pytest.param(ch, id=name)
+                                for name, ch in ROBUSTNESS_CHANNELS])
+def test_checks_report_or_raise_typed(ch):
+    # whether each check holds is not asserted: scheme C overshoots at
+    # huge powers, so soundness fails on "p=1e8" and "p1=1e12"
+    for check in (verify.check_soundness, verify.check_capacity,
+                  verify.check_additive_gap, verify.check_multiplicative_gap,
+                  verify.check_table3):
+        try:
+            rep = check(ch)
+        except GcifcError:
+            continue
+        assert isinstance(rep, verify.TheoremReport)
