@@ -28,9 +28,17 @@ def test_coarse_points_match_per_pair_loop(ch):
     assert top == want[:, 0].max()
 
 
-@pytest.mark.parametrize("grid", [2048, 512])
 @pytest.mark.parametrize("ch", CHANNELS)
-def test_regions_match_loop_forms(ch, grid, monkeypatch):
+def test_regions_match_loop_forms(ch, monkeypatch):
+    _match_loop_forms(ch, 2048, monkeypatch)
+
+
+@pytest.mark.parametrize("ch", CHANNELS)
+def test_regions_match_loop_forms_atlas_grid(ch, monkeypatch):
+    _match_loop_forms(ch, 512, monkeypatch)
+
+
+def _match_loop_forms(ch, grid, monkeypatch):
     floor = inner.cheap_achievable_points(ch)
     assert np.array_equal(floor, ref.cheap_achievable_points(ch))
     _same(outer.bc_pr_outer(ch, grid=grid, floor_points=floor),
