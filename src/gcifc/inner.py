@@ -569,10 +569,7 @@ def lambda_costa_vec(ch: ChannelParams, alpha):
     a_pow = al * ch.p1
     if ch.p2 <= 0.0:
         return np.zeros_like(al)
-    if math.isinf(ch.p1 / ch.p2):
-        # at tiny p2 the quotient overflows: root the powers apart, so the
-        # coefficient stays finite (the rates scale it back by sqrt(p2))
-        h1 = ch.a + np.sqrt(pos(1.0 - al) * ch.p1) / math.sqrt(ch.p2)
-    else:
-        h1 = ch.a + np.sqrt(pos(1.0 - al) * ch.p1 / ch.p2)
+    # the powers are rooted apart: at subnormal p2 the quotient p1 / p2
+    # overflows, while sqrt(p1) / sqrt(p2) stays finite
+    h1 = ch.a + np.sqrt(pos(1.0 - al) * ch.p1) / math.sqrt(ch.p2)
     return a_pow * h1 / (a_pow + 1.0)
