@@ -221,12 +221,15 @@ def _coarse_points(ch: ChannelParams, coarse: int):
                        for p1 in zip(*s1) for p2 in zip(*s2))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _coarse_reduced(ch: ChannelParams, coarse: int, grid: int):
     """(t, q, decimated coarse sweep, its 64 refine incumbents), read-only.
 
     The coarse sweep does not depend on the floor, so a channel's second
-    `bc_pr_outer` call (verify builds `best_outer` twice) reuses it.
+    `bc_pr_outer` call (verify builds `best_outer` twice) reuses it. A
+    channel's calls come one after another, so two entries (up to 131 KB
+    each at grid 2048) catch every repeat; a larger cache only holds
+    memory where no channel repeats.
     """
     t, q, top, chunks = _coarse_points(ch, coarse)
     out = (t, q) + _bin_reduce(chunks, top, 4 * grid, 64)

@@ -238,7 +238,8 @@ def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
     if count <= nbins:
         return np.concatenate(held), incumbents
     if top <= 0.0:
-        return np.concatenate(held)[:1], incumbents
+        # a copy, so a kept result does not pin the first chunk
+        return np.concatenate(held)[:1].copy(), incumbents
     keep = best >= 0.0
     edges = np.arange(nbins)[keep] * (top / nbins)
     out = np.stack([edges, best[keep]], axis=1)

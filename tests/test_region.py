@@ -349,3 +349,5 @@ class TestEnvelopeKernels:
                     dec, inc = _bin_reduce(chunks, pts[:, 0].max(), nbins, 4)
                     assert np.array_equal(dec, ref._decimate(pts, nbins))
                     assert np.array_equal(inc, ref._bin_incumbents(pts, 4))
+                    # the results own their rows: none pins an input chunk
+                    assert dec.base is None and inc.base is None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gcifc import inner, outer
+from gcifc.channel import ChannelParams
 from conftest import EDGE_CHANNELS, channel_draw
 import sweep_reference as ref
 
@@ -58,6 +59,7 @@ def test_memoised_coarse_sweep(ch):
     hit = outer._coarse_reduced(ch, 21, 512)
     assert outer._coarse_reduced.cache_info().hits == 1
     assert all(a is b for a, b in zip(miss, hit))
+    assert miss[2].base is None and miss[3].base is None
     outer._coarse_reduced.cache_clear()
     for fresh, kept in zip(outer._coarse_reduced(ch, 21, 512), miss):
         assert np.array_equal(fresh, kept)
@@ -70,3 +72,12 @@ def test_memoised_coarse_sweep(ch):
     assert outer._coarse_reduced.cache_info().hits == 2
     outer._coarse_reduced.cache_clear()
     _same(warm, outer.best_outer(ch, grid=512, extra_floor=floor))
+
+
+def test_memoised_zero_power_sweep_owns_its_row():
+    # top <= 0 keeps one point, which must not pin the whole coarse cloud
+    outer._coarse_reduced.cache_clear()
+    _, _, dec, keep = outer._coarse_reduced(
+        ChannelParams(0.5, 2.0, 0.0, 0.0), 21, 512)
+    outer._coarse_reduced.cache_clear()
+    assert dec.shape == (1, 2) and dec.base is None and keep.size == 0
