@@ -2,8 +2,10 @@
 
 Emits plot-ready CSV (or JSON) with 12-digit mantissas and fixed C
 formatting, so identical configs produce byte-identical output. A JSON
-config file can mirror any flag; explicit flags win. CIFC_THREADS caps
-worker threads for the verification sweeps.
+config file can mirror any flag of its subcommand, keyed by the flag's
+name (`"format"`, `"a-min"`) or its dest (`"fmt"`, `"a_min"`); explicit
+flags win. CIFC_THREADS caps worker threads for the verification sweeps.
+Invalid values exit 2 (EXIT_USAGE) with a message, never a traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,29 +57,6 @@ _INNER_BUILDERS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: one command plus its inputs."""
-
-    command: str
-    channel: ChannelParams | None = None
-    ids: list = field(default_factory=list)
-    out: str | None = None
-    fmt: str = "csv"
-    grid: int = region.R1_GRID_DEFAULT
-    seed: int = 42
-    n: int = 1000
-    resolution: int = 41
-    mode: str = "regime"
-    p1: float = 10.0
-    p2: float = 10.0
-    a_range: tuple = (-5.0, 5.0)
-    b_range: tuple = (0.0, 5.0)
-    outer_id: str | None = None
-    inner_id: str | None = None
-    gnuplot: bool = False
-
-
 class UsageError(Exception):
     pass
 
@@ -114,6 +92,13 @@ def _parse_raw(text: str) -> RawChannel:
         raise UsageError(f"--raw: {exc}") from None
 
 
+def _checked_channel(a, b, p1, p2) -> ChannelParams:
+    try:
+        return ChannelParams(a, b, p1, p2)
+    except ValueError as exc:
+        raise UsageError(f"invalid channel: {exc}") from None
+
+
 def _channel_from_args(args) -> ChannelParams | None:
     if getattr(args, "raw", None):
         return to_standard_form(_parse_raw(args.raw))
@@ -122,22 +107,39 @@ def _channel_from_args(args) -> ChannelParams | None:
     missing = [k for k in ("a", "b", "p1", "p2") if getattr(args, k, None) is None]
     if missing:
         raise UsageError(f"missing channel flags: --{', --'.join(missing)}")
-    return ChannelParams(_parse_complex(args.a), float(args.b),
-                         float(args.p1), float(args.p2))
+    return _checked_channel(_parse_complex(args.a), args.b, args.p1, args.p2)
 
 
-def _apply_config_file(args, parser):
-    if not getattr(args, "config", None):
+def _parse_args(parser, argv):
+    """Parse argv; a --config file's values become the subcommand's
+    defaults and argv is parsed again, so explicit flags win."""
+    args = parser.parse_args(argv)
+    if not args.config:
         return args
-    with open(args.config) as fh:
-        conf = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            conf = dict(json.load(fh))
+    except (OSError, ValueError, TypeError) as exc:
+        raise UsageError(f"config file: {exc}") from None
+    # keyed by flag name or dest, either with '-' or '_'
+    actions = {name.lstrip("-").replace("-", "_"): act
+               for act in args.command_parser._actions
+               if act.dest not in ("help", "config")
+               for name in [act.dest, *act.option_strings]}
     for key, val in conf.items():
-        key = key.replace("-", "_")
-        if not hasattr(args, key):
+        act = actions.get(key.replace("-", "_"))
+        if act is None:
             raise UsageError(f"config file: unknown option {key!r}")
-        if parser.get_default(key) == getattr(args, key):
-            setattr(args, key, val)
-    return args
+        if act.nargs == 0:  # a store_true switch
+            ok = isinstance(val, bool)
+        else:
+            # as text, which argparse converts like a flag's value
+            val = None if val is None else str(val)
+            ok = not act.choices or val in act.choices
+        if not ok:
+            raise UsageError(f"config file: invalid {key!r}: {val!r}")
+        args.command_parser.set_defaults(**{act.dest: val})
+    return parser.parse_args(argv)
 
 
 def _emit(text: str, path: str | None):
@@ -161,10 +163,8 @@ def _gnuplot_script(out: str, ids) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    rep = classify(cfg.channel)
-    text = rep.to_json() + "\n"
-    _emit(text, cfg.out)
+def cmd_classify(args) -> int:
+    _emit(classify(args.channel).to_json() + "\n", args.out)
     return EXIT_OK
 
 
@@ -178,72 +178,86 @@ def _build_region(ch: ChannelParams, rid: str, grid: int):
     raise UsageError(f"unknown bound/scheme id {rid!r}")
 
 
-def cmd_region(cfg: RunConfig) -> int:
-    if not cfg.ids:
+def cmd_region(args) -> int:
+    ids = [s.strip() for s in (args.ids or "").split(",") if s.strip()]
+    if not ids:
         raise UsageError("region needs --ids")
-    for rid in cfg.ids:
-        reg = _build_region(cfg.channel, rid, cfg.grid)
-        if cfg.fmt == "json":
+    for rid in ids:
+        reg = _build_region(args.channel, rid, args.grid)
+        if args.fmt == "json":
             text = json.dumps(reg.to_json_dict()) + "\n"
-            path = (f"{cfg.out}_{rid.replace(':', '-')}.json"
-                    if cfg.out else None)
+            path = (f"{args.out}_{rid.replace(':', '-')}.json"
+                    if args.out else None)
         else:
             text = reg.to_csv()
-            path = _region_csv_name(cfg.out, rid) if cfg.out else None
-        if not cfg.out:
+            path = _region_csv_name(args.out, rid) if args.out else None
+        if not args.out:
             sys.stdout.write(f"# id: {rid}\n")
         _emit(text, path)
-    if cfg.gnuplot and cfg.out and cfg.fmt == "csv":
-        _emit(_gnuplot_script(cfg.out, cfg.ids), f"{cfg.out}.gp")
+    if args.gnuplot and args.out and args.fmt == "csv":
+        _emit(_gnuplot_script(args.out, ids), f"{args.out}.gp")
     return EXIT_OK
 
 
-def cmd_gap(cfg: RunConfig) -> int:
-    if not cfg.outer_id or not cfg.inner_id:
+def cmd_gap(args) -> int:
+    if not args.outer_id or not args.inner_id:
         raise UsageError("gap needs --outer and --inner ids")
-    oid = "outer:best" if cfg.outer_id == "best" else cfg.outer_id
-    iid = "inner:best" if cfg.inner_id == "best" else cfg.inner_id
+    oid = "outer:best" if args.outer_id == "best" else args.outer_id
+    iid = "inner:best" if args.inner_id == "best" else args.inner_id
     if oid not in _OUTER_BUILDERS:
-        raise UsageError(f"unknown outer id {cfg.outer_id!r}")
+        raise UsageError(f"unknown outer id {args.outer_id!r}")
     if iid not in _INNER_BUILDERS:
-        raise UsageError(f"unknown inner id {cfg.inner_id!r}")
-    reg_i = _INNER_BUILDERS[iid](cfg.channel, cfg.grid)
+        raise UsageError(f"unknown inner id {args.inner_id!r}")
+    reg_i = _INNER_BUILDERS[iid](args.channel, args.grid)
     if oid == "outer:best":
-        reg_o = outer.best_outer(cfg.channel, grid=cfg.grid,
+        reg_o = outer.best_outer(args.channel, grid=args.grid,
                                  extra_floor=np.column_stack(
                                      [reg_i.r1, reg_i.r2]))
     else:
-        reg_o = _OUTER_BUILDERS[oid](cfg.channel, cfg.grid)
+        reg_o = _OUTER_BUILDERS[oid](args.channel, args.grid)
     rep = region.gap_report(reg_o, reg_i)
     _emit(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n",
-          cfg.out)
+          args.out)
     return EXIT_OK
 
 
-def cmd_atlas(cfg: RunConfig) -> int:
-    cells = verify.atlas(cfg.a_range, cfg.b_range, cfg.resolution,
-                         cfg.p1, cfg.p2, cfg.mode)
-    if cfg.fmt == "json":
+def cmd_atlas(args) -> int:
+    p1 = p2 = args.p
+    if args.p is None:
+        p1 = 10.0 if args.p1 is None else args.p1
+        p2 = 10.0 if args.p2 is None else args.p2
+    if args.resolution < 2:
+        raise UsageError("--resolution must be at least 2")
+    # every cell lies between the two corner channels
+    _checked_channel(args.a_min, args.b_min, p1, p2)
+    _checked_channel(args.a_max, args.b_max, p1, p2)
+    cells = verify.atlas((args.a_min, args.a_max), (args.b_min, args.b_max),
+                         args.resolution, p1, p2, args.mode)
+    if args.fmt == "json":
         rows = [{"a_re": c.a.real, "a_im": c.a.imag, "b": c.b,
                  "label": c.label, "capacity_known": c.capacity_known,
                  "margin_5": c.margin_5, "margin_31a": c.margin_31a,
                  "margin_31b": c.margin_31b, "gap": c.gap} for c in cells]
-        _emit(json.dumps(rows) + "\n", cfg.out)
+        _emit(json.dumps(rows) + "\n", args.out)
     else:
         lines = [verify.ATLAS_CSV_HEADER] + [c.csv_row() for c in cells]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.n <= 0:
+def cmd_verify(args) -> int:
+    if args.n <= 0:
         raise UsageError("--n must be positive")
-    workers = int(os.environ.get("CIFC_THREADS", "1") or "1")
-    reports = verify.run_verification(n=cfg.n, seed=cfg.seed,
+    threads = os.environ.get("CIFC_THREADS", "1") or "1"
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise UsageError(f"CIFC_THREADS: expected an integer, got {threads!r}") from None
+    reports = verify.run_verification(n=args.n, seed=args.seed,
                                       workers=max(workers, 1))
     payload = [r.to_json_dict() for r in reports]
-    if cfg.out:
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+    if args.out:
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     failed = [r for r in reports if not r.holds]
     for r in sorted(reports, key=lambda r: r.theorem_id):
         status = "PASS" if r.holds else "FAIL"
@@ -261,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "cognitive interference channel")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_channel_flags(sp):
+    def command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        # the handler, and the parser a --config file sets defaults on
+        sp.set_defaults(run=run, command_parser=sp)
         sp.add_argument("--a", help="cross gain at the cognitive receiver "
                                     "(complex, e.g. '0.5' or '1+2j')")
         sp.add_argument("--b", type=float,
@@ -277,23 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
                         default="csv")
         sp.add_argument("--grid", type=int, default=region.R1_GRID_DEFAULT,
                         help="r1 samples per boundary")
+        return sp
 
-    sp = sub.add_parser("classify", help="regime flags and margins")
-    add_channel_flags(sp)
+    command("classify", cmd_classify, "regime flags and margins")
 
-    sp = sub.add_parser("region", help="boundary tables for bounds/schemes")
-    add_channel_flags(sp)
+    sp = command("region", cmd_region, "boundary tables for bounds/schemes")
     sp.add_argument("--ids", help="comma-separated bound/scheme ids")
     sp.add_argument("--gnuplot", action="store_true",
                     help="also emit a gnuplot script next to the CSVs")
 
-    sp = sub.add_parser("gap", help="additive/multiplicative gap between bounds")
-    add_channel_flags(sp)
+    sp = command("gap", cmd_gap, "additive/multiplicative gap between bounds")
     sp.add_argument("--outer", dest="outer_id", help="outer bound id")
     sp.add_argument("--inner", dest="inner_id", help="inner scheme id")
 
-    sp = sub.add_parser("atlas", help="regime or gap map over an (a, b) grid")
-    add_channel_flags(sp)
+    sp = command("atlas", cmd_atlas, "regime or gap map over an (a, b) grid")
     sp.add_argument("--p", type=float, help="set p1 = p2 = p")
     sp.add_argument("--mode", choices=("regime", "gap"), default="regime")
     sp.add_argument("--resolution", type=int, default=41)
@@ -302,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b-min", type=float, default=0.0)
     sp.add_argument("--b-max", type=float, default=5.0)
 
-    sp = sub.add_parser("verify", help="run the randomized theorem suite")
-    add_channel_flags(sp)
+    sp = command("verify", cmd_verify, "run the randomized theorem suite")
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=42)
     return p
@@ -312,44 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        args = _apply_config_file(args, parser)
-        cfg = RunConfig(command=args.command)
-        cfg.out = args.out
-        cfg.fmt = args.fmt
-        cfg.grid = args.grid
+        args = _parse_args(parser, argv)
+        if args.grid < 1:
+            raise UsageError("--grid must be positive")
         if args.command in ("classify", "region", "gap"):
-            cfg.channel = _channel_from_args(args)
-            if cfg.channel is None:
+            args.channel = _channel_from_args(args)
+            if args.channel is None:
                 raise UsageError("a channel is required: --a/--b/--p1/--p2 "
                                  "or --raw")
-        if args.command == "region":
-            cfg.ids = [s.strip() for s in (args.ids or "").split(",") if s.strip()]
-            cfg.gnuplot = args.gnuplot
-            return cmd_region(cfg)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "gap":
-            cfg.outer_id, cfg.inner_id = args.outer_id, args.inner_id
-            return cmd_gap(cfg)
-        if args.command == "atlas":
-            if args.p is not None:
-                cfg.p1 = cfg.p2 = args.p
-            else:
-                cfg.p1 = args.p1 if args.p1 is not None else 10.0
-                cfg.p2 = args.p2 if args.p2 is not None else 10.0
-            cfg.mode = args.mode
-            cfg.resolution = args.resolution
-            cfg.a_range = (args.a_min, args.a_max)
-            cfg.b_range = (args.b_min, args.b_max)
-            return cmd_atlas(cfg)
-        if args.command == "verify":
-            cfg.n, cfg.seed = args.n, args.seed
-            return cmd_verify(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
+    except SystemExit as exc:  # argparse has printed its message
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

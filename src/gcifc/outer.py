@@ -6,11 +6,8 @@ exactly on the r1 grid by inverting alpha(r1), with no envelope
 resampling error. The cooperative broadcast bound is a parameter sweep
 sampled from below and snapped down by `region._decimate`, so it is a
 subset of the true cooperative bound; only its step-up interpolation
-between samples is conservative. Its coarse sweep does not depend on the
-floor, so the decimated sweep and its refine incumbents are memoised per
-(channel, coarse, grid) in a small bounded cache of read-only arrays; the
-slices, the refine pass, the floor and the final decimation run on every
-call.
+between samples is conservative. Every constructor is a pure function of
+its arguments: nothing is cached between calls.
 
 Cross-term convention: every alpha-parameterized bound uses
 2*sqrt(abar * b^2 * p1 * p2), i.e. input correlation sqrt(1 - alpha),
@@ -19,7 +16,6 @@ so the cooperation term vanishes at alpha = 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -221,23 +217,6 @@ def _coarse_points(ch: ChannelParams, coarse: int):
                        for p1 in zip(*s1) for p2 in zip(*s2))
 
 
-@functools.lru_cache(maxsize=2)
-def _coarse_reduced(ch: ChannelParams, coarse: int, grid: int):
-    """(t, q, decimated coarse sweep, its 64 refine incumbents), read-only.
-
-    The coarse sweep does not depend on the floor, so a channel's second
-    `bc_pr_outer` call (verify builds `best_outer` twice) reuses it. A
-    channel's calls come one after another, so two entries (up to 131 KB
-    each at grid 2048) catch every repeat; a larger cache only holds
-    memory where no channel repeats.
-    """
-    t, q, top, chunks = _coarse_points(ch, coarse)
-    out = (t, q) + _bin_reduce(chunks, top, 4 * grid, 64)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 def _structured_slices(ch: ChannelParams, n: int):
     """Dense 1-D split families matching known closed-form boundaries.
 
@@ -302,7 +281,8 @@ def bc_pr_outer(ch: ChannelParams, coarse: int = 21,
     exactly; `floor_points` may supply achievable rate pairs (always
     members of the true bound) to floor the sample.
     """
-    t, q, coarse_pts, keep = _coarse_reduced(ch, coarse, grid)
+    t, q, top, chunks = _coarse_points(ch, coarse)
+    coarse_pts, keep = _bin_reduce(chunks, top, 4 * grid, 64)
     pts = [coarse_pts]
     for b1, b2 in _structured_slices(ch, slice_points):
         pts.append(_dpc_points(ch, b1, b2))

@@ -238,7 +238,7 @@ def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
     if count <= nbins:
         return np.concatenate(held), incumbents
     if top <= 0.0:
-        # a copy, so a kept result does not pin the first chunk
+        # a copy: every output owns its data, none is a view of a chunk
         return np.concatenate(held)[:1].copy(), incumbents
     keep = best >= 0.0
     edges = np.arange(nbins)[keep] * (top / nbins)

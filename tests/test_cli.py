@@ -129,7 +129,8 @@ class TestRegion:
                                     "grid": 17}))
         code, out, _ = run(["region", "--config", str(conf)], capsys)
         assert code == 0
-        assert "r1,r2" in out
+        lines = out.splitlines()
+        assert lines[:2] == ["# id: tdma", "r1,r2"] and len(lines) == 2 + 17
 
     def test_flags_override_config(self, tmp_path, capsys):
         conf = tmp_path / "c.json"
@@ -139,6 +140,53 @@ class TestRegion:
                             "--ids", "pl-si"], capsys)
         assert code == 0
         assert "# id: pl-si" in out
+
+    @pytest.mark.parametrize("key", ["format", "fmt"])
+    def test_config_grid_and_format(self, tmp_path, capsys, key):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"a": "0.5", "b": 1.3, "p1": 10,
+                                    "p2": 10, "ids": "b", "grid": 5,
+                                    key: "json"}))
+        code, out, _ = run(["region", "--config", str(conf)], capsys)
+        assert code == 0
+        payload = json.loads(out.splitlines()[-1])
+        assert len(payload["r1"]) == 5
+
+    @pytest.mark.parametrize("grid", ["3", "2048"])
+    def test_grid_flag_beats_config(self, tmp_path, capsys, grid):
+        # an explicit flag wins even when it equals the default
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"a": "0.5", "b": 1.3, "p1": 10,
+                                    "p2": 10, "ids": "b", "grid": 5}))
+        code, out, _ = run(["region", "--config", str(conf),
+                            "--grid", grid], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 2 + int(grid)
+
+    def test_config_flag_spellings(self, tmp_path, capsys):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"a": 0, "b": 1.3, "p1": 10, "p2": 10,
+                                    "outer": "strong", "inner": "d",
+                                    "grid": 65}))
+        code, out, _ = run(["gap", "--config", str(conf)], capsys)
+        assert code == 0
+        assert "additive_bits" in json.loads(out)
+
+    @pytest.mark.parametrize("text", ['{"a": ', '[1, 2]', '{"zzz": 1}',
+                                      '{"format": "xml"}',
+                                      '{"gnuplot": "yes"}'])
+    def test_bad_config_exit2(self, tmp_path, capsys, text):
+        conf = tmp_path / "c.json"
+        conf.write_text(text)
+        code, _, err = run(["region", "--config", str(conf)], capsys)
+        assert code == 2
+        assert "config file" in err
+
+    def test_missing_config_exit2(self, tmp_path, capsys):
+        code, _, err = run(["region", "--config",
+                            str(tmp_path / "absent.json")], capsys)
+        assert code == 2
+        assert "config file" in err
 
 
 class TestGap:
@@ -190,3 +238,30 @@ class TestAtlasAndVerify:
 
     def test_unknown_subcommand_exit2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestInvalidValues:
+    """Invalid values are usage errors (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("args,flag", [
+        (["classify", "--a", "0", "--b", "-1", "--p1", "1", "--p2", "1"],
+         "b must be nonnegative"),
+        (["classify", "--a", "0", "--b", "1", "--p1", "nan", "--p2", "1"],
+         "finite"),
+        (["region", "--a", "0", "--b", "1", "--p1", "1", "--p2", "1",
+          "--ids", "b", "--grid", "0"], "--grid"),
+        (["region", "--a", "0", "--b", "1", "--p1", "1", "--p2", "1",
+          "--ids", "b", "--grid", "-3"], "--grid"),
+        (["atlas", "--resolution", "1"], "--resolution"),
+        (["atlas", "--p", "-1", "--resolution", "2"], "powers"),
+    ])
+    def test_invalid_value_exit2(self, capsys, args, flag):
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert flag in err and "Traceback" not in err
+
+    def test_bad_thread_count_exit2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CIFC_THREADS", "abc")
+        code, _, err = run(["verify", "--n", "1"], capsys)
+        assert code == 2
+        assert "CIFC_THREADS" in err

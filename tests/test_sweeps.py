@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gcifc import inner, outer
-from gcifc.channel import ChannelParams
 from conftest import EDGE_CHANNELS, channel_draw
 import sweep_reference as ref
 
@@ -50,34 +49,3 @@ def _match_loop_forms(ch, grid, monkeypatch):
     monkeypatch.setattr(inner, "cheap_achievable_points",
                         ref.cheap_achievable_points)
     _same(got, outer.best_outer(ch, grid=grid))
-
-
-@pytest.mark.parametrize("ch", CHANNELS[4:6])
-def test_memoised_coarse_sweep(ch):
-    outer._coarse_reduced.cache_clear()
-    miss = outer._coarse_reduced(ch, 21, 512)
-    hit = outer._coarse_reduced(ch, 21, 512)
-    assert outer._coarse_reduced.cache_info().hits == 1
-    assert all(a is b for a, b in zip(miss, hit))
-    assert miss[2].base is None and miss[3].base is None
-    outer._coarse_reduced.cache_clear()
-    for fresh, kept in zip(outer._coarse_reduced(ch, 21, 512), miss):
-        assert np.array_equal(fresh, kept)
-        with pytest.raises(ValueError):
-            kept[:1] = 0
-    # a second build with another floor reuses the sweep of the first
-    floor = inner.cheap_achievable_points(ch)[::3]
-    outer.best_outer(ch, grid=512)
-    warm = outer.best_outer(ch, grid=512, extra_floor=floor)
-    assert outer._coarse_reduced.cache_info().hits == 2
-    outer._coarse_reduced.cache_clear()
-    _same(warm, outer.best_outer(ch, grid=512, extra_floor=floor))
-
-
-def test_memoised_zero_power_sweep_owns_its_row():
-    # top <= 0 keeps one point, which must not pin the whole coarse cloud
-    outer._coarse_reduced.cache_clear()
-    _, _, dec, keep = outer._coarse_reduced(
-        ChannelParams(0.5, 2.0, 0.0, 0.0), 21, 512)
-    outer._coarse_reduced.cache_clear()
-    assert dec.shape == (1, 2) and dec.base is None and keep.size == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcifc.channel import CapacityResult, ChannelParams, classify
-from gcifc import inner, outer, verify
+from gcifc import inner, outer, region, verify
 from gcifc.errors import GcifcError
 from conftest import EDGE_CHANNELS, channel_draw
 
@@ -51,19 +51,43 @@ class TestQAlpha:
         assert d2.max() > 1e-6
 
 
+KNOWN_REGIMES = [
+    (ChannelParams(0.5, 0.8, 5.0, 5.0), CapacityResult.WEAK),
+    (ChannelParams(3.0, 1.2, 1.0, 1.0), CapacityResult.VERY_STRONG),
+    (ChannelParams(0.0, 1.3, 10.0, 10.0), CapacityResult.PDC),
+    (ChannelParams(1.0, 0.0, 2.0, 3.0), CapacityResult.Z_TRIVIAL),
+    (ChannelParams(0.0, 21.0, 10.0, 10.0), CapacityResult.S_CHANNEL),
+]
+
+
 class TestCapacityCertification:
-    @pytest.mark.parametrize("ch,regime", [
-        (ChannelParams(0.5, 0.8, 5.0, 5.0), CapacityResult.WEAK),
-        (ChannelParams(3.0, 1.2, 1.0, 1.0), CapacityResult.VERY_STRONG),
-        (ChannelParams(0.0, 1.3, 10.0, 10.0), CapacityResult.PDC),
-        (ChannelParams(1.0, 0.0, 2.0, 3.0), CapacityResult.Z_TRIVIAL),
-        (ChannelParams(0.0, 21.0, 10.0, 10.0), CapacityResult.S_CHANNEL),
+    @pytest.mark.parametrize("ch,regime", KNOWN_REGIMES + [
+        # high-branch S channel at high power: scheme E's steep corner
+        # at alpha -> 1 needs the dense rho fill
+        (ChannelParams(0.0, 300.0, 100.0, 100.0), CapacityResult.S_CHANNEL),
     ])
     def test_known_regimes_certify(self, ch, regime):
         assert classify(ch).capacity_known is regime
         rep = verify.check_capacity(ch)
         assert rep.holds, rep.details
         assert rep.worst_violation <= verify.CAPACITY_TOL_BITS
+
+    def test_no_sampled_bound(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_capacity built a sampled bound")
+        monkeypatch.setattr(outer, "best_outer", refuse)
+        monkeypatch.setattr(outer, "bc_pr_outer", refuse)
+        for ch, _ in KNOWN_REGIMES:
+            assert verify.check_capacity(ch).holds
+
+    @pytest.mark.parametrize("ch,regime", KNOWN_REGIMES)
+    def test_gap_is_closed_form_gap(self, ch, regime):
+        scheme_id, reg = verify._certifying_region(ch, regime)
+        want, worst_r1 = region.additive_gap(outer.capacity_region(ch), reg)
+        details = verify.check_capacity(ch).details[0]
+        assert details["scheme"] == scheme_id
+        assert details["gap_bits"] == want
+        assert details["worst_r1"] == worst_r1
 
     def test_unknown_regime_no_claim(self):
         ch = ChannelParams(1 / 1.5, 1.5, 10.0, 10.0)  # degraded strong
@@ -76,7 +100,6 @@ class TestCapacityCertification:
         # real gap, so the regime is (correctly) not in the known set
         ch = ChannelParams(0.0, 5.0, 10.0, 10.0)
         assert classify(ch).capacity_known is CapacityResult.UNKNOWN
-        from gcifc import inner, outer, region
         gap, _ = region.additive_gap(
             outer.best_outer(ch), inner.scheme_e(ch, lambda_policy="zero"))
         assert gap > 1e-2
