@@ -248,6 +248,8 @@ def cmd_atlas(args) -> int:
 def cmd_verify(args) -> int:
     if args.n <= 0:
         raise UsageError("--n must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     threads = os.environ.get("CIFC_THREADS", "1") or "1"
     try:
         workers = int(threads)

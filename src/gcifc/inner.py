@@ -237,30 +237,42 @@ def scheme_e(ch: ChannelParams, alpha_grid=None,
     w_c1 = a_pow * u1 / (a_pow + 1.0)
 
     if lambda_policy == "costa1":
-        w = w_c1[None, :]
+        scales, fixed = None, w_c1
     elif lambda_policy == "zero":
-        w = np.zeros((1, al.size), dtype=complex)
+        scales, fixed = None, np.zeros(al.size, dtype=complex)
     elif lambda_policy == "sweep":
         scales = np.linspace(0.0, 2.0, n_lambda).astype(complex)
         if abs(ch.a.imag) > 1e-12:
             phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
             scales = np.outer(scales, phases).ravel()
-        w = np.multiply.outer(scales, w_c1)
     else:
         raise ValueError(f"unknown lambda policy {lambda_policy!r}")
-
-    f1 = _f_mi(1.0, u1[None, :], 1.0, w, a_pow[None, :])
-    f2 = _f_mi(ch.b, u2[None, :], 1.0, w, a_pow[None, :], clamp=False)
+    # rows run over (vertex, scale, split): v2 rows follow every v1 row
+    pairs = al.size * (1 if scales is None else scales.size)
     ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)[None, :]
-    pts = _rect_sum_vertices(f1, pos(ssum - f2), ssum)
-    al2 = np.broadcast_to(al[None, :], f1.shape).ravel()
-    alpar = np.concatenate([al2, al2])
-    lam_re = np.where(ch.p2 > 0, np.real(w) / max(math.sqrt(ch.p2), _TINY), 0.0)
-    lam2 = np.broadcast_to(lam_re, f1.shape).ravel()
-    return from_pareto_points(
-        pts, Kind.INNER, grid=grid,
-        params={"alpha": alpar, "lambda_re": np.concatenate([lam2, lam2])},
-        region_id=f"e:{lambda_policy}")
+
+    def blocks():
+        # one fan of n_lambda scales at a time: the cloud is never held
+        fans = [fixed[None, :]] if scales is None else (
+            np.multiply.outer(fan, w_c1) for fan in scales.reshape(-1, n_lambda))
+        start = 0
+        for w in fans:
+            f1 = _f_mi(1.0, u1[None, :], 1.0, w, a_pow[None, :])
+            f2 = _f_mi(ch.b, u2[None, :], 1.0, w, a_pow[None, :], clamp=False)
+            v1, v2 = np.split(_rect_sum_vertices(f1, pos(ssum - f2), ssum), 2)
+            yield start, v1
+            yield pairs + start, v2
+            start += f1.size
+
+    def params(src):
+        scale, split = np.divmod(src % pairs, al.size)
+        w = fixed[split] if scales is None else scales[scale] * w_c1[split]
+        lam_re = np.where(ch.p2 > 0, np.real(w) / max(math.sqrt(ch.p2), _TINY),
+                          0.0)
+        return {"alpha": al[split], "lambda_re": lam_re}
+
+    return from_pareto_points(blocks(), Kind.INNER, grid=grid, params=params,
+                              region_id=f"e:{lambda_policy}")
 
 
 # -- schemes C / C46: cognitive broadcasts a primary layer with binning ------
@@ -434,15 +446,16 @@ def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
 
 
 def _scheme_f_vertices(ch: ChannelParams, alpha, beta, gamma, w):
-    """Three Pareto vertices of the split strategy at each point of the
-    (scales, splits) amplitudes w; rows as in `_fan_rows`."""
+    """The two interior Pareto vertices of the split strategy at each point
+    of the (scales, splits) amplitudes w, rows as in `_fan_rows`, and the
+    r2 of its third vertex (0, r2c)."""
     m1, ms, m2r = scheme_f_rates(ch, alpha, beta, gamma, w)
     r1a = np.minimum(m1, np.minimum(ms, m2r / 2.0))
     r2a = pos(np.minimum(ms - r1a, m2r - 2.0 * r1a))
     r1b = np.clip(m2r - ms, 0.0, r1a)
     r2b = pos(np.minimum(ms - r1b, m2r - 2.0 * r1b))
     r2c = pos(np.minimum(ms, m2r))
-    return _fan_rows([r1a, r1b, np.zeros_like(r2c)], [r2a, r2b, r2c])
+    return _fan_rows([r1a, r1b], [r2a, r2b]), r2c
 
 
 def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
@@ -471,26 +484,34 @@ def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
     if abs(ch.a.imag) > 1e-12:
         phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 5))
         scales = np.outer(scales, phases).ravel()
-    # one n_lambda fan per call: temporaries under the 4 MB huge-page cut
-    chunks = [_scheme_f_vertices(ch, av, bv, gv, np.multiply.outer(fan, w_c))
-              for fan in scales.reshape(-1, n_lambda)]
 
-    # dense collapse faces: beta = gamma = 0 is exactly the pre-coded
-    # common scheme, beta = gamma = 1 (no pre-coding) the all-common one
-    face = default_alpha_grid(ch)
-    lam_c = lambda_costa_vec(ch, face)
-    w_grid = np.multiply.outer(
-        np.linspace(0.0, 2.0, max(n_lambda, face_lambda)), lam_c)
-    f1, r2b, ssum = scheme_e_rates(ch, face[None, :], w_grid)
-    chunks.append(_rect_sum_vertices(f1, r2b, ssum))
-    rho_face = np.sqrt(pos(1.0 - face))
-    r1d, sd = scheme_d_rates(ch, rho_face)
-    v1 = np.minimum(r1d, sd)
-    chunks.append(np.stack([v1, pos(sd - v1)], axis=1))
-    chunks.append(np.stack([np.zeros_like(sd), pos(sd)], axis=1))
+    def blocks():
+        # one n_lambda fan per block: temporaries under the 4 MB huge-page cut
+        start, r2c_max = 0, -np.inf
+        for fan in scales.reshape(-1, n_lambda):
+            rows, r2c = _scheme_f_vertices(ch, av, bv, gv,
+                                           np.multiply.outer(fan, w_c))
+            # at r1 = 0 only the largest finite r2 can reach the front
+            r2c_max = r2c.max(initial=r2c_max, where=np.isfinite(r2c))
+            yield start, rows
+            start += rows.shape[0]
+        # dense collapse faces: beta = gamma = 0 is exactly the pre-coded
+        # common scheme, beta = gamma = 1 (no pre-coding) the all-common one
+        face = default_alpha_grid(ch)
+        lam_c = lambda_costa_vec(ch, face)
+        w_grid = np.multiply.outer(
+            np.linspace(0.0, 2.0, max(n_lambda, face_lambda)), lam_c)
+        f1, r2b, ssum = scheme_e_rates(ch, face[None, :], w_grid)
+        rows = _rect_sum_vertices(f1, r2b, ssum)
+        yield start, rows
+        start += rows.shape[0]
+        r1d, sd = scheme_d_rates(ch, np.sqrt(pos(1.0 - face)))
+        v1 = np.minimum(r1d, sd)
+        yield start, np.stack([v1, pos(sd - v1)], axis=1)
+        yield start + sd.size, np.stack([np.zeros_like(sd), pos(sd)], axis=1)
+        yield start + 2 * sd.size, [[0.0, r2c_max]]
 
-    pts = np.concatenate(chunks, axis=0)
-    return from_pareto_points(pts, Kind.INNER, grid=grid, region_id="f")
+    return from_pareto_points(blocks(), Kind.INNER, grid=grid, region_id="f")
 
 
 # -- time sharing and aggregates ---------------------------------------------

@@ -4,10 +4,12 @@ The alpha-parameterized closed-form bounds all share the cognitive-rate
 constraint r1 <= cap(alpha * p1), so their boundaries are evaluated
 exactly on the r1 grid by inverting alpha(r1), with no envelope
 resampling error. The cooperative broadcast bound is a parameter sweep
-sampled from below and snapped down by `region._decimate`, so it is a
-subset of the true cooperative bound; only its step-up interpolation
-between samples is conservative. Every constructor is a pure function of
-its arguments: nothing is cached between calls.
+sampled from below and snapped down by `region._decimate`. Its stored
+region is neither a subset nor a superset of the true cooperative bound:
+the sample can fall short of the true boundary, and step-up interpolation
+carries each sample flat to the next one, which can exceed it across a
+gap in the sample. Every constructor is a pure function of its
+arguments: nothing is cached between calls.
 
 Cross-term convention: every alpha-parameterized bound uses
 2*sqrt(abar * b^2 * p1 * p2), i.e. input correlation sqrt(1 - alpha),
@@ -275,9 +277,10 @@ def bc_pr_outer(ch: ChannelParams, coarse: int = 21,
                 grid: int = R1_GRID_DEFAULT, floor_points=None) -> RateRegion:
     """Full-transmitter-cooperation broadcast bound (private rates).
 
-    Sampled from below over covariance splits and both precoding orders,
-    so the reported region is a subset of the true cooperative bound.
-    Dense structured slices reproduce the known closed-form sub-families
+    Sampled from below over covariance splits and both precoding orders.
+    Every sample is achievable with full cooperation, but the step-up
+    region between samples is neither a subset nor a superset of the true
+    cooperative bound (see the module docstring). Dense structured slices reproduce the known closed-form sub-families
     exactly; `floor_points` may supply achievable rate pairs (always
     members of the true bound) to floor the sample.
     """

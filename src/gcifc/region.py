@@ -5,8 +5,11 @@ grid. Inner (achievable) regions interpolate with the upper concave
 envelope, since chords are reachable by time sharing; outer regions
 interpolate step-up (each cell takes the max of its bracketing samples),
 which never understates the boundary between its samples. A bound that is
-exact on the grid therefore stays an upper bound; a bound sampled from
-below (the cooperative broadcast bound) stays a subset of the true one.
+exact on the grid therefore stays an upper bound. A bound sampled from
+below (the cooperative broadcast bound) is neither a subset nor a superset
+of the true one: step-up carries each sample flat to the next, which can
+exceed the true bound across a gap in the sample, while the sample itself
+can fall short of it elsewhere.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import enum
 import io
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,12 +156,13 @@ def _uniform_grid(r1max: float, grid: int) -> np.ndarray:
     return gx
 
 
-def _bin_max(x: np.ndarray, y: np.ndarray, top: float, nbins: int):
-    """Each point's bin, min(int(x / top * nbins), nbins - 1) for a caller's
-    top > 0 (the largest x of the cloud x belongs to), and each bin's
-    largest y (-inf when empty): the one binning rule of the envelope
-    reducers, finite on subnormal supports."""
-    idx = np.minimum((x / top * nbins).astype(np.int64), nbins - 1)
+def _bin_max(u: np.ndarray, y: np.ndarray, nbins: int):
+    """Each point's bin, int(min(u * nbins, nbins - 1)) for u = x / top with
+    top > 0, and each bin's largest y (-inf when empty): the one binning
+    rule of the envelope reducers. Clamping before the cast keeps the bin
+    in range where x / top overflows (x above a subnormal top), and equals
+    clamping after it for x <= top."""
+    idx = np.minimum(u * nbins, nbins - 1).astype(np.int64)
     best = np.full(nbins, -np.inf)
     np.maximum.at(best, idx, y)
     return idx, best
@@ -174,7 +179,7 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
     """
     top = r1.max() if r1.size > nbins else 0.0
     if top > 0.0:
-        idx, best = _bin_max(r1, r2, top, nbins)
+        idx, best = _bin_max(r1 / top, r2, nbins)
         later = np.maximum.accumulate(np.r_[best, -np.inf][::-1])[::-1]
         cand = np.flatnonzero(r2 > later[idx + 1])
     else:
@@ -204,10 +209,9 @@ def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
       at r1 = top, the one with the largest r2 (the first on ties), which
       keeps both the support and the corner at the top. Every output
       point is dominated by an input point, so the decimated cloud
-      describes a subset of the sampled region (sound for a bound sampled
-      from below); the snap loses less than one bin width. A cloud of at
-      most `nbins` points comes back whole, and one with top <= 0 as its
-      first point.
+      describes a subset of the sampled region; the snap loses less than
+      one bin width. A cloud of at most `nbins` points comes back whole,
+      and one with top <= 0 as its first point.
     - incumbents: per r1 bin of `nb`, ascending and skipping empty ones,
       the last flat index attaining the bin's largest r2; none when
       top <= 0 or nb = 0.
@@ -221,9 +225,10 @@ def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
             held.append(pts)
         if not top <= 0.0:  # a NaN top must reach the binning and raise
             x, y = pts[:, 0], pts[:, 1]
-            np.maximum(best, _bin_max(x, y, top, nbins)[1], out=best)
+            u = x / top
+            np.maximum(best, _bin_max(u, y, nbins)[1], out=best)
             if nb:
-                idx, chunk_best = _bin_max(x, y, top, nb)
+                idx, chunk_best = _bin_max(u, y, nb)
                 np.maximum(inc_best, chunk_best, out=inc_best)
                 # a later index beats every earlier hit of a lower maximum
                 hit = np.flatnonzero(y == inc_best[idx])
@@ -286,29 +291,63 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return verts
 
 
+def _front_candidates(points, nbins: int = 4096):
+    """Finite points of a cloud, clipped at zero, that may lie on its front.
+
+    `points` is one array of (r1, r2) rows, or an iterator of (start, rows)
+    blocks, `start` being the source index of the block's first row. Each
+    block is culled as it arrives against the running per-bin maxima of r1,
+    binned by the largest r1 of the first block that has a positive one
+    (later, larger r1 clamp into the last bin); blocks pass whole until then.
+    A culled point lies at or below the best r2 of a later bin, whose points
+    all have larger r1, so it is strictly dominated: the front and its
+    equal-point ties survive. Returns (r1, r2, src) ascending in source index.
+    """
+    blocks = points if isinstance(points, Iterator) else [(0, points)]
+    best = np.full(nbins, -np.inf)
+    top, supplied, held = 0.0, False, []
+    for start, rows in blocks:
+        pts = np.asarray(rows, dtype=float).reshape(-1, 2)
+        supplied = supplied or pts.size > 0
+        src = np.arange(start, start + pts.shape[0])
+        if not np.isfinite(pts).all():
+            finite = np.isfinite(pts).all(axis=1)
+            pts, src = pts[finite], src[finite]
+        r1 = np.clip(pts[:, 0], 0.0, None)
+        r2 = np.clip(pts[:, 1], 0.0, None)
+        if top <= 0.0:
+            top = r1.max(initial=0.0)
+        if top > 0.0:
+            with np.errstate(over="ignore"):  # clamped into the last bin
+                idx, block_best = _bin_max(r1 / top, r2, nbins)
+            np.maximum(best, block_best, out=best)
+            later = np.maximum.accumulate(np.r_[best, -np.inf][::-1])[::-1]
+            cand = r2 > later[idx + 1]
+            r1, r2, src = r1[cand], r2[cand], src[cand]
+        held.append((r1, r2, src))
+    if not supplied:
+        raise EmptyInput("no points supplied")
+    r1, r2, src = (np.concatenate(v) for v in zip(*held))
+    if src.size == 0:
+        raise EmptyInput("no finite points supplied")
+    order = np.argsort(src, kind="stable")
+    return r1[order], r2[order], src[order]
+
+
 def from_pareto_points(points, kind: Kind, grid: int = R1_GRID_DEFAULT,
-                       params: dict | None = None,
-                       region_id: str = "") -> RateRegion:
+                       params=None, region_id: str = "") -> RateRegion:
     """Build a region from achievable/bound sample points.
 
-    Dominated points are discarded, negatives clamped to zero, and the
-    boundary is resampled onto a uniform r1 grid: concave envelope for
-    inner regions, step-up for outer ones. `params` may carry per-point
-    maximizer values (arrays aligned with `points`) into the region meta.
+    `points` is an array of (r1, r2) rows, or an iterator of (start, rows)
+    blocks (see `_front_candidates`), so a sweep can hand over its cloud one
+    block at a time without holding it. Dominated points are discarded,
+    negatives clamped to zero, and the boundary is resampled onto a uniform
+    r1 grid: concave envelope for inner regions, step-up for outer ones.
+    `params` may carry per-point maximizer values into the region meta:
+    a dict of arrays aligned with the source rows, or a function from the
+    chosen source indices to such a dict.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise EmptyInput("no points supplied")
-    pts = pts.reshape(-1, 2)
-    src_idx = np.arange(pts.shape[0])
-    if not np.isfinite(pts).all():
-        finite = np.isfinite(pts).all(axis=1)
-        pts, src_idx = pts[finite], src_idx[finite]
-        if pts.size == 0:
-            raise EmptyInput("no finite points supplied")
-    r1 = np.clip(pts[:, 0], 0.0, None)
-    r2 = np.clip(pts[:, 1], 0.0, None)
-
+    r1, r2, src_idx = _front_candidates(points)
     keep = _pareto_filter(r1, r2)
     r1s, r2s = r1[keep], r2[keep]
     keep_src = src_idx[keep]
@@ -339,7 +378,9 @@ def from_pareto_points(points, kind: Kind, grid: int = R1_GRID_DEFAULT,
     if params:
         sel = np.clip(np.searchsorted(ref_x, gx, side="right") - 1, 0, ref_x.size - 1)
         chosen = ref_src[sel]
-        meta["params"] = {k: np.asarray(v, float)[chosen] for k, v in params.items()}
+        picked = params(chosen) if callable(params) else \
+            {k: np.asarray(v)[chosen] for k, v in params.items()}
+        meta["params"] = {k: np.asarray(v, float) for k, v in picked.items()}
     return RateRegion(kind, gx, gy, meta)
 
 

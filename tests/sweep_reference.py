@@ -1,8 +1,11 @@
-"""Loop forms of the bc-pr coarse sweep and of the scheme-F lambda fans.
+"""Loop forms of the bc-pr coarse sweep and of the scheme-F lambda fans,
+and the one-shot scheme-E sweep.
 
-These evaluate one phase pair, or one lambda scale, at a time, as the
-library did before it broadcast both sweeps. The equivalence tests in
-test_sweeps.py require the broadcast forms to reproduce them bit for bit.
+The loop forms evaluate one phase pair, or one lambda scale, at a time,
+as the library did before it broadcast both sweeps. `scheme_e` builds the
+whole scheme-E cloud and its params arrays at once, as the library did
+before it streamed the cloud one lambda fan at a time. The equivalence
+tests in test_sweeps.py require the library to reproduce them bit for bit.
 
 `_decimate` and `_bin_incumbents` are frozen one-shot copies of the bc-pr
 reducers, so the references do not follow later changes to the library's
@@ -218,3 +221,37 @@ def cheap_achievable_points(ch):
     peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
     chunks.append(np.array([[float(cap(ch.p1)), 0.0], [0.0, float(cap(peq))]]))
     return np.clip(np.concatenate(chunks, axis=0), 0.0, None)
+
+
+def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201,
+             grid=R1_GRID_DEFAULT):
+    """inner.scheme_e from one cloud of every (scale, split) pair, with
+    alpha and lambda_re arrays aligned with its rows."""
+    al = inner.default_alpha_grid(ch) if alpha_grid is None \
+        else np.asarray(alpha_grid)
+    a_pow = al * ch.p1
+    u1, u2 = inner._scheme_e_amplitudes(ch, al)
+    w_c1 = a_pow * u1 / (a_pow + 1.0)
+    if lambda_policy == "costa1":
+        w = w_c1[None, :]
+    elif lambda_policy == "zero":
+        w = np.zeros((1, al.size), dtype=complex)
+    else:
+        scales = np.linspace(0.0, 2.0, n_lambda).astype(complex)
+        if abs(ch.a.imag) > 1e-12:
+            phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
+            scales = np.outer(scales, phases).ravel()
+        w = np.multiply.outer(scales, w_c1)
+    f1 = inner._f_mi(1.0, u1[None, :], 1.0, w, a_pow[None, :])
+    f2 = inner._f_mi(ch.b, u2[None, :], 1.0, w, a_pow[None, :], clamp=False)
+    ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)[None, :]
+    pts = inner._rect_sum_vertices(f1, pos(ssum - f2), ssum)
+    al2 = np.broadcast_to(al[None, :], f1.shape).ravel()
+    lam_re = np.where(ch.p2 > 0, np.real(w) / max(math.sqrt(ch.p2), 1e-300),
+                      0.0)
+    lam2 = np.broadcast_to(lam_re, f1.shape).ravel()
+    return from_pareto_points(
+        pts, Kind.INNER, grid=grid,
+        params={"alpha": np.concatenate([al2, al2]),
+                "lambda_re": np.concatenate([lam2, lam2])},
+        region_id=f"e:{lambda_policy}")

@@ -254,6 +254,7 @@ class TestInvalidValues:
           "--ids", "b", "--grid", "-3"], "--grid"),
         (["atlas", "--resolution", "1"], "--resolution"),
         (["atlas", "--p", "-1", "--resolution", "2"], "powers"),
+        (["verify", "--n", "1", "--seed", "-1"], "--seed"),
     ])
     def test_invalid_value_exit2(self, capsys, args, flag):
         code, _, err = run(args, capsys)

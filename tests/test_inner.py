@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,3 +402,21 @@ class TestTdmaAndAggregates:
         bound = outer.weak_outer(ch)
         gap, _ = region.additive_gap(bound, bi)
         assert gap <= 1e-4
+
+
+@pytest.mark.parametrize("build,bound_mb", [
+    (lambda ch: inner.scheme_e(ch, lambda_policy="sweep"), 128),
+    (lambda ch: inner.scheme_f(ch), 64),
+], ids=["e", "f"])
+def test_largest_clouds_are_streamed(build, bound_mb):
+    """Schemes E and F hand their clouds over one lambda fan at a time, so
+    the peak allocation stays far below a whole cloud (about 1 M rows on a
+    complex channel at default grids)."""
+    ch = ChannelParams(-0.6 + 0.2j, 1.7, 10.0, 10.0)
+    tracemalloc.start()
+    try:
+        build(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20

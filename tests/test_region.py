@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gcifc.errors import EmptyInput, MixedKinds
 from gcifc.region import (GapReport, Kind, RateRegion, _bin_reduce,
-                          _decimate, _pareto_filter, _upper_hull,
+                          _decimate, _front_candidates, _pareto_filter,
+                          _upper_hull,
                           additive_gap, contains, from_boundary,
                           from_pareto_points, gap_report, intersect,
                           multiplicative_gap, union)
@@ -300,6 +301,47 @@ class TestEnvelopeKernels:
             if trial == 5:  # a tiny support, where nbins / top overflows
                 x = x * 1e-308
             assert np.array_equal(_pareto_filter(x, y), _pareto_lexsort(x, y))
+
+    def test_streamed_cull_matches_lexsort_filter(self, rng):
+        # blocks cut at random and handed over in random order; non-finite
+        # rows, an all-zero first block, and a subnormal first block ahead
+        # of r1 near 5, where r1 / top overflows
+        def cases():
+            for trial, (x, y) in enumerate(_clouds(rng, 300)):
+                pts = np.stack([x, y], axis=1)
+                if trial % 3 == 1:
+                    pts[rng.random(len(pts)) < 0.2, trial % 2] = \
+                        (np.nan, np.inf, -np.inf)[trial % 3]
+                yield pts, trial % 2 == 0
+            for trial in range(4):
+                x = rng.integers(0, 2000, 20000) / 7.0
+                y = np.floor(30.0 - x / 10.0 + rng.integers(0, 5, x.size))
+                yield np.stack([x, y], axis=1), trial % 2 == 0
+            for lead in ([[0.0, 3.0], [0.0, 1.0]], [[5e-324, 2.0], [0.0, 1.0]]):
+                for x, y in _clouds(rng, 20):
+                    tail = np.stack([5.0 + x / 16.0, y], axis=1)
+                    yield np.concatenate([lead, tail]), False
+
+        for pts, shuffle in cases():
+            cuts = np.sort(rng.integers(0, len(pts) + 1, 3))
+            if not shuffle and len(pts) > 2:
+                cuts[0] = 2  # the lead block stays first and whole
+                cuts.sort()
+            blocks = list(zip(np.r_[0, cuts], np.split(pts, cuts)))
+            if shuffle:
+                blocks = [blocks[i] for i in rng.permutation(len(blocks))]
+            fin = np.flatnonzero(np.isfinite(pts).all(axis=1))
+            if not fin.size:
+                continue
+            x, y = np.clip(pts[fin, 0], 0, None), np.clip(pts[fin, 1], 0, None)
+            want = fin[_pareto_lexsort(x, y)]
+            for nbins in (1, 3, 8, 4096):
+                r1, r2, src = _front_candidates(iter(blocks), nbins)
+                assert np.array_equal(src[_pareto_filter(r1, r2)], want)
+            got = from_pareto_points(iter(blocks), Kind.OUTER, grid=33)
+            one = from_pareto_points(pts, Kind.OUTER, grid=33)
+            assert np.array_equal(got.r1, one.r1)
+            assert np.array_equal(got.r2, one.r2)
 
     def test_decimate_matches_frozen_copy(self, rng):
         # ties, negative r2, all-zero r1, tiny scales, and clouds at or

@@ -1,5 +1,6 @@
 """The broadcast bc-pr coarse sweep and scheme-F lambda fans against their
-loop forms in sweep_reference: every point and boundary bit-identical."""
+loop forms in sweep_reference, and the streamed scheme-E sweep against its
+one-shot form: every point, boundary and chosen parameter bit-identical."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ CHANNELS = (
 
 def _same(a, b):
     assert np.array_equal(a.r1, b.r1) and np.array_equal(a.r2, b.r2)
+
+
+def _identical(a, b):
+    """Same bytes: boundaries, id and chosen params (signed zeros too)."""
+    assert a.r1.tobytes() == b.r1.tobytes()
+    assert a.r2.tobytes() == b.r2.tobytes()
+    assert a.region_id == b.region_id
+    pa, pb = a.meta["params"], b.meta["params"]
+    assert pa.keys() == pb.keys()
+    assert all(pa[k].tobytes() == pb[k].tobytes() for k in pa)
 
 
 @pytest.mark.parametrize("ch", CHANNELS)
@@ -49,3 +60,13 @@ def _match_loop_forms(ch, grid, monkeypatch):
     monkeypatch.setattr(inner, "cheap_achievable_points",
                         ref.cheap_achievable_points)
     _same(got, outer.best_outer(ch, grid=grid))
+
+
+@pytest.mark.parametrize("ch", CHANNELS)
+def test_streamed_scheme_e_matches_one_shot(ch):
+    fast = inner.default_alpha_grid(ch, matched=257, uniform=245)
+    _identical(inner.scheme_e(ch, fast, n_lambda=101),
+               ref.scheme_e(ch, fast, n_lambda=101))
+    for policy in ("sweep", "costa1", "zero"):
+        _identical(inner.scheme_e(ch, lambda_policy=policy),
+                   ref.scheme_e(ch, lambda_policy=policy))
