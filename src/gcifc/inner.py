@@ -236,10 +236,11 @@ def scheme_e(ch: ChannelParams, alpha_grid=None,
     u1, u2 = _scheme_e_amplitudes(ch, al)
     w_c1 = a_pow * u1 / (a_pow + 1.0)
 
+    scales = fixed = None
     if lambda_policy == "costa1":
-        scales, fixed = None, w_c1
+        fixed = w_c1
     elif lambda_policy == "zero":
-        scales, fixed = None, np.zeros(al.size, dtype=complex)
+        fixed = np.zeros(al.size, dtype=complex)
     elif lambda_policy == "sweep":
         scales = np.linspace(0.0, 2.0, n_lambda).astype(complex)
         if abs(ch.a.imag) > 1e-12:

@@ -311,7 +311,7 @@ class TestEnvelopeKernels:
                 pts = np.stack([x, y], axis=1)
                 if trial % 3 == 1:
                     pts[rng.random(len(pts)) < 0.2, trial % 2] = \
-                        (np.nan, np.inf, -np.inf)[trial % 3]
+                        (np.nan, np.inf, -np.inf)[trial % 9 // 3]
                 yield pts, trial % 2 == 0
             for trial in range(4):
                 x = rng.integers(0, 2000, 20000) / 7.0

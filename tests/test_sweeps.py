@@ -70,3 +70,9 @@ def test_streamed_scheme_e_matches_one_shot(ch):
     for policy in ("sweep", "costa1", "zero"):
         _identical(inner.scheme_e(ch, lambda_policy=policy),
                    ref.scheme_e(ch, lambda_policy=policy))
+    # with no alpha = 0 split, the r1 = 0 corner is often a second-vertex
+    # row, whose index lies past every first-vertex row
+    shifted = np.linspace(0.2, 1.0, 21)
+    for policy in ("sweep", "costa1"):
+        _identical(inner.scheme_e(ch, shifted, policy, n_lambda=11),
+                   ref.scheme_e(ch, shifted, policy, n_lambda=11))
