@@ -1,4 +1,6 @@
 import math
+import platform
+import resource
 import tracemalloc
 
 import numpy as np
@@ -404,15 +406,19 @@ class TestTdmaAndAggregates:
         assert gap <= 1e-4
 
 
-@pytest.mark.parametrize("build,bound_mb", [
+_LARGEST_CLOUDS = pytest.mark.parametrize("build,bound_mb", [
     (lambda ch: inner.scheme_e(ch, lambda_policy="sweep"), 128),
     (lambda ch: inner.scheme_f(ch), 64),
 ], ids=["e", "f"])
+_COMPLEX_CH = ChannelParams(-0.6 + 0.2j, 1.7, 10.0, 10.0)
+
+
+@_LARGEST_CLOUDS
 def test_largest_clouds_are_streamed(build, bound_mb):
     """Schemes E and F hand their clouds over one lambda fan at a time, so
     the peak allocation stays far below a whole cloud (about 1 M rows on a
     complex channel at default grids)."""
-    ch = ChannelParams(-0.6 + 0.2j, 1.7, 10.0, 10.0)
+    ch = _COMPLEX_CH
     tracemalloc.start()
     try:
         build(ch)
@@ -420,3 +426,17 @@ def test_largest_clouds_are_streamed(build, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak < bound_mb * 2 ** 20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="malloc thresholds are pinned on glibc only")
+@_LARGEST_CLOUDS
+def test_repeated_build_faults_no_pages(build, bound_mb):
+    """Importing gcifc pins glibc's malloc thresholds, so a repeated build
+    reuses the heap its first run grew. Under glibc's dynamic thresholds
+    each repeat of these builds faults 5000-8000 pages back in."""
+    build(_COMPLEX_CH)
+    build(_COMPLEX_CH)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    build(_COMPLEX_CH)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
