@@ -10,6 +10,12 @@ below (the cooperative broadcast bound) is neither a subset nor a superset
 of the true one: step-up carries each sample flat to the next, which can
 exceed the true bound across a gap in the sample, while the sample itself
 can fall short of it elsewhere.
+
+The additive and multiplicative gaps are computed in closed form, not
+searched: each outer sample is shifted (or scaled) onto the inner
+region's boundary polygon, its samples joined by chords and closed down
+to (r1_max, 0). They are exact on the inner boundary's breakpoints, over
+the outer samples.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import enum
 import io
 import json
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -208,10 +213,14 @@ def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
       r1 snapped down to the bin edge, plus the end point: of the points
       at r1 = top, the one with the largest r2 (the first on ties), which
       keeps both the support and the corner at the top. Every output
-      point is dominated by an input point, so the decimated cloud
-      describes a subset of the sampled region; the snap loses less than
-      one bin width. A cloud of at most `nbins` points comes back whole,
-      and one with top <= 0 as its first point.
+      point is dominated by an input point, so the down-closure of the
+      decimated cloud lies inside that of the input, and the snap loses
+      less than one bin width. Under step-up resampling the decimated
+      region is not a subset: a bin's largest r2 is carried across the
+      bin, above the lower points that follow it there (with (0, 5) and
+      (0.09, 4.99) in one bin it reads 5 at r1 = 0.095, the raw cloud
+      4.99). A cloud of at most `nbins` points comes back whole, and one
+      with top <= 0 as its first point.
     - incumbents: per r1 bin of `nb`, ascending and skipping empty ones,
       the last flat index attaining the bin's largest r2; none when
       top <= 0 or nb = 0.
@@ -449,85 +458,50 @@ def contains(outer: RateRegion, inner: RateRegion, tol: float = 0.0):
     return not bad.any(), violations
 
 
-def _shift_gap_per_point(out_r1, out_r2, inner: RateRegion, hi: float,
-                         tol: float) -> np.ndarray:
-    """Per-point minimal shift delta via vectorized bisection."""
-    lo = np.zeros_like(out_r1)
-    hivec = np.full_like(out_r1, hi)
-
-    def ok(delta):
-        x = np.clip(out_r1 - delta, 0.0, None)
-        y = np.clip(out_r2 - delta, 0.0, None)
-        return inner.contains_points(x, y, tol=1e-12)
-
-    good0 = ok(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hivec)
-        good = ok(mid)
-        hivec = np.where(good, mid, hivec)
-        lo = np.where(good, lo, mid)
-        if np.max(hivec - lo) < tol:
-            break
-    return np.where(good0, 0.0, hivec)
+def _inner_polygon(inner: RateRegion):
+    """Inner boundary vertices, from (0, r2(0)) down to (r1_max, 0)."""
+    if inner.kind is not Kind.INNER:
+        raise MixedKinds("gaps are measured against an inner region")
+    return np.r_[0.0, inner.r1, inner.r1_max], np.r_[inner.r2[0], inner.r2, 0.0]
 
 
-def additive_gap(outer: RateRegion, inner: RateRegion,
-                 tol: float = 1e-6) -> tuple[float, float]:
+def additive_gap(outer: RateRegion, inner: RateRegion) -> tuple[float, float]:
     """Smallest per-coordinate shift delta putting every outer sample in inner.
 
-    Returns (delta_bits, worst_r1). Both rate coordinates are reduced by
-    delta and clamped at zero before the membership test.
+    Returns (delta_bits, worst_r1); shifted rates clamp at zero. A shift
+    keeps r1 - r2, which rises along the inner polygon, so each sample
+    exits where the polygon has its r1 - r2, or past an end at its corner.
     """
-    hi = max(outer.r1_max, float(outer.r2.max()), 1.0) + 1.0
-    deltas = _shift_gap_per_point(outer.r1, outer.r2, inner, hi, tol)
-    i = int(np.argmax(deltas))
-    return float(deltas[i]), float(outer.r1[i])
+    px, py = _inner_polygon(inner)
+    u = outer.r1 - outer.r2
+    delta = np.maximum(np.maximum(outer.r1 - np.interp(u, px - py, px),
+                                  outer.r2 - np.interp(u, px - py, py)), 0.0)
+    i = int(np.argmax(delta))
+    return float(delta[i]), float(outer.r1[i])
 
 
-def multiplicative_gap(outer: RateRegion, inner: RateRegion,
-                       tol: float = 1e-9) -> tuple[float, float]:
+def multiplicative_gap(outer: RateRegion, inner: RateRegion) -> tuple[float, float]:
     """Smallest M >= 1 with every outer sample, scaled by 1/M, inside inner.
 
-    Returns (M, worst_r1); inf when the inner region is degenerate at the
-    origin while the outer is not.
+    Returns (M, worst_r1). A sample's ray crosses the inner polygon once, on
+    the segment whose end angles bracket its own; it misses (M = inf) only
+    when inner has r1_max = 0 or r2(0) = 0.
     """
-    if float(inner.boundary_at(0.0)) <= 0.0 and inner.r1_max <= 0.0:
-        degenerate = True
-    else:
-        degenerate = False
-    out_r1, out_r2 = outer.r1, outer.r2
-    inner_r20 = float(inner.boundary_at(0.0))
-
-    def ok(m):
-        return inner.contains_points(out_r1 / m, out_r2 / m, tol=1e-12)
-
-    if bool(np.all(ok(np.float64(1.0)))):
-        return 1.0, float(out_r1[0])
-    needs_r2 = out_r2 > 0
-    if degenerate or (inner_r20 <= 0.0 and needs_r2.any()):
-        return math.inf, float(out_r1[np.argmax(out_r2)])
-
-    lo, hi = 1.0, 2.0
-    for _ in range(200):
-        if bool(np.all(ok(hi))):
-            break
-        hi *= 2.0
-    else:
-        return math.inf, float(out_r1[0])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if bool(np.all(ok(mid))):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol:
-            break
-    bad = ~ok(max(lo, 1.0))
-    worst = float(out_r1[np.argmax(bad)]) if bad.any() else float(out_r1[0])
-    return hi, worst
+    px, py = _inner_polygon(inner)
+    x, y = outer.r1, outer.r2
+    j = np.searchsorted(-np.arctan2(py, px), -np.arctan2(y, x), side="right")
+    k = np.clip(j - 1, 0, px.size - 2)
+    dx, dy = px[k + 1] - px[k], py[k + 1] - py[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(j == 0, np.inf, (dx * y - dy * x) / (dx * py[k] - dy * px[k]))
+        # a ray along an axis runs along the boundary to its far end
+        m = np.select([(x == 0.0) & (y == 0.0), x == 0.0, y == 0.0],
+                      [0.0, y / py[0], x / px[-1]], m)
+    i = int(np.argmax(m))
+    return (float(m[i]), float(x[i])) if m[i] > 1.0 else (1.0, float(x[0]))
 
 
 def gap_report(outer: RateRegion, inner: RateRegion) -> GapReport:
     add, wr_a = additive_gap(outer, inner)
     mul, wr_m = multiplicative_gap(outer, inner)
-    return GapReport(add, max(mul, 1.0), wr_a, wr_m)
+    return GapReport(add, mul, wr_a, wr_m)

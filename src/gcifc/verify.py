@@ -25,7 +25,6 @@ CAPACITY_TOL_BITS = 1e-4
 SOUNDNESS_TOL_BITS = 1e-6
 ADDITIVE_GAP_BITS = 1.0          # per complex channel
 MULTIPLICATIVE_GAP = 2.0
-MULT_GAP_SLACK = 1e-3
 
 # per-complex-channel gap budgets of the constant-gap rows
 ROW_GAPS = {"perfect-cancel": 1.0, "partial-cancel": 3.74,
@@ -182,13 +181,10 @@ def check_multiplicative_gap(ch: ChannelParams) -> TheoremReport:
     pl = outer.piecewise_linear_outer(ch)
     td = inner.tdma_inner(ch)
     mul, worst_r1 = region.multiplicative_gap(pl, td)
-    # direct coverage check at factor 2 on the converse's own grid
-    ok2 = bool(np.all(td.contains_points(pl.r1 / 2.0, pl.r2 / 2.0, tol=1e-9)))
-    viol = max(mul - (MULTIPLICATIVE_GAP + MULT_GAP_SLACK), 0.0)
     return TheoremReport(
-        "multiplicative-gap", ok2 and viol == 0.0, viol, 1,
-        MULTIPLICATIVE_GAP,
-        [{"ratio": mul, "worst_r1": worst_r1, "covered_at_2": ok2}])
+        "multiplicative-gap", mul <= MULTIPLICATIVE_GAP + 1e-9,
+        max(mul - MULTIPLICATIVE_GAP, 0.0), 1, MULTIPLICATIVE_GAP,
+        [{"ratio": mul, "worst_r1": worst_r1}])
 
 
 def _point_region(points, grid=region.R1_GRID_DEFAULT) -> RateRegion:

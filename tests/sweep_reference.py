@@ -75,8 +75,10 @@ def _decimate(pts: np.ndarray, nbins: int) -> np.ndarray:
     """Keep one point per r1 bin (max r2), snapping r1 down to the bin edge.
 
     Every output point is dominated by an input point, so the decimated
-    cloud describes a subset of the sampled region (sound for a bound
-    sampled from below); the r1 snap loses less than one bin width.
+    cloud's down-closure lies inside the input's; the r1 snap loses less
+    than one bin width. Resampled step-up, the decimated region is not a
+    subset: a bin's largest r2 is carried across the bin, above the lower
+    points that follow it there.
     """
     if pts.shape[0] <= nbins:
         return pts

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -210,6 +211,10 @@ class TestGap:
                             "--inner", "tdma", "--grid", "512"], capsys)
         assert code == 0
         assert json.loads(out)["multiplicative"] <= 2.0 + 1e-3
+        # the exact ratio at the converse's corner: 2 - cap(p1) / cap(peq)
+        peq = (math.sqrt(1.4142 ** 2 * 6.0) + math.sqrt(6.0)) ** 2
+        assert json.loads(out)["multiplicative"] == pytest.approx(
+            2.0 - math.log2(7.0) / math.log2(1.0 + peq), abs=1e-12)
 
 
 class TestAtlasAndVerify:

@@ -21,6 +21,25 @@ def line_region(intercept, slope, kind=Kind.INNER, grid=257):
     return from_boundary(x, intercept - slope * x, kind)
 
 
+# (r1 increment, r2 decrement) steps of a monotone boundary from the r2 axis
+_STEPS = st.lists(st.tuples(st.floats(0.01, 1.0),
+                            st.one_of(st.just(0.0), st.floats(0.01, 1.0))),
+                  min_size=1, max_size=12)
+
+
+def _monotone(steps, kind, concave=False):
+    """Boundary from (0, sum of all decrements) that takes the steps after
+    the first in turn; with `concave`, its upper concave envelope on the
+    same abscissae."""
+    dx, dy = np.array(steps).T
+    x = np.r_[0.0, np.cumsum(dx[1:])]
+    y = np.cumsum(dy[::-1])[::-1]
+    if concave:
+        hull = _upper_hull(x, y)
+        y = np.interp(x, x[hull], y[hull])
+    return from_boundary(x, y, kind)
+
+
 class TestFromParetoPoints:
     def test_collinear_inner(self):
         reg = from_pareto_points([(0, 2), (1, 1), (2, 0)], Kind.INNER, grid=33)
@@ -179,6 +198,69 @@ class TestGaps:
         assert gap <= 1e-6
         ok, _ = contains(o, x, tol=1e-9)
         assert ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(inner_steps=_STEPS, outer_steps=_STEPS, concave=st.booleans())
+    def test_gaps_by_definition(self, inner_steps, outer_steps, concave):
+        # every outer sample is inside once shifted by delta (scaled by
+        # 1/M), and the worst one is outside just short of it
+        inner = _monotone(inner_steps, Kind.INNER, concave)
+        outer = _monotone(outer_steps, Kind.OUTER)
+        x, y = outer.r1, outer.r2
+        delta, worst = additive_gap(outer, inner)
+        w = int(np.flatnonzero(x == worst)[0])
+        assert np.all(inner.contains_points(np.clip(x - delta, 0.0, None),
+                                            np.clip(y - delta, 0.0, None),
+                                            tol=1e-12))
+        if delta > 1e-9:
+            short = delta - 1e-9
+            assert not inner.contains_points(max(x[w] - short, 0.0),
+                                             max(y[w] - short, 0.0))
+        m, worst = multiplicative_gap(outer, inner)
+        if math.isinf(m):
+            assert inner.r1_max == 0.0 or inner.r2[0] == 0.0
+            return
+        w = int(np.flatnonzero(x == worst)[0])
+        assert np.all(inner.contains_points(x / m, y / m, tol=1e-12))
+        if m > 1.0:
+            short = m * (1.0 - 1e-9)
+            assert not inner.contains_points(x[w] / short, y[w] / short)
+
+    @pytest.mark.parametrize("inner_pts, outer_pts, delta, w_add, m, w_mul", [
+        # inner region at the origin only
+        ([(0.0, 0.0)], [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)],
+         2.0, 2.0, math.inf, 0.0),
+        # r1_max = 0 with r2(0) > 0: only the r2 axis is covered
+        ([(0.0, 0.7)], [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)],
+         2.0, 2.0, math.inf, 1.0),
+        ([(0.0, 0.7)], [(0.0, 1.4)], 0.7, 0.0, 2.0, 0.0),
+        # r2 = 0: only the r1 axis is covered, out to r1_max
+        ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)],
+         1.0, 0.0, math.inf, 0.0),
+        ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 0.0), (2.0, 0.0)],
+         1.0, 2.0, 2.0, 2.0),
+        # an outer sample at the origin needs neither shift nor scale
+        ([(0.0, 0.0)], [(0.0, 0.0)], 0.0, 0.0, 1.0, 0.0),
+        ([(0.0, 1.0), (1.0, 0.0)], [(0.0, 0.0)], 0.0, 0.0, 1.0, 0.0),
+        # a sample beyond the inner support shifts by x - r1_max
+        ([(0.0, 1.0), (1.0, 0.0)], [(0.0, 0.5), (3.0, 0.5)],
+         2.0, 3.0, 3.5, 3.0),
+    ])
+    def test_degenerate_cases(self, inner_pts, outer_pts, delta, w_add, m,
+                              w_mul):
+        inner = from_boundary(*zip(*inner_pts), Kind.INNER)
+        outer = from_boundary(*zip(*outer_pts), Kind.OUTER)
+        assert additive_gap(outer, inner) == (pytest.approx(delta, abs=1e-15),
+                                              w_add)
+        assert multiplicative_gap(outer, inner) == (pytest.approx(m, rel=1e-15),
+                                                    w_mul)
+
+    def test_gaps_need_an_inner_region(self):
+        o = line_region(2.0, 1.0, Kind.OUTER)
+        with pytest.raises(MixedKinds):
+            additive_gap(o, o)
+        with pytest.raises(MixedKinds):
+            multiplicative_gap(o, o)
 
 
 class TestInvariantsAndSerialization:

@@ -6,6 +6,7 @@ import pytest
 from gcifc.channel import CapacityResult, ChannelParams, classify
 from gcifc import inner, outer, region, verify
 from gcifc.errors import GcifcError
+from gcifc.util import cap
 from conftest import EDGE_CHANNELS, channel_draw
 
 
@@ -123,6 +124,29 @@ class TestGapChecks:
             rep = verify.check_multiplicative_gap(ch)
             assert rep.holds, rep.details
             assert rep.details[0]["ratio"] <= 2.0 + 1e-3
+
+    def test_tdma_gaps_closed_form(self):
+        # criterion 7's draws: against the piecewise-linear converse the
+        # time-sharing chord from (0, A) to (c, 0) is worst at the corner
+        # (c, A - c), where the shift is c (A - c) / (A + c) and the ratio
+        # 2 - c / A, with c = cap(p1) and A = cap(peq)
+        rng = np.random.default_rng(42 + 7)
+        tested = 0
+        while tested < 200:
+            ch = channel_draw(rng)
+            if ch.b <= 1.0:
+                continue
+            tested += 1
+            c = float(cap(ch.p1))
+            big = float(cap((math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2))
+            pl, td = outer.piecewise_linear_outer(ch), inner.tdma_inner(ch)
+            gap, _ = region.additive_gap(pl, td)
+            assert gap == pytest.approx(c * (big - c) / (big + c), abs=1e-12)
+            ratio, _ = region.multiplicative_gap(pl, td)
+            assert ratio == pytest.approx(2.0 - c / big, abs=1e-12)
+            rep = verify.check_multiplicative_gap(ch)
+            assert rep.holds and rep.worst_violation == 0.0
+            assert rep.details == [{"ratio": ratio, "worst_r1": c}]
 
     def test_table_rows(self, rng):
         seen = set()
