@@ -9,26 +9,40 @@ the stored grid nodes.
 
 Pre-coding coefficients are handled in "amplitude space": a coefficient
 lambda on the primary signal enters only through w = lambda*sqrt(p2),
-which stays finite for p2 = 0.
+which stays finite for p2 = 0. When the cross gain a is real, the rate
+kernels run in float64; complex128 is kept for complex a.
+
+Each scheme of `best_inner` is a private point cloud (an array, or an
+iterator of (start, rows) blocks for the large E and F sweeps) behind a
+public builder. `best_inner` chains every cloud into one envelope.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams
 from .errors import DegenerateDenominator
-from .region import (R1_GRID_DEFAULT, Kind, RateRegion, from_pareto_points,
-                     union)
+# union stays importable from here: perfbench's tracer self-test checks it
+from .region import (R1_GRID_DEFAULT, Kind, RateRegion,  # noqa: F401
+                     from_pareto_points, union)
 from .util import alpha_of_r1, cap, pos, r1_grid
 
 _TINY = 1e-300
 
 # test-channel noise variances (sigma1^2, sigma2^2) of the binning schemes
 _SIGMA_PAIRS = ((1.0, 0.0), (1.0, 1.0))
+
+
+def _real_a(ch: ChannelParams):
+    """The cross gain as a float when it is real, so the rate kernels run
+    in float64 (real division is also correctly rounded, complex is not),
+    and as a complex otherwise."""
+    return ch.a.real if ch.a.imag == 0.0 else ch.a
 
 
 @dataclass(frozen=True)
@@ -125,10 +139,7 @@ def _fan_rows(r1s, r2s):
 
 # -- scheme A: primary silent, cognitive broadcasts both messages ------------
 
-def scheme_a(ch: ChannelParams, alpha_grid=None,
-             grid: int = R1_GRID_DEFAULT) -> RateRegion:
-    """Degraded-broadcast strategy with the primary transmitter silent."""
-    al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
+def _scheme_a_cloud(ch: ChannelParams, al):
     abar = 1.0 - al
     if ch.b <= 1.0:
         r1 = cap(al * ch.p1)
@@ -136,8 +147,14 @@ def scheme_a(ch: ChannelParams, alpha_grid=None,
     else:
         r1 = cap(abar * ch.p1 / (1.0 + al * ch.p1))
         r2 = cap(al * ch.b ** 2 * ch.p1)
-    pts = np.stack([r1, r2], axis=1)
-    return from_pareto_points(pts, Kind.INNER, grid=grid,
+    return np.stack([r1, r2], axis=1)
+
+
+def scheme_a(ch: ChannelParams, alpha_grid=None,
+             grid: int = R1_GRID_DEFAULT) -> RateRegion:
+    """Degraded-broadcast strategy with the primary transmitter silent."""
+    al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
+    return from_pareto_points(_scheme_a_cloud(ch, al), Kind.INNER, grid=grid,
                               params={"alpha": al}, region_id="a")
 
 
@@ -154,14 +171,16 @@ def scheme_b_rates(ch: ChannelParams, alpha):
     return r1, r2
 
 
+def _scheme_b_cloud(ch: ChannelParams, al):
+    return np.stack(scheme_b_rates(ch, al), axis=1)
+
+
 def scheme_b(ch: ChannelParams, alpha_grid=None,
              grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Interference-as-noise at the primary receiver; capacity for b <= 1."""
     al = default_alpha_grid(ch, matched=grid, uniform=257) \
         if alpha_grid is None else np.asarray(alpha_grid)
-    r1, r2 = scheme_b_rates(ch, al)
-    pts = np.stack([r1, r2], axis=1)
-    return from_pareto_points(pts, Kind.INNER, grid=grid,
+    return from_pareto_points(_scheme_b_cloud(ch, al), Kind.INNER, grid=grid,
                               params={"alpha": al}, region_id="b")
 
 
@@ -179,8 +198,8 @@ def scheme_d_rates(ch: ChannelParams, rho):
     return r1, np.minimum(s1, s2)
 
 
-def scheme_d(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
-    """Superposition strategy: both receivers decode both messages."""
+def _scheme_d_cloud(ch: ChannelParams):
+    """The cloud and, per row, the real part of its correlation."""
     am = alpha_of_r1(r1_grid(ch.p1, 513), ch.p1)
     base = np.unique(np.concatenate([np.sqrt(1.0 - am),
                                      np.linspace(0.0, 1.0, 489)]))
@@ -194,7 +213,12 @@ def scheme_d(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
     pts = np.concatenate([
         np.stack([v1r1, pos(s - v1r1)], axis=1),
         np.stack([np.zeros_like(s), pos(s)], axis=1)], axis=0)
-    rr = np.concatenate([np.real(rho), np.real(rho)])
+    return pts, np.concatenate([np.real(rho), np.real(rho)])
+
+
+def scheme_d(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
+    """Superposition strategy: both receivers decode both messages."""
+    pts, rr = _scheme_d_cloud(ch)
     return from_pareto_points(pts, Kind.INNER, grid=grid,
                               params={"rho_re": rr}, region_id="d")
 
@@ -205,7 +229,7 @@ def _scheme_e_amplitudes(ch: ChannelParams, alpha):
     """Interferer amplitudes seen by the two pre-coding rate terms."""
     abar = pos(1.0 - np.asarray(alpha, dtype=float))
     coop = np.sqrt(abar * ch.p1)
-    u1 = ch.a * math.sqrt(ch.p2) + coop
+    u1 = _real_a(ch) * math.sqrt(ch.p2) + coop
     u2 = math.sqrt(ch.p2) + ch.b * coop
     return u1, u2
 
@@ -222,16 +246,9 @@ def scheme_e_rates(ch: ChannelParams, alpha, lam):
     return f1, pos(ssum - f2), ssum
 
 
-def scheme_e(ch: ChannelParams, alpha_grid=None,
-             lambda_policy: str = "sweep", n_lambda: int = 201,
-             grid: int = R1_GRID_DEFAULT) -> RateRegion:
-    """Pre-coded common-message strategy.
-
-    lambda_policy: "costa1" pins the r1-maximizing coefficient, "zero"
-    disables pre-coding, "sweep" unions scaled multiples of the costa1
-    coefficient in [0, 2] (plus a phase fan for complex channels).
-    """
-    al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
+def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
+                    n_lambda: int):
+    """The cloud as (start, rows) blocks, and its params function."""
     a_pow = al * ch.p1
     u1, u2 = _scheme_e_amplitudes(ch, al)
     w_c1 = a_pow * u1 / (a_pow + 1.0)
@@ -240,9 +257,9 @@ def scheme_e(ch: ChannelParams, alpha_grid=None,
     if lambda_policy == "costa1":
         fixed = w_c1
     elif lambda_policy == "zero":
-        fixed = np.zeros(al.size, dtype=complex)
+        fixed = np.zeros(al.size, dtype=w_c1.dtype)
     elif lambda_policy == "sweep":
-        scales = np.linspace(0.0, 2.0, n_lambda).astype(complex)
+        scales = np.linspace(0.0, 2.0, n_lambda)
         if abs(ch.a.imag) > 1e-12:
             phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
             scales = np.outer(scales, phases).ravel()
@@ -272,7 +289,21 @@ def scheme_e(ch: ChannelParams, alpha_grid=None,
                           0.0)
         return {"alpha": al[split], "lambda_re": lam_re}
 
-    return from_pareto_points(blocks(), Kind.INNER, grid=grid, params=params,
+    return blocks(), params
+
+
+def scheme_e(ch: ChannelParams, alpha_grid=None,
+             lambda_policy: str = "sweep", n_lambda: int = 201,
+             grid: int = R1_GRID_DEFAULT) -> RateRegion:
+    """Pre-coded common-message strategy.
+
+    lambda_policy: "costa1" pins the r1-maximizing coefficient, "zero"
+    disables pre-coding, "sweep" unions scaled multiples of the costa1
+    coefficient in [0, 2] (plus a phase fan for complex channels).
+    """
+    al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
+    blocks, params = _scheme_e_cloud(ch, al, lambda_policy, n_lambda)
+    return from_pareto_points(blocks, Kind.INNER, grid=grid, params=params,
                               region_id=f"e:{lambda_policy}")
 
 
@@ -310,12 +341,13 @@ def scheme_c_rates(ch: ChannelParams, alpha, sigma1_sq, sigma2_sq,
     a_pow = al * ch.p1
     q = np.sqrt(pos(1.0 - al) * ch.p1) if ch.p2 > 0 else np.zeros_like(al)
     sp2 = math.sqrt(ch.p2)
-    c1 = ch.a if c1 is None else c1
-    c2 = ch.b if c2 is None else c2
-    c1 = np.asarray(c1, dtype=complex)
-    c2 = np.asarray(c2, dtype=float)
+    a = _real_a(ch)
+    c1 = np.asarray(a if c1 is None else c1)
+    if np.iscomplexobj(a):
+        c1 = c1.astype(complex)
+    c2 = np.asarray(ch.b if c2 is None else c2, dtype=float)
 
-    u_y1 = q + ch.a * sp2
+    u_y1 = q + a * sp2
     u_u1 = q + c1 * sp2
     u_y2 = ch.b * q + sp2
     u_u2 = c2 * q + sp2
@@ -349,19 +381,18 @@ def scheme_c_rates(ch: ChannelParams, alpha, sigma1_sq, sigma2_sq,
     return m1, m2, ms
 
 
+def _scheme_c_cloud(ch: ChannelParams, al, sigma_pairs=_SIGMA_PAIRS):
+    return np.concatenate([_rect_sum_vertices(*scheme_c_rates(ch, al, s1, s2))
+                           for s1, s2 in sigma_pairs], axis=0)
+
+
 def scheme_c(ch: ChannelParams, alpha_grid=None, sigma_pairs=_SIGMA_PAIRS,
              grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Double-binning strategy on the channel-matched auxiliaries."""
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
-    chunks = []
-    alpha_par = []
-    for s1, s2 in sigma_pairs:
-        m1, m2, ms = scheme_c_rates(ch, al, s1, s2)
-        chunks.append(_rect_sum_vertices(m1, m2, ms))
-        alpha_par.append(np.tile(al, 2))
-    pts = np.concatenate(chunks, axis=0)
-    return from_pareto_points(pts, Kind.INNER, grid=grid,
-                              params={"alpha": np.concatenate(alpha_par)},
+    return from_pareto_points(_scheme_c_cloud(ch, al, sigma_pairs), Kind.INNER,
+                              grid=grid,
+                              params={"alpha": np.tile(al, 2 * len(sigma_pairs))},
                               region_id="c")
 
 
@@ -393,7 +424,7 @@ def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
     ga = np.asarray(gamma, dtype=float)
-    p1, p2, a, b = ch.p1, ch.p2, ch.a, ch.b
+    p1, p2, a, b = ch.p1, ch.p2, _real_a(ch), ch.b
 
     x2_c = np.sqrt(be * p2)
     x2_pa = np.sqrt(pos(1.0 - be) * p2)
@@ -459,29 +490,19 @@ def _scheme_f_vertices(ch: ChannelParams, alpha, beta, gamma, w):
     return _fan_rows([r1a, r1b], [r2a, r2b]), r2c
 
 
-def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
-             gamma_grid=None, n_lambda: int = 41, face_lambda: int = 201,
-             grid: int = R1_GRID_DEFAULT) -> RateRegion:
-    """Split strategy unioning the common-common and pre-coded structures.
-
-    On the split boundaries the strategy collapses exactly to the
-    all-common scheme (beta = gamma = 1, no pre-coding) and to the
-    pre-coded common scheme (beta = gamma = 0), so those two faces are
-    always swept densely alongside the interior grid.
-    """
-    al = np.linspace(0.0, 1.0, 11) if alpha_grid is None else np.asarray(alpha_grid)
-    be = np.linspace(0.0, 1.0, 11) if beta_grid is None else np.asarray(beta_grid)
-    ga = np.linspace(0.0, 1.0, 11) if gamma_grid is None else np.asarray(gamma_grid)
+def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
+                    face_lambda: int):
+    """The cloud as (start, rows) blocks."""
     av, bv, gv = np.meshgrid(al, be, ga, indexing="ij")
     av, bv, gv = av.ravel(), bv.ravel(), gv.ravel()
 
     a_pow = av * ch.p1
     # interference seen by u1c at y1 once the common primary part is known
     amp = np.sqrt(pos(1.0 - av) * pos(1.0 - gv) * ch.p1) \
-        + ch.a * np.sqrt(pos(1.0 - bv) * ch.p2)
+        + _real_a(ch) * np.sqrt(pos(1.0 - bv) * ch.p2)
     w_c = a_pow * amp / (a_pow + 1.0)
 
-    scales = np.linspace(0.0, 2.0, n_lambda).astype(complex)
+    scales = np.linspace(0.0, 2.0, n_lambda)
     if abs(ch.a.imag) > 1e-12:
         phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 5))
         scales = np.outer(scales, phases).ravel()
@@ -512,44 +533,81 @@ def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
         yield start + sd.size, np.stack([np.zeros_like(sd), pos(sd)], axis=1)
         yield start + 2 * sd.size, [[0.0, r2c_max]]
 
-    return from_pareto_points(blocks(), Kind.INNER, grid=grid, region_id="f")
+    return blocks()
+
+
+def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
+             gamma_grid=None, n_lambda: int = 41, face_lambda: int = 201,
+             grid: int = R1_GRID_DEFAULT) -> RateRegion:
+    """Split strategy unioning the common-common and pre-coded structures.
+
+    On the split boundaries the strategy collapses exactly to the
+    all-common scheme (beta = gamma = 1, no pre-coding) and to the
+    pre-coded common scheme (beta = gamma = 0), so those two faces are
+    always swept densely alongside the interior grid.
+    """
+    al, be, ga = (np.linspace(0.0, 1.0, 11) if g is None else np.asarray(g)
+                  for g in (alpha_grid, beta_grid, gamma_grid))
+    return from_pareto_points(
+        _scheme_f_cloud(ch, al, be, ga, n_lambda, face_lambda), Kind.INNER,
+        grid=grid, region_id="f")
 
 
 # -- time sharing and aggregates ---------------------------------------------
 
+def _tdma_cloud(ch: ChannelParams):
+    peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
+    return np.array([[float(cap(ch.p1)), 0.0], [0.0, float(cap(peq))]])
+
+
 def tdma_inner(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Chord between the solo cognitive point and the beamforming point."""
-    peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
-    pts = [(float(cap(ch.p1)), 0.0), (0.0, float(cap(peq)))]
-    return from_pareto_points(pts, Kind.INNER, grid=grid, region_id="tdma")
+    return from_pareto_points(_tdma_cloud(ch), Kind.INNER, grid=grid,
+                              region_id="tdma")
+
+
+def _chain(clouds):
+    """One (start, rows) block stream over clouds that are each an array or
+    a block iterator, every cloud's source indices renumbered past those of
+    the clouds before it."""
+    offset = 0
+    for cloud in clouds:
+        end = 0
+        for start, rows in cloud if isinstance(cloud, Iterator) else [(0, cloud)]:
+            yield offset + start, rows
+            end = max(end, start + len(rows))
+        offset += end
 
 
 def best_inner(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
                fast: bool = False) -> RateRegion:
-    """Time-sharing hull of the union of every scheme."""
+    """Time-sharing hull of the union of every scheme.
+
+    One envelope: every scheme's cloud streams into a single cull, Pareto
+    filter, hull and resample. TDMA leads, so its corner (cap(p1), 0), the
+    largest r1 of any scheme, sets the cull's bin scale, and its two
+    points seed both axis corners; the big F and E sweeps come last and
+    are culled against a populated front. With a real cross gain every
+    rate kernel runs in float64. `fast` takes coarser split and lambda
+    grids.
+    """
     if fast:
-        al = default_alpha_grid(ch, matched=257, uniform=245)
-        regions = [
-            scheme_a(ch, al, grid=grid),
-            scheme_b(ch, al, grid=grid),
-            scheme_c(ch, al, grid=grid),
-            scheme_d(ch, grid=grid),
-            scheme_e(ch, al, lambda_policy="sweep", n_lambda=101, grid=grid),
-            scheme_f(ch, face_lambda=101, grid=grid),
-            tdma_inner(ch, grid=grid),
-        ]
+        al = al_b = default_alpha_grid(ch, matched=257, uniform=245)
+        n_lambda = 101
     else:
-        regions = [
-            scheme_a(ch, grid=grid),
-            scheme_b(ch, grid=grid),
-            scheme_c(ch, grid=grid),
-            scheme_d(ch, grid=grid),
-            scheme_e(ch, lambda_policy="sweep", grid=grid),
-            scheme_f(ch, grid=grid),
-            tdma_inner(ch, grid=grid),
-        ]
-    out = union(regions, grid=grid)
-    return RateRegion(Kind.INNER, out.r1, out.r2, {"id": "best"})
+        al = default_alpha_grid(ch)
+        al_b = default_alpha_grid(ch, matched=grid, uniform=257)
+        n_lambda = 201
+    f_grid = np.linspace(0.0, 1.0, 11)
+    clouds = [_tdma_cloud(ch),
+              _scheme_a_cloud(ch, al),
+              _scheme_b_cloud(ch, al_b),
+              _scheme_c_cloud(ch, al),
+              _scheme_d_cloud(ch)[0],
+              _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, n_lambda),
+              _scheme_e_cloud(ch, al, "sweep", n_lambda)[0]]
+    return from_pareto_points(_chain(clouds), Kind.INNER, grid=grid,
+                              region_id="best")
 
 
 def cheap_achievable_points(ch: ChannelParams) -> np.ndarray:
@@ -572,7 +630,7 @@ def cheap_achievable_points(ch: ChannelParams) -> np.ndarray:
     av, bv, gv = av.ravel(), bv.ravel(), gv.ravel()
     a_pow = av * ch.p1
     amp = np.sqrt(pos(1 - av) * pos(1 - gv) * ch.p1) \
-        + ch.a * np.sqrt(pos(1 - bv) * ch.p2)
+        + _real_a(ch) * np.sqrt(pos(1 - bv) * ch.p2)
     w_cf = a_pow * amp / (a_pow + 1.0)
     m1, ms, m2r = scheme_f_rates(
         ch, av, bv, gv, np.multiply.outer(np.linspace(0.0, 2.0, 11), w_cf))
@@ -593,5 +651,5 @@ def lambda_costa_vec(ch: ChannelParams, alpha):
         return np.zeros_like(al)
     # the powers are rooted apart: at subnormal p2 the quotient p1 / p2
     # overflows, while sqrt(p1) / sqrt(p2) stays finite
-    h1 = ch.a + np.sqrt(pos(1.0 - al) * ch.p1) / math.sqrt(ch.p2)
+    h1 = _real_a(ch) + np.sqrt(pos(1.0 - al) * ch.p1) / math.sqrt(ch.p2)
     return a_pow * h1 / (a_pow + 1.0)

@@ -185,7 +185,7 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
     top = r1.max() if r1.size > nbins else 0.0
     if top > 0.0:
         idx, best = _bin_max(r1 / top, r2, nbins)
-        later = np.maximum.accumulate(np.r_[best, -np.inf][::-1])[::-1]
+        later = np.maximum.accumulate(np.append(best, -np.inf)[::-1])[::-1]
         cand = np.flatnonzero(r2 > later[idx + 1])
     else:
         cand = np.arange(r1.size)
@@ -292,7 +292,7 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         top = np.full(verts.size, -np.inf)
         np.maximum.at(top, seg, h)
         hit = np.flatnonzero(h == top[seg])
-        first = hit[np.r_[True, seg[hit[1:]] != seg[hit[:-1]]]]
+        first = hit[np.concatenate(([True], seg[hit[1:]] != seg[hit[:-1]]))]
         verts = np.sort(np.concatenate([verts, cand[first]]))
         rest = np.ones(cand.size, dtype=bool)
         rest[first] = False
@@ -330,7 +330,7 @@ def _front_candidates(points, nbins: int = 4096):
             with np.errstate(over="ignore"):  # clamped into the last bin
                 idx, block_best = _bin_max(r1 / top, r2, nbins)
             np.maximum(best, block_best, out=best)
-            later = np.maximum.accumulate(np.r_[best, -np.inf][::-1])[::-1]
+            later = np.maximum.accumulate(np.append(best, -np.inf)[::-1])[::-1]
             cand = r2 > later[idx + 1]
             r1, r2, src = r1[cand], r2[cand], src[cand]
         held.append((r1, r2, src))
@@ -462,7 +462,8 @@ def _inner_polygon(inner: RateRegion):
     """Inner boundary vertices, from (0, r2(0)) down to (r1_max, 0)."""
     if inner.kind is not Kind.INNER:
         raise MixedKinds("gaps are measured against an inner region")
-    return np.r_[0.0, inner.r1, inner.r1_max], np.r_[inner.r2[0], inner.r2, 0.0]
+    return (np.concatenate(([0.0], inner.r1, [inner.r1_max])),
+            np.concatenate((inner.r2[:1], inner.r2, [0.0])))
 
 
 def additive_gap(outer: RateRegion, inner: RateRegion) -> tuple[float, float]:

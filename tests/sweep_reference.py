@@ -7,6 +7,9 @@ whole scheme-E cloud and its params arrays at once, as the library did
 before it streamed the cloud one lambda fan at a time. The equivalence
 tests in test_sweeps.py require the library to reproduce them bit for bit.
 
+Like the library, they compute in float64 when the cross gain a is real
+(a.imag == 0) and in complex128 otherwise.
+
 `_decimate` and `_bin_incumbents` are frozen one-shot copies of the bc-pr
 reducers, so the references do not follow later changes to the library's
 streamed reducer. `_decimate` keeps, of the points at the largest r1,
@@ -155,20 +158,24 @@ def bc_pr_outer(ch, coarse=21, slice_points=ALPHA_GRID_DEFAULT,
                               region_id="bc-pr")
 
 
+def _real_a(ch):
+    return ch.a.real if ch.a.imag == 0.0 else ch.a
+
+
 def _f_grid(ch, n):
     av, bv, gv = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n),
                              np.linspace(0.0, 1.0, n), indexing="ij")
     av, bv, gv = av.ravel(), bv.ravel(), gv.ravel()
     a_pow = av * ch.p1
     amp = np.sqrt(pos(1.0 - av) * pos(1.0 - gv) * ch.p1) \
-        + ch.a * np.sqrt(pos(1.0 - bv) * ch.p2)
+        + _real_a(ch) * np.sqrt(pos(1.0 - bv) * ch.p2)
     return av, bv, gv, a_pow * amp / (a_pow + 1.0)
 
 
 def scheme_f(ch, n_lambda=41, face_lambda=201, grid=R1_GRID_DEFAULT):
     """inner.scheme_f on its default split grid, one lambda scale a call."""
     av, bv, gv, w_c = _f_grid(ch, 11)
-    scales = np.linspace(0.0, 2.0, n_lambda).astype(complex)
+    scales = np.linspace(0.0, 2.0, n_lambda)
     if abs(ch.a.imag) > 1e-12:
         phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 5))
         scales = np.outer(scales, phases).ravel()
@@ -237,9 +244,9 @@ def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201,
     if lambda_policy == "costa1":
         w = w_c1[None, :]
     elif lambda_policy == "zero":
-        w = np.zeros((1, al.size), dtype=complex)
+        w = np.zeros((1, al.size), dtype=w_c1.dtype)
     else:
-        scales = np.linspace(0.0, 2.0, n_lambda).astype(complex)
+        scales = np.linspace(0.0, 2.0, n_lambda)
         if abs(ch.a.imag) > 1e-12:
             phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
             scales = np.outer(scales, phases).ravel()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import platform
 import resource
@@ -10,8 +11,8 @@ from gcifc import gaussmi, inner, outer, region
 from gcifc.channel import ChannelParams
 from gcifc.errors import DegenerateDenominator
 from gcifc.util import cap
-from conftest import (channel_draw, scheme_c_system, scheme_d_system,
-                      scheme_e_system, scheme_f_system)
+from conftest import (EDGE_CHANNELS, channel_draw, scheme_c_system,
+                      scheme_d_system, scheme_e_system, scheme_f_system)
 
 FIG4_CH = ChannelParams(math.sqrt(0.3), math.sqrt(2.0), 6.0, 6.0)
 
@@ -406,26 +407,13 @@ class TestTdmaAndAggregates:
         assert gap <= 1e-4
 
 
-_LARGEST_CLOUDS = pytest.mark.parametrize("build,bound_mb", [
-    (lambda ch: inner.scheme_e(ch, lambda_policy="sweep"), 128),
-    (lambda ch: inner.scheme_f(ch), 64),
-], ids=["e", "f"])
+_CLOUD_BUILDS = [
+    pytest.param(lambda ch: inner.scheme_e(ch, lambda_policy="sweep"), 128,
+                 id="e"),
+    pytest.param(lambda ch: inner.scheme_f(ch), 64, id="f"),
+]
+_LARGEST_CLOUDS = pytest.mark.parametrize("build,bound_mb", _CLOUD_BUILDS)
 _COMPLEX_CH = ChannelParams(-0.6 + 0.2j, 1.7, 10.0, 10.0)
-
-
-@_LARGEST_CLOUDS
-def test_largest_clouds_are_streamed(build, bound_mb):
-    """Schemes E and F hand their clouds over one lambda fan at a time, so
-    the peak allocation stays far below a whole cloud (about 1 M rows on a
-    complex channel at default grids)."""
-    ch = _COMPLEX_CH
-    tracemalloc.start()
-    try:
-        build(ch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound_mb * 2 ** 20
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -440,3 +428,142 @@ def test_repeated_build_faults_no_pages(build, bound_mb):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     build(_COMPLEX_CH)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
+
+
+# after the page-fault test: a best_inner run under tracemalloc can leave
+# the heap so that the next repeated scheme-E build faults pages back in
+@pytest.mark.parametrize("build,bound_mb", _CLOUD_BUILDS + [
+    pytest.param(lambda ch: inner.best_inner(ch, fast=True), 32,
+                 id="best-fast")])
+def test_largest_clouds_are_streamed(build, bound_mb):
+    """Schemes E and F hand their clouds over one lambda fan at a time, and
+    best_inner streams every scheme's cloud into one envelope, so the peak
+    allocation stays far below a whole cloud (about 1 M rows on a complex
+    channel at default grids)."""
+    ch = _COMPLEX_CH
+    tracemalloc.start()
+    try:
+        build(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20
+
+
+def _members(ch, fast):
+    """The public scheme builders on the grids `best_inner` sweeps."""
+    if fast:
+        al = inner.default_alpha_grid(ch, matched=257, uniform=245)
+        e_f = [inner.scheme_e(ch, al, n_lambda=101),
+               inner.scheme_f(ch, face_lambda=101)]
+    else:
+        al = None
+        e_f = [inner.scheme_e(ch), inner.scheme_f(ch)]
+    return [inner.scheme_a(ch, al), inner.scheme_b(ch, al),
+            inner.scheme_c(ch, al), inner.scheme_d(ch), *e_f,
+            inner.tdma_inner(ch)]
+
+
+_rng_env = np.random.default_rng(20261019)
+_ENVELOPE_CHANNELS = (
+    [pytest.param(channel_draw(_rng_env), id=f"draw{k}") for k in range(20)]
+    + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS])
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "default"])
+@pytest.mark.parametrize("ch", _ENVELOPE_CHANNELS)
+def test_best_inner_is_the_envelope_of_its_members(ch, fast):
+    """best_inner is one hull over every member's cloud: it contains each
+    member and their union, and lies no higher than that union one union
+    grid cell to the left.
+
+    The tie rule of from_pareto_points coalesces front points within
+    t = 1e-9 * max(r1_max, 1) of the previous one, and over the merged
+    cloud such ties chain, so members are checked shifted left by 2t: on
+    the p = 1e8 channel the envelope ends 1.6t short of scheme D's corner.
+    """
+    members = _members(ch, fast)
+    best = inner.best_inner(ch, fast=fast)
+    un = region.union(members)
+    shift = 2e-9 * max(best.r1_max, 1.0)
+    for m in members + [un]:
+        assert m.r1_max - best.r1_max <= shift
+        # on its own grid nodes best_inner is the exact hull of the clouds
+        got = m.boundary_at(best.r1 + shift, outside=-np.inf)
+        assert np.all(got <= best.r2 + 1e-12), m.region_id
+    # union resamples every member onto its grid once more, so each
+    # member vertex is dominated by a union node at most one cell left
+    h = un.r1[1] - un.r1[0] if un.r1.size > 1 else 0.0
+    assert np.all(best.r2 <= un.boundary_at(np.maximum(best.r1 - h, 0.0))
+                  + 1e-12)
+    if ch.p1 <= 100.0 and ch.p2 <= 100.0:
+        # at p = 1e8 the union's last cell drops a corner: 0.49 bits there
+        xs = un.r1[un.r1 <= best.r1_max]
+        assert np.all(best.boundary_at(xs) <= un.r2[:xs.size] + 1e-4)
+
+
+_rng_real = np.random.default_rng(20261020)
+_REAL_CHANNELS = ([channel_draw(_rng_real) for _ in range(6)]
+                  + [ch for _, ch in EDGE_CHANNELS if ch.a.imag == 0.0])
+
+
+@pytest.mark.parametrize("ch", _REAL_CHANNELS)
+def test_real_channels_take_the_float64_kernels(ch):
+    """With real a the rate kernels run in float64, and agree within
+    1e-12 bits with the same call given complex-typed inputs."""
+    al = np.linspace(0.0, 1.0, 33)
+    lam = inner.lambda_costa_vec(ch, al) * np.linspace(0.0, 2.0, 5)[:, None]
+    grid = np.linspace(0.0, 1.0, 5)
+    av, bv, gv = (v.ravel() for v in np.meshgrid(grid, grid, grid,
+                                                 indexing="ij"))
+    w = np.multiply.outer(np.linspace(0.0, 2.0, 3), av * bv * gv)
+    calls = [
+        (lambda x: inner.scheme_e_rates(ch, al, x), lam),
+        (lambda x: inner.scheme_f_rates(ch, av, bv, gv, x), w),
+        (lambda x: inner.scheme_c_rates(ch, al, 1.0, 1.0, c1=x), ch.a.real),
+    ]
+    for call, arg in calls:
+        real, cplx = call(arg), call(np.asarray(arg) + 0j)
+        for r, c in zip(real, cplx):
+            assert r.dtype == np.float64
+            assert np.array_equal(np.isfinite(r), np.isfinite(c))
+            fin = np.isfinite(r)
+            assert np.all(np.abs(r[fin] - c[fin]) <= 1e-12)
+    for r in inner.scheme_c_rates(ch, al, 1.0, 0.0):
+        assert r.dtype == np.float64
+    # the amplitudes behind them are real too, not complex with zero imag
+    assert inner.lambda_costa_vec(ch, al).dtype == np.float64
+    assert inner._scheme_e_amplitudes(ch, al)[0].dtype == np.float64
+
+
+_PINNED_CH = ChannelParams(0.5 + 1e-13j, 1.3, 6.0, 4.0)
+# sha256 prefixes of (r1, r2, params) at default grids, as computed in
+# complex128 before real channels took the float64 kernels
+_PINNED_DIGESTS = {
+    "a": "e6983aa2131a737b", "b": "5eacae3433a71a84",
+    "c": "6faeb094f1d920f2", "c46": "a246b3a682a19f4d",
+    "d": "8fabd512f565e12c", "e:sweep": "6344de59358e4c6b",
+    "e:costa1": "4523227c4010bfac", "e:zero": "3468d215bbc9d632",
+    "f": "76f53aeade105b3d", "tdma": "d0b44682c4e93457",
+}
+
+
+def test_complex_channel_keeps_its_bytes():
+    """A complex a keeps every public builder in complex128, byte for byte,
+    even with an imaginary part too small to turn on the phase fans."""
+    builds = {
+        "a": inner.scheme_a, "b": inner.scheme_b, "c": inner.scheme_c,
+        "c46": inner.scheme_c46, "d": inner.scheme_d,
+        "e:sweep": inner.scheme_e,
+        "e:costa1": lambda ch: inner.scheme_e(ch, lambda_policy="costa1"),
+        "e:zero": lambda ch: inner.scheme_e(ch, lambda_policy="zero"),
+        "f": inner.scheme_f, "tdma": inner.tdma_inner,
+    }
+    got = {}
+    for name, build in builds.items():
+        reg = build(_PINNED_CH)
+        h = hashlib.sha256(reg.r1.tobytes() + reg.r2.tobytes())
+        for k, v in sorted(reg.meta.get("params", {}).items()):
+            h.update(k.encode() + v.tobytes())
+        got[name] = h.hexdigest()[:16]
+    assert got == _PINNED_DIGESTS
