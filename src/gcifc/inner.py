@@ -14,7 +14,9 @@ kernels run in float64; complex128 is kept for complex a.
 
 Each scheme of `best_inner` is a private point cloud (an array, or an
 iterator of (start, rows) blocks for the large E and F sweeps) behind a
-public builder. `best_inner` chains every cloud into one envelope.
+public builder. `best_inner` chains the clouds into one envelope: TDMA,
+A, B, C, D, F, and then E only where its phase fan applies, since
+scheme F's beta = gamma = 0 face is scheme E's real-scale sweep.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def _scheme_d_cloud(ch: ChannelParams):
     base = np.unique(np.concatenate([np.sqrt(1.0 - am),
                                      np.linspace(0.0, 1.0, 489)]))
     rho = np.concatenate([base, -base])
-    if abs(ch.a.imag) > 1e-12:
+    if _phase_fan(ch):
         phases = np.exp(1j * np.linspace(0.0, np.pi, 17))
         rho = np.outer(base, phases).ravel()
         rho = np.concatenate([rho, -rho])
@@ -246,13 +248,15 @@ def scheme_e_rates(ch: ChannelParams, alpha, lam):
     return f1, pos(ssum - f2), ssum
 
 
+def _phase_fan(ch: ChannelParams) -> bool:
+    """Whether the pre-coding sweeps add phases: a visibly complex a."""
+    return abs(ch.a.imag) > 1e-12
+
+
 def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
                     n_lambda: int):
     """The cloud as (start, rows) blocks, and its params function."""
-    a_pow = al * ch.p1
-    u1, u2 = _scheme_e_amplitudes(ch, al)
-    w_c1 = a_pow * u1 / (a_pow + 1.0)
-
+    w_c1 = _scheme_e_costa1(ch, al)
     scales = fixed = None
     if lambda_policy == "costa1":
         fixed = w_c1
@@ -260,27 +264,15 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
         fixed = np.zeros(al.size, dtype=w_c1.dtype)
     elif lambda_policy == "sweep":
         scales = np.linspace(0.0, 2.0, n_lambda)
-        if abs(ch.a.imag) > 1e-12:
+        if _phase_fan(ch):
             phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
             scales = np.outer(scales, phases).ravel()
     else:
         raise ValueError(f"unknown lambda policy {lambda_policy!r}")
-    # rows run over (vertex, scale, split): v2 rows follow every v1 row
+    # one fan of n_lambda scales at a time: the cloud is never held
+    fans = [fixed[None, :]] if scales is None else (
+        np.multiply.outer(fan, w_c1) for fan in scales.reshape(-1, n_lambda))
     pairs = al.size * (1 if scales is None else scales.size)
-    ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)[None, :]
-
-    def blocks():
-        # one fan of n_lambda scales at a time: the cloud is never held
-        fans = [fixed[None, :]] if scales is None else (
-            np.multiply.outer(fan, w_c1) for fan in scales.reshape(-1, n_lambda))
-        start = 0
-        for w in fans:
-            f1 = _f_mi(1.0, u1[None, :], 1.0, w, a_pow[None, :])
-            f2 = _f_mi(ch.b, u2[None, :], 1.0, w, a_pow[None, :], clamp=False)
-            v1, v2 = np.split(_rect_sum_vertices(f1, pos(ssum - f2), ssum), 2)
-            yield start, v1
-            yield pairs + start, v2
-            start += f1.size
 
     def params(src):
         scale, split = np.divmod(src % pairs, al.size)
@@ -289,7 +281,30 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
                           0.0)
         return {"alpha": al[split], "lambda_re": lam_re}
 
-    return blocks(), params
+    return _scheme_e_blocks(ch, al, fans, pairs), params
+
+
+def _scheme_e_costa1(ch: ChannelParams, al):
+    """The costa1 pre-coding amplitude a_pow * u1 / (a_pow + 1) per split."""
+    a_pow = al * ch.p1
+    return a_pow * _scheme_e_amplitudes(ch, al)[0] / (a_pow + 1.0)
+
+
+def _scheme_e_blocks(ch: ChannelParams, al, fans, pairs: int):
+    """Scheme E's (start, rows) blocks over (k, al.size) arrays of
+    pre-coding amplitudes, `pairs` (scale, split) pairs in all. Rows run
+    over (vertex, scale, split): v2 rows follow every v1 row."""
+    a_pow = al * ch.p1
+    u1, u2 = _scheme_e_amplitudes(ch, al)
+    ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)[None, :]
+    start = 0
+    for w in fans:
+        f1 = _f_mi(1.0, u1[None, :], 1.0, w, a_pow[None, :])
+        f2 = _f_mi(ch.b, u2[None, :], 1.0, w, a_pow[None, :], clamp=False)
+        v1, v2 = np.split(_rect_sum_vertices(f1, pos(ssum - f2), ssum), 2)
+        yield start, v1
+        yield pairs + start, v2
+        start += f1.size
 
 
 def scheme_e(ch: ChannelParams, alpha_grid=None,
@@ -503,7 +518,7 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
     w_c = a_pow * amp / (a_pow + 1.0)
 
     scales = np.linspace(0.0, 2.0, n_lambda)
-    if abs(ch.a.imag) > 1e-12:
+    if _phase_fan(ch):
         phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 5))
         scales = np.outer(scales, phases).ravel()
 
@@ -518,15 +533,16 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
             yield start, rows
             start += rows.shape[0]
         # dense collapse faces: beta = gamma = 0 is exactly the pre-coded
-        # common scheme, beta = gamma = 1 (no pre-coding) the all-common one
+        # common scheme E, built by E's own code on its default split grid
+        # with real scales of E's costa1 amplitude (so, with no phase fan, E's
+        # sweep rows are among these); beta = gamma = 1 with no pre-coding is
+        # the all-common scheme D
         face = default_alpha_grid(ch)
-        lam_c = lambda_costa_vec(ch, face)
-        w_grid = np.multiply.outer(
-            np.linspace(0.0, 2.0, max(n_lambda, face_lambda)), lam_c)
-        f1, r2b, ssum = scheme_e_rates(ch, face[None, :], w_grid)
-        rows = _rect_sum_vertices(f1, r2b, ssum)
-        yield start, rows
-        start += rows.shape[0]
+        w = np.multiply.outer(np.linspace(0.0, 2.0, max(n_lambda, face_lambda)),
+                              _scheme_e_costa1(ch, face))
+        for s, rows in _scheme_e_blocks(ch, face, [w], w.size):
+            yield start + s, rows
+        start += 2 * w.size
         r1d, sd = scheme_d_rates(ch, np.sqrt(pos(1.0 - face)))
         v1 = np.minimum(r1d, sd)
         yield start, np.stack([v1, pos(sd - v1)], axis=1)
@@ -586,10 +602,12 @@ def best_inner(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
     One envelope: every scheme's cloud streams into a single cull, Pareto
     filter, hull and resample. TDMA leads, so its corner (cap(p1), 0), the
     largest r1 of any scheme, sets the cull's bin scale, and its two
-    points seed both axis corners; the big F and E sweeps come last and
-    are culled against a populated front. With a real cross gain every
-    rate kernel runs in float64. `fast` takes coarser split and lambda
-    grids.
+    points seed both axis corners; then come A, B, C and D, and the big F
+    sweep last but for E, so that it is culled against a populated front.
+    Scheme F's beta = gamma = 0 face is scheme E's own sweep on a split
+    grid holding E's, so E's rows join only where its phase fan adds rows
+    the face lacks. With a real cross gain every rate kernel runs in
+    float64. `fast` takes coarser split and lambda grids.
     """
     if fast:
         al = al_b = default_alpha_grid(ch, matched=257, uniform=245)
@@ -604,8 +622,9 @@ def best_inner(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
               _scheme_b_cloud(ch, al_b),
               _scheme_c_cloud(ch, al),
               _scheme_d_cloud(ch)[0],
-              _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, n_lambda),
-              _scheme_e_cloud(ch, al, "sweep", n_lambda)[0]]
+              _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, n_lambda)]
+    if _phase_fan(ch):
+        clouds.append(_scheme_e_cloud(ch, al, "sweep", n_lambda)[0])
     return from_pareto_points(_chain(clouds), Kind.INNER, grid=grid,
                               region_id="best")
 

@@ -4,7 +4,7 @@ The alpha-parameterized closed-form bounds all share the cognitive-rate
 constraint r1 <= cap(alpha * p1), so their boundaries are evaluated
 exactly on the r1 grid by inverting alpha(r1), with no envelope
 resampling error. The cooperative broadcast bound is a parameter sweep
-sampled from below and snapped down by `region._decimate`. Its stored
+sampled from below and snapped down by `region._bin_reduce`. Its stored
 region is neither a subset nor a superset of the true cooperative bound:
 the sample can fall short of the true boundary, and step-up interpolation
 carries each sample flat to the next one, which can exceed it across a
@@ -26,7 +26,7 @@ import numpy as np
 from .channel import CapacityResult, ChannelParams, classify, s_channel_thresholds
 from .errors import InvalidTransform, RegimeMismatch, SingularPreset
 from .region import (ALPHA_GRID_DEFAULT, R1_GRID_DEFAULT, Kind, RateRegion,
-                     _bin_reduce, _decimate, from_boundary,
+                     _bin_reduce, from_boundary,
                      from_pareto_points, intersect)
 from .util import alpha_of_r1, cap, pos, r1_grid
 
@@ -168,24 +168,31 @@ def _dpc_points(ch: ChannelParams, b1, b2):
     """Rate pairs of both precoding orders for covariance splits b1 + b2.
 
     b1, b2: triples of arrays (c11, c12, c22), the cognitive and primary
-    shares, broadcast against each other. Returns the (n, 2) stack of
-    both orders, order-major.
+    shares, broadcast against each other. Returns `_order_rows` of their
+    received powers.
     """
-    return _order_points(_recv_powers(ch, *b1), _recv_powers(ch, *b2))
+    return _order_rows(_recv_powers(ch, *b1), _recv_powers(ch, *b2))
 
 
-def _order_points(s1, s2):
-    """`_dpc_points` from the shares' received powers (at rx1, at rx2)."""
+def _order_rows(s1, s2):
+    """Both precoding orders, order-major, as two (r1, r2) pairs in the
+    chunk layout of `region._bin_reduce`, from the shares' received powers
+    (at rx1, at rx2).
+
+    Order 1 puts r1 = cap(s1r1), which depends on share 1 alone. Where
+    share 1 has a unit last axis, so that share 2 alone spans it, each
+    order-1 r1 is shared by the points along that axis, and its r2 comes
+    as one row of them per r1.
+    """
     (s1r1, s1r2), (s2r1, s2r2) = s1, s2
-    pts = np.empty((2,) + np.broadcast_shapes(s1r1.shape, s2r1.shape) + (2,))
-    o1, o2 = pts
+    shape = np.broadcast_shapes(s1r1.shape, s2r1.shape)
+    k = shape[-1] if s1r1.shape[-1] == 1 else 1
     # order 1: cognitive precoded first (clean at rx1), primary sees b1 at rx2
-    o1[..., 0] = cap(s1r1)
-    o1[..., 1] = cap(s2r2 / (1.0 + s1r2))
+    o1 = cap(s1r1).ravel(), cap(s2r2 / (1.0 + s1r2)).reshape(-1, k)
     # order 2: primary precoded first (clean at rx2), cognitive sees b2 at rx1
-    o2[..., 0] = cap(s1r1 / (1.0 + s2r1))
-    o2[..., 1] = cap(s2r2)
-    return pts.reshape(-1, 2)
+    o2 = (cap(s1r1 / (1.0 + s2r1)).ravel(),
+          np.broadcast_to(cap(s2r2), shape).ravel())
+    return [o1, o2]
 
 
 def _coarse_points(ch: ChannelParams, coarse: int):
@@ -193,9 +200,14 @@ def _coarse_points(ch: ChannelParams, coarse: int):
 
     Returns (t, q, top, chunks): the share fractions t, the (phase, rho)
     grid q of correlations, the largest r1 of the sweep, and a generator
-    of its points one phase pair at a time. Points run over (rot1, rot2,
-    order, a1, a2, q1, q2) in that order. Each share's powers span its own
-    phase and three split axes, so no temporary outgrows one pair's sweep.
+    of its points as `region._bin_reduce` chunks, two per phase pair.
+    Points run over (rot1, rot2, order, a1, a2, q1, q2) in that order.
+    Order 1's r1 depends on (rot1, a1, a2, q1) only, so its chunk holds a
+    row of n points over q2 per r1 (`_order_rows`): the reducer bins only
+    each row's largest r2, at the last q2 attaining it, which with q2
+    running fastest gives the same bins, end point and incumbents as
+    binning every point. Each share's powers span its own phase and three
+    split axes, so no temporary outgrows one pair's sweep.
     """
     complex_a = abs(ch.a.imag) > 1e-12
     phases = (0.0, math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4) \
@@ -215,8 +227,16 @@ def _coarse_points(ch: ChannelParams, coarse: int):
                       (1 - a2) * ch.p2)
     # order 1 puts r1 = cap(s1r1), and order 2 divides s1r1 by 1 + s2r1
     top = cap(s1[0]).max()
-    return t, q, top, (_order_points(p1, p2)
-                       for p1 in zip(*s1) for p2 in zip(*s2))
+
+    def chunks():
+        start = 0
+        for p1 in zip(*s1):
+            for p2 in zip(*s2):
+                for r1, r2 in _order_rows(p1, p2):
+                    yield start, r1, r2
+                    start += r2.size
+
+    return t, q, top, chunks()
 
 
 def _structured_slices(ch: ChannelParams, n: int):
@@ -280,20 +300,33 @@ def bc_pr_outer(ch: ChannelParams, coarse: int = 21,
     Sampled from below over covariance splits and both precoding orders.
     Every sample is achievable with full cooperation, but the step-up
     region between samples is neither a subset nor a superset of the true
-    cooperative bound (see the module docstring). Dense structured slices reproduce the known closed-form sub-families
-    exactly; `floor_points` may supply achievable rate pairs (always
-    members of the true bound) to floor the sample.
+    cooperative bound (see the module docstring). Dense structured slices
+    reproduce the known closed-form sub-families exactly; `floor_points`
+    may supply achievable rate pairs (always members of the true bound) to
+    floor the sample.
+
+    The coarse sweep and its refine pass hand precoding order 1 to the
+    reducer as rows over the primary share's correlation, which share one
+    r1, so only each row's largest r2 is binned. Both reductions keep only
+    each bin's largest r2, the largest r2 at the top, and each incumbent
+    bin's last point attaining its maximum, and a row comes back as all
+    its points wherever a cloud is returned whole, so the region is
+    exactly the one of binning every point.
     """
     t, q, top, chunks = _coarse_points(ch, coarse)
     coarse_pts, keep = _bin_reduce(chunks, top, 4 * grid, 64)
-    pts = [coarse_pts]
+    parts = [(coarse_pts[:, 0], coarse_pts[:, 1])]
     for b1, b2 in _structured_slices(ch, slice_points):
-        pts.append(_dpc_points(ch, b1, b2))
-    pts.append(_refine_pass(ch, t, q, keep))
-
+        parts.extend(_dpc_points(ch, b1, b2))
+    parts.extend(_refine_pass(ch, t, q, keep))
     if floor_points is not None and len(floor_points):
-        pts.append(np.asarray(floor_points, float).reshape(-1, 2))
-    all_pts = _decimate(np.concatenate(pts, axis=0), 4 * grid)
+        pts = np.asarray(floor_points, float).reshape(-1, 2)
+        parts.append((pts[:, 0], pts[:, 1]))
+
+    starts = np.cumsum([0] + [r2.size for _, r2 in parts])
+    top = np.max([r1.max(initial=-np.inf) for r1, _ in parts])
+    all_pts = _bin_reduce([(s, r1, r2) for s, (r1, r2) in zip(starts, parts)],
+                          top, 4 * grid)[0]
     return from_pareto_points(all_pts, Kind.OUTER, grid=grid,
                               region_id="bc-pr")
 
@@ -309,24 +342,26 @@ def _refine_pass(ch: ChannelParams, t, q, keep: np.ndarray):
     """Re-grid locally around incumbent Pareto points of the coarse sweep.
 
     `keep` holds the incumbents' flat indices into the coarse sweep of
-    `_coarse_points`; their split parameters follow from its axes.
+    `_coarse_points`; their split parameters follow from its axes. The 5^4
+    offsets broadcast as (k, a1, a2, q1, q2) with q2 fastest: share 1 spans
+    (k, 5, 5, 5, 1) and share 2 (k, 5, 5, 1, 5), so `_recv_powers` runs on
+    k * 125 points per share, and order 1 comes as rows over the q2
+    offsets (`_order_rows`).
     """
     if not keep.size:
-        return np.zeros((0, 2))
+        return []
     nr, n = q.shape
     rot1, rot2, _, i1, i2, j1, j2 = np.unravel_index(
         keep, (nr, nr, 2, n, n, n, n))
     a1, a2, q1, q2 = t[i1], t[i2], q[rot1, j1], q[rot2, j2]
     step = 1.0 / (n - 1)
     offs = np.linspace(-step, step, 5)
-    oa, ob, oc, od = np.meshgrid(offs, offs, offs, offs, indexing="ij")
-    oa, ob, oc, od = (v.ravel()[None, :] for v in (oa, ob, oc, od))
-    na = np.clip(a1[:, None] + oa, 0.0, 1.0).ravel()
-    nb = np.clip(a2[:, None] + ob, 0.0, 1.0).ravel()
-    nc = (np.clip(np.abs(q1)[:, None] + oc, 0.0, 1.0)
-          * _phase(q1)[:, None]).ravel()
-    nd = (np.clip(np.abs(q2)[:, None] + od, 0.0, 1.0)
-          * _phase(q2)[:, None]).ravel()
+    k = (-1, 1, 1, 1, 1)
+    na = np.clip(a1.reshape(k) + offs.reshape(5, 1, 1, 1), 0.0, 1.0)
+    nb = np.clip(a2.reshape(k) + offs.reshape(5, 1, 1), 0.0, 1.0)
+    nc = (np.clip(np.abs(q1).reshape(k) + offs.reshape(5, 1), 0.0, 1.0)
+          * _phase(q1).reshape(k))
+    nd = np.clip(np.abs(q2).reshape(k) + offs, 0.0, 1.0) * _phase(q2).reshape(k)
     c12 = nc * np.sqrt(na * ch.p1 * nb * ch.p2)
     d12 = nd * np.sqrt((1 - na) * ch.p1 * (1 - nb) * ch.p2)
     b1 = (na * ch.p1, c12, nb * ch.p2)
@@ -443,6 +478,10 @@ def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
                extra_floor=None) -> RateRegion:
     """Intersection of every outer bound valid for this channel.
 
+    Bounds that provably never bind are left out: for b > 1,
+    `unified_outer` is `strong_outer` (r1 = cap(alpha p1) <= cap(b^2 alpha
+    p1) zeroes its positive part), and `piecewise_linear_outer`,
+    cap(peq) - r1, lies above it, cap(peq) being the largest `_sum_si`.
     Transformation presets join the intersection only at depth 0 and only
     when their target lands in a known-capacity regime. The sampled
     cooperative bound is floored with cheap achievable points (plus any
@@ -452,9 +491,6 @@ def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
     """
     rep = classify(ch)
     bounds = [unified_outer(ch, grid)]
-    if ch.b > 1.0:
-        bounds.append(strong_outer(ch, grid))
-        bounds.append(piecewise_linear_outer(ch, grid))
     if rep.degraded and ch.b >= 1.0:
         bounds.append(bc_dms_degraded_outer(ch, grid))
     if rep.s_channel and ch.b >= 1.0:

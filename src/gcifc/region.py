@@ -161,16 +161,25 @@ def _uniform_grid(r1max: float, grid: int) -> np.ndarray:
     return gx
 
 
-def _bin_max(u: np.ndarray, y: np.ndarray, nbins: int):
+def _bin_index(u: np.ndarray, nbins: int) -> np.ndarray:
     """Each point's bin, int(min(u * nbins, nbins - 1)) for u = x / top with
-    top > 0, and each bin's largest y (-inf when empty): the one binning
-    rule of the envelope reducers. Clamping before the cast keeps the bin
-    in range where x / top overflows (x above a subnormal top), and equals
-    clamping after it for x <= top."""
-    idx = np.minimum(u * nbins, nbins - 1).astype(np.int64)
+    top > 0: the one binning rule of the envelope reducers. Clamping before
+    the cast keeps the bin in range where x / top overflows (x above a
+    subnormal top), and equals clamping after it for x <= top."""
+    return np.minimum(u * nbins, nbins - 1).astype(np.int64)
+
+
+def _bin_max(u: np.ndarray, y: np.ndarray, nbins: int):
+    """Each point's `_bin_index` and each bin's largest y (-inf when empty)."""
+    idx = _bin_index(u, nbins)
     best = np.full(nbins, -np.inf)
     np.maximum.at(best, idx, y)
     return idx, best
+
+
+def _later_max(best: np.ndarray) -> np.ndarray:
+    """later[j] = the largest of best[j + 1:], -inf for the last bin."""
+    return np.maximum.accumulate(np.append(best[1:], -np.inf)[::-1])[::-1]
 
 
 def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
@@ -185,8 +194,7 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
     top = r1.max() if r1.size > nbins else 0.0
     if top > 0.0:
         idx, best = _bin_max(r1 / top, r2, nbins)
-        later = np.maximum.accumulate(np.append(best, -np.inf)[::-1])[::-1]
-        cand = np.flatnonzero(r2 > later[idx + 1])
+        cand = np.flatnonzero(r2 > _later_max(best)[idx])
     else:
         cand = np.arange(r1.size)
     r1c, r2c = r1[cand], r2[cand]
@@ -205,9 +213,15 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
 def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
     """Stream point chunks, in order, through two r1 binnings at once.
 
-    `top` is the largest r1 over all chunks. Returns (decimated,
-    incumbents), exactly what the one-shot reductions give on the
-    concatenated cloud, without ever holding it:
+    A chunk is (start, r1, r2): r1 of shape (m,) and r2 of shape (m,) or
+    (m, k). Row i of a 2-D r2 holds k points that share r1[i]; a chunk's
+    points run row by row, at source indices start, start + 1, ... (starts
+    ascend over the stream when nb > 0). Of a row only its largest r2, at
+    the last point attaining it, can be a bin's maximum, its end point or
+    its incumbent, so each row is binned once. `top` is the largest r1
+    over all chunks. Returns (decimated, incumbents), exactly what the
+    one-shot reductions give on the concatenated cloud of every point,
+    without ever holding it:
 
     - decimated: one point per nonempty r1 bin of `nbins` (its largest r2),
       r1 snapped down to the bin edge, plus the end point: of the points
@@ -222,47 +236,51 @@ def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
       4.99). A cloud of at most `nbins` points comes back whole, and one
       with top <= 0 as its first point.
     - incumbents: per r1 bin of `nb`, ascending and skipping empty ones,
-      the last flat index attaining the bin's largest r2; none when
+      the largest source index attaining the bin's largest r2; none when
       top <= 0 or nb = 0.
     """
     best = np.full(nbins, -np.inf)
     inc_best = np.full(nb, -np.inf)
     inc_last = np.full(nb, -1, dtype=np.int64)
-    held, end, count = [], None, 0
-    for pts in chunks:
-        if count <= nbins:
-            held.append(pts)
-        if not top <= 0.0:  # a NaN top must reach the binning and raise
-            x, y = pts[:, 0], pts[:, 1]
-            u = x / top
-            np.maximum(best, _bin_max(u, y, nbins)[1], out=best)
-            if nb:
-                idx, chunk_best = _bin_max(u, y, nb)
-                np.maximum(inc_best, chunk_best, out=inc_best)
-                # a later index beats every earlier hit of a lower maximum
-                hit = np.flatnonzero(y == inc_best[idx])
-                np.maximum.at(inc_last, idx[hit], hit + count)
-            at_top = np.flatnonzero(x >= top)
-            if at_top.size:
-                j = at_top[np.argmax(y[at_top])]
-                if end is None or y[j] > end[0, 1]:
-                    end = pts[j:j + 1]
-        count += pts.shape[0]
+    held, first, end, count = [], None, None, 0
+    for start, x, r2 in chunks:
+        grouped = r2.ndim == 2
+        k = r2.shape[1] if grouped else 1
+        if held is not None and count + r2.size <= nbins:
+            held.append(np.stack([np.repeat(x, k), r2.ravel()], axis=1))
+        else:  # the cloud outgrows nbins: it is never returned whole
+            held = None
+        if first is None and r2.size:
+            first = np.array([[x[0], r2.flat[0]]])
+        count += r2.size
+        if top <= 0.0:  # a NaN top must reach the binning and raise
+            continue
+        y = r2.max(axis=1) if grouped else r2
+        u = x / top
+        np.maximum(best, _bin_max(u, y, nbins)[1], out=best)
+        if nb:
+            idx, chunk_best = _bin_max(u, y, nb)
+            np.maximum(inc_best, chunk_best, out=inc_best)
+            # a later index beats every earlier hit of a lower maximum
+            hit = np.flatnonzero(y == inc_best[idx])
+            last = start + hit * k
+            if grouped:
+                last += k - 1 - np.argmax(r2[hit, ::-1], axis=1)
+            np.maximum.at(inc_last, idx[hit], last)
+        at_top = np.flatnonzero(x >= top)
+        if at_top.size:
+            j = at_top[np.argmax(y[at_top])]
+            if end is None or y[j] > end[0, 1]:
+                end = np.array([[x[j], y[j]]])
     incumbents = inc_last[inc_last >= 0]
-    if count <= nbins:
+    if held is not None:
         return np.concatenate(held), incumbents
     if top <= 0.0:
-        # a copy: every output owns its data, none is a view of a chunk
-        return np.concatenate(held)[:1].copy(), incumbents
+        return first, incumbents
     keep = best >= 0.0
     edges = np.arange(nbins)[keep] * (top / nbins)
     out = np.stack([edges, best[keep]], axis=1)
     return (out if end is None else np.concatenate([out, end])), incumbents
-
-
-def _decimate(pts: np.ndarray, nbins: int) -> np.ndarray:
-    """`_bin_reduce`'s decimated cloud of one array of points."""
-    return _bin_reduce([pts], pts[:, 0].max(initial=-np.inf), nbins)[0]
 
 
 def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -310,29 +328,43 @@ def _front_candidates(points, nbins: int = 4096):
     (later, larger r1 clamp into the last bin); blocks pass whole until then.
     A culled point lies at or below the best r2 of a later bin, whose points
     all have larger r1, so it is strictly dominated: the front and its
-    equal-point ties survive. Returns (r1, r2, src) ascending in source index.
+    equal-point ties survive. A block is culled twice: against the bins of
+    the blocks before it, then, once its survivors are scattered into the
+    bins, against those. A point culled the first time lies at or below
+    every suffix maximum from its own bin down, so it could raise none, and
+    the bins, suffix maxima and survivors are those of scattering the whole
+    block. Returns (r1, r2, src) ascending in source index.
     """
     blocks = points if isinstance(points, Iterator) else [(0, points)]
     best = np.full(nbins, -np.inf)
+    later = np.full(nbins, -np.inf)
     top, supplied, held = 0.0, False, []
     for start, rows in blocks:
         pts = np.asarray(rows, dtype=float).reshape(-1, 2)
         supplied = supplied or pts.size > 0
-        src = np.arange(start, start + pts.shape[0])
+        sel = None
         if not np.isfinite(pts).all():
-            finite = np.isfinite(pts).all(axis=1)
-            pts, src = pts[finite], src[finite]
-        r1 = np.clip(pts[:, 0], 0.0, None)
-        r2 = np.clip(pts[:, 1], 0.0, None)
+            sel = np.flatnonzero(np.isfinite(pts).all(axis=1))
+            pts = pts[sel]
+        r1, r2 = np.clip(pts[:, 0], 0.0, None), pts[:, 1]
         if top <= 0.0:
             top = r1.max(initial=0.0)
         if top > 0.0:
             with np.errstate(over="ignore"):  # clamped into the last bin
-                idx, block_best = _bin_max(r1 / top, r2, nbins)
-            np.maximum(best, block_best, out=best)
-            later = np.maximum.accumulate(np.append(best, -np.inf)[::-1])[::-1]
-            cand = r2 > later[idx + 1]
-            r1, r2, src = r1[cand], r2[cand], src[cand]
+                idx = _bin_index(r1 / top, nbins)
+            # later >= 0 wherever it is finite, so a negative r2 meets it
+            # as its clipped zero would
+            cand = np.flatnonzero(r2 > later[idx])
+            idx, r1 = idx[cand], r1[cand]
+            r2 = np.clip(r2[cand], 0.0, None)
+            np.maximum.at(best, idx, r2)
+            later = _later_max(best)
+            keep = r2 > later[idx]
+            cand, r1, r2 = cand[keep], r1[keep], r2[keep]
+            sel = cand if sel is None else sel[cand]
+        else:
+            r2 = np.clip(r2, 0.0, None)
+        src = start + (np.arange(r1.size) if sel is None else sel)
         held.append((r1, r2, src))
     if not supplied:
         raise EmptyInput("no points supplied")

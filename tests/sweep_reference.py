@@ -190,12 +190,17 @@ def scheme_f(ch, n_lambda=41, face_lambda=201, grid=R1_GRID_DEFAULT):
         chunks.append(np.stack([
             np.concatenate([r1a, r1b, np.zeros_like(r2c)]),
             np.concatenate([r2a, r2b, r2c])], axis=1))
+    # the beta = gamma = 0 face: scheme E at real scales of its own costa1
+    # amplitude
     face = inner.default_alpha_grid(ch)
-    lam_c = inner.lambda_costa_vec(ch, face)
-    w_grid = np.multiply.outer(
-        np.linspace(0.0, 2.0, max(n_lambda, face_lambda)), lam_c)
-    f1, r2b, ssum = inner.scheme_e_rates(ch, face[None, :], w_grid)
-    chunks.append(inner._rect_sum_vertices(f1, r2b, ssum))
+    a_pow = face * ch.p1
+    u1, u2 = inner._scheme_e_amplitudes(ch, face)
+    w = np.multiply.outer(np.linspace(0.0, 2.0, max(n_lambda, face_lambda)),
+                          a_pow * u1 / (a_pow + 1.0))
+    f1 = inner._f_mi(1.0, u1[None, :], 1.0, w, a_pow[None, :])
+    f2 = inner._f_mi(ch.b, u2[None, :], 1.0, w, a_pow[None, :], clamp=False)
+    ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)[None, :]
+    chunks.append(inner._rect_sum_vertices(f1, pos(ssum - f2), ssum))
     r1d, sd = inner.scheme_d_rates(ch, np.sqrt(pos(1.0 - face)))
     v1 = np.minimum(r1d, sd)
     chunks.append(np.stack([v1, pos(sd - v1)], axis=1))

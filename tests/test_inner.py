@@ -11,6 +11,7 @@ from gcifc import gaussmi, inner, outer, region
 from gcifc.channel import ChannelParams
 from gcifc.errors import DegenerateDenominator
 from gcifc.util import cap
+from gcifc.verify import random_channels
 from conftest import (EDGE_CHANNELS, channel_draw, scheme_c_system,
                       scheme_d_system, scheme_e_system, scheme_f_system)
 
@@ -434,12 +435,15 @@ def test_repeated_build_faults_no_pages(build, bound_mb):
 # the heap so that the next repeated scheme-E build faults pages back in
 @pytest.mark.parametrize("build,bound_mb", _CLOUD_BUILDS + [
     pytest.param(lambda ch: inner.best_inner(ch, fast=True), 32,
-                 id="best-fast")])
+                 id="best-fast"),
+    pytest.param(lambda ch: outer.bc_pr_outer(ch), 16, id="bc-pr"),
+    pytest.param(lambda ch: outer.best_outer(ch), 16, id="best-outer")])
 def test_largest_clouds_are_streamed(build, bound_mb):
-    """Schemes E and F hand their clouds over one lambda fan at a time, and
-    best_inner streams every scheme's cloud into one envelope, so the peak
-    allocation stays far below a whole cloud (about 1 M rows on a complex
-    channel at default grids)."""
+    """Schemes E and F hand their clouds over one lambda fan at a time,
+    best_inner streams every scheme's cloud into one envelope, and the
+    bc-pr sweep reduces one phase pair at a time, so the peak allocation
+    stays far below a whole cloud (about 1 M rows on a complex channel at
+    default grids, 1.4 M for the bc-pr sweep)."""
     ch = _COMPLEX_CH
     tracemalloc.start()
     try:
@@ -448,6 +452,35 @@ def test_largest_clouds_are_streamed(build, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak < bound_mb * 2 ** 20
+
+
+_BOX_FAULT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP direction 5: the scheme kernels overshoot "
+    "at huge powers")
+_BOX_CHANNELS = (
+    [pytest.param(ch, id=f"real{k}")
+     for k, ch in enumerate(random_channels(40, 42))]
+    + [pytest.param(ch, id=f"complex{k}")
+       for k, ch in enumerate(random_channels(10, 42, complex_a=True))]
+    + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS
+       if name != "p=1e8"]
+    + [pytest.param(ChannelParams(0.5, 1.5, 1e160, 1e160), id="p=1e160",
+                    marks=_BOX_FAULT),
+       pytest.param(ChannelParams(3.0, 0.2, 1e12, 1e-3), id="p1=1e12",
+                    marks=_BOX_FAULT),
+       pytest.param(ChannelParams(-0.6 + 0.2j, 1.7, 1e8, 1e8), id="p=1e8",
+                    marks=_BOX_FAULT)])
+
+
+@pytest.mark.parametrize("ch", _BOX_CHANNELS)
+def test_best_inner_lies_in_the_tdma_box(ch):
+    """No scheme beats the solo cognitive rate or the beamforming sum rate:
+    best_inner has r1_max <= cap(p1) and r2(0) <= cap(peq), within 1e-12
+    relative. Three huge-power channels break it today (1e3 bits over)."""
+    bi = inner.best_inner(ch, fast=True)
+    peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
+    assert bi.r1_max <= float(cap(ch.p1)) * (1.0 + 1e-12)
+    assert bi.r2[0] <= float(cap(peq)) * (1.0 + 1e-12)
 
 
 def _members(ch, fast):

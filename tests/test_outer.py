@@ -257,7 +257,7 @@ class TestBcPr:
             b2 = ((1 - a1) * ch.p1,
                   q2 * math.sqrt((1 - a1) * ch.p1 * (1 - a2) * ch.p2) + 0j,
                   (1 - a2) * ch.p2)
-            pts = outer._dpc_points(
+            (r1o1, r2o1), (r1o2, r2o2) = outer._dpc_points(
                 ch, tuple(np.atleast_1d(np.asarray(v)) for v in b1),
                 tuple(np.atleast_1d(np.asarray(v)) for v in b2))
             sys = gaussmi.build_system(
@@ -271,13 +271,13 @@ class TestBcPr:
             r1_o1 = gaussmi.mutual_info(sys, "Y1", ["V1", "V2"],
                                         ["W1", "W2"])
             r2_o1 = gaussmi.mutual_info(sys, "Y2", ["W1", "W2"])
-            assert float(pts[0, 0]) == pytest.approx(r1_o1, abs=1e-9)
-            assert float(pts[0, 1]) == pytest.approx(r2_o1, abs=1e-9)
+            assert float(r1o1[0]) == pytest.approx(r1_o1, abs=1e-9)
+            assert float(r2o1[0, 0]) == pytest.approx(r2_o1, abs=1e-9)
             r1_o2 = gaussmi.mutual_info(sys, "Y1", ["V1", "V2"])
             r2_o2 = gaussmi.mutual_info(sys, "Y2", ["W1", "W2"],
                                         ["V1", "V2"])
-            assert float(pts[1, 0]) == pytest.approx(r1_o2, abs=1e-9)
-            assert float(pts[1, 1]) == pytest.approx(r2_o2, abs=1e-9)
+            assert float(r1o2[0]) == pytest.approx(r1_o2, abs=1e-9)
+            assert float(r2o2[0]) == pytest.approx(r2_o2, abs=1e-9)
 
 
 class TestTransforms:
@@ -363,6 +363,27 @@ class TestBestOuter:
             bo = outer.best_outer(ch)
             so = outer.strong_outer(ch)
             assert float(bo.r2[0]) == pytest.approx(float(so.r2[0]), abs=2e-4)
+
+    @pytest.mark.parametrize("grid", [2048, 512])
+    def test_members_left_out_never_bind(self, rng, grid):
+        """For b > 1 best_outer leaves out strong_outer, which
+        unified_outer equals, and piecewise_linear_outer, which lies above
+        it: both within 1e-12 bits on the shared grid, b just above 1
+        included."""
+        chans = [channel_draw(rng, b_low=1.0) for _ in range(30)] + [
+            ChannelParams(a, b, p1, p2)
+            for b in (1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-7)
+            for a, p1, p2 in ((0.5, 4.0, 3.0), (-2.0, 0.3, 80.0),
+                              (1.0 / b, 5.0, 5.0), (0.2 + 0.9j, 60.0, 0.2))]
+        for ch in chans:
+            assert ch.b > 1.0
+            uni = outer.unified_outer(ch, grid)
+            strong = outer.strong_outer(ch, grid)
+            pl = outer.piecewise_linear_outer(ch, grid)
+            assert np.array_equal(uni.r1, strong.r1)
+            assert np.array_equal(uni.r1, pl.r1)
+            assert np.all(np.abs(uni.r2 - strong.r2) <= 1e-12), ch
+            assert np.all(pl.r2 >= strong.r2 - 1e-12), ch
 
     def test_bound_id_strings_all_buildable(self):
         from gcifc.cli import _OUTER_BUILDERS

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gcifc.errors import EmptyInput, MixedKinds
 from gcifc.region import (GapReport, Kind, RateRegion, _bin_reduce,
-                          _decimate, _front_candidates, _pareto_filter,
+                          _front_candidates, _pareto_filter,
                           _upper_hull,
                           additive_gap, contains, from_boundary,
                           from_pareto_points, gap_report, intersect,
@@ -331,6 +331,12 @@ def _hull_by_definition(x, y):
     return np.asarray(out, dtype=int)
 
 
+def _decimate(pts, nbins):
+    """`_bin_reduce`'s decimated cloud of one array of points."""
+    return _bin_reduce([(0, pts[:, 0], pts[:, 1])],
+                       pts[:, 0].max(initial=-np.inf), nbins)[0]
+
+
 def _pareto_lexsort(r1, r2):
     """Plain sort-based Pareto filter (lowest index wins among equals)."""
     order = np.lexsort((-r2, r1))
@@ -452,7 +458,7 @@ class TestEnvelopeKernels:
                 r2[:] = 1.0
             pts = np.stack([r1, r2], axis=1)
             top = r1.max()
-            got = _bin_reduce([pts], top, 8, nb)[1]
+            got = _bin_reduce([(0, r1, r2)], top, 8, nb)[1]
             if top <= 0.0:
                 assert got.size == 0
                 continue
@@ -468,10 +474,27 @@ class TestEnvelopeKernels:
             for scale in (1.0, 0.0, 1e-308, 5e-324):
                 pts = np.stack([x * scale, y], axis=1)
                 cuts = np.sort(rng.integers(0, len(pts) + 1, 3))
-                chunks = np.split(pts, cuts)
+                chunks = [(c0, c[:, 0], c[:, 1]) for c0, c
+                          in zip(np.r_[0, cuts], np.split(pts, cuts))]
                 for nbins in (1, 3, 8, 64):
                     dec, inc = _bin_reduce(chunks, pts[:, 0].max(), nbins, 4)
                     assert np.array_equal(dec, ref._decimate(pts, nbins))
                     assert np.array_equal(inc, ref._bin_incumbents(pts, 4))
                     # the results own their rows: none pins an input chunk
                     assert dec.base is None and inc.base is None
+
+    def test_grouped_rows_reduce_like_their_points(self, rng):
+        # rows of k points sharing one r1, cut at random between rows, with
+        # ties inside rows; top <= 0 and clouds at or below nbins
+        for x, _ in _clouds(rng, 200):
+            k = int(rng.integers(1, 6))
+            r2 = rng.integers(-1, 4, (x.size, k)).astype(float)
+            cuts = np.sort(rng.integers(0, x.size + 1, 2))
+            for scale in (1.0, 0.0, 5e-324):
+                pts = np.stack([np.repeat(x * scale, k), r2.ravel()], axis=1)
+                chunks = list(zip(np.r_[0, cuts] * k, np.split(x * scale, cuts),
+                                  np.split(r2, cuts)))
+                for nbins in (1, 3, 8, 64, 256):
+                    dec, inc = _bin_reduce(chunks, pts[:, 0].max(), nbins, 4)
+                    assert np.array_equal(dec, ref._decimate(pts, nbins))
+                    assert np.array_equal(inc, ref._bin_incumbents(pts, 4))

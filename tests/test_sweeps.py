@@ -1,11 +1,14 @@
 """The broadcast bc-pr coarse sweep and scheme-F lambda fans against their
 loop forms in sweep_reference, and the streamed scheme-E sweep against its
-one-shot form: every point, boundary and chosen parameter bit-identical."""
+one-shot form: every reduced point, boundary and chosen parameter
+bit-identical."""
 
 import numpy as np
 import pytest
 
 from gcifc import inner, outer
+from gcifc.channel import ChannelParams
+from gcifc.region import _bin_reduce
 from conftest import EDGE_CHANNELS, channel_draw
 import sweep_reference as ref
 
@@ -31,12 +34,20 @@ def _identical(a, b):
     assert all(pa[k].tobytes() == pb[k].tobytes() for k in pa)
 
 
-@pytest.mark.parametrize("ch", CHANNELS)
+@pytest.mark.parametrize("ch", CHANNELS + [
+    pytest.param(ChannelParams(0.0, 1.3, 0.0, 4.0), id="top=0")])
 def test_coarse_points_match_per_pair_loop(ch):
-    _, _, top, chunks = outer._coarse_points(ch, 21)
+    """The coarse chunks, order 1 as rows over q2, reduce to exactly what
+    the per-pair loop's whole cloud reduces to: the decimated cloud with
+    its top point and the refine incumbents, the whole cloud where it
+    fits in the bins, and its first point where top <= 0."""
     want, _, _ = ref.coarse_sweep(ch)
-    assert np.array_equal(np.concatenate(list(chunks)), want)
-    assert top == want[:, 0].max()
+    for nbins in (8192, 2048, len(want) - 1, len(want)):
+        _, _, top, chunks = outer._coarse_points(ch, 21)
+        assert top == want[:, 0].max()
+        dec, inc = _bin_reduce(chunks, top, nbins, 64)
+        assert np.array_equal(dec, ref._decimate(want, nbins))
+        assert np.array_equal(inc, ref._bin_incumbents(want, 64))
 
 
 @pytest.mark.parametrize("ch", CHANNELS)
