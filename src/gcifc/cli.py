@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import inner, outer, region, verify
 from .channel import ChannelParams, RawChannel, classify, to_standard_form
 from .errors import (DegenerateDirectLink, GcifcError, RegimeMismatch,
@@ -209,12 +207,7 @@ def cmd_gap(args) -> int:
     if iid not in _INNER_BUILDERS:
         raise UsageError(f"unknown inner id {args.inner_id!r}")
     reg_i = _INNER_BUILDERS[iid](args.channel, args.grid)
-    if oid == "outer:best":
-        reg_o = outer.best_outer(args.channel, grid=args.grid,
-                                 extra_floor=np.column_stack(
-                                     [reg_i.r1, reg_i.r2]))
-    else:
-        reg_o = _OUTER_BUILDERS[oid](args.channel, args.grid)
+    reg_o = _OUTER_BUILDERS[oid](args.channel, args.grid)
     rep = region.gap_report(reg_o, reg_i)
     _emit(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n",
           args.out)

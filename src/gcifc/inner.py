@@ -627,48 +627,3 @@ def best_inner(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
         clouds.append(_scheme_e_cloud(ch, al, "sweep", n_lambda)[0])
     return from_pareto_points(_chain(clouds), Kind.INNER, grid=grid,
                               region_id="best")
-
-
-def cheap_achievable_points(ch: ChannelParams) -> np.ndarray:
-    """Fast stack of provably achievable rate pairs (floors sampled bounds)."""
-    al = default_alpha_grid(ch, matched=257, uniform=129)
-    r1b, r2b = scheme_b_rates(ch, al)
-    rho = np.concatenate([np.sqrt(1.0 - al), -np.sqrt(1.0 - al)])
-    r1d, sd = scheme_d_rates(ch, rho)
-    v1 = np.minimum(r1d, sd)
-    w_c1 = lambda_costa_vec(ch, al)
-    chunks = [np.stack([r1b, r2b], axis=1),
-              np.stack([v1, pos(sd - v1)], axis=1),
-              np.stack([np.zeros_like(sd), sd], axis=1)]
-    f1, r2, ss = scheme_e_rates(
-        ch, al, np.multiply.outer(np.linspace(0.0, 2.0, 41), w_c1))
-    chunks.append(_fan_rows([f1, np.minimum(f1, pos(ss - r2))],
-                            [np.minimum(r2, ss - f1), r2]))
-    av, bv, gv = np.meshgrid(np.linspace(0, 1, 9), np.linspace(0, 1, 9),
-                             np.linspace(0, 1, 9), indexing="ij")
-    av, bv, gv = av.ravel(), bv.ravel(), gv.ravel()
-    a_pow = av * ch.p1
-    amp = np.sqrt(pos(1 - av) * pos(1 - gv) * ch.p1) \
-        + _real_a(ch) * np.sqrt(pos(1 - bv) * ch.p2)
-    w_cf = a_pow * amp / (a_pow + 1.0)
-    m1, ms, m2r = scheme_f_rates(
-        ch, av, bv, gv, np.multiply.outer(np.linspace(0.0, 2.0, 11), w_cf))
-    r1f = np.minimum(m1, np.minimum(ms, m2r / 2.0))
-    chunks.append(_fan_rows([r1f, np.zeros_like(ms)],
-                            [pos(np.minimum(ms - r1f, m2r - 2 * r1f)),
-                             pos(np.minimum(ms, m2r))]))
-    peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
-    chunks.append(np.array([[float(cap(ch.p1)), 0.0], [0.0, float(cap(peq))]]))
-    return np.clip(np.concatenate(chunks, axis=0), 0.0, None)
-
-
-def lambda_costa_vec(ch: ChannelParams, alpha):
-    """Vectorized costa1 coefficient; zero when pre-coding is undefined."""
-    al = np.asarray(alpha, dtype=float)
-    a_pow = al * ch.p1
-    if ch.p2 <= 0.0:
-        return np.zeros_like(al)
-    # the powers are rooted apart: at subnormal p2 the quotient p1 / p2
-    # overflows, while sqrt(p1) / sqrt(p2) stays finite
-    h1 = _real_a(ch) + np.sqrt(pos(1.0 - al) * ch.p1) / math.sqrt(ch.p2)
-    return a_pow * h1 / (a_pow + 1.0)

@@ -3,13 +3,13 @@
 The alpha-parameterized closed-form bounds all share the cognitive-rate
 constraint r1 <= cap(alpha * p1), so their boundaries are evaluated
 exactly on the r1 grid by inverting alpha(r1), with no envelope
-resampling error. The cooperative broadcast bound is a parameter sweep
-sampled from below and snapped down by `region._bin_reduce`. Its stored
-region is neither a subset nor a superset of the true cooperative bound:
-the sample can fall short of the true boundary, and step-up interpolation
-carries each sample flat to the next one, which can exceed it across a
-gap in the sample. Every constructor is a pure function of its
-arguments: nothing is cached between calls.
+resampling error. The cooperative broadcast bound is a polygon of
+supporting lines, each slope's support certified in closed form by
+per-antenna Lagrangian relaxation and BC-MAC duality, and evaluated
+exactly on the same r1 grid. So every bound here is an upper bound by
+construction: nothing is sampled from below or floored. Every
+constructor is a pure function of its arguments: nothing is cached
+between calls.
 
 Cross-term convention: every alpha-parameterized bound uses
 2*sqrt(abar * b^2 * p1 * p2), i.e. input correlation sqrt(1 - alpha),
@@ -25,9 +25,8 @@ import numpy as np
 
 from .channel import CapacityResult, ChannelParams, classify, s_channel_thresholds
 from .errors import InvalidTransform, RegimeMismatch, SingularPreset
-from .region import (ALPHA_GRID_DEFAULT, R1_GRID_DEFAULT, Kind, RateRegion,
-                     _bin_reduce, from_boundary,
-                     from_pareto_points, intersect)
+from .region import (R1_GRID_DEFAULT, Kind, RateRegion, from_boundary,
+                     intersect)
 from .util import alpha_of_r1, cap, pos, r1_grid
 
 _PRESETS = ("tos", "toweak", "tovs")
@@ -153,220 +152,115 @@ def piecewise_linear_outer(ch: ChannelParams,
 
 # -- cooperative broadcast bound (full transmitter cooperation) --------------
 
-def _recv_powers(ch: ChannelParams, c11, c12, c22):
-    """Received powers of a 2x2 input covariance at both receivers."""
-    if np.isrealobj(c12):
-        cross1 = ch.a.real * c12
+# Slopes theta of the supporting lines cos(theta) r1 + sin(theta) r2 <= H.
+_BC_SLOPES = np.arange(1, 128) * (math.pi / 254)
+# Log-offsets delta of the antenna multiplier ratio from p2 / p1: a grid,
+# then rounds that re-grid +-1 step around each slope's best offset.
+_BC_OFFSETS = np.linspace(-40.0, 40.0, 33)
+_BC_ZOOM_ROUNDS, _BC_ZOOM_POINTS = 5, 17
+# Above this scale r^2 could overflow, so ln A is taken with z factored out.
+_BIG = 1e150
+
+
+def _mac_max(mu_lo, mu_hi, c_lo, c_hi, r):
+    """max over x in [0, 1] of mu_lo ln A(x) + (mu_hi - mu_lo) ln B(x) (nats).
+
+    The two-user MAC's weighted sum rate with the larger weight's user
+    decoded last, given power share x, of received SNRs c_hi (that user)
+    and c_lo, and determinant term r^2 = P^2 |det G|^2:
+    A = 1 + c_lo (1 - x) + c_hi x + r^2 x (1 - x), B = 1 + c_hi x. It is
+    concave in x, so it peaks at the larger root of its stationarity
+    quadratic, clipped to [0, 1]. The ends are taken too: with c_hi = 0
+    the quadratic vanishes and the objective peaks at x = 0. The
+    quadratic's coefficients are scaled by z = max(1, c_lo, c_hi, r), and
+    above _BIG ln A factors z out, so nothing overflows.
+    """
+    z = np.maximum(np.maximum(1.0, r), np.maximum(c_lo, c_hi))
+    e = 1.0 / z
+    lo, hi, rho = c_lo * e, c_hi * e, r * e
+    d = mu_hi - mu_lo
+    # mu_lo A'(x) B(x) + d c_hi A(x) = q2 x^2 + q1 x + q0, over z^3
+    a1 = (hi - lo) * e + rho * rho
+    q2 = -rho * rho * hi * (mu_lo + mu_hi)
+    q1 = mu_lo * (a1 * hi - 2.0 * rho * rho * e) + d * hi * a1
+    q0 = mu_lo * a1 * e + d * hi * (e + lo) * e
+    s = np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0))
+    # q2 <= 0: the larger root, in the form that does not cancel
+    up = q1 >= 0.0
+    num = np.where(up, q1 + s, 2.0 * q0)
+    den = np.where(up, -2.0 * q2, s - q1)
+    x = np.divide(np.clip(num, 0.0, den), den, out=np.ones_like(num),
+                  where=den > 0.0)
+    lin = c_lo * (1.0 - x) + c_hi * x
+    xx = x * (1.0 - x)
+    if z.max() > _BIG:
+        ln_a = np.where(z > _BIG, np.log(z) + np.log(e + lin * e + rho * r * xx),
+                        np.log1p(lin + np.minimum(r, _BIG) ** 2 * xx))
     else:
-        cross1 = np.real(np.conj(ch.a) * c12)
-    at1 = c11 + abs(ch.a) ** 2 * c22 + 2.0 * cross1
-    at2 = ch.b ** 2 * c11 + c22 + 2.0 * ch.b * np.real(c12)
-    return pos(at1), pos(at2)
+        ln_a = np.log1p(lin + r * r * xx)
+    f = mu_lo * ln_a + d * np.log1p(c_hi * x)
+    return np.maximum(f, np.maximum(mu_lo * np.log1p(c_lo),
+                                    mu_hi * np.log1p(c_hi)))
 
 
-def _dpc_points(ch: ChannelParams, b1, b2):
-    """Rate pairs of both precoding orders for covariance splits b1 + b2.
+def _bc_support(ch: ChannelParams, theta) -> np.ndarray:
+    """Upper bound on max cos(theta) r1 + sin(theta) r2 over the cooperative
+    broadcast region, per slope theta in (0, pi/2], in bits.
 
-    b1, b2: triples of arrays (c11, c12, c22), the cognitive and primary
-    shares, broadcast against each other. Returns `_order_rows` of their
-    received powers.
+    Relaxing the per-antenna powers with multipliers (t, 1 - t) leaves a
+    sum-power broadcast channel, power P = t p1 + (1 - t) p2 (Yu and Lan),
+    whose weighted sum rate is that of its dual MAC (Vishwanath, Jindal
+    and Goldsmith), maximised in closed form by `_mac_max`. With
+    t / (1 - t) = (p2 / p1) e^delta the per-antenna SNRs are
+    u1 = P / t = p1 (1 + e^-delta) and u2 = P / (1 - t) = p2 (1 + e^delta).
+    Every delta gives a valid bound (at p1 = 0 or p2 = 0, a limit of
+    valid ones), so the minimum over the finite set searched here is one.
     """
-    return _order_rows(_recv_powers(ch, *b1), _recv_powers(ch, *b2))
+    mu1, mu2 = np.cos(theta), np.sin(theta)
+    hi2 = (mu2 >= mu1)[:, None]
+    mu_lo = np.minimum(mu1, mu2)[:, None]
+    mu_hi = np.maximum(mu1, mu2)[:, None]
+    a2, b2, det = abs(ch.a) ** 2, ch.b ** 2, abs(1.0 - ch.a * ch.b)
+
+    def bound(delta):
+        u1 = ch.p1 * (1.0 + np.exp(-delta))
+        u2 = ch.p2 * (1.0 + np.exp(delta))
+        c1, c2 = u1 + a2 * u2, b2 * u1 + u2
+        r = det * np.sqrt(u1) * np.sqrt(u2)
+        return _mac_max(mu_lo, mu_hi, np.where(hi2, c1, c2),
+                        np.where(hi2, c2, c1), r)
+
+    delta = np.broadcast_to(_BC_OFFSETS, (theta.size, _BC_OFFSETS.size))
+    h = bound(delta)
+    best = h.min(axis=1)
+    step = _BC_OFFSETS[1] - _BC_OFFSETS[0]
+    rows = np.arange(theta.size)
+    for _ in range(_BC_ZOOM_ROUNDS):
+        centre = delta[rows, h.argmin(axis=1)]
+        delta = centre[:, None] + np.linspace(-step, step, _BC_ZOOM_POINTS)
+        h = bound(delta)
+        best = np.minimum(best, h.min(axis=1))
+        step *= 2.0 / (_BC_ZOOM_POINTS - 1)
+    return best / math.log(2.0)
 
 
-def _order_rows(s1, s2):
-    """Both precoding orders, order-major, as two (r1, r2) pairs in the
-    chunk layout of `region._bin_reduce`, from the shares' received powers
-    (at rx1, at rx2).
-
-    Order 1 puts r1 = cap(s1r1), which depends on share 1 alone. Where
-    share 1 has a unit last axis, so that share 2 alone spans it, each
-    order-1 r1 is shared by the points along that axis, and its r2 comes
-    as one row of them per r1.
-    """
-    (s1r1, s1r2), (s2r1, s2r2) = s1, s2
-    shape = np.broadcast_shapes(s1r1.shape, s2r1.shape)
-    k = shape[-1] if s1r1.shape[-1] == 1 else 1
-    # order 1: cognitive precoded first (clean at rx1), primary sees b1 at rx2
-    o1 = cap(s1r1).ravel(), cap(s2r2 / (1.0 + s1r2)).reshape(-1, k)
-    # order 2: primary precoded first (clean at rx2), cognitive sees b2 at rx1
-    o2 = (cap(s1r1 / (1.0 + s2r1)).ravel(),
-          np.broadcast_to(cap(s2r2), shape).ravel())
-    return [o1, o2]
-
-
-def _coarse_points(ch: ChannelParams, coarse: int):
-    """The free sweep over share fractions and correlations, both orders.
-
-    Returns (t, q, top, chunks): the share fractions t, the (phase, rho)
-    grid q of correlations, the largest r1 of the sweep, and a generator
-    of its points as `region._bin_reduce` chunks, two per phase pair.
-    Points run over (rot1, rot2, order, a1, a2, q1, q2) in that order.
-    Order 1's r1 depends on (rot1, a1, a2, q1) only, so its chunk holds a
-    row of n points over q2 per r1 (`_order_rows`): the reducer bins only
-    each row's largest r2, at the last q2 attaining it, which with q2
-    running fastest gives the same bins, end point and incumbents as
-    binning every point. Each share's powers span its own phase and three
-    split axes, so no temporary outgrows one pair's sweep.
-    """
-    complex_a = abs(ch.a.imag) > 1e-12
-    phases = (0.0, math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4) \
-        if complex_a else (0.0,)
-    n = 13 if complex_a else coarse
-    t = np.linspace(0.0, 1.0, n)
-    # a real cross gain with no phase fan keeps every covariance real
-    rots = np.ones(1) if ch.a.imag == 0.0 else np.exp(1j * np.array(phases))
-    q = np.multiply.outer(rots, np.linspace(-1.0, 1.0, n))
-    nr = q.shape[0]
-    a1, a2 = t.reshape(n, 1, 1, 1), t.reshape(1, n, 1, 1)
-    q1, q2 = q.reshape(nr, 1, 1, n, 1), q.reshape(nr, 1, 1, 1, n)
-    s1 = _recv_powers(ch, a1 * ch.p1, q1 * np.sqrt(a1 * ch.p1 * a2 * ch.p2),
-                      a2 * ch.p2)
-    s2 = _recv_powers(ch, (1 - a1) * ch.p1,
-                      q2 * np.sqrt((1 - a1) * ch.p1 * (1 - a2) * ch.p2),
-                      (1 - a2) * ch.p2)
-    # order 1 puts r1 = cap(s1r1), and order 2 divides s1r1 by 1 + s2r1
-    top = cap(s1[0]).max()
-
-    def chunks():
-        start = 0
-        for p1 in zip(*s1):
-            for p2 in zip(*s2):
-                for r1, r2 in _order_rows(p1, p2):
-                    yield start, r1, r2
-                    start += r2.size
-
-    return t, q, top, chunks()
-
-
-def _structured_slices(ch: ChannelParams, n: int):
-    """Dense 1-D split families matching known closed-form boundaries.
-
-    The share grid is refined quadratically toward both endpoints, where
-    the rate maps compress (square-root cross terms), so the sampled
-    staircase tracks each family's exact curve at grid resolution.
-    """
-    u = np.linspace(0.0, 1.0, n)
-    t = np.unique(np.concatenate([u, u ** 2, 1.0 - u ** 2]))
-    tb = 1.0 - t
-    p1, p2 = ch.p1, ch.p2
-    zero = np.zeros_like(t)
-    slices = []
-    # cognitive keeps a private share on its own antenna; primary gets the rest
-    slices.append(((t * p1, zero + 0j, zero),
-                   (tb * p1, np.sqrt(tb * p1 * p2) + 0j, zero + p2)))
-    # fully-correlated split of the beamforming covariance
-    s1 = (p1, math.sqrt(p1 * p2) + 0j, p2)
-    slices.append(((t * s1[0], t * s1[1], t * s1[2]),
-                   (tb * s1[0], tb * s1[1], tb * s1[2])))
-    # cognitive rides the full primary antenna (beamforming toward rx1)
-    slices.append(((t * p1, np.sqrt(t * p1 * p2) + 0j, zero + p2),
-                   (tb * p1, zero + 0j, zero)))
-    # equal-received-power rank-1 cognitive shares
-    for tv in _equal_power_ratios(ch):
-        scale = abs(1.0 + ch.a * tv) ** 2
-        if scale <= 1e-12:
-            continue
-        v1sq = t * p1  # received power alpha*p1 at both receivers
-        c11 = v1sq / scale
-        c22 = c11 * abs(tv) ** 2
-        ok = (c11 <= p1 + 1e-12) & (c22 <= p2 + 1e-12)
-        if not ok.any():
-            continue
-        c11, c22 = c11[ok], c22[ok]
-        c12 = c11 * np.conj(tv)
-        d11 = pos(p1 - c11)
-        d22 = pos(p2 - c22)
-        d12 = np.sqrt(d11 * d22) + 0j
-        slices.append(((c11, c12, c22), (d11, d12, d22)))
-    return slices
-
-
-def _equal_power_ratios(ch: ChannelParams):
-    """Ratios t = v2/v1 with |v1 + a t v1| = |b v1 + t v1| (rank-1 shares)."""
-    out = []
-    if abs(ch.a - 1.0) > 1e-9:
-        out.append((ch.b - 1.0) / (ch.a - 1.0))
-    if abs(ch.a + 1.0) > 1e-9:
-        out.append(-(ch.b + 1.0) / (ch.a + 1.0))
-    return out
-
-
-def bc_pr_outer(ch: ChannelParams, coarse: int = 21,
-                slice_points: int = ALPHA_GRID_DEFAULT,
-                grid: int = R1_GRID_DEFAULT, floor_points=None) -> RateRegion:
+def bc_pr_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Full-transmitter-cooperation broadcast bound (private rates).
 
-    Sampled from below over covariance splits and both precoding orders.
-    Every sample is achievable with full cooperation, but the step-up
-    region between samples is neither a subset nor a superset of the true
-    cooperative bound (see the module docstring). Dense structured slices
-    reproduce the known closed-form sub-families exactly; `floor_points`
-    may supply achievable rate pairs (always members of the true bound) to
-    floor the sample.
-
-    The coarse sweep and its refine pass hand precoding order 1 to the
-    reducer as rows over the primary share's correlation, which share one
-    r1, so only each row's largest r2 is binned. Both reductions keep only
-    each bin's largest r2, the largest r2 at the top, and each incumbent
-    bin's last point attaining its maximum, and a row comes back as all
-    its points wherever a cloud is returned whole, so the region is
-    exactly the one of binning every point.
+    The polygon r2(r1) = min over the slope fan of
+    (H(theta) - cos(theta) r1) / sin(theta), H being `_bc_support`'s
+    certified support of the 2-antenna dirty-paper-coding region, which
+    is the cooperative capacity region (Weingarten, Steinberg and Shamai).
+    It is evaluated exactly at the r1 nodes and stored step-up, so it is
+    an upper bound by construction: nothing is sampled or floored. The
+    support is cut at r1 = cap(p1), which every code for this channel
+    obeys (the cognitive-rate constraint).
     """
-    t, q, top, chunks = _coarse_points(ch, coarse)
-    coarse_pts, keep = _bin_reduce(chunks, top, 4 * grid, 64)
-    parts = [(coarse_pts[:, 0], coarse_pts[:, 1])]
-    for b1, b2 in _structured_slices(ch, slice_points):
-        parts.extend(_dpc_points(ch, b1, b2))
-    parts.extend(_refine_pass(ch, t, q, keep))
-    if floor_points is not None and len(floor_points):
-        pts = np.asarray(floor_points, float).reshape(-1, 2)
-        parts.append((pts[:, 0], pts[:, 1]))
-
-    starts = np.cumsum([0] + [r2.size for _, r2 in parts])
-    top = np.max([r1.max(initial=-np.inf) for r1, _ in parts])
-    all_pts = _bin_reduce([(s, r1, r2) for s, (r1, r2) in zip(starts, parts)],
-                          top, 4 * grid)[0]
-    return from_pareto_points(all_pts, Kind.OUTER, grid=grid,
-                              region_id="bc-pr")
-
-
-def _phase(q):
-    """Unit phase factor of a correlation (a sign for real correlations)."""
-    if np.isrealobj(q):
-        return np.copysign(1.0, q)
-    return np.exp(1j * np.angle(q))
-
-
-def _refine_pass(ch: ChannelParams, t, q, keep: np.ndarray):
-    """Re-grid locally around incumbent Pareto points of the coarse sweep.
-
-    `keep` holds the incumbents' flat indices into the coarse sweep of
-    `_coarse_points`; their split parameters follow from its axes. The 5^4
-    offsets broadcast as (k, a1, a2, q1, q2) with q2 fastest: share 1 spans
-    (k, 5, 5, 5, 1) and share 2 (k, 5, 5, 1, 5), so `_recv_powers` runs on
-    k * 125 points per share, and order 1 comes as rows over the q2
-    offsets (`_order_rows`).
-    """
-    if not keep.size:
-        return []
-    nr, n = q.shape
-    rot1, rot2, _, i1, i2, j1, j2 = np.unravel_index(
-        keep, (nr, nr, 2, n, n, n, n))
-    a1, a2, q1, q2 = t[i1], t[i2], q[rot1, j1], q[rot2, j2]
-    step = 1.0 / (n - 1)
-    offs = np.linspace(-step, step, 5)
-    k = (-1, 1, 1, 1, 1)
-    na = np.clip(a1.reshape(k) + offs.reshape(5, 1, 1, 1), 0.0, 1.0)
-    nb = np.clip(a2.reshape(k) + offs.reshape(5, 1, 1), 0.0, 1.0)
-    nc = (np.clip(np.abs(q1).reshape(k) + offs.reshape(5, 1), 0.0, 1.0)
-          * _phase(q1).reshape(k))
-    nd = np.clip(np.abs(q2).reshape(k) + offs, 0.0, 1.0) * _phase(q2).reshape(k)
-    c12 = nc * np.sqrt(na * ch.p1 * nb * ch.p2)
-    d12 = nd * np.sqrt((1 - na) * ch.p1 * (1 - nb) * ch.p2)
-    b1 = (na * ch.p1, c12, nb * ch.p2)
-    b2 = ((1 - na) * ch.p1, d12, (1 - nb) * ch.p2)
-    return _dpc_points(ch, b1, b2)
+    gx = r1_grid(ch.p1, grid)
+    h = _bc_support(ch, _BC_SLOPES)
+    lines = (h[:, None] - np.cos(_BC_SLOPES)[:, None] * gx) \
+        / np.sin(_BC_SLOPES)[:, None]
+    return from_boundary(gx, pos(lines.min(axis=0)), Kind.OUTER, "bc-pr")
 
 
 # -- outer bounds by channel transformation ----------------------------------
@@ -474,20 +368,19 @@ def transformed_outer(ch: ChannelParams, preset: str,
 
 
 def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
-               depth: int = 0, bc_pr_kwargs: dict | None = None,
-               extra_floor=None) -> RateRegion:
+               depth: int = 0, extra_floor=None) -> RateRegion:
     """Intersection of every outer bound valid for this channel.
 
-    Bounds that provably never bind are left out: for b > 1,
+    Every member is an upper bound by construction, evaluated exactly on
+    the r1 nodes of `r1_grid(ch.p1, grid)`, so the intersection is one
+    too. Bounds that provably never bind are left out: for b > 1,
     `unified_outer` is `strong_outer` (r1 = cap(alpha p1) <= cap(b^2 alpha
     p1) zeroes its positive part), and `piecewise_linear_outer`,
     cap(peq) - r1, lies above it, cap(peq) being the largest `_sum_si`.
     Transformation presets join the intersection only at depth 0 and only
-    when their target lands in a known-capacity regime. The sampled
-    cooperative bound is floored with cheap achievable points (plus any
-    caller-supplied `extra_floor` rate pairs, e.g. the boundary of the
-    inner region it will be compared against) so that grid undersampling
-    can never push the intersection below a valid inner bound.
+    when their target lands in a known-capacity regime. `extra_floor` is
+    accepted for existing callers and ignored: every member is an upper
+    bound already, so nothing needs a floor.
     """
     rep = classify(ch)
     bounds = [unified_outer(ch, grid)]
@@ -495,15 +388,7 @@ def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
         bounds.append(bc_dms_degraded_outer(ch, grid))
     if rep.s_channel and ch.b >= 1.0:
         bounds.append(bc_dms_s_outer(ch, grid))
-
-    from .inner import cheap_achievable_points
-    floor = cheap_achievable_points(ch)
-    if extra_floor is not None and len(extra_floor):
-        floor = np.concatenate(
-            [floor, np.asarray(extra_floor, float).reshape(-1, 2)], axis=0)
-    kwargs = dict(bc_pr_kwargs or {})
-    kwargs.setdefault("grid", grid)
-    bounds.append(bc_pr_outer(ch, floor_points=floor, **kwargs))
+    bounds.append(bc_pr_outer(ch, grid))
 
     if depth == 0:
         for preset in _PRESETS:

@@ -5,11 +5,9 @@ grid. Inner (achievable) regions interpolate with the upper concave
 envelope, since chords are reachable by time sharing; outer regions
 interpolate step-up (each cell takes the max of its bracketing samples),
 which never understates the boundary between its samples. A bound that is
-exact on the grid therefore stays an upper bound. A bound sampled from
-below (the cooperative broadcast bound) is neither a subset nor a superset
-of the true one: step-up carries each sample flat to the next, which can
-exceed the true bound across a gap in the sample, while the sample itself
-can fall short of it elsewhere.
+exact on the grid therefore stays an upper bound, and every outer bound
+of the package is built that way: evaluated exactly at its r1 nodes,
+never sampled from below.
 
 The additive and multiplicative gaps are computed in closed form, not
 searched: each outer sample is shifted (or scaled) onto the inner
@@ -31,7 +29,6 @@ import numpy as np
 from .errors import EmptyInput, MixedKinds
 
 R1_GRID_DEFAULT = 2048
-ALPHA_GRID_DEFAULT = 1001
 
 _FLOAT_FMT = "%.12e"
 _MONO_SNAP = 1e-9
@@ -208,79 +205,6 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
     keep[-1] = True
     keep[:-1] = r2s[:-1] > suffix[1:]
     return cand[order[keep]]
-
-
-def _bin_reduce(chunks, top: float, nbins: int, nb: int = 0):
-    """Stream point chunks, in order, through two r1 binnings at once.
-
-    A chunk is (start, r1, r2): r1 of shape (m,) and r2 of shape (m,) or
-    (m, k). Row i of a 2-D r2 holds k points that share r1[i]; a chunk's
-    points run row by row, at source indices start, start + 1, ... (starts
-    ascend over the stream when nb > 0). Of a row only its largest r2, at
-    the last point attaining it, can be a bin's maximum, its end point or
-    its incumbent, so each row is binned once. `top` is the largest r1
-    over all chunks. Returns (decimated, incumbents), exactly what the
-    one-shot reductions give on the concatenated cloud of every point,
-    without ever holding it:
-
-    - decimated: one point per nonempty r1 bin of `nbins` (its largest r2),
-      r1 snapped down to the bin edge, plus the end point: of the points
-      at r1 = top, the one with the largest r2 (the first on ties), which
-      keeps both the support and the corner at the top. Every output
-      point is dominated by an input point, so the down-closure of the
-      decimated cloud lies inside that of the input, and the snap loses
-      less than one bin width. Under step-up resampling the decimated
-      region is not a subset: a bin's largest r2 is carried across the
-      bin, above the lower points that follow it there (with (0, 5) and
-      (0.09, 4.99) in one bin it reads 5 at r1 = 0.095, the raw cloud
-      4.99). A cloud of at most `nbins` points comes back whole, and one
-      with top <= 0 as its first point.
-    - incumbents: per r1 bin of `nb`, ascending and skipping empty ones,
-      the largest source index attaining the bin's largest r2; none when
-      top <= 0 or nb = 0.
-    """
-    best = np.full(nbins, -np.inf)
-    inc_best = np.full(nb, -np.inf)
-    inc_last = np.full(nb, -1, dtype=np.int64)
-    held, first, end, count = [], None, None, 0
-    for start, x, r2 in chunks:
-        grouped = r2.ndim == 2
-        k = r2.shape[1] if grouped else 1
-        if held is not None and count + r2.size <= nbins:
-            held.append(np.stack([np.repeat(x, k), r2.ravel()], axis=1))
-        else:  # the cloud outgrows nbins: it is never returned whole
-            held = None
-        if first is None and r2.size:
-            first = np.array([[x[0], r2.flat[0]]])
-        count += r2.size
-        if top <= 0.0:  # a NaN top must reach the binning and raise
-            continue
-        y = r2.max(axis=1) if grouped else r2
-        u = x / top
-        np.maximum(best, _bin_max(u, y, nbins)[1], out=best)
-        if nb:
-            idx, chunk_best = _bin_max(u, y, nb)
-            np.maximum(inc_best, chunk_best, out=inc_best)
-            # a later index beats every earlier hit of a lower maximum
-            hit = np.flatnonzero(y == inc_best[idx])
-            last = start + hit * k
-            if grouped:
-                last += k - 1 - np.argmax(r2[hit, ::-1], axis=1)
-            np.maximum.at(inc_last, idx[hit], last)
-        at_top = np.flatnonzero(x >= top)
-        if at_top.size:
-            j = at_top[np.argmax(y[at_top])]
-            if end is None or y[j] > end[0, 1]:
-                end = np.array([[x[j], y[j]]])
-    incumbents = inc_last[inc_last >= 0]
-    if held is not None:
-        return np.concatenate(held), incumbents
-    if top <= 0.0:
-        return first, incumbents
-    keep = best >= 0.0
-    edges = np.arange(nbins)[keep] * (top / nbins)
-    out = np.stack([edges, best[keep]], axis=1)
-    return (out if end is None else np.concatenate([out, end])), incumbents
 
 
 def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:

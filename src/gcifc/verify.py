@@ -104,12 +104,10 @@ def random_channels(n: int, seed: int, complex_a: bool = False):
 
 def best_pair(ch: ChannelParams, fast: bool = True,
               grid: int = region.R1_GRID_DEFAULT):
-    """(best_outer, best_inner) with the inner boundary flooring the
-    sampled cooperative bound, so undersampling cannot break soundness."""
+    """(best_outer, best_inner): the composed outer bound, an upper bound
+    by construction, and the best achievable region, built independently."""
     bi = inner.best_inner(ch, grid=grid, fast=fast)
-    bo = outer.best_outer(ch, grid=grid,
-                          extra_floor=np.column_stack([bi.r1, bi.r2]))
-    return bo, bi
+    return outer.best_outer(ch, grid=grid), bi
 
 
 def _certifying_region(ch: ChannelParams, result: CapacityResult) -> tuple[str, RateRegion]:
@@ -129,7 +127,7 @@ def _certifying_region(ch: ChannelParams, result: CapacityResult) -> tuple[str, 
 def check_capacity(ch: ChannelParams) -> TheoremReport:
     """Certify the known-capacity regimes: the designated scheme meets the
     closed-form capacity region (`outer.capacity_region`) within
-    CAPACITY_TOL_BITS. No sampled bound takes part."""
+    CAPACITY_TOL_BITS. Neither `best_outer` nor `bc_pr_outer` takes part."""
     rep = classify(ch)
     if rep.capacity_known is CapacityResult.UNKNOWN:
         return TheoremReport("capacity-certification", True, 0.0, 0,
@@ -200,9 +198,14 @@ def _table_rows(ch: ChannelParams):
 
     if ch.b > 1.0:
         so = outer.strong_outer(ch)
+        # one envelope over both members' nodes: `union` resamples them
+        # onto one grid first, which drops the corner of a member ending
+        # just short of that grid's end
+        nodes = [np.column_stack([r.r1, r.r2])
+                 for r in (inner.scheme_e(ch, lambda_policy="costa1"),
+                           inner.tdma_inner(ch))]
         rows.append(("perfect-cancel", rep.margins["31a"] >= 0.0,
-                     region.union([inner.scheme_e(ch, lambda_policy="costa1"),
-                                   inner.tdma_inner(ch)]), so))
+                     _point_region(np.concatenate(nodes)), so))
 
         applies2 = b2p1 <= ch.p2
         pts = [peq_pt, (0.0, float(cap(ch.p2)))]

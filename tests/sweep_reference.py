@@ -1,161 +1,22 @@
-"""Loop forms of the bc-pr coarse sweep and of the scheme-F lambda fans,
-and the one-shot scheme-E sweep.
+"""Loop form of the scheme-F lambda fans, and the one-shot scheme-E sweep.
 
-The loop forms evaluate one phase pair, or one lambda scale, at a time,
-as the library did before it broadcast both sweeps. `scheme_e` builds the
-whole scheme-E cloud and its params arrays at once, as the library did
-before it streamed the cloud one lambda fan at a time. The equivalence
-tests in test_sweeps.py require the library to reproduce them bit for bit.
+The loop form evaluates one lambda scale at a time, as the library did
+before it broadcast the sweep. `scheme_e` builds the whole scheme-E cloud
+and its params arrays at once, as the library did before it streamed the
+cloud one lambda fan at a time. The equivalence tests in test_sweeps.py
+require the library to reproduce them bit for bit.
 
 Like the library, they compute in float64 when the cross gain a is real
 (a.imag == 0) and in complex128 otherwise.
-
-`_decimate` and `_bin_incumbents` are frozen one-shot copies of the bc-pr
-reducers, so the references do not follow later changes to the library's
-streamed reducer. `_decimate` keeps, of the points at the largest r1,
-the one with the largest r2 (the first on ties).
 """
 
 import math
 
 import numpy as np
 
-from gcifc import inner, outer
-from gcifc.region import (ALPHA_GRID_DEFAULT, R1_GRID_DEFAULT, Kind,
-                          from_pareto_points)
+from gcifc import inner
+from gcifc.region import R1_GRID_DEFAULT, Kind, from_pareto_points
 from gcifc.util import cap, pos
-
-
-def dpc_points(ch, b1, b2):
-    """Both precoding orders of 1-D covariance splits, order-major."""
-    s1r1, s1r2 = outer._recv_powers(ch, *b1)
-    s2r1, s2r2 = outer._recv_powers(ch, *b2)
-    r1_o1 = cap(s1r1)
-    r2_o1 = cap(s2r2 / (1.0 + s1r2))
-    r1_o2 = cap(s1r1 / (1.0 + s2r1))
-    r2_o2 = cap(s2r2)
-    return np.stack([np.concatenate([r1_o1, r1_o2]),
-                     np.concatenate([r2_o1, r2_o2])], axis=1)
-
-
-def split_grids(ch, n, phases):
-    """Per phase pair: both shares and the (a1, a2, q1, q2) meshgrid."""
-    t = np.linspace(0.0, 1.0, n)
-    rho = np.linspace(-1.0, 1.0, n)
-    a1, a2, q1, q2 = np.meshgrid(t, t, rho, rho, indexing="ij")
-    a1, a2, q1, q2 = (v.ravel() for v in (a1, a2, q1, q2))
-    if ch.a.imag == 0.0 and phases == (0.0,):
-        rots = (1.0,)
-    else:
-        rots = tuple(np.exp(1j * ph) for ph in phases)
-    s1 = np.sqrt(a1 * ch.p1 * a2 * ch.p2)
-    s2 = np.sqrt((1 - a1) * ch.p1 * (1 - a2) * ch.p2)
-    b1c = (a1 * ch.p1, a2 * ch.p2)
-    b2c = ((1 - a1) * ch.p1, (1 - a2) * ch.p2)
-    out = []
-    for rot1 in rots:
-        for rot2 in rots:
-            r1c, r2c = q1 * rot1, q2 * rot2
-            b1 = (b1c[0], r1c * s1, b1c[1])
-            b2 = (b2c[0], r2c * s2, b2c[1])
-            out.append((b1, b2, (a1, a2, r1c, r2c)))
-    return out
-
-
-def coarse_sweep(ch, coarse=21):
-    """(coarse points, per-pair parameter chunks, n) as bc_pr_outer sweeps."""
-    complex_a = abs(ch.a.imag) > 1e-12
-    phases = (0.0, math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4) \
-        if complex_a else (0.0,)
-    n = 13 if complex_a else coarse
-    splits = split_grids(ch, n, phases)
-    pts = np.concatenate([dpc_points(ch, b1, b2) for b1, b2, _ in splits],
-                         axis=0)
-    return pts, [par for _, _, par in splits], n
-
-
-def _decimate(pts: np.ndarray, nbins: int) -> np.ndarray:
-    """Keep one point per r1 bin (max r2), snapping r1 down to the bin edge.
-
-    Every output point is dominated by an input point, so the decimated
-    cloud's down-closure lies inside the input's; the r1 snap loses less
-    than one bin width. Resampled step-up, the decimated region is not a
-    subset: a bin's largest r2 is carried across the bin, above the lower
-    points that follow it there.
-    """
-    if pts.shape[0] <= nbins:
-        return pts
-    top = pts[:, 0].max()
-    if top <= 0.0:
-        return pts[:1]
-    idx = np.minimum((pts[:, 0] / top * nbins).astype(np.int64), nbins - 1)
-    acc = np.full(nbins, -1.0)
-    np.maximum.at(acc, idx, pts[:, 1])
-    keep = acc >= 0.0
-    edges = np.arange(nbins)[keep] * (top / nbins)
-    out = np.stack([edges, acc[keep]], axis=1)
-    ends = pts[pts[:, 0] == top]
-    best_end = np.argsort(-ends[:, 1], kind="stable")[:1]
-    return np.concatenate([out, ends[best_end]], axis=0)
-
-
-def _bin_incumbents(pts: np.ndarray, nb: int) -> np.ndarray:
-    """Per r1 bin (nb bins), the last index attaining the bin's largest r2.
-
-    Bins are visited in ascending order and empty ones are skipped.
-    """
-    top = pts[:, 0].max()
-    if top <= 0.0:
-        return np.zeros(0, dtype=np.int64)
-    binidx = np.minimum((pts[:, 0] / top * nb).astype(np.int64), nb - 1)
-    best = np.full(nb, -np.inf)
-    np.maximum.at(best, binidx, pts[:, 1])
-    hit = np.flatnonzero(pts[:, 1] == best[binidx])
-    last = np.full(nb, -1, dtype=np.int64)
-    np.maximum.at(last, binidx[hit], hit)
-    return last[last >= 0]
-
-
-def refine_pass(ch, par_chunks, coarse_pts, n):
-    """Local re-grid around the incumbents, looked up in per-pair chunks."""
-    keep = _bin_incumbents(coarse_pts, 64)
-    if not keep.size:
-        return np.zeros((0, 2))
-    m = par_chunks[0][0].size
-    chunk, j = np.divmod(keep, 2 * m)
-    j %= m
-    a1, a2, q1, q2 = (np.array([par_chunks[c][k][i] for c, i in zip(chunk, j)])
-                      for k in range(4))
-    step = 1.0 / (n - 1)
-    offs = np.linspace(-step, step, 5)
-    oa, ob, oc, od = np.meshgrid(offs, offs, offs, offs, indexing="ij")
-    oa, ob, oc, od = (v.ravel()[None, :] for v in (oa, ob, oc, od))
-    na = np.clip(a1[:, None] + oa, 0.0, 1.0).ravel()
-    nb = np.clip(a2[:, None] + ob, 0.0, 1.0).ravel()
-    nc = (np.clip(np.abs(q1)[:, None] + oc, 0.0, 1.0)
-          * outer._phase(q1)[:, None]).ravel()
-    nd = (np.clip(np.abs(q2)[:, None] + od, 0.0, 1.0)
-          * outer._phase(q2)[:, None]).ravel()
-    c12 = nc * np.sqrt(na * ch.p1 * nb * ch.p2)
-    d12 = nd * np.sqrt((1 - na) * ch.p1 * (1 - nb) * ch.p2)
-    b1 = (na * ch.p1, c12, nb * ch.p2)
-    b2 = ((1 - na) * ch.p1, d12, (1 - nb) * ch.p2)
-    return dpc_points(ch, b1, b2)
-
-
-def bc_pr_outer(ch, coarse=21, slice_points=ALPHA_GRID_DEFAULT,
-                grid=R1_GRID_DEFAULT, floor_points=None):
-    """outer.bc_pr_outer with the per-pair coarse sweep and refine lookup."""
-    coarse_pts, par_chunks, n = coarse_sweep(ch, coarse)
-    pts = [_decimate(coarse_pts, 4 * grid)]
-    for b1, b2 in outer._structured_slices(ch, slice_points):
-        pts.append(dpc_points(ch, b1, b2))
-    pts.append(refine_pass(ch, par_chunks, coarse_pts, n))
-    if floor_points is not None and len(floor_points):
-        pts.append(np.asarray(floor_points, float).reshape(-1, 2))
-    all_pts = _decimate(np.concatenate(pts, axis=0), 4 * grid)
-    return from_pareto_points(all_pts, Kind.OUTER, grid=grid,
-                              region_id="bc-pr")
 
 
 def _real_a(ch):
@@ -207,34 +68,6 @@ def scheme_f(ch, n_lambda=41, face_lambda=201, grid=R1_GRID_DEFAULT):
     chunks.append(np.stack([np.zeros_like(sd), pos(sd)], axis=1))
     return from_pareto_points(np.concatenate(chunks, axis=0), Kind.INNER,
                               grid=grid, region_id="f")
-
-
-def cheap_achievable_points(ch):
-    """inner.cheap_achievable_points, one lambda scale a call."""
-    al = inner.default_alpha_grid(ch, matched=257, uniform=129)
-    r1b, r2b = inner.scheme_b_rates(ch, al)
-    rho = np.concatenate([np.sqrt(1.0 - al), -np.sqrt(1.0 - al)])
-    r1d, sd = inner.scheme_d_rates(ch, rho)
-    v1 = np.minimum(r1d, sd)
-    w_c1 = inner.lambda_costa_vec(ch, al)
-    chunks = [np.stack([r1b, r2b], axis=1),
-              np.stack([v1, pos(sd - v1)], axis=1),
-              np.stack([np.zeros_like(sd), sd], axis=1)]
-    for t in np.linspace(0.0, 2.0, 41):
-        f1, r2, ss = inner.scheme_e_rates(ch, al, t * w_c1)
-        chunks.append(np.stack([f1, np.minimum(r2, ss - f1)], axis=1))
-        chunks.append(np.stack([np.minimum(f1, pos(ss - r2)), r2], axis=1))
-    av, bv, gv, w_cf = _f_grid(ch, 9)
-    for t in np.linspace(0.0, 2.0, 11):
-        m1, ms, m2r = inner.scheme_f_rates(ch, av, bv, gv, t * w_cf)
-        r1f = np.minimum(m1, np.minimum(ms, m2r / 2.0))
-        chunks.append(np.stack(
-            [r1f, pos(np.minimum(ms - r1f, m2r - 2 * r1f))], axis=1))
-        chunks.append(np.stack(
-            [np.zeros_like(ms), pos(np.minimum(ms, m2r))], axis=1))
-    peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
-    chunks.append(np.array([[float(cap(ch.p1)), 0.0], [0.0, float(cap(peq))]]))
-    return np.clip(np.concatenate(chunks, axis=0), 0.0, None)
 
 
 def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201,

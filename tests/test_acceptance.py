@@ -41,7 +41,7 @@ def test_criterion_1_soundness_sweep():
     for i in range(1000):
         ch = channel_draw(rng)
         bi = inner.best_inner(ch, fast=True)
-        bo = outer.best_outer(ch, extra_floor=np.column_stack([bi.r1, bi.r2]))
+        bo = outer.best_outer(ch)
         ok, viol = region.contains(bo, bi, tol=1e-6)
         if not ok:
             worst = max(worst, max(v[1] for v in viol))

@@ -395,8 +395,7 @@ class TestTdmaAndAggregates:
         for _ in range(10):
             ch = channel_draw(rng)
             bi = inner.best_inner(ch, fast=True)
-            bo = outer.best_outer(ch,
-                                  extra_floor=np.column_stack([bi.r1, bi.r2]))
+            bo = outer.best_outer(ch)
             ok, viol = region.contains(bo, bi, tol=1e-6)
             assert ok, viol[:3]
 
@@ -440,10 +439,10 @@ def test_repeated_build_faults_no_pages(build, bound_mb):
     pytest.param(lambda ch: outer.best_outer(ch), 16, id="best-outer")])
 def test_largest_clouds_are_streamed(build, bound_mb):
     """Schemes E and F hand their clouds over one lambda fan at a time,
-    best_inner streams every scheme's cloud into one envelope, and the
-    bc-pr sweep reduces one phase pair at a time, so the peak allocation
-    stays far below a whole cloud (about 1 M rows on a complex channel at
-    default grids, 1.4 M for the bc-pr sweep)."""
+    and best_inner streams every scheme's cloud into one envelope, so the
+    peak allocation stays far below a whole cloud (about 1 M rows on a
+    complex channel at default grids). The bc-pr certificate holds a few
+    (slope, offset) tables and one (slope, r1 node) table."""
     ch = _COMPLEX_CH
     tracemalloc.start()
     try:
@@ -545,7 +544,7 @@ def test_real_channels_take_the_float64_kernels(ch):
     """With real a the rate kernels run in float64, and agree within
     1e-12 bits with the same call given complex-typed inputs."""
     al = np.linspace(0.0, 1.0, 33)
-    lam = inner.lambda_costa_vec(ch, al) * np.linspace(0.0, 2.0, 5)[:, None]
+    lam = inner._scheme_e_costa1(ch, al) * np.linspace(0.0, 2.0, 5)[:, None]
     grid = np.linspace(0.0, 1.0, 5)
     av, bv, gv = (v.ravel() for v in np.meshgrid(grid, grid, grid,
                                                  indexing="ij"))
@@ -565,7 +564,7 @@ def test_real_channels_take_the_float64_kernels(ch):
     for r in inner.scheme_c_rates(ch, al, 1.0, 0.0):
         assert r.dtype == np.float64
     # the amplitudes behind them are real too, not complex with zero imag
-    assert inner.lambda_costa_vec(ch, al).dtype == np.float64
+    assert inner._scheme_e_costa1(ch, al).dtype == np.float64
     assert inner._scheme_e_amplitudes(ch, al)[0].dtype == np.float64
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from scipy.optimize import minimize_scalar
 from gcifc import gaussmi, inner, outer, region
 from gcifc.channel import ChannelParams
 from gcifc.errors import InvalidTransform, RegimeMismatch, SingularPreset
-from gcifc.util import alpha_of_r1, cap
-from conftest import channel_draw, correlated_input_system
+from gcifc.util import alpha_of_r1, cap, r1_grid
+from conftest import EDGE_CHANNELS, channel_draw, correlated_input_system
 
 
 def matched_alpha(reg):
@@ -223,16 +224,14 @@ class TestBcPr:
         # below the threshold neither bound contains the other
         ch = ChannelParams(1 / 2.0, 2.0, 1.0, 1.0)
         so = outer.strong_outer(ch)
-        bp = outer.bc_pr_outer(
-            ch, floor_points=inner.cheap_achievable_points(ch))
+        bp = outer.bc_pr_outer(ch)
         d = bp.boundary_at(so.r1) - so.r2
         assert d.min() < -1e-2 and d.max() > 1e-2
 
     def test_containment_above_threshold_touching_a(self):
         ch = ChannelParams(1 / 3.0, 3.0, 1.0, 1.0)
         so = outer.strong_outer(ch)
-        bp = outer.bc_pr_outer(
-            ch, floor_points=inner.cheap_achievable_points(ch))
+        bp = outer.bc_pr_outer(ch)
         d = bp.boundary_at(so.r1) - so.r2
         assert d[0] == pytest.approx(0.0, abs=1e-6)  # point A
         assert d.min() < -0.3                         # strictly tighter inside
@@ -241,43 +240,97 @@ class TestBcPr:
     def test_general_channel_pokes_out_near_c(self):
         ch = ChannelParams(0.5, 3.0, 1.0, 1.0)
         so = outer.strong_outer(ch)
-        bp = outer.bc_pr_outer(
-            ch, floor_points=inner.cheap_achievable_points(ch))
+        bp = outer.bc_pr_outer(ch)
         d = bp.boundary_at(so.r1) - so.r2
         assert d.min() < -1e-2 and d.max() > 1e-2
 
     def test_dpc_rate_oracle(self, rng):
-        # both precoding orders against exact covariance MI
-        for _ in range(15):
-            ch = channel_draw(rng)
-            a1, a2 = rng.uniform(0.05, 0.95, 2)
-            q1, q2 = rng.uniform(-0.95, 0.95, 2)
-            b1 = (a1 * ch.p1, q1 * math.sqrt(a1 * ch.p1 * a2 * ch.p2) + 0j,
-                  a2 * ch.p2)
-            b2 = ((1 - a1) * ch.p1,
-                  q2 * math.sqrt((1 - a1) * ch.p1 * (1 - a2) * ch.p2) + 0j,
-                  (1 - a2) * ch.p2)
-            (r1o1, r2o1), (r1o2, r2o2) = outer._dpc_points(
-                ch, tuple(np.atleast_1d(np.asarray(v)) for v in b1),
-                tuple(np.atleast_1d(np.asarray(v)) for v in b2))
-            sys = gaussmi.build_system(
-                [("X1", {"V1": 1.0, "W1": 1.0}),
-                 ("X2", {"V2": 1.0, "W2": 1.0}),
-                 ("Y1", {"X1": 1.0, "X2": ch.a, "Z1": 1.0}),
-                 ("Y2", {"X1": ch.b, "X2": 1.0, "Z2": 1.0})],
-                [("V1", b1[0], {"V2": complex(b1[1])}), ("V2", b1[2]),
-                 ("W1", b2[0], {"W2": complex(b2[1])}), ("W2", b2[2]),
-                 ("Z1", 1.0), ("Z2", 1.0)])
-            r1_o1 = gaussmi.mutual_info(sys, "Y1", ["V1", "V2"],
-                                        ["W1", "W2"])
-            r2_o1 = gaussmi.mutual_info(sys, "Y2", ["W1", "W2"])
-            assert float(r1o1[0]) == pytest.approx(r1_o1, abs=1e-9)
-            assert float(r2o1[0, 0]) == pytest.approx(r2_o1, abs=1e-9)
-            r1_o2 = gaussmi.mutual_info(sys, "Y1", ["V1", "V2"])
-            r2_o2 = gaussmi.mutual_info(sys, "Y2", ["W1", "W2"],
-                                        ["V1", "V2"])
-            assert float(r1o2[0]) == pytest.approx(r1_o2, abs=1e-9)
-            assert float(r2o2[0]) == pytest.approx(r2_o2, abs=1e-9)
+        """Rate pairs of random covariance splits, both precoding orders,
+        as exact covariance MI on real and complex channels: each obeys
+        every slope's support, and lies inside the region wherever
+        r1 <= cap(p1)."""
+        inside = 0
+        for k in range(24):
+            complex_a = k % 2 == 1
+            ch = channel_draw(rng, complex_a=complex_a)
+            reg = outer.bc_pr_outer(ch)
+            h = outer._bc_support(ch, outer._BC_SLOPES)
+            for _ in range(4):
+                a1, a2 = rng.uniform(0.0, 1.0, 2)
+                phase = (np.exp(1j * rng.uniform(-math.pi, math.pi, 2))
+                         if complex_a else rng.choice([-1.0, 1.0], 2))
+                q1, q2 = rng.uniform(0.0, 0.99, 2) * phase
+                sys = gaussmi.build_system(
+                    [("X1", {"V1": 1.0, "W1": 1.0}),
+                     ("X2", {"V2": 1.0, "W2": 1.0}),
+                     ("Y1", {"X1": 1.0, "X2": ch.a, "Z1": 1.0}),
+                     ("Y2", {"X1": ch.b, "X2": 1.0, "Z2": 1.0})],
+                    [("V1", a1 * ch.p1,
+                      {"V2": q1 * math.sqrt(a1 * ch.p1 * a2 * ch.p2)}),
+                     ("V2", a2 * ch.p2),
+                     ("W1", (1 - a1) * ch.p1,
+                      {"W2": q2 * math.sqrt((1 - a1) * ch.p1
+                                            * (1 - a2) * ch.p2)}),
+                     ("W2", (1 - a2) * ch.p2),
+                     ("Z1", 1.0), ("Z2", 1.0)])
+                v, w = ["V1", "V2"], ["W1", "W2"]
+                # order 1 precodes V against W, order 2 W against V
+                pts = np.array([
+                    [gaussmi.mutual_info(sys, "Y1", v, w),
+                     gaussmi.mutual_info(sys, "Y2", w)],
+                    [gaussmi.mutual_info(sys, "Y1", v),
+                     gaussmi.mutual_info(sys, "Y2", w, v)]])
+                support = (np.multiply.outer(pts[:, 0], np.cos(outer._BC_SLOPES))
+                           + np.multiply.outer(pts[:, 1], np.sin(outer._BC_SLOPES)))
+                assert np.all(support <= h + 1e-9), ch
+                low = pts[:, 0] <= reg.r1_max
+                inside += int(low.sum())
+                assert reg.contains_points(pts[low, 0], pts[low, 1],
+                                           tol=1e-9).all(), ch
+        assert inside > 40
+
+    def test_silent_primary_without_cross_gain(self):
+        # rx2 hears nothing (b = 0, p2 = 0): where r2 weighs more, the
+        # stationarity quadratic vanishes and the support is the x = 0 end
+        ch = ChannelParams(0.5, 0.0, 3.0, 0.0)
+        h = outer._bc_support(ch, outer._BC_SLOPES)
+        assert np.allclose(h, np.cos(outer._BC_SLOPES) * float(cap(3.0)),
+                           rtol=0.0, atol=1e-9)
+
+    def test_reference_support(self):
+        """The certificate at theta = 0.135 on this channel matches a
+        600-start search over DPC covariances (5.7250)."""
+        from gcifc.verify import random_channels
+        ch = random_channels(30, 42)[26]
+        h = outer._bc_support(ch, np.array([0.135]))
+        assert float(h[0]) == pytest.approx(5.72499, abs=1e-4)
+
+    def test_mac_max_matches_dense_search(self, rng):
+        """The closed-form MAC maximiser agrees with a dense power grid."""
+        x = np.linspace(0.0, 1.0, 200001)
+        for _ in range(200):
+            mu = np.sort(rng.uniform(0.0, 1.0, 2))
+            c_lo, c_hi = 10.0 ** rng.uniform(-2, 3, 2)
+            r = math.sqrt(c_lo * c_hi) * rng.uniform(0.0, 1.0)
+            f = (mu[0] * np.log1p(c_lo * (1 - x) + c_hi * x + r * r * x * (1 - x))
+                 + (mu[1] - mu[0]) * np.log1p(c_hi * x))
+            got = float(outer._mac_max(*(np.array([v]) for v in
+                                         (mu[0], mu[1], c_lo, c_hi, r)))[0])
+            assert got >= f.max() - 1e-12
+            assert got <= f.max() + 1e-9
+
+    @pytest.mark.parametrize("ch", [ch for _, ch in EDGE_CHANNELS] + [
+        ChannelParams(0.5, 1.5, 1e160, 1e160),
+        ChannelParams(0.5, 1.5, 1e200, 1.0)],
+        ids=[name for name, _ in EDGE_CHANNELS] + ["p=1e160", "p=(1e200,1)"])
+    def test_finite_without_warnings(self, ch):
+        with warnings.catch_warnings(), np.errstate(over="raise",
+                                                    divide="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            reg = outer.bc_pr_outer(ch)
+        assert np.isfinite(reg.r2).all()
+        assert reg.r1_max == float(cap(ch.p1))
 
 
 class TestTransforms:
@@ -384,6 +437,17 @@ class TestBestOuter:
             assert np.array_equal(uni.r1, pl.r1)
             assert np.all(np.abs(uni.r2 - strong.r2) <= 1e-12), ch
             assert np.all(pl.r2 >= strong.r2 - 1e-12), ch
+
+    @pytest.mark.parametrize("grid", [2048, 512])
+    def test_members_share_the_r1_nodes(self, rng, grid):
+        """bc-pr is evaluated on the closed forms' nodes r1_grid(p1, grid),
+        so the intersection samples every such member exactly there."""
+        chans = [ch for _, ch in EDGE_CHANNELS] + [
+            channel_draw(rng, complex_a=k % 2 == 1) for k in range(8)]
+        for ch in chans:
+            nodes = r1_grid(ch.p1, grid)
+            assert np.array_equal(outer.bc_pr_outer(ch, grid).r1, nodes)
+            assert np.array_equal(outer.best_outer(ch, grid).r1, nodes), ch
 
     def test_bound_id_strings_all_buildable(self):
         from gcifc.cli import _OUTER_BUILDERS

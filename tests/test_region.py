@@ -6,13 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcifc.errors import EmptyInput, MixedKinds
-from gcifc.region import (GapReport, Kind, RateRegion, _bin_reduce,
-                          _front_candidates, _pareto_filter,
-                          _upper_hull,
+from gcifc.region import (GapReport, Kind, RateRegion, _front_candidates,
+                          _pareto_filter, _upper_hull,
                           additive_gap, contains, from_boundary,
                           from_pareto_points, gap_report, intersect,
                           multiplicative_gap, union)
-import sweep_reference as ref
 
 
 def line_region(intercept, slope, kind=Kind.INNER, grid=257):
@@ -331,12 +329,6 @@ def _hull_by_definition(x, y):
     return np.asarray(out, dtype=int)
 
 
-def _decimate(pts, nbins):
-    """`_bin_reduce`'s decimated cloud of one array of points."""
-    return _bin_reduce([(0, pts[:, 0], pts[:, 1])],
-                       pts[:, 0].max(initial=-np.inf), nbins)[0]
-
-
 def _pareto_lexsort(r1, r2):
     """Plain sort-based Pareto filter (lowest index wins among equals)."""
     order = np.lexsort((-r2, r1))
@@ -430,71 +422,3 @@ class TestEnvelopeKernels:
             one = from_pareto_points(pts, Kind.OUTER, grid=33)
             assert np.array_equal(got.r1, one.r1)
             assert np.array_equal(got.r2, one.r2)
-
-    def test_decimate_matches_frozen_copy(self, rng):
-        # ties, negative r2, all-zero r1, tiny scales, and clouds at or
-        # below nbins (returned unchanged)
-        for x, y in _clouds(rng, 400):
-            for scale in (1.0, 0.0, 1e-308, 5e-324):
-                pts = np.stack([x * scale, y], axis=1)
-                for nbins in (1, 3, 8, 64):
-                    assert np.array_equal(_decimate(pts, nbins),
-                                          ref._decimate(pts, nbins))
-
-    def test_decimate_keeps_best_top_point(self):
-        # of the points at the largest r1, the first has the lowest r2
-        pts = np.array([[3.0, 0.5], [3.0, 3.0], [1.0, 2.0], [3.0, 3.0],
-                        [2.0, 4.0], [0.0, 5.0]])
-        out = _decimate(pts, 2)
-        assert np.array_equal(out, [[0.0, 5.0], [1.5, 4.0], [3.0, 3.0]])
-
-    def test_refine_incumbents_match_lexsort_rule(self, rng):
-        nb = 64
-        for trial in range(50):
-            n = int(rng.integers(1, 3000))
-            r1 = rng.integers(0, 200, n) / 3.0
-            r2 = rng.integers(0, 4 + trial, n).astype(float)  # many ties
-            if trial == 0:
-                r2[:] = 1.0
-            pts = np.stack([r1, r2], axis=1)
-            top = r1.max()
-            got = _bin_reduce([(0, r1, r2)], top, 8, nb)[1]
-            if top <= 0.0:
-                assert got.size == 0
-                continue
-            binidx = np.minimum((r1 / top * nb).astype(np.int64), nb - 1)
-            order = np.lexsort((r2, binidx))
-            last = np.flatnonzero(np.diff(binidx[order], append=nb + 1) != 0)
-            assert np.array_equal(got, order[last])
-
-    def test_streamed_reduction_matches_one_shot(self, rng):
-        # chunk boundaries at random, so ties and bin maxima split across
-        # chunks; top <= 0, clouds at or below nbins, subnormal tops
-        for x, y in _clouds(rng, 400):
-            for scale in (1.0, 0.0, 1e-308, 5e-324):
-                pts = np.stack([x * scale, y], axis=1)
-                cuts = np.sort(rng.integers(0, len(pts) + 1, 3))
-                chunks = [(c0, c[:, 0], c[:, 1]) for c0, c
-                          in zip(np.r_[0, cuts], np.split(pts, cuts))]
-                for nbins in (1, 3, 8, 64):
-                    dec, inc = _bin_reduce(chunks, pts[:, 0].max(), nbins, 4)
-                    assert np.array_equal(dec, ref._decimate(pts, nbins))
-                    assert np.array_equal(inc, ref._bin_incumbents(pts, 4))
-                    # the results own their rows: none pins an input chunk
-                    assert dec.base is None and inc.base is None
-
-    def test_grouped_rows_reduce_like_their_points(self, rng):
-        # rows of k points sharing one r1, cut at random between rows, with
-        # ties inside rows; top <= 0 and clouds at or below nbins
-        for x, _ in _clouds(rng, 200):
-            k = int(rng.integers(1, 6))
-            r2 = rng.integers(-1, 4, (x.size, k)).astype(float)
-            cuts = np.sort(rng.integers(0, x.size + 1, 2))
-            for scale in (1.0, 0.0, 5e-324):
-                pts = np.stack([np.repeat(x * scale, k), r2.ravel()], axis=1)
-                chunks = list(zip(np.r_[0, cuts] * k, np.split(x * scale, cuts),
-                                  np.split(r2, cuts)))
-                for nbins in (1, 3, 8, 64, 256):
-                    dec, inc = _bin_reduce(chunks, pts[:, 0].max(), nbins, 4)
-                    assert np.array_equal(dec, ref._decimate(pts, nbins))
-                    assert np.array_equal(inc, ref._bin_incumbents(pts, 4))

@@ -1,14 +1,11 @@
-"""The broadcast bc-pr coarse sweep and scheme-F lambda fans against their
-loop forms in sweep_reference, and the streamed scheme-E sweep against its
-one-shot form: every reduced point, boundary and chosen parameter
-bit-identical."""
+"""The scheme-F lambda fans against their loop form in sweep_reference, and
+the streamed scheme-E sweep against its one-shot form: every boundary and
+chosen parameter bit-identical."""
 
 import numpy as np
 import pytest
 
-from gcifc import inner, outer
-from gcifc.channel import ChannelParams
-from gcifc.region import _bin_reduce
+from gcifc import inner
 from conftest import EDGE_CHANNELS, channel_draw
 import sweep_reference as ref
 
@@ -34,43 +31,18 @@ def _identical(a, b):
     assert all(pa[k].tobytes() == pb[k].tobytes() for k in pa)
 
 
-@pytest.mark.parametrize("ch", CHANNELS + [
-    pytest.param(ChannelParams(0.0, 1.3, 0.0, 4.0), id="top=0")])
-def test_coarse_points_match_per_pair_loop(ch):
-    """The coarse chunks, order 1 as rows over q2, reduce to exactly what
-    the per-pair loop's whole cloud reduces to: the decimated cloud with
-    its top point and the refine incumbents, the whole cloud where it
-    fits in the bins, and its first point where top <= 0."""
-    want, _, _ = ref.coarse_sweep(ch)
-    for nbins in (8192, 2048, len(want) - 1, len(want)):
-        _, _, top, chunks = outer._coarse_points(ch, 21)
-        assert top == want[:, 0].max()
-        dec, inc = _bin_reduce(chunks, top, nbins, 64)
-        assert np.array_equal(dec, ref._decimate(want, nbins))
-        assert np.array_equal(inc, ref._bin_incumbents(want, 64))
+@pytest.mark.parametrize("ch", CHANNELS)
+def test_regions_match_loop_forms(ch):
+    _match_loop_forms(ch, 2048)
 
 
 @pytest.mark.parametrize("ch", CHANNELS)
-def test_regions_match_loop_forms(ch, monkeypatch):
-    _match_loop_forms(ch, 2048, monkeypatch)
+def test_regions_match_loop_forms_atlas_grid(ch):
+    _match_loop_forms(ch, 512)
 
 
-@pytest.mark.parametrize("ch", CHANNELS)
-def test_regions_match_loop_forms_atlas_grid(ch, monkeypatch):
-    _match_loop_forms(ch, 512, monkeypatch)
-
-
-def _match_loop_forms(ch, grid, monkeypatch):
-    floor = inner.cheap_achievable_points(ch)
-    assert np.array_equal(floor, ref.cheap_achievable_points(ch))
-    _same(outer.bc_pr_outer(ch, grid=grid, floor_points=floor),
-          ref.bc_pr_outer(ch, grid=grid, floor_points=floor))
+def _match_loop_forms(ch, grid):
     _same(inner.scheme_f(ch, grid=grid), ref.scheme_f(ch, grid=grid))
-    got = outer.best_outer(ch, grid=grid)
-    monkeypatch.setattr(outer, "bc_pr_outer", ref.bc_pr_outer)
-    monkeypatch.setattr(inner, "cheap_achievable_points",
-                        ref.cheap_achievable_points)
-    _same(got, outer.best_outer(ch, grid=grid))
 
 
 @pytest.mark.parametrize("ch", CHANNELS)

@@ -157,6 +157,21 @@ class TestGapChecks:
             seen |= {d["row"] for d in rep.details}
         assert {"perfect-cancel", "broadcast-strong"} <= seen
 
+    def test_perfect_cancel_row_keeps_member_corners(self):
+        # resampling both members onto one union grid once cut scheme E's
+        # corner short of the grid's end here, 1.96 bits below it. The
+        # envelope coalesces r1 ties within t = 1e-9 * max(r1_max, 1), so
+        # member nodes are checked shifted left by 2t.
+        ch = ChannelParams(-0.6 + 0.2j, 1.7, 1e8, 1e8)
+        rows = {row: reg for row, _, reg, _ in verify._table_rows(ch)}
+        row = rows["perfect-cancel"]
+        shift = 2e-9 * max(row.r1_max, 1.0)
+        for m in (inner.scheme_e(ch, lambda_policy="costa1"),
+                  inner.tdma_inner(ch)):
+            assert m.r1_max - row.r1_max <= shift
+            got = row.boundary_at(np.maximum(m.r1 - shift, 0.0))
+            assert np.all(m.r2 <= got + 1e-9), m.region_id
+
     @pytest.mark.parametrize("ch", [ChannelParams(0.5, 1.3, 0.0, 4.0),
                                     ChannelParams(0.5, 2.0, 0.0, 0.0),
                                     ChannelParams(0.5 + 0.5j, 2.0, 0.0, 6.0)])
@@ -223,9 +238,9 @@ class TestSuite:
         assert rep.holds, rep.worst_violation
 
     def test_soundness_top_corner_channel(self):
-        # the atlas-gap cell (0, 5) at p = 10: the bc-pr decimation once
+        # the atlas-gap cell (0, 5) at p = 10: a sampled bc-pr bound once
         # kept the first sample near the largest r1, (3.4594, 0.056), and
-        # dropped the corner (3.4594, 3.4594) and the floor point there
+        # dropped the corner (3.4594, 3.4594) there
         rep = verify.check_soundness(ChannelParams(0.0, 5.0, 10.0, 10.0))
         assert rep.holds, rep.worst_violation
 
@@ -233,8 +248,8 @@ class TestSuite:
     def test_subnormal_p2(self, p2):
         # p1 / p2 overflows: the costa coefficient must stay finite
         ch = ChannelParams(0.5, 1.3, 4.0, p2)
-        assert np.isfinite(inner.cheap_achievable_points(ch)).all()
-        for reg in (outer.best_outer(ch), inner.scheme_f(ch)):
+        for reg in (outer.best_outer(ch), inner.scheme_f(ch),
+                    inner.scheme_e(ch, lambda_policy="costa1")):
             assert reg.r1_max > 0.0 and np.isfinite(reg.r2).all()
         rep = verify.check_soundness(ch)
         assert rep.holds, rep.worst_violation
