@@ -1,11 +1,13 @@
 """Achievable schemes as RateRegion constructors.
 
 Every scheme is a Gaussian coding strategy whose rate bounds are exact
-covariance determinant ratios; they are evaluated here as vectorized
-closed forms and cross-checked against the gaussmi oracle in the test
-suite. Power-split parameters are swept on grids whose images land on
-the r1 sample grid (plus a uniform fill), so hull resampling is exact at
-the stored grid nodes.
+covariance determinant ratios, evaluated as vectorized closed forms in
+Gram form (a sum of squared minors, which cannot cancel; conditioning on
+X2 drops its source), so they need no clamps at any power. Schemes C and
+E share one dirty-paper kernel, `_f_mi`; every scheme is cross-checked
+against the gaussmi oracle in the test suite. Power-split parameters are
+swept on grids whose images land on the r1 sample grid (plus a uniform
+fill), so hull resampling is exact at the stored grid nodes.
 
 Pre-coding coefficients are handled in "amplitude space": a coefficient
 lambda on the primary signal enters only through w = lambda*sqrt(p2),
@@ -32,9 +34,7 @@ from .errors import DegenerateDenominator
 # union stays importable from here: perfbench's tracer self-test checks it
 from .region import (R1_GRID_DEFAULT, Kind, RateRegion,  # noqa: F401
                      from_pareto_points, union)
-from .util import alpha_of_r1, cap, pos, r1_grid
-
-_TINY = 1e-300
+from .util import alpha_of_r1, cap, pos, r1_grid, scaled_powers
 
 # test-channel noise variances (sigma1^2, sigma2^2) of the binning schemes
 _SIGMA_PAIRS = ((1.0, 0.0), (1.0, 1.0))
@@ -65,23 +65,25 @@ def lambda_costa(h: complex, sigma_sq: float, alpha: float, p1: float) -> comple
     return a_pow * h / den
 
 
-def _f_mi(c1, u2, sigma_sq, w, a_pow, clamp: bool = True):
-    """I(c1*X + u2*Xi + sigma*Z ; X + (w/sqrt(p2))*X2) - I(U; X2), in bits.
+def _f_mi(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp: bool = True):
+    """I(S; U) - I(U; Xi) in bits, S = c1 X + u2 Xi + sigma Z and
+    U = X + w Xi + su Zu, with var(X) = a_pow and unit Xi, Z, Zu.
 
-    Amplitude-space evaluation: u2 is the interferer coefficient times
-    sqrt(p2) and w the pre-coding coefficient times sqrt(p2). X has
-    variance a_pow. With clamp the (possibly negative) MI difference is
-    floored at zero, matching the rate interpretation.
+    Amplitude space: u2 and w are the interferer and pre-coding
+    coefficients times sqrt(p2). In Gram form the value is
+    log2(var(S) V / G), V = Var(U | Xi) = a_pow + su^2 and
+    G = a_pow |c1 w - u2|^2 + sigma^2 (a_pow + |w|^2) + su^2 var(S); G is
+    divided by V term by term, so nothing overflows. V = 0 gives 0. With
+    clamp the difference is floored at zero, matching the rate
+    interpretation.
     """
     a_pow = np.asarray(a_pow, dtype=float)
     var_s = np.abs(c1) ** 2 * a_pow + np.abs(u2) ** 2 + sigma_sq
-    var_u = a_pow + np.abs(w) ** 2
-    covm = np.abs(c1 * a_pow + u2 * np.conj(w)) ** 2
-    den = np.maximum(var_s * var_u - covm, _TINY)
-    num = a_pow * var_s
+    v = a_pow + su_sq
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.log2(np.maximum(num, _TINY)) - np.log2(den)
-    val = np.where(a_pow <= 0.0, 0.0, val)
+        g = (a_pow / v * np.abs(c1 * w - u2) ** 2
+             + sigma_sq * ((a_pow + np.abs(w) ** 2) / v) + su_sq / v * var_s)
+        val = np.where(v == 0.0, 0.0, np.log2(var_s / g))
     return pos(val) if clamp else val
 
 
@@ -167,9 +169,10 @@ def scheme_b_rates(ch: ChannelParams, alpha):
     al = np.asarray(alpha, dtype=float)
     abar = 1.0 - al
     b2p1 = ch.b ** 2 * ch.p1
+    p1, p2, k = scaled_powers(ch.p1, ch.p2)
+    cross = np.ldexp(2.0 * np.sqrt(abar * (ch.b ** 2 * p1) * p2), k)
     r1 = cap(al * ch.p1)
-    r2 = pos(cap(b2p1 + ch.p2 + 2.0 * np.sqrt(abar * b2p1 * ch.p2))
-             - cap(ch.b ** 2 * al * ch.p1))
+    r2 = pos(cap(b2p1 + ch.p2 + cross) - cap(ch.b ** 2 * al * ch.p1))
     return r1, r2
 
 
@@ -192,7 +195,8 @@ def scheme_d_rates(ch: ChannelParams, rho):
     """(r1 cap, sum cap) of the all-common strategy at each correlation."""
     rho = np.asarray(rho, dtype=complex)
     rsq = np.clip(np.abs(rho) ** 2, 0.0, 1.0)
-    sp = math.sqrt(ch.p1 * ch.p2)
+    p1, p2, k = scaled_powers(ch.p1, ch.p2)
+    sp = math.ldexp(math.sqrt(p1 * p2), k)
     r1 = np.minimum(cap((1.0 - rsq) * ch.p1), cap((1.0 - rsq) * ch.b ** 2 * ch.p1))
     s1 = cap(ch.p1 + abs(ch.a) ** 2 * ch.p2
              + 2.0 * np.real(np.conj(ch.a) * rho) * sp)
@@ -277,8 +281,8 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
     def params(src):
         scale, split = np.divmod(src % pairs, al.size)
         w = fixed[split] if scales is None else scales[scale] * w_c1[split]
-        lam_re = np.where(ch.p2 > 0, np.real(w) / max(math.sqrt(ch.p2), _TINY),
-                          0.0)
+        sp2 = math.sqrt(ch.p2)
+        lam_re = np.real(w) / sp2 if sp2 > 0.0 else np.zeros(np.shape(w))
         return {"alpha": al[split], "lambda_re": lam_re}
 
     return _scheme_e_blocks(ch, al, fans, pairs), params
@@ -324,24 +328,12 @@ def scheme_e(ch: ChannelParams, alpha_grid=None,
 
 # -- schemes C / C46: cognitive broadcasts a primary layer with binning ------
 
-def _cv1(vs, cov, vt):
-    """Var(S | T) with a zero-variance conditioner acting as a no-op."""
-    vt = np.asarray(vt, dtype=float)
-    red = np.where(vt > 1e-14, np.abs(cov) ** 2 / np.maximum(vt, _TINY), 0.0)
-    return pos(np.asarray(vs, dtype=float) - red)
-
-
-def _cv2(vs, c1, c2, v1, v12, v2):
-    """Var(S | T1, T2) with fallback to the best single conditioner."""
-    det = v1 * v2 - np.abs(v12) ** 2
-    scale = np.maximum(v1 * v2, 1e-30)
-    ok = det > 1e-12 * scale
-    safe_det = np.where(ok, det, 1.0)
-    quad = (v2 * np.abs(c1) ** 2 + v1 * np.abs(c2) ** 2
-            - 2.0 * np.real(v12 * c1 * np.conj(c2))) / safe_det
-    full = pos(np.asarray(vs, dtype=float) - np.where(ok, quad, 0.0))
-    single = np.minimum(_cv1(vs, c1, v1), _cv1(vs, c2, v2))
-    return np.where(ok, full, single)
+def _quot(num, den, noop):
+    """num / den, or noop where den == 0: a zero-variance conditioner
+    conditions nothing."""
+    out = np.array(np.broadcast_to(noop, np.broadcast(num, den).shape),
+                   dtype=float)
+    return np.divide(num, den, out=out, where=den != 0.0)
 
 
 def scheme_c_rates(ch: ChannelParams, alpha, sigma1_sq, sigma2_sq,
@@ -351,6 +343,12 @@ def scheme_c_rates(ch: ChannelParams, alpha, sigma1_sq, sigma2_sq,
     c1/c2 are the auxiliary mixing coefficients; None reproduces the
     channel-matched choice (c1=a, c2=b). The test-channel noise
     correlation is set to its penalty-minimizing value internally.
+
+    The r1 bound and the sum bound's dirty-paper part are `_f_mi` with
+    U1's noise s1. Given X2 only X (variance a = alpha p1) and the noises
+    remain, so Var(Y2 | U2, X2) = 1 + b^2 a s2 / d2 and Var(U1 | U2, X2) =
+    [a (s2 + s1 c2^2 + 2 |c2| m) + (r - m)(r + m)] / d2, d2 = c2^2 a + s2,
+    r = sqrt(s1 s2), m = |E[N1 N2*]|.
     """
     al = np.asarray(alpha, dtype=float)
     a_pow = al * ch.p1
@@ -361,39 +359,23 @@ def scheme_c_rates(ch: ChannelParams, alpha, sigma1_sq, sigma2_sq,
     if np.iscomplexobj(a):
         c1 = c1.astype(complex)
     c2 = np.asarray(ch.b if c2 is None else c2, dtype=float)
-
-    u_y1 = q + a * sp2
-    u_u1 = q + c1 * sp2
-    u_y2 = ch.b * q + sp2
-    u_u2 = c2 * q + sp2
     s1, s2 = float(sigma1_sq), float(sigma2_sq)
-    czz = -np.sign(c2) * np.minimum(math.sqrt(s1 * s2), np.abs(c2) * a_pow)
 
-    var_y1 = a_pow + np.abs(u_y1) ** 2 + 1.0
-    var_u1 = a_pow + np.abs(u_u1) ** 2 + s1
-    cov_y1u1 = a_pow + u_y1 * np.conj(u_u1)
-    det = np.maximum(var_y1 * var_u1 - np.abs(cov_y1u1) ** 2, _TINY)
-    i_y1u1 = np.log2(np.maximum(var_y1 * var_u1, _TINY)) - np.log2(det)
-    # I(U1; X2) vanishes with the interferer amplitude in U1
-    i_u1x2 = np.log2(var_u1) - np.log2(np.maximum(var_u1 - np.abs(u_u1) ** 2,
-                                                  _TINY))
-    m1 = pos(i_y1u1 - i_u1x2)
+    # I(Y1; U1) - I(U1; X2)
+    f1 = _f_mi(1.0, q + a * sp2, 1.0, q + c1 * sp2, a_pow, s1, clamp=False)
 
-    var_y2 = ch.b ** 2 * a_pow + np.abs(u_y2) ** 2 + 1.0
-    var_u2 = np.abs(c2) ** 2 * a_pow + np.abs(u_u2) ** 2 + s2
-    var_x2 = ch.p2
-    cov_y2u2 = ch.b * np.conj(c2) * a_pow + u_y2 * np.conj(u_u2)
-    cov_y2x2 = u_y2 * sp2
-    cov_u2x2 = u_u2 * sp2
-    cv_y2 = _cv2(var_y2, cov_y2u2, cov_y2x2, var_u2, cov_u2x2, var_x2)
-    m2 = pos(np.log2(var_y2) - np.log2(np.maximum(cv_y2, _TINY)))
+    var_y2 = ch.b ** 2 * a_pow + np.abs(ch.b * q + sp2) ** 2 + 1.0
+    d1, d2 = a_pow + s1, c2 ** 2 * a_pow + s2  # Var(U1 | X2), Var(U2 | X2)
+    cv_y2 = 1.0 + ch.b ** 2 * a_pow * _quot(s2, d2, 1.0)
+    m2 = pos(np.log2(var_y2) - np.log2(cv_y2))
 
-    cov_u1u2 = np.conj(c2) * a_pow + u_u1 * np.conj(u_u2) + czz
-    cov_u1x2 = u_u1 * sp2
-    cv_u1 = _cv2(var_u1, cov_u1u2, cov_u1x2, var_u2, cov_u2x2, var_x2)
-    i_u1_u2x2 = np.log2(var_u1) - np.log2(np.maximum(cv_u1, _TINY))
-    ms = pos(m2 + i_y1u1 - i_u1_u2x2)
-    return m1, m2, ms
+    r = math.sqrt(s1 * s2)
+    m = np.minimum(r, np.abs(c2) * a_pow)
+    cv_u1 = _quot(a_pow * (s2 + s1 * c2 ** 2 + 2.0 * np.abs(c2) * m)
+                  + (r - m) * (r + m), d2, d1)
+    # m2 + I(Y1; U1) - I(U1; X2) - I(U1; U2 | X2)
+    ms = pos(m2 + f1 + np.log2(_quot(cv_u1, d1, 1.0)))
+    return pos(f1), m2, ms
 
 
 def _scheme_c_cloud(ch: ChannelParams, al, sigma_pairs=_SIGMA_PAIRS):
@@ -435,6 +417,12 @@ def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
 
     w is the pre-coding coefficient times the private-primary amplitude
     sqrt((1-beta) p2). Returns (m_r1, m_sum, m_2r1_r2).
+
+    Given the common primary part V2c only the private primary atom and
+    X1c (variance alpha p1) remain: Var(Y | U1, V2c) = 1 + |y_p - g w|^2 t,
+    t = alpha p1 / (|w|^2 + alpha p1), y_p and g being Y's gains on the
+    atom and X1c, and X2 reveals the atom wherever it has power, leaving
+    Var(Y2 | U1, X2, V2c) = 1.
     """
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
@@ -445,48 +433,28 @@ def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
     x2_pa = np.sqrt(pos(1.0 - be) * p2)
     x1_2c = np.sqrt(pos(1.0 - al) * ga * p1)
     x1_pa = np.sqrt(pos(1.0 - al) * pos(1.0 - ga) * p1)
-    x1_c = np.sqrt(al * p1)
+    a_pow = al * p1
+    y1c, y1p = x1_2c + a * x2_c, x1_pa + a * x2_pa
+    y2c, y2p = b * x1_2c + x2_c, b * x1_pa + x2_pa
 
-    y1 = (x1_2c + a * x2_c, x1_pa + a * x2_pa, x1_c)
-    y2 = (b * x1_2c + x2_c, b * x1_pa + x2_pa, b * x1_c)
-    u1 = (w, x1_c)
-    x2r = (x2_pa, np.zeros_like(x2_pa))
+    # t = 1 where U1 = 0: it conditions nothing
+    t = _quot(a_pow, np.abs(w) ** 2 + a_pow, 1.0)
+    v_y1 = np.abs(y1p) ** 2 + a_pow + 1.0  # Var(Y1 | V2c)
+    v_y2 = np.abs(y2p) ** 2 + b ** 2 * a_pow + 1.0
+    cv_y1 = 1.0 + np.abs(y1p - w) ** 2 * t  # Var(Y1 | U1, V2c)
+    cv_y2 = 1.0 + np.abs(y2p - b * w) ** 2 * t
+    priv = x2_pa > 0.0
+    cv_y2x2 = np.where(priv, 1.0, cv_y2)  # Var(Y2 | U1, X2, V2c)
 
-    def dot(u, v):
-        return u[0] * np.conj(v[0]) + u[1] * np.conj(v[1])
-
-    def nrm(u):
-        return np.real(dot(u, u))
-
-    y1r = (y1[1], y1[2])
-    y2r = (y2[1], y2[2])
-    var_y1 = np.abs(y1[0]) ** 2 + nrm(y1r) + 1.0
-    var_y2 = np.abs(y2[0]) ** 2 + nrm(y2r) + 1.0
-    v_y1_g2c = nrm(y1r) + 1.0
-    v_y2_g2c = nrm(y2r) + 1.0
-    v_u1 = nrm(u1)
-    v_x2r = nrm(x2r)
-
-    cv_y1_u1 = _cv1(v_y1_g2c, dot(y1r, u1), v_u1)
-    cv_u1_x2 = _cv1(v_u1, dot(u1, x2r), v_x2r)
-    cv_y2_u1 = _cv1(v_y2_g2c, dot(y2r, u1), v_u1)
-    cv_y2_u1x2 = _cv2(v_y2_g2c, dot(y2r, u1), dot(y2r, x2r),
-                      v_u1, dot(u1, x2r), v_x2r)
-    # conditioning on {u2c, x2, x1c}: drop both atom conditioners first
-    y2_res = y2[1]
-    cv_y2_all = _cv1(np.abs(y2_res) ** 2 + 1.0, y2_res * x2_pa, v_x2r)
-
-    def lg(x):
-        return np.log2(np.maximum(x, _TINY))
-
-    i_y1u1 = lg(v_y1_g2c) - lg(cv_y1_u1)
-    i_u1x2 = lg(v_u1) - lg(cv_u1_x2)
-    i_u1x2 = np.where(v_u1 > 1e-14, i_u1x2, 0.0)
-    m29a = pos(i_y1u1 - i_u1x2)
-    m29b = pos(lg(v_y2_g2c) - lg(cv_y2_u1x2))
-    m29c = lg(var_y2) - lg(cv_y2_all)
-    i_y1_u1u2c = lg(var_y1) - lg(cv_y1_u1)
-    m29d = pos(lg(cv_y2_u1) - lg(cv_y2_u1x2)) + i_y1_u1u2c
+    with np.errstate(divide="ignore"):  # t = 0: X2 determines U1
+        i_u1x2 = np.where(priv, -np.log2(t), 0.0)
+    m29a = pos(np.log2(v_y1) - np.log2(cv_y1) - i_u1x2)
+    m29b = pos(np.log2(v_y2) - np.log2(cv_y2x2))
+    # conditioning on {u2c, x2, x1c} leaves the private atom unless X2 has it
+    m29c = np.log2(np.abs(y2c) ** 2 + v_y2) \
+        - np.log2(np.where(priv, 1.0, np.abs(y2p) ** 2 + 1.0))
+    i_y1_u1u2c = np.log2(np.abs(y1c) ** 2 + v_y1) - np.log2(cv_y1)
+    m29d = pos(np.log2(cv_y2) - np.log2(cv_y2x2)) + i_y1_u1u2c
     m29e = pos(m29b + i_y1_u1u2c - i_u1x2)
 
     return np.minimum(m29a, m29b), np.minimum(m29c, m29d), m29e

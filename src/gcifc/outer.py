@@ -27,13 +27,15 @@ from .channel import CapacityResult, ChannelParams, classify, s_channel_threshol
 from .errors import InvalidTransform, RegimeMismatch, SingularPreset
 from .region import (R1_GRID_DEFAULT, Kind, RateRegion, from_boundary,
                      intersect)
-from .util import alpha_of_r1, cap, pos, r1_grid
+from .util import alpha_of_r1, cap, pos, r1_grid, scaled_powers
 
 _PRESETS = ("tos", "toweak", "tovs")
 
 
 def _cross(ch: ChannelParams, abar):
-    return 2.0 * np.sqrt(np.maximum(abar, 0.0) * ch.b ** 2 * ch.p1 * ch.p2)
+    p1, p2, k = scaled_powers(ch.p1, ch.p2)
+    root = np.sqrt(np.maximum(abar, 0.0) * ch.b ** 2 * p1 * p2)
+    return np.ldexp(2.0 * root, k)
 
 
 def _sum_si(ch: ChannelParams, abar):
@@ -93,8 +95,9 @@ def bc_dms_degraded_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
     gx = r1_grid(ch.p1, grid)
     alpha = alpha_of_r1(gx, ch.p1)
     b2p1 = ch.b ** 2 * ch.p1
-    r2_bc = cap((ch.p2 + (1.0 - alpha) * b2p1 + 2.0 * math.sqrt(b2p1 * ch.p2))
-                / (1.0 + alpha * ch.p1))
+    p1, p2, k = scaled_powers(ch.p1, ch.p2)
+    cross = math.ldexp(2.0 * math.sqrt(ch.b ** 2 * p1 * p2), k)
+    r2_bc = cap((ch.p2 + (1.0 - alpha) * b2p1 + cross) / (1.0 + alpha * ch.p1))
     r2_sum = _sum_si(ch, 1.0 - alpha) - gx
     return from_boundary(gx, pos(np.minimum(r2_bc, r2_sum)), Kind.OUTER,
                          "bc-dms-deg", {"alpha": alpha})
@@ -115,8 +118,9 @@ def bc_dms_s_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
     abar = 1.0 - alpha
     b2p1 = ch.b ** 2 * ch.p1
     den = 1.0 + alpha * ch.p1
-    r2_bc = cap(ch.p2 + b2p1 * abar / den
-                + 2.0 * np.sqrt(abar * b2p1 * ch.p2 / den))
+    p1, p2, k = scaled_powers(ch.p1, ch.p2)
+    cross = np.ldexp(2.0 * np.sqrt(abar * (ch.b ** 2 * p1) * p2 / den), k)
+    r2_bc = cap(ch.p2 + b2p1 * abar / den + cross)
     r2_sum = _sum_si(ch, abar) - gx
     return from_boundary(gx, pos(np.minimum(r2_bc, r2_sum)), Kind.OUTER,
                          "bc-dms-s", {"alpha": alpha})
@@ -172,8 +176,9 @@ def _mac_max(mu_lo, mu_hi, c_lo, c_hi, r):
     concave in x, so it peaks at the larger root of its stationarity
     quadratic, clipped to [0, 1]. The ends are taken too: with c_hi = 0
     the quadratic vanishes and the objective peaks at x = 0. The
-    quadratic's coefficients are scaled by z = max(1, c_lo, c_hi, r), and
-    above _BIG ln A factors z out, so nothing overflows.
+    quadratic's coefficients are scaled by z = max(1, c_lo, c_hi, r), then
+    by the power of two of the largest (exact, so its discriminant cannot
+    underflow), and above _BIG ln A factors z out, so nothing overflows.
     """
     z = np.maximum(np.maximum(1.0, r), np.maximum(c_lo, c_hi))
     e = 1.0 / z
@@ -184,6 +189,9 @@ def _mac_max(mu_lo, mu_hi, c_lo, c_hi, r):
     q2 = -rho * rho * hi * (mu_lo + mu_hi)
     q1 = mu_lo * (a1 * hi - 2.0 * rho * rho * e) + d * hi * a1
     q0 = mu_lo * a1 * e + d * hi * (e + lo) * e
+    _, ex = np.frexp(np.maximum(np.maximum(np.abs(q2), np.abs(q1)),
+                                np.abs(q0)))
+    q2, q1, q0 = np.ldexp(q2, -ex), np.ldexp(q1, -ex), np.ldexp(q0, -ex)
     s = np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0))
     # q2 <= 0: the larger root, in the form that does not cancel
     up = q1 >= 0.0

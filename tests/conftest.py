@@ -24,6 +24,14 @@ EDGE_CHANNELS = [
     ("p=1e8", ChannelParams(-0.6 + 0.2j, 1.7, 1e8, 1e8)),
 ]
 
+# huge powers, where p1 p2 overflows a double
+HUGE_CHANNELS = [
+    ("p=1e160", ChannelParams(0.5, 1.5, 1e160, 1e160)),
+    ("weak-p=1e160", ChannelParams(0.5, 0.5, 1e160, 1e160)),
+    ("s-p1=1e160", ChannelParams(0.0, 3.0, 1e160, 1.0)),
+    ("p=(1e200,1)", ChannelParams(0.5, 1.5, 1e200, 1.0)),
+]
+
 
 def channel_draw(rng, b_low=0.0, b_high=5.0, complex_a=False):
     p1, p2 = 10.0 ** rng.uniform(-1, 2, 2)

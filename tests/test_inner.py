@@ -9,11 +9,12 @@ import pytest
 
 from gcifc import gaussmi, inner, outer, region
 from gcifc.channel import ChannelParams
-from gcifc.errors import DegenerateDenominator
+from gcifc.errors import DegenerateDenominator, GcifcError
 from gcifc.util import cap
 from gcifc.verify import random_channels
-from conftest import (EDGE_CHANNELS, channel_draw, scheme_c_system,
-                      scheme_d_system, scheme_e_system, scheme_f_system)
+from conftest import (EDGE_CHANNELS, HUGE_CHANNELS, channel_draw,
+                      scheme_c_system, scheme_d_system, scheme_e_system,
+                      scheme_f_system)
 
 FIG4_CH = ChannelParams(math.sqrt(0.3), math.sqrt(2.0), 6.0, 6.0)
 
@@ -98,6 +99,47 @@ class TestFDpc:
             h1 = ch.a + math.sqrt((1 - al) * ch.p1 / ch.p2)
             got = float(inner.f_dpc(h1, 1.0, lam, al, ch.p1, ch.p2))
             assert got == pytest.approx(max(want, 0.0), abs=1e-9)
+
+    @pytest.mark.parametrize("p", [1e8, 1e12, 1e160])
+    def test_matches_extended_precision(self, p, monkeypatch):
+        """On the inputs scheme E's sweep and scheme C's bounds hand it, the
+        Gram-form kernel is within 1e-12 bits of the textbook
+        var(S) var(U) - |cov|^2 form evaluated in 400 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        ch = ChannelParams(-0.6 + 0.2j, 1.7, p, p)
+        calls = []
+        kernel = inner._f_mi
+
+        def spy(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp=True):
+            calls.append((c1, u2, sigma_sq, w, a_pow, su_sq))
+            return kernel(c1, u2, sigma_sq, w, a_pow, su_sq, clamp)
+
+        monkeypatch.setattr(inner, "_f_mi", spy)
+        al = inner.default_alpha_grid(ch)[::67]
+        for _ in inner._scheme_e_cloud(ch, al, "sweep", 5)[0]:
+            pass
+        for s1 in (0.25, 1.0):
+            for c1 in (-1.0, ch.a.real, 0.8):
+                inner.scheme_c_rates(ch, al, s1, 1.0, c1=c1)
+        assert {c[5] for c in calls} == {0.0, 0.25, 1.0}
+
+        worst = 0.0
+        for c1, u2, sigma_sq, w, a_pow, su_sq in calls:
+            got = kernel(c1, u2, sigma_sq, w, a_pow, su_sq, clamp=False)
+            rows = np.broadcast_arrays(got, c1, u2, w, a_pow)
+            for g, c, u, ww, a in zip(*(v.ravel() for v in rows)):
+                with mpmath.workdps(400):
+                    c, u, ww = (mpmath.mpc(complex(v)) for v in (c, u, ww))
+                    a, s, su = (mpmath.mpf(float(v))
+                                for v in (a, sigma_sq, su_sq))
+                    if a + su == 0:  # U is a function of Xi: 0 by definition
+                        continue
+                    var_s = abs(c) ** 2 * a + abs(u) ** 2 + s
+                    cov = c * a + u * mpmath.conj(ww)
+                    det = var_s * (a + abs(ww) ** 2 + su) - abs(cov) ** 2
+                    err = float(g) - mpmath.log(var_s * (a + su) / det, 2)
+                worst = max(worst, abs(float(err)))
+        assert worst <= 1e-12
 
 
 class TestSchemeA:
@@ -453,33 +495,49 @@ def test_largest_clouds_are_streamed(build, bound_mb):
     assert peak < bound_mb * 2 ** 20
 
 
-_BOX_FAULT = pytest.mark.xfail(
-    strict=True, reason="ROADMAP direction 5: the scheme kernels overshoot "
-    "at huge powers")
 _BOX_CHANNELS = (
     [pytest.param(ch, id=f"real{k}")
      for k, ch in enumerate(random_channels(40, 42))]
     + [pytest.param(ch, id=f"complex{k}")
        for k, ch in enumerate(random_channels(10, 42, complex_a=True))]
-    + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS
-       if name != "p=1e8"]
-    + [pytest.param(ChannelParams(0.5, 1.5, 1e160, 1e160), id="p=1e160",
-                    marks=_BOX_FAULT),
-       pytest.param(ChannelParams(3.0, 0.2, 1e12, 1e-3), id="p1=1e12",
-                    marks=_BOX_FAULT),
-       pytest.param(ChannelParams(-0.6 + 0.2j, 1.7, 1e8, 1e8), id="p=1e8",
-                    marks=_BOX_FAULT)])
+    + [pytest.param(ch, id=name)
+       for name, ch in EDGE_CHANNELS + HUGE_CHANNELS]
+    + [pytest.param(ChannelParams(0.5 + 0.5j, 1.5, 1e160, 1e160),
+                    id="complex-p=1e160"),
+       pytest.param(ChannelParams(3.0, 0.2, 1e12, 1e-3), id="p1=1e12")])
 
 
 @pytest.mark.parametrize("ch", _BOX_CHANNELS)
 def test_best_inner_lies_in_the_tdma_box(ch):
     """No scheme beats the solo cognitive rate or the beamforming sum rate:
     best_inner has r1_max <= cap(p1) and r2(0) <= cap(peq), within 1e-12
-    relative. Three huge-power channels break it today (1e3 bits over)."""
+    relative, huge powers included."""
     bi = inner.best_inner(ch, fast=True)
     peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
     assert bi.r1_max <= float(cap(ch.p1)) * (1.0 + 1e-12)
     assert bi.r2[0] <= float(cap(peq)) * (1.0 + 1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ch", [pytest.param(ch, id=name)
+                                for name, ch in HUGE_CHANNELS])
+def test_huge_powers_build_finite_regions(ch):
+    """Every public builder either raises a typed error for the channel's
+    regime or returns a finite region, with no numpy warning, and
+    best_inner lies inside best_outer."""
+    from gcifc.cli import _INNER_BUILDERS, _OUTER_BUILDERS
+    builds = {**_INNER_BUILDERS, **_OUTER_BUILDERS,
+              "capacity": outer.capacity_region}
+    regions = {}
+    for name, build in builds.items():
+        try:
+            reg = regions[name] = build(ch, region.R1_GRID_DEFAULT)
+        except GcifcError:
+            continue
+        assert np.all(np.isfinite(reg.r1)) and np.all(np.isfinite(reg.r2)), name
+    ok, viol = region.contains(regions["outer:best"], regions["inner:best"],
+                               1e-9)
+    assert ok, viol[:3]
 
 
 def _members(ch, fast):
@@ -569,14 +627,14 @@ def test_real_channels_take_the_float64_kernels(ch):
 
 
 _PINNED_CH = ChannelParams(0.5 + 1e-13j, 1.3, 6.0, 4.0)
-# sha256 prefixes of (r1, r2, params) at default grids, as computed in
-# complex128 before real channels took the float64 kernels
+# sha256 prefixes of (r1, r2, params) at default grids, computed in
+# complex128 (c, c46, e and f with the Gram-form rate kernels)
 _PINNED_DIGESTS = {
     "a": "e6983aa2131a737b", "b": "5eacae3433a71a84",
-    "c": "6faeb094f1d920f2", "c46": "a246b3a682a19f4d",
-    "d": "8fabd512f565e12c", "e:sweep": "6344de59358e4c6b",
-    "e:costa1": "4523227c4010bfac", "e:zero": "3468d215bbc9d632",
-    "f": "76f53aeade105b3d", "tdma": "d0b44682c4e93457",
+    "c": "f3f4e820f667629c", "c46": "3e916582b7b2dd6f",
+    "d": "8fabd512f565e12c", "e:sweep": "2d950cf14c260668",
+    "e:costa1": "94b53663ea4a552d", "e:zero": "3f772cfc7e0dd3f2",
+    "f": "37de0de0efdf7645", "tdma": "d0b44682c4e93457",
 }
 
 

@@ -332,6 +332,22 @@ class TestBcPr:
         assert np.isfinite(reg.r2).all()
         assert reg.r1_max == float(cap(ch.p1))
 
+    @pytest.mark.parametrize("p1", [1e20, 1e100, 1e160, 1e200])
+    @pytest.mark.parametrize("a,b", [(0.5, 1.5), (0.0, 3.0), (2.0, 0.3)])
+    def test_holds_the_no_cooperation_point(self, a, b, p1):
+        """Without cooperation, Rx1 treats x2 as noise and Rx2 decodes and
+        strips x1 when it can, else treats it as noise. That point is
+        achievable, so the certificate must hold it, huge powers included
+        (there the MAC maximiser's quadratic once underflowed)."""
+        ch = ChannelParams(a, b, p1, 1.0)
+        r1 = float(cap(p1 / (1.0 + abs(a) ** 2)))
+        if float(cap(b ** 2 * p1 / 2.0)) >= r1:
+            r2 = float(cap(1.0))
+        else:
+            r2 = float(cap(1.0 / (1.0 + b ** 2 * p1)))
+        reg = outer.bc_pr_outer(ch)
+        assert reg.contains_points(r1, r2, tol=1e-9 * r1)
+
 
 class TestTransforms:
     def test_identity_triple(self):

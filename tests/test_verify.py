@@ -7,7 +7,7 @@ from gcifc.channel import CapacityResult, ChannelParams, classify
 from gcifc import inner, outer, region, verify
 from gcifc.errors import GcifcError
 from gcifc.util import cap
-from conftest import EDGE_CHANNELS, channel_draw
+from conftest import EDGE_CHANNELS, HUGE_CHANNELS, channel_draw
 
 
 class TestQAlpha:
@@ -272,14 +272,12 @@ ROBUSTNESS_CHANNELS = EDGE_CHANNELS + [
     ("p1=p2=0", ChannelParams(0.5, 2.0, 0.0, 0.0)),
     ("complex-p1=0", ChannelParams(0.5 + 0.5j, 2.0, 0.0, 6.0)),
     ("p1=1e12", ChannelParams(3.0, 0.2, 1e12, 1e-3)),
-]
+] + HUGE_CHANNELS
 
 
 @pytest.mark.parametrize("ch", [pytest.param(ch, id=name)
                                 for name, ch in ROBUSTNESS_CHANNELS])
 def test_checks_report_or_raise_typed(ch):
-    # whether each check holds is not asserted: scheme C overshoots at
-    # huge powers, so soundness fails on "p=1e8" and "p1=1e12"
     for check in (verify.check_soundness, verify.check_capacity,
                   verify.check_additive_gap, verify.check_multiplicative_gap,
                   verify.check_table3):
@@ -288,3 +286,4 @@ def test_checks_report_or_raise_typed(ch):
         except GcifcError:
             continue
         assert isinstance(rep, verify.TheoremReport)
+        assert rep.holds, (rep.theorem_id, rep.worst_violation)
