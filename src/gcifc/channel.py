@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateDirectLink
+from .util import scaled_powers
 
 
 class CapacityResult(str, enum.Enum):
@@ -145,9 +146,10 @@ def very_strong_condition(ch: ChannelParams) -> tuple[bool, float]:
     condition additionally requires |b| > 1. Returns (flag, margin) where
     margin is the LHS regardless of the |b| gate.
     """
+    s1, s2, k = scaled_powers(ch.p1, ch.p2)
     margin = ((abs(ch.a) ** 2 - 1.0) * ch.p2
               - (ch.b ** 2 - 1.0) * ch.p1
-              - 2.0 * abs(ch.a - ch.b) * math.sqrt(ch.p1 * ch.p2))
+              - 2.0 * abs(ch.a - ch.b) * math.ldexp(math.sqrt(s1 * s2), k))
     return (margin >= 0.0 and ch.b > 1.0), margin
 
 
@@ -162,7 +164,9 @@ def pdc_margins(ch: ChannelParams) -> tuple[float, float]:
     bsq1 = ch.b ** 2 - 1.0
     base = 1.0 + ch.p1 + abs(ch.a) ** 2 * ch.p2
     m_a = ch.p2 * d - (bsq1 * base - ch.p1 * ch.p2 * d)
-    m_b = ch.p2 * d - bsq1 * (base + 2.0 * ch.a.real * math.sqrt(ch.p1 * ch.p2))
+    s1, s2, k = scaled_powers(ch.p1, ch.p2)
+    root = math.ldexp(math.sqrt(s1 * s2), k)
+    m_b = ch.p2 * d - bsq1 * (base + 2.0 * ch.a.real * root)
     return m_a, m_b
 
 
@@ -174,7 +178,9 @@ def s_channel_thresholds(p1: float, p2: float) -> tuple[float, float]:
     high = sqrt(p1 p2) + sqrt(p1 p2 + p2 + 1).
     """
     low = math.sqrt(1.0 + p2 / (1.0 + p1))
-    high = math.sqrt(p1 * p2) + math.sqrt(p1 * p2 + p2 + 1.0)
+    s1, s2, k = scaled_powers(p1, p2)
+    u = math.ldexp(1.0, -2 * k)  # p1 p2 = s1 s2 / u
+    high = math.ldexp(math.sqrt(s1 * s2) + math.sqrt(s1 * s2 + p2 * u + u), k)
     return low, high
 
 

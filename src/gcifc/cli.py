@@ -40,17 +40,17 @@ _OUTER_BUILDERS = {
 }
 
 _INNER_BUILDERS = {
-    "a": lambda ch, g: inner.scheme_a(ch, grid=g),
+    "a": lambda ch, g: inner.scheme_a(ch),
     "b": lambda ch, g: inner.scheme_b(ch, grid=g),
-    "c": lambda ch, g: inner.scheme_c(ch, grid=g),
-    "c46": lambda ch, g: inner.scheme_c46(ch, grid=g),
-    "d": lambda ch, g: inner.scheme_d(ch, grid=g),
-    "e": lambda ch, g: inner.scheme_e(ch, lambda_policy="sweep", grid=g),
-    "e:sweep": lambda ch, g: inner.scheme_e(ch, lambda_policy="sweep", grid=g),
-    "e:costa1": lambda ch, g: inner.scheme_e(ch, lambda_policy="costa1", grid=g),
-    "e:zero": lambda ch, g: inner.scheme_e(ch, lambda_policy="zero", grid=g),
-    "f": lambda ch, g: inner.scheme_f(ch, grid=g),
-    "tdma": lambda ch, g: inner.tdma_inner(ch, grid=g),
+    "c": lambda ch, g: inner.scheme_c(ch),
+    "c46": lambda ch, g: inner.scheme_c46(ch),
+    "d": lambda ch, g: inner.scheme_d(ch),
+    "e": lambda ch, g: inner.scheme_e(ch, lambda_policy="sweep"),
+    "e:sweep": lambda ch, g: inner.scheme_e(ch, lambda_policy="sweep"),
+    "e:costa1": lambda ch, g: inner.scheme_e(ch, lambda_policy="costa1"),
+    "e:zero": lambda ch, g: inner.scheme_e(ch, lambda_policy="zero"),
+    "f": lambda ch, g: inner.scheme_f(ch),
+    "tdma": lambda ch, g: inner.tdma_inner(ch),
     "inner:best": lambda ch, g: inner.best_inner(ch, grid=g),
 }
 
@@ -181,7 +181,7 @@ def cmd_region(args) -> int:
     if not ids:
         raise UsageError("region needs --ids")
     for rid in ids:
-        reg = _build_region(args.channel, rid, args.grid)
+        reg = _build_region(args.channel, rid, args.grid).on_grid(args.grid)
         if args.fmt == "json":
             text = json.dumps(reg.to_json_dict()) + "\n"
             path = (f"{args.out}_{rid.replace(':', '-')}.json"
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         default="csv")
         sp.add_argument("--grid", type=int, default=region.R1_GRID_DEFAULT,
-                        help="r1 samples per boundary")
+                        help="r1 nodes of output tables and outer bounds")
         return sp
 
     command("classify", cmd_classify, "regime flags and margins")

@@ -6,8 +6,8 @@ Gram form (a sum of squared minors, which cannot cancel; conditioning on
 X2 drops its source), so they need no clamps at any power. Schemes C and
 E share one dirty-paper kernel, `_f_mi`; every scheme is cross-checked
 against the gaussmi oracle in the test suite. Power-split parameters are
-swept on grids whose images land on the r1 sample grid (plus a uniform
-fill), so hull resampling is exact at the stored grid nodes.
+swept on grids whose r1 images are uniform (plus a uniform fill), so the
+hull kept as each region has vertices all along its boundary.
 
 Pre-coding coefficients are handled in "amplitude space": a coefficient
 lambda on the primary signal enters only through w = lambda*sqrt(p2),
@@ -113,7 +113,8 @@ def dpc_info(ch: ChannelParams, alpha: float) -> DpcInfo:
 
 def default_alpha_grid(ch: ChannelParams, matched: int = 513,
                        uniform: int = 489) -> np.ndarray:
-    """Split grid whose r1 images hit the sample grid, plus correlation fill.
+    """Split grid whose r1 images are `matched` uniform r1 nodes on
+    [0, cap(p1)], plus correlation fill.
 
     The fill is uniform in rho = sqrt(1 - alpha): the cooperation cross
     terms are smooth in rho, so this removes the square-root cusp that
@@ -154,11 +155,10 @@ def _scheme_a_cloud(ch: ChannelParams, al):
     return np.stack([r1, r2], axis=1)
 
 
-def scheme_a(ch: ChannelParams, alpha_grid=None,
-             grid: int = R1_GRID_DEFAULT) -> RateRegion:
+def scheme_a(ch: ChannelParams, alpha_grid=None) -> RateRegion:
     """Degraded-broadcast strategy with the primary transmitter silent."""
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
-    return from_pareto_points(_scheme_a_cloud(ch, al), Kind.INNER, grid=grid,
+    return from_pareto_points(_scheme_a_cloud(ch, al), Kind.INNER,
                               params={"alpha": al}, region_id="a")
 
 
@@ -182,10 +182,11 @@ def _scheme_b_cloud(ch: ChannelParams, al):
 
 def scheme_b(ch: ChannelParams, alpha_grid=None,
              grid: int = R1_GRID_DEFAULT) -> RateRegion:
-    """Interference-as-noise at the primary receiver; capacity for b <= 1."""
+    """Interference-as-noise at the primary receiver, capacity for b <= 1;
+    `grid` sets the matched splits of the default split grid."""
     al = default_alpha_grid(ch, matched=grid, uniform=257) \
         if alpha_grid is None else np.asarray(alpha_grid)
-    return from_pareto_points(_scheme_b_cloud(ch, al), Kind.INNER, grid=grid,
+    return from_pareto_points(_scheme_b_cloud(ch, al), Kind.INNER,
                               params={"alpha": al}, region_id="b")
 
 
@@ -222,11 +223,11 @@ def _scheme_d_cloud(ch: ChannelParams):
     return pts, np.concatenate([np.real(rho), np.real(rho)])
 
 
-def scheme_d(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
+def scheme_d(ch: ChannelParams) -> RateRegion:
     """Superposition strategy: both receivers decode both messages."""
     pts, rr = _scheme_d_cloud(ch)
-    return from_pareto_points(pts, Kind.INNER, grid=grid,
-                              params={"rho_re": rr}, region_id="d")
+    return from_pareto_points(pts, Kind.INNER, params={"rho_re": rr},
+                              region_id="d")
 
 
 # -- scheme E: common cognitive message pre-coded against the primary --------
@@ -312,8 +313,7 @@ def _scheme_e_blocks(ch: ChannelParams, al, fans, pairs: int):
 
 
 def scheme_e(ch: ChannelParams, alpha_grid=None,
-             lambda_policy: str = "sweep", n_lambda: int = 201,
-             grid: int = R1_GRID_DEFAULT) -> RateRegion:
+             lambda_policy: str = "sweep", n_lambda: int = 201) -> RateRegion:
     """Pre-coded common-message strategy.
 
     lambda_policy: "costa1" pins the r1-maximizing coefficient, "zero"
@@ -322,7 +322,7 @@ def scheme_e(ch: ChannelParams, alpha_grid=None,
     """
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
     blocks, params = _scheme_e_cloud(ch, al, lambda_policy, n_lambda)
-    return from_pareto_points(blocks, Kind.INNER, grid=grid, params=params,
+    return from_pareto_points(blocks, Kind.INNER, params=params,
                               region_id=f"e:{lambda_policy}")
 
 
@@ -383,17 +383,16 @@ def _scheme_c_cloud(ch: ChannelParams, al, sigma_pairs=_SIGMA_PAIRS):
                            for s1, s2 in sigma_pairs], axis=0)
 
 
-def scheme_c(ch: ChannelParams, alpha_grid=None, sigma_pairs=_SIGMA_PAIRS,
-             grid: int = R1_GRID_DEFAULT) -> RateRegion:
+def scheme_c(ch: ChannelParams, alpha_grid=None,
+             sigma_pairs=_SIGMA_PAIRS) -> RateRegion:
     """Double-binning strategy on the channel-matched auxiliaries."""
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
     return from_pareto_points(_scheme_c_cloud(ch, al, sigma_pairs), Kind.INNER,
-                              grid=grid,
                               params={"alpha": np.tile(al, 2 * len(sigma_pairs))},
                               region_id="c")
 
 
-def scheme_c46(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
+def scheme_c46(ch: ChannelParams) -> RateRegion:
     """Double-binning strategy with tuned auxiliary mixing coefficients."""
     al = default_alpha_grid(ch, matched=129, uniform=101)
     # nine mixing coefficients around each channel-matched one (c1 = a, c2 = b)
@@ -407,7 +406,7 @@ def scheme_c46(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
                 m1, m2, ms = scheme_c_rates(ch, al, s1, s2, c1=c1, c2=c2)
                 chunks.append(_rect_sum_vertices(m1, m2, ms))
     pts = np.concatenate(chunks, axis=0)
-    return from_pareto_points(pts, Kind.INNER, grid=grid, region_id="c46")
+    return from_pareto_points(pts, Kind.INNER, region_id="c46")
 
 
 # -- scheme F: rate-split unification of D and E -----------------------------
@@ -521,8 +520,8 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
 
 
 def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
-             gamma_grid=None, n_lambda: int = 41, face_lambda: int = 201,
-             grid: int = R1_GRID_DEFAULT) -> RateRegion:
+             gamma_grid=None, n_lambda: int = 41,
+             face_lambda: int = 201) -> RateRegion:
     """Split strategy unioning the common-common and pre-coded structures.
 
     On the split boundaries the strategy collapses exactly to the
@@ -534,7 +533,7 @@ def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
                   for g in (alpha_grid, beta_grid, gamma_grid))
     return from_pareto_points(
         _scheme_f_cloud(ch, al, be, ga, n_lambda, face_lambda), Kind.INNER,
-        grid=grid, region_id="f")
+        region_id="f")
 
 
 # -- time sharing and aggregates ---------------------------------------------
@@ -544,10 +543,9 @@ def _tdma_cloud(ch: ChannelParams):
     return np.array([[float(cap(ch.p1)), 0.0], [0.0, float(cap(peq))]])
 
 
-def tdma_inner(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
+def tdma_inner(ch: ChannelParams) -> RateRegion:
     """Chord between the solo cognitive point and the beamforming point."""
-    return from_pareto_points(_tdma_cloud(ch), Kind.INNER, grid=grid,
-                              region_id="tdma")
+    return from_pareto_points(_tdma_cloud(ch), Kind.INNER, region_id="tdma")
 
 
 def _chain(clouds):
@@ -568,14 +566,15 @@ def best_inner(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
     """Time-sharing hull of the union of every scheme.
 
     One envelope: every scheme's cloud streams into a single cull, Pareto
-    filter, hull and resample. TDMA leads, so its corner (cap(p1), 0), the
+    filter and hull. TDMA leads, so its corner (cap(p1), 0), the
     largest r1 of any scheme, sets the cull's bin scale, and its two
     points seed both axis corners; then come A, B, C and D, and the big F
     sweep last but for E, so that it is culled against a populated front.
     Scheme F's beta = gamma = 0 face is scheme E's own sweep on a split
     grid holding E's, so E's rows join only where its phase fan adds rows
     the face lacks. With a real cross gain every rate kernel runs in
-    float64. `fast` takes coarser split and lambda grids.
+    float64. `fast` takes coarser split and lambda grids; otherwise `grid`
+    is the number of matched splits of scheme B's split grid.
     """
     if fast:
         al = al_b = default_alpha_grid(ch, matched=257, uniform=245)
@@ -593,5 +592,4 @@ def best_inner(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
               _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, n_lambda)]
     if _phase_fan(ch):
         clouds.append(_scheme_e_cloud(ch, al, "sweep", n_lambda)[0])
-    return from_pareto_points(_chain(clouds), Kind.INNER, grid=grid,
-                              region_id="best")
+    return from_pareto_points(_chain(clouds), Kind.INNER, region_id="best")

@@ -356,7 +356,7 @@ def capacity_region(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegio
     low, _ = s_channel_thresholds(ch.p1, ch.p2)
     if ch.b <= low:
         return strong_outer(ch, grid)
-    return intersect([bc_dms_s_outer(ch, grid), strong_outer(ch, grid)], grid)
+    return intersect([bc_dms_s_outer(ch, grid), strong_outer(ch, grid)])
 
 
 def transformed_outer(ch: ChannelParams, preset: str,
@@ -409,5 +409,5 @@ def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
             reg = capacity_region(tgt, grid)
             bounds.append(RateRegion(Kind.OUTER, reg.r1, reg.r2,
                                      {"id": f"transform:{preset}"}))
-    out = intersect(bounds, grid)
+    out = intersect(bounds)
     return RateRegion(Kind.OUTER, out.r1, out.r2, {"id": "best"})

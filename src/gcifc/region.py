@@ -1,19 +1,17 @@
 """Down-closed 2-D rate regions: construction, set ops, and gap metrics.
 
-A region is stored as a sampled boundary r2max(r1) on an ascending r1
-grid. Inner (achievable) regions interpolate with the upper concave
-envelope, since chords are reachable by time sharing; outer regions
-interpolate step-up (each cell takes the max of its bracketing samples),
-which never understates the boundary between its samples. A bound that is
-exact on the grid therefore stays an upper bound, and every outer bound
-of the package is built that way: evaluated exactly at its r1 nodes,
-never sampled from below.
+A region is stored as its own breakpoints r2max(r1), r1 ascending. Inner
+(achievable) regions are chords between them, reachable by time sharing;
+outer regions interpolate step-up (each cell takes its left breakpoint's
+value), which never understates the boundary. A bound exact at its
+breakpoints therefore stays an upper bound, and every outer bound of the
+package is built that way, never sampled from below. A uniform table
+(`RateRegion.on_grid`) is made only for CSV and JSON output.
 
 The additive and multiplicative gaps are computed in closed form, not
-searched: each outer sample is shifted (or scaled) onto the inner
-region's boundary polygon, its samples joined by chords and closed down
-to (r1_max, 0). They are exact on the inner boundary's breakpoints, over
-the outer samples.
+searched: each outer breakpoint is shifted (or scaled) onto the inner
+region's boundary polygon, its breakpoints joined by chords and closed
+down to (r1_max, 0). They are exact over the outer breakpoints.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ class Kind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class RateRegion:
-    """Sampled boundary of a down-closed rate region, in bits."""
+    """Boundary breakpoints of a down-closed rate region, in bits."""
 
     kind: Kind
     r1: np.ndarray
@@ -88,6 +86,17 @@ class RateRegion:
         """Elementwise membership of (x, y) pairs, with slack tol in bits."""
         b = self.boundary_at(x, outside=-np.inf)
         return np.asarray(y, float) <= b + tol
+
+    def on_grid(self, grid: int) -> "RateRegion":
+        """This region read at `grid` uniform r1 nodes on [0, r1_max], for
+        CSV and JSON output: r2 by this kind's interpolation rule, and at
+        each node the params of the breakpoint at or left of it."""
+        gx = _uniform_grid(self.r1_max, grid)
+        sel = np.maximum(np.searchsorted(self.r1, gx, side="right") - 1, 0)
+        meta = dict(self.meta)
+        if "params" in meta:
+            meta["params"] = {k: v[sel] for k, v in meta["params"].items()}
+        return RateRegion(self.kind, gx, self.boundary_at(gx), meta)
 
     # -- serialization ------------------------------------------------------
 
@@ -299,54 +308,44 @@ def _front_candidates(points, nbins: int = 4096):
     return r1[order], r2[order], src[order]
 
 
-def from_pareto_points(points, kind: Kind, grid: int = R1_GRID_DEFAULT,
-                       params=None, region_id: str = "") -> RateRegion:
+def from_pareto_points(points, kind: Kind, params=None,
+                       region_id: str = "") -> RateRegion:
     """Build a region from achievable/bound sample points.
 
     `points` is an array of (r1, r2) rows, or an iterator of (start, rows)
     blocks (see `_front_candidates`), so a sweep can hand over its cloud one
-    block at a time without holding it. Dominated points are discarded,
-    negatives clamped to zero, and the boundary is resampled onto a uniform
-    r1 grid: concave envelope for inner regions, step-up for outer ones.
-    `params` may carry per-point maximizer values into the region meta:
-    a dict of arrays aligned with the source rows, or a function from the
-    chosen source indices to such a dict.
+    block at a time without holding it. Dominated points are discarded and
+    negatives clamped to zero; the boundary starts at (0, r2 of the first
+    front point). An inner region keeps the upper-hull vertices of the
+    front, so it holds every point of the cloud; an outer region keeps the
+    front points, read step-up. `params` may carry per-point maximizer
+    values into the region meta: a dict of arrays aligned with the source
+    rows, or a function from the kept points' source indices to such a dict.
     """
     r1, r2, src_idx = _front_candidates(points)
     keep = _pareto_filter(r1, r2)
-    r1s, r2s = r1[keep], r2[keep]
-    keep_src = src_idx[keep]
+    r1s, r2s, keep_src = r1[keep], r2[keep], src_idx[keep]
 
-    # coalesce half-ulp r1 ties: r2 descends, so the first of a tie group
-    # carries the max and later members only stretch the hull downward
+    # coalesce r1 ties within 1e-9 * max(r1_max, 1), keeping the first (the
+    # largest r2): without it best_inner's top corner drops near-vertically
+    # within 1e-13 of r1_max, and a boundary read there falls by bits
     tie = 1e-9 * max(float(r1s[-1]), 1.0)
     mask = np.concatenate([[True], np.diff(r1s) > tie])
     r1s, r2s, keep_src = r1s[mask], r2s[mask], keep_src[mask]
 
-    gx = _uniform_grid(float(r1s[-1]), grid)
-
+    if r1s[0] > 0.0:  # start on the r2 axis
+        r1s, r2s, keep_src = (np.r_[v[:1], v] for v in (r1s, r2s, keep_src))
+        r1s[0] = 0.0
     if kind is Kind.INNER:
-        if r1s[0] > 0.0:
-            r1s = np.concatenate([[0.0], r1s])
-            r2s = np.concatenate([[r2s[0]], r2s])
-            keep_src = np.concatenate([[keep_src[0]], keep_src])
         hull = _upper_hull(r1s, r2s)
-        hx, hy = r1s[hull], r2s[hull]
-        gy = np.interp(gx, hx, hy)
-        ref_x, ref_src = hx, keep_src[hull]
-    else:
-        gy_idx = np.clip(np.searchsorted(r1s, gx, side="right") - 1, 0, r1s.size - 1)
-        gy = r2s[gy_idx]
-        ref_x, ref_src = r1s, keep_src
+        r1s, r2s, keep_src = r1s[hull], r2s[hull], keep_src[hull]
 
     meta: dict = {"id": region_id}
     if params:
-        sel = np.clip(np.searchsorted(ref_x, gx, side="right") - 1, 0, ref_x.size - 1)
-        chosen = ref_src[sel]
-        picked = params(chosen) if callable(params) else \
-            {k: np.asarray(v)[chosen] for k, v in params.items()}
+        picked = params(keep_src) if callable(params) else \
+            {k: np.asarray(v)[keep_src] for k, v in params.items()}
         meta["params"] = {k: np.asarray(v, float) for k, v in picked.items()}
-    return RateRegion(kind, gx, gy, meta)
+    return RateRegion(kind, r1s, r2s, meta)
 
 
 def from_boundary(r1_grid, r2_vals, kind: Kind, region_id: str = "",
@@ -359,40 +358,38 @@ def from_boundary(r1_grid, r2_vals, kind: Kind, region_id: str = "",
                       np.asarray(r2_vals, float), meta)
 
 
-def _common_kind(regions) -> Kind:
+def _common_kind(regions, op: str) -> Kind:
+    if not regions:
+        raise EmptyInput(f"{op} of nothing")
     kinds = {r.kind for r in regions}
     if len(kinds) != 1:
         raise MixedKinds("regions must share a kind")
     return kinds.pop()
 
 
-def union(regions, grid: int = R1_GRID_DEFAULT) -> RateRegion:
-    """Pointwise max of boundaries; inner unions get the time-sharing hull."""
+def union(regions) -> RateRegion:
+    """Inner members give the time-sharing hull of all their breakpoints;
+    outer ones the largest boundary, exact at their merged breakpoints."""
     regions = list(regions)
-    if not regions:
-        raise EmptyInput("union of nothing")
-    kind = _common_kind(regions)
-    gx = _uniform_grid(max(r.r1_max for r in regions), grid)
-    gy = np.full(gx.shape, -np.inf)
-    for r in regions:
-        gy = np.maximum(gy, r.boundary_at(gx, outside=-np.inf))
-    gy = np.clip(gy, 0.0, None)
+    kind = _common_kind(regions, "union")
+    rid = "|".join(r.region_id for r in regions)
     if kind is Kind.INNER:
-        hull = _upper_hull(gx, gy)
-        gy = np.interp(gx, gx[hull], gy[hull])
-    return RateRegion(kind, gx, gy, {"id": "|".join(r.region_id for r in regions)})
+        return from_pareto_points(
+            np.concatenate([np.column_stack([r.r1, r.r2]) for r in regions]),
+            kind, region_id=rid)
+    xs = np.unique(np.concatenate([r.r1 for r in regions]))
+    ys = np.max([r.boundary_at(xs, outside=-np.inf) for r in regions], axis=0)
+    return RateRegion(kind, xs, np.clip(ys, 0.0, None), {"id": rid})
 
 
-def intersect(regions, grid: int = R1_GRID_DEFAULT) -> RateRegion:
-    """Pointwise min of boundaries on the shared support."""
+def intersect(regions) -> RateRegion:
+    """Smallest boundary at the breakpoints of the (first) member of least
+    support: exact where members share them, as the outer bounds on one
+    `r1_grid` do, and otherwise erring outward for outer members."""
     regions = list(regions)
-    if not regions:
-        raise EmptyInput("intersection of nothing")
-    kind = _common_kind(regions)
-    gx = _uniform_grid(min(r.r1_max for r in regions), grid)
-    gy = np.full(gx.shape, np.inf)
-    for r in regions:
-        gy = np.minimum(gy, r.boundary_at(gx, outside=np.inf))
+    kind = _common_kind(regions, "intersection")
+    gx = min(regions, key=lambda r: r.r1_max).r1
+    gy = np.min([r.boundary_at(gx, outside=np.inf) for r in regions], axis=0)
     return RateRegion(kind, gx, np.clip(gy, 0.0, None),
                       {"id": "&".join(r.region_id for r in regions)})
 

@@ -19,7 +19,7 @@ from .channel import (CapacityResult, ChannelParams, classify,
 from .errors import RegimeMismatch  # re-exported as verify.RegimeMismatch
 from . import inner, outer, region
 from .region import Kind, RateRegion, from_pareto_points
-from .util import cap, pos
+from .util import cap, pos, scaled_powers
 
 CAPACITY_TOL_BITS = 1e-4
 SOUNDNESS_TOL_BITS = 1e-6
@@ -74,6 +74,14 @@ class AtlasCell:
 ATLAS_CSV_HEADER = "a_re,a_im,b,label,margin_5,margin_31a,margin_31b,gap"
 
 
+def _var1(ch: ChannelParams, alpha):
+    """p1 + |a|^2 p2 + 2 Re{a} sqrt((1 - alpha) p1 p2), the root taken by
+    `scaled_powers`, so it is finite wherever the sum is."""
+    p1, p2, k = scaled_powers(ch.p1, ch.p2)
+    root = np.sqrt(pos(1.0 - np.asarray(alpha, dtype=float)) * p1 * p2)
+    return ch.p1 + abs(ch.a) ** 2 * ch.p2 + np.ldexp(2.0 * ch.a.real * root, k)
+
+
 def q_alpha(ch: ChannelParams, alpha):
     """Certification margin polynomial of the pre-coded common strategy.
 
@@ -84,9 +92,8 @@ def q_alpha(ch: ChannelParams, alpha):
     """
     al = np.asarray(alpha, dtype=float)
     d = abs(1.0 - ch.a * ch.b) ** 2
-    cross = 2.0 * ch.a.real * np.sqrt(pos(1.0 - al) * ch.p1 * ch.p2)
     return (ch.p2 * d * (al * ch.p1 + 1.0)
-            - (ch.b ** 2 - 1.0) * (ch.p1 + abs(ch.a) ** 2 * ch.p2 + cross + 1.0))
+            - (ch.b ** 2 - 1.0) * (_var1(ch, al) + 1.0))
 
 
 def random_channels(n: int, seed: int, complex_a: bool = False):
@@ -144,9 +151,7 @@ def check_capacity(ch: ChannelParams) -> TheoremReport:
 
 def scheme_c_alpha_gap(ch: ChannelParams, alpha):
     """Per-split shortfall of the double-binning strategy (bits)."""
-    al = np.asarray(alpha, dtype=float)
-    var1 = (ch.p1 + abs(ch.a) ** 2 * ch.p2
-            + 2.0 * ch.a.real * np.sqrt(pos(1.0 - al) * ch.p1 * ch.p2))
+    var1 = _var1(ch, alpha)
     return np.log2(1.0 + var1 / (1.0 + var1))
 
 
@@ -185,10 +190,6 @@ def check_multiplicative_gap(ch: ChannelParams) -> TheoremReport:
         [{"ratio": mul, "worst_r1": worst_r1}])
 
 
-def _point_region(points, grid=region.R1_GRID_DEFAULT) -> RateRegion:
-    return from_pareto_points(points, Kind.INNER, grid=grid)
-
-
 def _table_rows(ch: ChannelParams):
     """(row_id, applies, inner_region, outer_region) per constant-gap row."""
     rep = classify(ch)
@@ -198,14 +199,9 @@ def _table_rows(ch: ChannelParams):
 
     if ch.b > 1.0:
         so = outer.strong_outer(ch)
-        # one envelope over both members' nodes: `union` resamples them
-        # onto one grid first, which drops the corner of a member ending
-        # just short of that grid's end
-        nodes = [np.column_stack([r.r1, r.r2])
-                 for r in (inner.scheme_e(ch, lambda_policy="costa1"),
-                           inner.tdma_inner(ch))]
         rows.append(("perfect-cancel", rep.margins["31a"] >= 0.0,
-                     _point_region(np.concatenate(nodes)), so))
+                     region.union([inner.scheme_e(ch, lambda_policy="costa1"),
+                                   inner.tdma_inner(ch)]), so))
 
         applies2 = b2p1 <= ch.p2
         pts = [peq_pt, (0.0, float(cap(ch.p2)))]
@@ -217,20 +213,21 @@ def _table_rows(ch: ChannelParams):
             lam = ch.a * (ch.p1 + 2.0 * math.sqrt(ch.p1)) / (ch.p1 + 1.0)
             f1, r2, ss = inner.scheme_e_rates(ch, 1.0, lam)
             pts.append((float(f1), float(min(r2, ss - f1))))
-        rows.append(("partial-cancel", applies2, _point_region(pts), so))
+        rows.append(("partial-cancel", applies2,
+                     from_pareto_points(pts, Kind.INNER), so))
 
         al4 = 1.0 / max(ch.p1, 1.0)  # min(1, 1 / p1); at p1 = 0 the origin
         a_pt = (float(cap((1 - al4) * ch.p1 / (1 + al4 * ch.p1))),
                 float(cap(al4 * b2p1)))
         rows.append(("broadcast-strong", b2p1 > ch.p2,
-                     _point_region([peq_pt, a_pt]), so))
+                     from_pareto_points([peq_pt, a_pt], Kind.INNER), so))
 
         ssum = min(float(cap(ch.p1 + abs(ch.a) ** 2 * ch.p2)),
                    float(cap(b2p1 + ch.p2)))
         d_pt = (min(float(cap(ch.p1)), ssum),
                 max(ssum - float(cap(ch.p1)), 0.0))
         rows.append(("interference-strip", abs(ch.a) >= 1.0 and b2p1 <= ch.p2,
-                     _point_region([peq_pt, d_pt]), so))
+                     from_pareto_points([peq_pt, d_pt], Kind.INNER), so))
     else:
         rows.append(("broadcast-weak", b2p1 > ch.p2,
                      inner.scheme_a(ch), outer.weak_outer(ch)))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from gcifc import inner
-from gcifc.region import R1_GRID_DEFAULT, Kind, from_pareto_points
+from gcifc.region import Kind, from_pareto_points
 from gcifc.util import cap, pos
 
 
@@ -33,7 +33,7 @@ def _f_grid(ch, n):
     return av, bv, gv, a_pow * amp / (a_pow + 1.0)
 
 
-def scheme_f(ch, n_lambda=41, face_lambda=201, grid=R1_GRID_DEFAULT):
+def scheme_f(ch, n_lambda=41, face_lambda=201):
     """inner.scheme_f on its default split grid, one lambda scale a call."""
     av, bv, gv, w_c = _f_grid(ch, 11)
     scales = np.linspace(0.0, 2.0, n_lambda)
@@ -67,11 +67,10 @@ def scheme_f(ch, n_lambda=41, face_lambda=201, grid=R1_GRID_DEFAULT):
     chunks.append(np.stack([v1, pos(sd - v1)], axis=1))
     chunks.append(np.stack([np.zeros_like(sd), pos(sd)], axis=1))
     return from_pareto_points(np.concatenate(chunks, axis=0), Kind.INNER,
-                              grid=grid, region_id="f")
+                              region_id="f")
 
 
-def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201,
-             grid=R1_GRID_DEFAULT):
+def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201):
     """inner.scheme_e from one cloud of every (scale, split) pair, with
     alpha and lambda_re arrays aligned with its rows."""
     al = inner.default_alpha_grid(ch) if alpha_grid is None \
@@ -98,7 +97,7 @@ def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201,
                       0.0)
     lam2 = np.broadcast_to(lam_re, f1.shape).ravel()
     return from_pareto_points(
-        pts, Kind.INNER, grid=grid,
+        pts, Kind.INNER,
         params={"alpha": np.concatenate([al2, al2]),
                 "lambda_re": np.concatenate([lam2, lam2])},
         region_id=f"e:{lambda_policy}")

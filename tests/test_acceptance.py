@@ -279,7 +279,7 @@ def test_criterion_9_oracle_equivalence(rng):
             pts = outer.pl_si_points(ch)
             sys1 = correlated_input_system(ch, 1.0)
             chk(gaussmi.mutual_info(sys1, "Y2", ["X1", "X2"]), pts["A"][1])
-            td = inner.tdma_inner(ch, grid=64)
+            td = inner.tdma_inner(ch)
             x = rng.uniform(0.0, float(cap(ch.p1)))
             chk(float(td.boundary_at(x)),
                 pts["A"][1] * (1 - x / float(cap(ch.p1))))
@@ -393,16 +393,20 @@ def test_criterion_11_figure_reproduction():
     sweep = inner.scheme_e(ch, lambda_policy="sweep")
     costa = inner.scheme_e(ch, lambda_policy="costa1")
     zero = inner.scheme_e(ch, lambda_policy="zero")
+    xs = np.union1d(sweep.r1, costa.r1)
     ok_fig21 = (region.contains(sweep, costa, tol=1e-3)[0]
                 and region.contains(sweep, zero, tol=1e-3)[0]
-                and float(np.max(sweep.boundary_at(costa.r1) - costa.r2)) > 1e-2)
+                and float(np.max(sweep.boundary_at(xs)
+                                 - costa.boundary_at(xs))) > 1e-2)
 
     # split-scheme dominance at the reference strong channel
     chf = ChannelParams(2.0, 3.0, 1.0, 1.0)
     f = inner.scheme_f(chf)
     de = region.union([inner.scheme_d(chf), inner.scheme_e(chf)])
+    xs = np.union1d(f.r1, de.r1)
     ok_fig16 = (region.contains(f, de, tol=1e-4)[0]
-                and float(np.max(f.boundary_at(de.r1) - de.r2)) > 1e-2)
+                and float(np.max(f.boundary_at(xs)
+                                 - de.boundary_at(xs))) > 1e-2)
 
     _line(11, ok_atlas and ok_fig4 and ok_fig21 and ok_fig16,
           f"figures: atlas band {ok_atlas}, precoding shape {ok_fig4}, "

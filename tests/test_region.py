@@ -38,17 +38,37 @@ def _monotone(steps, kind, concave=False):
     return from_boundary(x, y, kind)
 
 
+def _concave_clouds(rng, count):
+    """Clouds under random concave boundaries h (1 - (r1 / w)^q), q > 1,
+    half of the points on the boundary and half below it, then one under
+    the kinked boundary min(2 - 0.2 r1, 6 - 3 r1)."""
+    for _ in range(count):
+        w, h = rng.uniform(0.5, 8.0, 2)
+        x = rng.uniform(0.0, w, 300)
+        y = h * (1.0 - (x / w) ** rng.uniform(1.2, 4.0))
+        below = rng.random(x.size) < 0.5
+        yield np.stack([x, y - below * rng.uniform(0.0, 1.0, x.size)], axis=1)
+    x = rng.uniform(0.0, 3.0, 300)
+    yield np.stack([x, np.minimum(2.0 - 0.2 * x, 6.0 - 3.0 * x)], axis=1)
+
+
 class TestFromParetoPoints:
+    def test_inner_holds_its_cloud(self, rng):
+        # the hull vertices are kept, not chords between uniform nodes
+        for pts in _concave_clouds(rng, 20):
+            reg = from_pareto_points(pts, Kind.INNER)
+            assert np.all(reg.contains_points(pts[:, 0], pts[:, 1], tol=1e-12))
+
     def test_collinear_inner(self):
-        reg = from_pareto_points([(0, 2), (1, 1), (2, 0)], Kind.INNER, grid=33)
+        reg = from_pareto_points([(0, 2), (1, 1), (2, 0)], Kind.INNER)
         assert np.allclose(reg.r2, 2.0 - reg.r1, atol=1e-12)
 
     def test_dominated_point_convexified(self):
-        reg = from_pareto_points([(0, 2), (1, 0.5), (2, 0)], Kind.INNER, grid=33)
+        reg = from_pareto_points([(0, 2), (1, 0.5), (2, 0)], Kind.INNER)
         assert np.allclose(reg.r2, 2.0 - reg.r1, atol=1e-12)
 
     def test_outer_step_up(self):
-        reg = from_pareto_points([(0, 2), (1, 1)], Kind.OUTER, grid=3)
+        reg = from_pareto_points([(0, 2), (1, 1)], Kind.OUTER)
         assert float(reg.boundary_at(0.5)) == pytest.approx(2.0)
 
     def test_empty(self):
@@ -58,12 +78,12 @@ class TestFromParetoPoints:
             from_pareto_points([(np.nan, 1.0)], Kind.INNER)
 
     def test_negative_rates_clamped(self):
-        reg = from_pareto_points([(1.0, -0.5), (0.5, 0.25)], Kind.INNER, grid=9)
+        reg = from_pareto_points([(1.0, -0.5), (0.5, 0.25)], Kind.INNER)
         assert reg.r2.min() >= 0.0
         assert reg.r1_max == pytest.approx(1.0)
 
     def test_params_carried(self):
-        reg = from_pareto_points([(0, 2), (2, 0)], Kind.INNER, grid=5,
+        reg = from_pareto_points([(0, 2), (2, 0)], Kind.INNER,
                                  params={"alpha": [0.0, 1.0]})
         assert "alpha" in reg.meta["params"]
         assert reg.meta["params"]["alpha"].shape == reg.r1.shape
@@ -75,7 +95,7 @@ class TestFromParetoPoints:
         rng = np.random.default_rng(5)
         x = rng.uniform(0.0, 1e-306, 5000)
         y = 3.0 - x * 1e306 + rng.uniform(0.0, 0.5, x.size)
-        reg = from_pareto_points(np.stack([x, y], axis=1), kind, grid=129)
+        reg = from_pareto_points(np.stack([x, y], axis=1), kind)
         assert reg.kind is kind and reg.r1[0] == 0.0
         assert 0.0 < reg.r1_max <= x.max()
         assert reg.r2[0] == y.max()
@@ -86,7 +106,7 @@ class TestSetOps:
     def test_union_upper_envelope_with_hull(self):
         a = line_region(1.0, 1.0)
         b = line_region(2.0, 2.0)
-        u = union([a, b], grid=513)
+        u = union([a, b])
         # hull of the two lines: straight between (0,2) and (1,0)
         assert float(u.boundary_at(0.5)) == pytest.approx(1.0, abs=1e-3)
         assert float(u.boundary_at(0.0)) == pytest.approx(2.0, abs=1e-12)
@@ -97,13 +117,39 @@ class TestSetOps:
         assert np.allclose(both.r2, x.r2, atol=0)
 
     def test_intersect_resample_is_conservative(self):
-        # grid mismatch falls back to step-up: never below, within a cell
+        # other breakpoints are read at the first least-support member's
+        # and held step-up: never below, within one of its cells
         x = line_region(2.0, 1.0, Kind.OUTER, grid=257)
-        both = intersect([x, x], grid=2048)
-        vals = both.boundary_at(x.r1)
+        y = line_region(2.0, 1.0, Kind.OUTER, grid=2048)
+        both = intersect([x, y])
+        assert np.array_equal(both.r1, x.r1)
+        xs = np.union1d(x.r1, y.r1)
+        exact = np.minimum(x.boundary_at(xs), y.boundary_at(xs))
+        vals = both.boundary_at(xs)
         cell = 2.0 / 256
-        assert np.all(vals >= x.r2 - 1e-12)
-        assert np.max(vals - x.r2) <= cell + 1e-12
+        assert np.all(vals >= exact - 1e-12)
+        assert np.max(vals - exact) <= cell + 1e-12
+
+    def test_inner_union_is_the_hull_of_the_clouds(self, rng):
+        clouds = list(_concave_clouds(rng, 6))
+        for a, b in zip(clouds[:-1], clouds[1:]):
+            u = union([from_pareto_points(a, Kind.INNER),
+                       from_pareto_points(b, Kind.INNER)])
+            want = from_pareto_points(np.concatenate([a, b]), Kind.INNER)
+            assert np.array_equal(u.r1, want.r1)
+            assert np.array_equal(u.r2, want.r2)
+
+    def test_outer_union_is_the_max_at_merged_breakpoints(self, rng):
+        clouds = list(_concave_clouds(rng, 6))
+        for a, b in zip(clouds[:-1], clouds[1:]):
+            ra, rb = (from_pareto_points(c, Kind.OUTER) for c in (a, b))
+            u = union([ra, rb])
+            xs = np.union1d(ra.r1, rb.r1)
+            assert np.array_equal(u.r1, xs)
+            for x in (xs, (xs[1:] + xs[:-1]) / 2.0):
+                want = np.maximum(ra.boundary_at(x, outside=-np.inf),
+                                  rb.boundary_at(x, outside=-np.inf))
+                assert np.array_equal(u.boundary_at(x), want)
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(MixedKinds):
@@ -113,8 +159,8 @@ class TestSetOps:
             union([line_region(1, 1, Kind.INNER),
                    line_region(1, 1, Kind.OUTER)])
 
-    # a uniform grid over [0, 5e-324] would repeat zeros; both set
-    # operations collapse to the origin instead
+    # the inner union coalesces the r1 tie at 5e-324; the intersection
+    # keeps the member's own breakpoints
     def test_union_subnormal_support(self):
         tiny = from_boundary([0.0, 5e-324], [1.0, 0.5], Kind.INNER)
         u = union([tiny, tiny])
@@ -123,14 +169,44 @@ class TestSetOps:
     def test_intersect_subnormal_support(self):
         tiny = from_boundary([0.0, 5e-324], [1.0, 0.5], Kind.OUTER)
         cut = intersect([tiny, line_region(2.0, 1.0, Kind.OUTER)])
-        assert cut.r1.tolist() == [0.0] and cut.r2.tolist() == [1.0]
+        assert cut.r1.tolist() == [0.0, 5e-324]
+        assert cut.r2.tolist() == [1.0, 0.5]
 
     def test_intersect_shared_grid_exact(self):
         x = np.linspace(0, 1, 65)
         a = from_boundary(x, 2 - x, Kind.OUTER)
         b = from_boundary(x, 1.5 - 0.25 * x, Kind.OUTER)
-        cut = intersect([a, b], grid=65)
+        cut = intersect([a, b])
         assert np.allclose(cut.r2, np.minimum(a.r2, b.r2), atol=0)
+
+
+class TestOnGrid:
+    @pytest.mark.parametrize("kind", [Kind.INNER, Kind.OUTER])
+    def test_table_reads_the_region(self, rng, kind):
+        # at its nodes the table is the region, with the params of the
+        # breakpoint at or left of each node; between nodes an inner table
+        # lies on or below the region and an outer one on or above it
+        for pts in _concave_clouds(rng, 10):
+            reg = from_pareto_points(pts, kind,
+                                     params={"i": np.arange(len(pts))})
+            xs = np.union1d(reg.r1, np.linspace(0.0, reg.r1_max, 1001))
+            for g in (2, 33, 129):
+                tab = reg.on_grid(g)
+                assert tab.r1.size == g and tab.r1[-1] == reg.r1_max
+                assert np.array_equal(tab.r2, reg.boundary_at(tab.r1))
+                left = np.searchsorted(reg.r1, tab.r1, side="right") - 1
+                assert np.array_equal(tab.meta["params"]["i"],
+                                      reg.meta["params"]["i"][left])
+                diff = tab.boundary_at(xs) - reg.boundary_at(xs)
+                if kind is Kind.INNER:
+                    assert diff.max() <= 1e-12
+                else:
+                    assert diff.min() >= 0.0
+
+    def test_collapses_on_a_subnormal_support(self):
+        tiny = from_boundary([0.0, 5e-324], [1.0, 0.5], Kind.OUTER)
+        tab = tiny.on_grid(9)
+        assert tab.r1.tolist() == [0.0] and tab.r2.tolist() == [1.0]
 
 
 class TestContains:
@@ -185,7 +261,7 @@ class TestGaps:
 
     def test_multiplicative_degenerate_inner(self):
         outer = line_region(2.0, 1.0, Kind.OUTER)
-        inner = from_pareto_points([(1.0, 0.0)], Kind.INNER, grid=9)
+        inner = from_pareto_points([(1.0, 0.0)], Kind.INNER)
         m, _ = multiplicative_gap(outer, inner)
         assert math.isinf(m)
 
@@ -268,24 +344,24 @@ class TestInvariantsAndSerialization:
     @example(pts=[(5e-324, 0.0)])
     def test_boundary_monotone(self, pts):
         for kind in (Kind.INNER, Kind.OUTER):
-            reg = from_pareto_points(pts, kind, grid=129)
+            reg = from_pareto_points(pts, kind)
             assert np.all(np.diff(reg.r2) <= 1e-12)
             assert reg.r1[0] == 0.0
 
     def test_inner_refinement_never_shrinks_much(self, rng):
-        # 512-point construction sits within 1e-3 bits of the 2048 one
+        # the 512-node table sits within 1e-3 bits of the 2048 one
         for _ in range(10):
             pts = np.abs(rng.normal(size=(60, 2))) * 3
-            lo = from_pareto_points(pts, Kind.INNER, grid=512)
-            hi = from_pareto_points(pts, Kind.INNER, grid=2048)
+            reg = from_pareto_points(pts, Kind.INNER)
+            lo, hi = reg.on_grid(512), reg.on_grid(2048)
             drift = np.max(np.abs(hi.boundary_at(lo.r1) - lo.r2))
             assert drift <= 1e-3
 
     def test_outer_coarsening_never_decreases(self, rng):
         for _ in range(10):
             pts = np.abs(rng.normal(size=(60, 2))) * 3
-            fine = from_pareto_points(pts, Kind.OUTER, grid=2048)
-            coarse = from_pareto_points(pts, Kind.OUTER, grid=128)
+            reg = from_pareto_points(pts, Kind.OUTER)
+            fine, coarse = reg.on_grid(2048), reg.on_grid(128)
             assert np.all(coarse.boundary_at(fine.r1) >= fine.r2 - 1e-12)
 
     def test_bump_rejected(self):
@@ -295,7 +371,7 @@ class TestInvariantsAndSerialization:
 
     def test_csv_roundtrip_fidelity(self, rng):
         pts = np.abs(rng.normal(size=(40, 2))) * 5
-        reg = from_pareto_points(pts, Kind.INNER, grid=100,
+        reg = from_pareto_points(pts, Kind.INNER,
                                  params={"alpha": rng.uniform(size=40)})
         back = RateRegion.from_csv(reg.to_csv(), Kind.INNER)
         assert np.allclose(back.r1, reg.r1, rtol=1e-12, atol=1e-300)
@@ -304,7 +380,7 @@ class TestInvariantsAndSerialization:
                            reg.meta["params"]["alpha"], rtol=1e-12)
 
     def test_json_roundtrip(self):
-        reg = from_pareto_points([(0, 2), (2, 0)], Kind.OUTER, grid=9)
+        reg = from_pareto_points([(0, 2), (2, 0)], Kind.OUTER)
         back = RateRegion.from_json_dict(reg.to_json_dict())
         assert back.kind is Kind.OUTER
         assert np.allclose(back.r2, reg.r2)
@@ -418,7 +494,7 @@ class TestEnvelopeKernels:
             for nbins in (1, 3, 8, 4096):
                 r1, r2, src = _front_candidates(iter(blocks), nbins)
                 assert np.array_equal(src[_pareto_filter(r1, r2)], want)
-            got = from_pareto_points(iter(blocks), Kind.OUTER, grid=33)
-            one = from_pareto_points(pts, Kind.OUTER, grid=33)
+            got = from_pareto_points(iter(blocks), Kind.OUTER)
+            one = from_pareto_points(pts, Kind.OUTER)
             assert np.array_equal(got.r1, one.r1)
             assert np.array_equal(got.r2, one.r2)

@@ -33,16 +33,13 @@ def _identical(a, b):
 
 @pytest.mark.parametrize("ch", CHANNELS)
 def test_regions_match_loop_forms(ch):
-    _match_loop_forms(ch, 2048)
+    _same(inner.scheme_f(ch), ref.scheme_f(ch))
 
 
 @pytest.mark.parametrize("ch", CHANNELS)
 def test_regions_match_loop_forms_atlas_grid(ch):
-    _match_loop_forms(ch, 512)
-
-
-def _match_loop_forms(ch, grid):
-    _same(inner.scheme_f(ch, grid=grid), ref.scheme_f(ch, grid=grid))
+    # the uniform tables at the atlas grid
+    _same(inner.scheme_f(ch).on_grid(512), ref.scheme_f(ch).on_grid(512))
 
 
 @pytest.mark.parametrize("ch", CHANNELS)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gcifc.channel import CapacityResult, ChannelParams, classify
+from gcifc.channel import (CapacityResult, ChannelParams, classify,
+                           pdc_margins, s_channel_thresholds)
 from gcifc import inner, outer, region, verify
 from gcifc.errors import GcifcError
 from gcifc.util import cap
@@ -287,3 +289,26 @@ def test_checks_report_or_raise_typed(ch):
             continue
         assert isinstance(rep, verify.TheoremReport)
         assert rep.holds, (rep.theorem_id, rep.worst_violation)
+
+
+@pytest.mark.parametrize("ch", [pytest.param(ch, id=name)
+                                for name, ch in HUGE_CHANNELS])
+def test_margins_finite_at_huge_powers(ch):
+    """sqrt(p1 p2) is rescaled wherever a margin, threshold or gap curve
+    takes it, so none reads inf or nan where p1 p2 overflows."""
+    al = np.linspace(0.0, 1.0, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margins = classify(ch).margins
+        _, m_b = pdc_margins(ch)
+        thresholds = s_channel_thresholds(ch.p1, ch.p2)
+        q0 = float(verify.q_alpha(ch, 0.0))
+        curve = verify.scheme_c_alpha_gap(ch, al)
+        rep = verify.check_additive_gap(ch)
+    assert np.all(np.isfinite([margins["5"], margins["31b"], margins["36"],
+                               m_b, *thresholds, q0]))
+    assert q0 == pytest.approx(m_b, rel=1e-12)
+    assert np.all(np.isfinite(curve))
+    assert math.isfinite(rep.details[0]["max_gap_alpha_bits"])
+    with np.errstate(over="ignore"):  # q(alpha) itself may pass 1.8e308
+        assert not np.any(np.isnan(verify.q_alpha(ch, al)))
