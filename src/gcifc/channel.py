@@ -18,6 +18,10 @@ from dataclasses import dataclass, field
 from .errors import DegenerateDirectLink
 from .util import scaled_powers
 
+# the one tolerance for degenerate gains: the S, Z and degraded channels and
+# the channel-transformation constraints
+DEGENERACY_TOL = 1e-9
+
 
 class CapacityResult(str, enum.Enum):
     """Which known capacity result applies, if any (first match wins)."""
@@ -184,24 +188,32 @@ def s_channel_thresholds(p1: float, p2: float) -> tuple[float, float]:
     return low, high
 
 
-def classify(ch: ChannelParams, tol: float = 1e-9) -> RegimeReport:
+def is_s_channel(ch: ChannelParams) -> bool:
+    """a = 0 (up to DEGENERACY_TOL)."""
+    return abs(ch.a) <= DEGENERACY_TOL
+
+
+def is_degraded(ch: ChannelParams) -> bool:
+    """Real a = 1/b > 0 (up to DEGENERACY_TOL)."""
+    return (abs(ch.a.imag) <= DEGENERACY_TOL and ch.a.real > 0.0
+            and abs(ch.a.real * ch.b - 1.0) <= DEGENERACY_TOL)
+
+
+def classify(ch: ChannelParams) -> RegimeReport:
     """Full regime classification with condition margins.
 
     capacity_known picks the first matching regime in the fixed order
     z-trivial, weak, very-strong, primary-decodes-cognitive, s-channel,
     unknown; overlapping regimes keep all their flags set.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     weak = ch.b <= 1.0
     strong = not weak
     vs_flag, m5 = very_strong_condition(ch)
     m31a, m31b = pdc_margins(ch)
     pdc = strong and m31a >= 0.0 and m31b >= 0.0
-    s_channel = abs(ch.a) <= tol
-    z_channel = ch.b <= tol
-    degraded = (abs(ch.a.imag) <= tol and ch.a.real > 0.0
-                and abs(ch.a.real * ch.b - 1.0) <= tol)
+    s_channel = is_s_channel(ch)
+    z_channel = ch.b <= DEGENERACY_TOL
+    degraded = is_degraded(ch)
 
     s_low, s_high = s_channel_thresholds(ch.p1, ch.p2)
     m35 = ch.b - s_low

@@ -25,33 +25,43 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REGIME = 3
 
-_OUTER_BUILDERS = {
-    "weak": lambda ch, g: outer.weak_outer(ch, g),
-    "strong": lambda ch, g: outer.strong_outer(ch, g),
-    "unified": lambda ch, g: outer.unified_outer(ch, g),
-    "bc-pr": lambda ch, g: outer.bc_pr_outer(ch, grid=g),
-    "bc-dms-deg": lambda ch, g: outer.bc_dms_degraded_outer(ch, g),
-    "bc-dms-s": lambda ch, g: outer.bc_dms_s_outer(ch, g),
-    "pl-si": lambda ch, g: outer.piecewise_linear_outer(ch, g),
-    "transform:tos": lambda ch, g: outer.transformed_outer(ch, preset="tos", grid=g),
-    "transform:toweak": lambda ch, g: outer.transformed_outer(ch, preset="toweak", grid=g),
-    "transform:tovs": lambda ch, g: outer.transformed_outer(ch, preset="tovs", grid=g),
-    "outer:best": lambda ch, g: outer.best_outer(ch, grid=g),
-}
 
-_INNER_BUILDERS = {
-    "a": lambda ch, g: inner.scheme_a(ch),
-    "b": lambda ch, g: inner.scheme_b(ch, grid=g),
-    "c": lambda ch, g: inner.scheme_c(ch),
-    "c46": lambda ch, g: inner.scheme_c46(ch),
-    "d": lambda ch, g: inner.scheme_d(ch),
-    "e": lambda ch, g: inner.scheme_e(ch, lambda_policy="sweep"),
-    "e:sweep": lambda ch, g: inner.scheme_e(ch, lambda_policy="sweep"),
-    "e:costa1": lambda ch, g: inner.scheme_e(ch, lambda_policy="costa1"),
-    "e:zero": lambda ch, g: inner.scheme_e(ch, lambda_policy="zero"),
-    "f": lambda ch, g: inner.scheme_f(ch),
-    "tdma": lambda ch, g: inner.tdma_inner(ch),
-    "inner:best": lambda ch, g: inner.best_inner(ch, grid=g),
+def _scheme_e(policy: str):
+    return lambda ch, g: inner.scheme_e(ch, lambda_policy=policy)
+
+
+def _transform(preset: str):
+    return lambda ch, g: outer.transformed_outer(ch, preset=preset, grid=g)
+
+
+_E_SWEEP = _scheme_e("sweep")
+OUTER, INNER = region.Kind.OUTER, region.Kind.INNER
+
+# every bound/scheme id: its kind and its builder, called as build(ch, grid)
+BUILDERS = {
+    "weak": (OUTER, outer.weak_outer),
+    "strong": (OUTER, outer.strong_outer),
+    "unified": (OUTER, outer.unified_outer),
+    "bc-pr": (OUTER, outer.bc_pr_outer),
+    "bc-dms-deg": (OUTER, outer.bc_dms_degraded_outer),
+    "bc-dms-s": (OUTER, outer.bc_dms_s_outer),
+    "pl-si": (OUTER, outer.piecewise_linear_outer),
+    "transform:tos": (OUTER, _transform("tos")),
+    "transform:toweak": (OUTER, _transform("toweak")),
+    "transform:tovs": (OUTER, _transform("tovs")),
+    "outer:best": (OUTER, outer.best_outer),
+    "a": (INNER, lambda ch, g: inner.scheme_a(ch)),
+    "b": (INNER, lambda ch, g: inner.scheme_b(ch, grid=g)),
+    "c": (INNER, lambda ch, g: inner.scheme_c(ch)),
+    "c46": (INNER, lambda ch, g: inner.scheme_c46(ch)),
+    "d": (INNER, lambda ch, g: inner.scheme_d(ch)),
+    "e": (INNER, _E_SWEEP),
+    "e:sweep": (INNER, _E_SWEEP),
+    "e:costa1": (INNER, _scheme_e("costa1")),
+    "e:zero": (INNER, _scheme_e("zero")),
+    "f": (INNER, lambda ch, g: inner.scheme_f(ch)),
+    "tdma": (INNER, lambda ch, g: inner.tdma_inner(ch)),
+    "inner:best": (INNER, inner.best_inner),
 }
 
 
@@ -166,14 +176,20 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _build_region(ch: ChannelParams, rid: str, grid: int):
+def _builder(rid: str, kind=None):
+    """The builder of a bound/scheme id. With a kind, the id must be of
+    that kind and bare 'best' names that kind's best; without one, 'best'
+    is ambiguous."""
     if rid == "best":
-        raise UsageError("'best' is ambiguous here: use inner:best or outer:best")
-    if rid in _OUTER_BUILDERS:
-        return _OUTER_BUILDERS[rid](ch, grid)
-    if rid in _INNER_BUILDERS:
-        return _INNER_BUILDERS[rid](ch, grid)
-    raise UsageError(f"unknown bound/scheme id {rid!r}")
+        if kind is None:
+            raise UsageError("'best' is ambiguous here: use inner:best or "
+                             "outer:best")
+        rid = f"{kind.value}:best"
+    entry = BUILDERS.get(rid)
+    if entry is None or kind not in (None, entry[0]):
+        what = "bound/scheme" if kind is None else kind.value
+        raise UsageError(f"unknown {what} id {rid!r}")
+    return entry[1]
 
 
 def cmd_region(args) -> int:
@@ -181,7 +197,7 @@ def cmd_region(args) -> int:
     if not ids:
         raise UsageError("region needs --ids")
     for rid in ids:
-        reg = _build_region(args.channel, rid, args.grid).on_grid(args.grid)
+        reg = _builder(rid)(args.channel, args.grid).on_grid(args.grid)
         if args.fmt == "json":
             text = json.dumps(reg.to_json_dict()) + "\n"
             path = (f"{args.out}_{rid.replace(':', '-')}.json"
@@ -200,14 +216,10 @@ def cmd_region(args) -> int:
 def cmd_gap(args) -> int:
     if not args.outer_id or not args.inner_id:
         raise UsageError("gap needs --outer and --inner ids")
-    oid = "outer:best" if args.outer_id == "best" else args.outer_id
-    iid = "inner:best" if args.inner_id == "best" else args.inner_id
-    if oid not in _OUTER_BUILDERS:
-        raise UsageError(f"unknown outer id {args.outer_id!r}")
-    if iid not in _INNER_BUILDERS:
-        raise UsageError(f"unknown inner id {args.inner_id!r}")
-    reg_i = _INNER_BUILDERS[iid](args.channel, args.grid)
-    reg_o = _OUTER_BUILDERS[oid](args.channel, args.grid)
+    build_o = _builder(args.outer_id, OUTER)
+    build_i = _builder(args.inner_id, INNER)
+    reg_i = build_i(args.channel, args.grid)
+    reg_o = build_o(args.channel, args.grid)
     rep = region.gap_report(reg_o, reg_i)
     _emit(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n",
           args.out)

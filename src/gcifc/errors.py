@@ -43,3 +43,7 @@ class MixedKinds(GcifcError):
 
 class DegenerateDenominator(GcifcError):
     """A closed form was evaluated at a parameter point where it is undefined."""
+
+
+class PowerOverflow(GcifcError):
+    """A power lies so close to the double range that a bound overflows."""

@@ -241,16 +241,22 @@ def _scheme_e_amplitudes(ch: ChannelParams, alpha):
     return u1, u2
 
 
-def scheme_e_rates(ch: ChannelParams, alpha, lam):
-    """(r1 bound, r2 bound, sum bound) of the pre-coded common strategy."""
-    al = np.asarray(alpha, dtype=float)
-    a_pow = al * ch.p1
-    u1, u2 = _scheme_e_amplitudes(ch, al)
-    w = np.asarray(lam) * math.sqrt(ch.p2)
+def _scheme_e_bounds(ch: ChannelParams, a_pow, u1, u2, w):
+    """(r1 bound, r2 bound, sum bound) of the pre-coded common strategy in
+    amplitude space: the common power a_pow, the interferer amplitudes
+    u1, u2 of `_scheme_e_amplitudes` and the pre-coding amplitude w."""
     f1 = _f_mi(1.0, u1, 1.0, w, a_pow)
     f2 = _f_mi(ch.b, u2, 1.0, w, a_pow, clamp=False)
     ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)
     return f1, pos(ssum - f2), ssum
+
+
+def scheme_e_rates(ch: ChannelParams, alpha, lam):
+    """(r1 bound, r2 bound, sum bound) of the pre-coded common strategy."""
+    al = np.asarray(alpha, dtype=float)
+    u1, u2 = _scheme_e_amplitudes(ch, al)
+    return _scheme_e_bounds(ch, al * ch.p1, u1, u2,
+                            np.asarray(lam) * math.sqrt(ch.p2))
 
 
 def _phase_fan(ch: ChannelParams) -> bool:
@@ -289,24 +295,30 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
     return _scheme_e_blocks(ch, al, fans, pairs), params
 
 
+def _costa(a_pow, u):
+    """The Costa pre-coding amplitude a_pow * u / (a_pow + 1). Where
+    a_pow >= 1 both a_pow and a_pow + 1 are first scaled by the power of
+    two putting a_pow in [0.5, 1): exact, so bit-identical wherever
+    a_pow * u is finite (u normal), and finite where it would overflow."""
+    k = -np.maximum(np.frexp(a_pow)[1], 0)
+    return np.ldexp(a_pow, k) * u / np.ldexp(a_pow + 1.0, k)
+
+
 def _scheme_e_costa1(ch: ChannelParams, al):
-    """The costa1 pre-coding amplitude a_pow * u1 / (a_pow + 1) per split."""
-    a_pow = al * ch.p1
-    return a_pow * _scheme_e_amplitudes(ch, al)[0] / (a_pow + 1.0)
+    """The costa1 pre-coding amplitude per split."""
+    return _costa(al * ch.p1, _scheme_e_amplitudes(ch, al)[0])
 
 
 def _scheme_e_blocks(ch: ChannelParams, al, fans, pairs: int):
     """Scheme E's (start, rows) blocks over (k, al.size) arrays of
     pre-coding amplitudes, `pairs` (scale, split) pairs in all. Rows run
     over (vertex, scale, split): v2 rows follow every v1 row."""
-    a_pow = al * ch.p1
-    u1, u2 = _scheme_e_amplitudes(ch, al)
-    ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)[None, :]
+    a_pow = (al * ch.p1)[None, :]
+    u1, u2 = (u[None, :] for u in _scheme_e_amplitudes(ch, al))
     start = 0
     for w in fans:
-        f1 = _f_mi(1.0, u1[None, :], 1.0, w, a_pow[None, :])
-        f2 = _f_mi(ch.b, u2[None, :], 1.0, w, a_pow[None, :], clamp=False)
-        v1, v2 = np.split(_rect_sum_vertices(f1, pos(ssum - f2), ssum), 2)
+        f1, r2, ssum = _scheme_e_bounds(ch, a_pow, u1, u2, w)
+        v1, v2 = np.split(_rect_sum_vertices(f1, r2, ssum), 2)
         yield start, v1
         yield pairs + start, v2
         start += f1.size
@@ -482,7 +494,7 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
     # interference seen by u1c at y1 once the common primary part is known
     amp = np.sqrt(pos(1.0 - av) * pos(1.0 - gv) * ch.p1) \
         + _real_a(ch) * np.sqrt(pos(1.0 - bv) * ch.p2)
-    w_c = a_pow * amp / (a_pow + 1.0)
+    w_c = _costa(a_pow, amp)
 
     scales = np.linspace(0.0, 2.0, n_lambda)
     if _phase_fan(ch):

@@ -11,6 +11,10 @@ construction: nothing is sampled from below or floored. Every
 constructor is a pure function of its arguments: nothing is cached
 between calls.
 
+`best_outer` intersects every bound that applies. Each bound states its
+validity regime once, in its own builder, which raises RegimeMismatch
+outside it; the composition re-tests nothing.
+
 Cross-term convention: every alpha-parameterized bound uses
 2*sqrt(abar * b^2 * p1 * p2), i.e. input correlation sqrt(1 - alpha),
 so the cooperation term vanishes at alpha = 1.
@@ -23,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CapacityResult, ChannelParams, classify, s_channel_thresholds
-from .errors import InvalidTransform, RegimeMismatch, SingularPreset
+from .channel import (DEGENERACY_TOL, CapacityResult, ChannelParams, classify,
+                      is_degraded, is_s_channel, s_channel_thresholds)
+from .errors import (InvalidTransform, PowerOverflow, RegimeMismatch,
+                     SingularPreset)
 from .region import (R1_GRID_DEFAULT, Kind, RateRegion, from_boundary,
                      intersect)
 from .util import alpha_of_r1, cap, pos, r1_grid, scaled_powers
@@ -86,11 +92,10 @@ def bc_dms_degraded_threshold(p1: float, p2: float) -> float:
     return math.sqrt(p2 / p1) + math.sqrt(1.0 + p2 / p1)
 
 
-def bc_dms_degraded_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
-                          tol: float = 1e-9) -> RateRegion:
+def bc_dms_degraded_outer(ch: ChannelParams,
+                          grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Closed-form cooperative bound for the degraded channel (a b = 1, b >= 1)."""
-    if not (abs(ch.a.imag) <= tol and ch.a.real > 0.0
-            and abs(ch.a.real * ch.b - 1.0) <= tol and ch.b >= 1.0):
+    if not (is_degraded(ch) and ch.b >= 1.0):
         raise RegimeMismatch("degraded cooperative bound needs real a = 1/b, b >= 1")
     gx = r1_grid(ch.p1, grid)
     alpha = alpha_of_r1(gx, ch.p1)
@@ -108,10 +113,9 @@ def bc_dms_s_threshold(p2: float) -> float:
     return math.sqrt(p2 + 1.0)
 
 
-def bc_dms_s_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
-                   tol: float = 1e-9) -> RateRegion:
+def bc_dms_s_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Cooperative degraded-message-set bound for the S channel (a = 0, b >= 1)."""
-    if not (abs(ch.a) <= tol and ch.b >= 1.0):
+    if not (is_s_channel(ch) and ch.b >= 1.0):
         raise RegimeMismatch("S-channel cooperative bound needs a = 0, b >= 1")
     gx = r1_grid(ch.p1, grid)
     alpha = alpha_of_r1(gx, ch.p1)
@@ -223,6 +227,8 @@ def _bc_support(ch: ChannelParams, theta) -> np.ndarray:
     u1 = P / t = p1 (1 + e^-delta) and u2 = P / (1 - t) = p2 (1 + e^delta).
     Every delta gives a valid bound (at p1 = 0 or p2 = 0, a limit of
     valid ones), so the minimum over the finite set searched here is one.
+    A delta whose SNRs overflow a double, as the outer ones do near
+    p = 1e300, is left out of it (reads +inf).
     """
     mu1, mu2 = np.cos(theta), np.sin(theta)
     hi2 = (mu2 >= mu1)[:, None]
@@ -231,12 +237,16 @@ def _bc_support(ch: ChannelParams, theta) -> np.ndarray:
     a2, b2, det = abs(ch.a) ** 2, ch.b ** 2, abs(1.0 - ch.a * ch.b)
 
     def bound(delta):
-        u1 = ch.p1 * (1.0 + np.exp(-delta))
-        u2 = ch.p2 * (1.0 + np.exp(delta))
-        c1, c2 = u1 + a2 * u2, b2 * u1 + u2
-        r = det * np.sqrt(u1) * np.sqrt(u2)
-        return _mac_max(mu_lo, mu_hi, np.where(hi2, c1, c2),
-                        np.where(hi2, c2, c1), r)
+        # an overflowing SNR (inf, or nan as 0 * inf) is masked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            u1 = ch.p1 * (1.0 + np.exp(-delta))
+            u2 = ch.p2 * (1.0 + np.exp(delta))
+            c1, c2 = u1 + a2 * u2, b2 * u1 + u2
+            r = det * np.sqrt(u1) * np.sqrt(u2)
+        ok = np.isfinite(c1) & np.isfinite(c2) & np.isfinite(r)
+        c1, c2, r = (np.where(ok, v, 0.0) for v in (c1, c2, r))
+        return np.where(ok, _mac_max(mu_lo, mu_hi, np.where(hi2, c1, c2),
+                                     np.where(hi2, c2, c1), r), np.inf)
 
     delta = np.broadcast_to(_BC_OFFSETS, (theta.size, _BC_OFFSETS.size))
     h = bound(delta)
@@ -266,6 +276,8 @@ def bc_pr_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """
     gx = r1_grid(ch.p1, grid)
     h = _bc_support(ch, _BC_SLOPES)
+    if not np.isfinite(h).all():
+        raise PowerOverflow("every multiplier's SNRs overflow")
     lines = (h[:, None] - np.cos(_BC_SLOPES)[:, None] * gx) \
         / np.sin(_BC_SLOPES)[:, None]
     return from_boundary(gx, pos(lines.min(axis=0)), Kind.OUTER, "bc-pr")
@@ -282,8 +294,7 @@ class TransformTriple:
     c_coef: complex
 
 
-def transform_target(ch: ChannelParams, tr: TransformTriple,
-                     tol: float = 1e-9) -> ChannelParams:
+def transform_target(ch: ChannelParams, tr: TransformTriple) -> ChannelParams:
     """Target channel whose capacity region bounds this channel's.
 
     The mixed inputs x1' = A x1 + B x2, x2' = C x2 reproduce this
@@ -292,6 +303,7 @@ def transform_target(ch: ChannelParams, tr: TransformTriple,
     """
     a_, b_, c_ = tr.a_coef, tr.b_coef, tr.c_coef
     den = 1.0 - b_ * ch.b
+    tol = DEGENERACY_TOL
     if abs(c_) <= tol or abs(den) <= tol:
         raise InvalidTransform("transformation denominators vanish")
     if abs(a_) < 1.0 - tol or abs(c_ / den) < 1.0 - tol:
@@ -359,55 +371,69 @@ def capacity_region(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegio
     return intersect([bc_dms_s_outer(ch, grid), strong_outer(ch, grid)])
 
 
+def _member(reg: RateRegion, rid: str) -> RateRegion:
+    return RateRegion(Kind.OUTER, reg.r1, reg.r2, {"id": rid})
+
+
+# best_outer's direct members, in intersection order; each raises
+# RegimeMismatch where it does not apply
+_DIRECT = (unified_outer, bc_dms_degraded_outer, bc_dms_s_outer, bc_pr_outer)
+
+
+def _direct_members(ch: ChannelParams, grid: int) -> list[RateRegion]:
+    """The direct members that apply to this channel."""
+    members = []
+    for build in _DIRECT:
+        try:
+            members.append(build(ch, grid))
+        except RegimeMismatch:
+            continue
+    return members
+
+
 def transformed_outer(ch: ChannelParams, preset: str,
                       grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """Outer bound inherited from a transformed channel.
 
     The preset's target is designed to land in a known-capacity regime,
-    whose exact capacity region is returned; a target outside every such
-    regime gets its depth-limited best outer bound.
+    whose exact capacity region is returned: `best_outer`'s member for
+    this preset. A target whose capacity is unknown gets the
+    intersection of its own direct members instead.
     """
     tgt = _preset_target(ch, preset)
-    if classify(tgt).capacity_known is CapacityResult.UNKNOWN:
-        reg = best_outer(tgt, grid=grid, depth=1)
-    else:
+    try:
         reg = capacity_region(tgt, grid)
-    return RateRegion(Kind.OUTER, reg.r1, reg.r2, {"id": f"transform:{preset}"})
+    except RegimeMismatch:
+        reg = intersect(_direct_members(tgt, grid))
+    return _member(reg, f"transform:{preset}")
 
 
 def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
-               depth: int = 0, extra_floor=None) -> RateRegion:
+               extra_floor=None) -> RateRegion:
     """Intersection of every outer bound valid for this channel.
 
-    Every member is an upper bound by construction, evaluated exactly on
-    the r1 nodes of `r1_grid(ch.p1, grid)`, so the intersection is one
-    too. Bounds that provably never bind are left out: for b > 1,
+    Each member is admitted by its own builder, which raises where it
+    does not apply. The direct members are `_DIRECT`, in that order; the
+    bc-dms bounds raise RegimeMismatch off their channels. Then, per
+    transformation preset, the capacity region of its target, left out
+    where the preset raises SingularPreset or InvalidTransform, or where
+    `capacity_region` raises RegimeMismatch (capacity unknown).
+
+    Every member is an upper bound by construction, so the intersection
+    is one too. The direct members are evaluated exactly on the r1 nodes
+    of `r1_grid(ch.p1, grid)`, the transform members on their target's.
+    Bounds that provably never bind are left out: for b > 1,
     `unified_outer` is `strong_outer` (r1 = cap(alpha p1) <= cap(b^2 alpha
     p1) zeroes its positive part), and `piecewise_linear_outer`,
     cap(peq) - r1, lies above it, cap(peq) being the largest `_sum_si`.
-    Transformation presets join the intersection only at depth 0 and only
-    when their target lands in a known-capacity regime. `extra_floor` is
-    accepted for existing callers and ignored: every member is an upper
-    bound already, so nothing needs a floor.
+    `extra_floor` is accepted for existing callers and ignored: every
+    member is an upper bound already, so nothing needs a floor.
     """
-    rep = classify(ch)
-    bounds = [unified_outer(ch, grid)]
-    if rep.degraded and ch.b >= 1.0:
-        bounds.append(bc_dms_degraded_outer(ch, grid))
-    if rep.s_channel and ch.b >= 1.0:
-        bounds.append(bc_dms_s_outer(ch, grid))
-    bounds.append(bc_pr_outer(ch, grid))
-
-    if depth == 0:
-        for preset in _PRESETS:
-            try:
-                tgt = _preset_target(ch, preset)
-            except (SingularPreset, InvalidTransform):
-                continue
-            if classify(tgt).capacity_known is CapacityResult.UNKNOWN:
-                continue
-            reg = capacity_region(tgt, grid)
-            bounds.append(RateRegion(Kind.OUTER, reg.r1, reg.r2,
-                                     {"id": f"transform:{preset}"}))
-    out = intersect(bounds)
-    return RateRegion(Kind.OUTER, out.r1, out.r2, {"id": "best"})
+    bounds = _direct_members(ch, grid)
+    for preset in _PRESETS:
+        try:
+            reg = capacity_region(_preset_target(ch, preset), grid)
+        except (SingularPreset, InvalidTransform, RegimeMismatch):
+            continue
+        bounds.append(_member(reg, f"transform:{preset}"))
+    return _member(intersect(bounds), "best")

@@ -3,6 +3,7 @@ gaussmi system, so closed forms can be checked against exact covariance
 mutual information."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,3 +134,11 @@ def correlated_input_system(ch: ChannelParams, rho: complex,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def pytest_collection_modifyitems(items):
+    """Any warning raised by a test under this directory fails it."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))

@@ -1,9 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from gcifc.cli import main
+from gcifc.cli import BUILDERS, main
+from gcifc.region import Kind
 
 
 def run(args, capsys):
@@ -114,6 +117,9 @@ class TestRegion:
         assert code == 0
         script = (tmp_path / "p.gp").read_text()
         assert "plot" in script and "tdma" in script
+        for rid in ("tdma", "pl-si"):
+            lines = (tmp_path / f"p_{rid}.csv").read_text().splitlines()
+            assert lines[0] == "r1,r2" and len(lines) > 1
 
     def test_json_format(self, capsys):
         code, out, _ = run(["region", "--a", "0", "--b", "1.3", "--p1", "10",
@@ -215,6 +221,15 @@ class TestGap:
         peq = (math.sqrt(1.4142 ** 2 * 6.0) + math.sqrt(6.0)) ** 2
         assert json.loads(out)["multiplicative"] == pytest.approx(
             2.0 - math.log2(7.0) / math.log2(1.0 + peq), abs=1e-12)
+
+
+def test_readme_lists_every_id():
+    """README's bound and scheme id lists name exactly the CLI's ids."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for label, kind in (("Bound", Kind.OUTER), ("Scheme", Kind.INNER)):
+        listed = re.search(rf"{label} ids:(.*?)\.\s", text, re.S).group(1)
+        assert re.findall(r"`([^`]+)`", listed) == [
+            rid for rid, (k, _) in BUILDERS.items() if k is kind]
 
 
 class TestAtlasAndVerify:

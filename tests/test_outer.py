@@ -7,7 +7,8 @@ from scipy.optimize import minimize_scalar
 
 from gcifc import gaussmi, inner, outer, region
 from gcifc.channel import ChannelParams
-from gcifc.errors import InvalidTransform, RegimeMismatch, SingularPreset
+from gcifc.errors import (InvalidTransform, PowerOverflow, RegimeMismatch,
+                          SingularPreset)
 from gcifc.util import alpha_of_r1, cap, r1_grid
 from conftest import EDGE_CHANNELS, channel_draw, correlated_input_system
 
@@ -321,8 +322,11 @@ class TestBcPr:
 
     @pytest.mark.parametrize("ch", [ch for _, ch in EDGE_CHANNELS] + [
         ChannelParams(0.5, 1.5, 1e160, 1e160),
-        ChannelParams(0.5, 1.5, 1e200, 1.0)],
-        ids=[name for name, _ in EDGE_CHANNELS] + ["p=1e160", "p=(1e200,1)"])
+        ChannelParams(0.5, 1.5, 1e200, 1.0),
+        ChannelParams(0.5, 1.5, 1e300, 1e300),
+        ChannelParams(0.5, 1.5, 1e306, 1.0)],
+        ids=[name for name, _ in EDGE_CHANNELS] + [
+            "p=1e160", "p=(1e200,1)", "p=1e300", "p=(1e306,1)"])
     def test_finite_without_warnings(self, ch):
         with warnings.catch_warnings(), np.errstate(over="raise",
                                                     divide="raise",
@@ -331,6 +335,11 @@ class TestBcPr:
             reg = outer.bc_pr_outer(ch)
         assert np.isfinite(reg.r2).all()
         assert reg.r1_max == float(cap(ch.p1))
+
+    def test_typed_error_when_every_multiplier_overflows(self):
+        """At p1 = p2 = 1e308 no multiplier keeps both SNRs finite."""
+        with pytest.raises(PowerOverflow):
+            outer.bc_pr_outer(ChannelParams(0.5, 1.5, 1e308, 1e308))
 
     @pytest.mark.parametrize("p1", [1e20, 1e100, 1e160, 1e200])
     @pytest.mark.parametrize("a,b", [(0.5, 1.5), (0.0, 3.0), (2.0, 0.3)])
@@ -466,10 +475,12 @@ class TestBestOuter:
             assert np.array_equal(outer.best_outer(ch, grid).r1, nodes), ch
 
     def test_bound_id_strings_all_buildable(self):
-        from gcifc.cli import _OUTER_BUILDERS
+        from gcifc.cli import BUILDERS
         ch = ChannelParams(0.0, 2.5, 4.0, 3.0)
         built = 0
-        for rid, fn in _OUTER_BUILDERS.items():
+        for rid, (kind, fn) in BUILDERS.items():
+            if kind is not region.Kind.OUTER:
+                continue
             try:
                 reg = fn(ch, 256)
             except (RegimeMismatch, SingularPreset, InvalidTransform):

@@ -14,13 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNS = [
     ("lambda_tradeoff.py", ["--n", "11", "--out", "lam.csv"],
      {"lam.csv": "lambda,r1_bound,r2_bound"}),
-    ("regime_atlas.py", ["--resolution", "5", "--out", "atlas.csv"],
-     {"atlas.csv": "a_re,a_im,b,label,margin_5,margin_31a,margin_31b,gap"}),
-    ("region_comparison.py",
-     ["--a", "2", "--b", "3", "--p1", "1", "--p2", "1",
-      "--ids", "d,e:costa1,tdma", "--out", "fig"],
-     {"fig_d.csv": "r1,r2,rho_re", "fig_e-costa1.csv": "r1,r2,alpha,lambda_re",
-      "fig_tdma.csv": "r1,r2"}),
 ]
 
 
