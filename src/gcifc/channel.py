@@ -179,12 +179,16 @@ def s_channel_thresholds(p1: float, p2: float) -> tuple[float, float]:
 
     Capacity is known for b <= low (perfect pre-cancellation branch) and
     for b >= high (no-pre-coding branch). low = sqrt(1 + p2/(1+p1)),
-    high = sqrt(p1 p2) + sqrt(p1 p2 + p2 + 1).
+    high = sqrt(p1 p2) + sqrt(p1 p2 + p2 + 1); +inf past the double range.
     """
     low = math.sqrt(1.0 + p2 / (1.0 + p1))
     s1, s2, k = scaled_powers(p1, p2)
     u = math.ldexp(1.0, -2 * k)  # p1 p2 = s1 s2 / u
-    high = math.ldexp(math.sqrt(s1 * s2) + math.sqrt(s1 * s2 + p2 * u + u), k)
+    try:
+        high = math.ldexp(math.sqrt(s1 * s2)
+                          + math.sqrt(s1 * s2 + p2 * u + u), k)
+    except OverflowError:  # no b reaches it
+        high = math.inf
     return low, high
 
 

@@ -37,7 +37,8 @@ def _transform(preset: str):
 _E_SWEEP = _scheme_e("sweep")
 OUTER, INNER = region.Kind.OUTER, region.Kind.INNER
 
-# every bound/scheme id: its kind and its builder, called as build(ch, grid)
+# every bound/scheme id: its kind and its builder, called as build(ch, grid);
+# grid is the r1 nodes of an outer bound, and every inner builder ignores it
 BUILDERS = {
     "weak": (OUTER, outer.weak_outer),
     "strong": (OUTER, outer.strong_outer),
@@ -51,7 +52,7 @@ BUILDERS = {
     "transform:tovs": (OUTER, _transform("tovs")),
     "outer:best": (OUTER, outer.best_outer),
     "a": (INNER, lambda ch, g: inner.scheme_a(ch)),
-    "b": (INNER, lambda ch, g: inner.scheme_b(ch, grid=g)),
+    "b": (INNER, lambda ch, g: inner.scheme_b(ch)),
     "c": (INNER, lambda ch, g: inner.scheme_c(ch)),
     "c46": (INNER, lambda ch, g: inner.scheme_c46(ch)),
     "d": (INNER, lambda ch, g: inner.scheme_d(ch)),
@@ -61,7 +62,7 @@ BUILDERS = {
     "e:zero": (INNER, _scheme_e("zero")),
     "f": (INNER, lambda ch, g: inner.scheme_f(ch)),
     "tdma": (INNER, lambda ch, g: inner.tdma_inner(ch)),
-    "inner:best": (INNER, inner.best_inner),
+    "inner:best": (INNER, lambda ch, g: inner.best_inner(ch)),
 }
 
 

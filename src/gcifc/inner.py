@@ -180,11 +180,10 @@ def _scheme_b_cloud(ch: ChannelParams, al):
     return np.stack(scheme_b_rates(ch, al), axis=1)
 
 
-def scheme_b(ch: ChannelParams, alpha_grid=None,
-             grid: int = R1_GRID_DEFAULT) -> RateRegion:
-    """Interference-as-noise at the primary receiver, capacity for b <= 1;
-    `grid` sets the matched splits of the default split grid."""
-    al = default_alpha_grid(ch, matched=grid, uniform=257) \
+def scheme_b(ch: ChannelParams, alpha_grid=None) -> RateRegion:
+    """Interference-as-noise at the primary receiver, capacity for b <= 1.
+    The default split grid matches R1_GRID_DEFAULT uniform r1 nodes."""
+    al = default_alpha_grid(ch, matched=R1_GRID_DEFAULT, uniform=257) \
         if alpha_grid is None else np.asarray(alpha_grid)
     return from_pareto_points(_scheme_b_cloud(ch, al), Kind.INNER,
                               params={"alpha": al}, region_id="b")
@@ -216,11 +215,8 @@ def _scheme_d_cloud(ch: ChannelParams):
         rho = np.outer(base, phases).ravel()
         rho = np.concatenate([rho, -rho])
     r1, s = scheme_d_rates(ch, rho)
-    v1r1 = np.minimum(r1, s)
-    pts = np.concatenate([
-        np.stack([v1r1, pos(s - v1r1)], axis=1),
-        np.stack([np.zeros_like(s), pos(s)], axis=1)], axis=0)
-    return pts, np.concatenate([np.real(rho), np.real(rho)])
+    return (_rect_sum_vertices(r1, s, s),
+            np.concatenate([np.real(rho), np.real(rho)]))
 
 
 def scheme_d(ch: ChannelParams) -> RateRegion:
@@ -523,9 +519,7 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
             yield start + s, rows
         start += 2 * w.size
         r1d, sd = scheme_d_rates(ch, np.sqrt(pos(1.0 - face)))
-        v1 = np.minimum(r1d, sd)
-        yield start, np.stack([v1, pos(sd - v1)], axis=1)
-        yield start + sd.size, np.stack([np.zeros_like(sd), pos(sd)], axis=1)
+        yield start, _rect_sum_vertices(r1d, sd, sd)
         yield start + 2 * sd.size, [[0.0, r2c_max]]
 
     return blocks()
@@ -573,35 +567,29 @@ def _chain(clouds):
         offset += end
 
 
-def best_inner(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
-               fast: bool = False) -> RateRegion:
+def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
     """Time-sharing hull of the union of every scheme.
 
     One envelope: every scheme's cloud streams into a single cull, Pareto
     filter and hull. TDMA leads, so its corner (cap(p1), 0), the
     largest r1 of any scheme, sets the cull's bin scale, and its two
-    points seed both axis corners; then come A, B, C and D, and the big F
-    sweep last but for E, so that it is culled against a populated front.
-    Scheme F's beta = gamma = 0 face is scheme E's own sweep on a split
-    grid holding E's, so E's rows join only where its phase fan adds rows
-    the face lacks. With a real cross gain every rate kernel runs in
-    float64. `fast` takes coarser split and lambda grids; otherwise `grid`
-    is the number of matched splits of scheme B's split grid.
+    points seed both axis corners; then come A, B and C on one split grid
+    of 257 matched r1 nodes plus 245 fill, D, and the big F sweep (11^3
+    splits by 41 pre-coding scales) last but for E, so that it is culled
+    against a populated front. Scheme F's beta = gamma = 0 face is scheme
+    E's own sweep at 101 scales on a split grid holding E's, so E's rows
+    join only where its phase fan adds rows the face lacks. With a real
+    cross gain every rate kernel runs in float64. `grid` and `fast` are
+    accepted for existing callers and ignored: there is one sampling plan.
     """
-    if fast:
-        al = al_b = default_alpha_grid(ch, matched=257, uniform=245)
-        n_lambda = 101
-    else:
-        al = default_alpha_grid(ch)
-        al_b = default_alpha_grid(ch, matched=grid, uniform=257)
-        n_lambda = 201
+    al = default_alpha_grid(ch, matched=257, uniform=245)
     f_grid = np.linspace(0.0, 1.0, 11)
     clouds = [_tdma_cloud(ch),
               _scheme_a_cloud(ch, al),
-              _scheme_b_cloud(ch, al_b),
+              _scheme_b_cloud(ch, al),
               _scheme_c_cloud(ch, al),
               _scheme_d_cloud(ch)[0],
-              _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, n_lambda)]
+              _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, 101)]
     if _phase_fan(ch):
-        clouds.append(_scheme_e_cloud(ch, al, "sweep", n_lambda)[0])
+        clouds.append(_scheme_e_cloud(ch, al, "sweep", 101)[0])
     return from_pareto_points(_chain(clouds), Kind.INNER, region_id="best")

@@ -299,7 +299,8 @@ def transform_target(ch: ChannelParams, tr: TransformTriple) -> ChannelParams:
 
     The mixed inputs x1' = A x1 + B x2, x2' = C x2 reproduce this
     channel's outputs inside the target when |A| >= 1 and
-    |C / (1 - B b)| >= 1; violations raise InvalidTransform.
+    |C / (1 - B b)| >= 1; violations raise InvalidTransform, and a
+    target power past the double range raises PowerOverflow.
     """
     a_, b_, c_ = tr.a_coef, tr.b_coef, tr.c_coef
     den = 1.0 - b_ * ch.b
@@ -310,8 +311,13 @@ def transform_target(ch: ChannelParams, tr: TransformTriple) -> ChannelParams:
         raise InvalidTransform("reconstruction constraints violated")
     a_t = (ch.a * a_ - b_) / c_
     b_t = abs(c_ * ch.b / den)
-    p1_t = (abs(a_) * math.sqrt(ch.p1) + abs(b_) * math.sqrt(ch.p2)) ** 2
+    try:
+        p1_t = (abs(a_) * math.sqrt(ch.p1) + abs(b_) * math.sqrt(ch.p2)) ** 2
+    except OverflowError:
+        p1_t = math.inf
     p2_t = abs(c_) ** 2 * ch.p2
+    if math.isinf(p1_t) or math.isinf(p2_t):
+        raise PowerOverflow("a target power overflows a double")
     return ChannelParams(a_t, b_t, p1_t, p2_t)
 
 
@@ -364,11 +370,11 @@ def capacity_region(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegio
     if rep.capacity_known in (CapacityResult.VERY_STRONG, CapacityResult.PDC):
         return strong_outer(ch, grid)
     # S channel: low branch matches the strong bound, high branch the
-    # cooperative degraded-message-set bound
+    # cooperative degraded-message-set bound, which holds its sum-rate cap
     low, _ = s_channel_thresholds(ch.p1, ch.p2)
     if ch.b <= low:
         return strong_outer(ch, grid)
-    return intersect([bc_dms_s_outer(ch, grid), strong_outer(ch, grid)])
+    return bc_dms_s_outer(ch, grid)
 
 
 def _member(reg: RateRegion, rid: str) -> RateRegion:

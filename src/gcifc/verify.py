@@ -109,11 +109,12 @@ def random_channels(n: int, seed: int, complex_a: bool = False):
     return out
 
 
-def best_pair(ch: ChannelParams, fast: bool = True,
+def best_pair(ch: ChannelParams, fast=None,
               grid: int = region.R1_GRID_DEFAULT):
-    """(best_outer, best_inner): the composed outer bound, an upper bound
-    by construction, and the best achievable region, built independently."""
-    bi = inner.best_inner(ch, grid=grid, fast=fast)
+    """(best_outer on `grid` r1 nodes, best_inner), built independently: an
+    upper bound by construction and the best achievable region. `fast` is
+    accepted for existing callers and ignored."""
+    bi = inner.best_inner(ch)
     return outer.best_outer(ch, grid=grid), bi
 
 
@@ -277,7 +278,7 @@ def atlas(a_range=(-5.0, 5.0), b_range=(0.0, 5.0), resolution: int = 41,
             rep = classify(ch)
             gap = None
             if mode == "gap":
-                bo, bi = best_pair(ch, fast=True, grid=512)
+                bo, bi = best_pair(ch, grid=512)
                 gap, _ = region.additive_gap(bo, bi)
             cells.append(AtlasCell(
                 ch.a, ch.b, rep.capacity_known.value,

@@ -40,7 +40,7 @@ def test_criterion_1_soundness_sweep():
     worst = 0.0
     for i in range(1000):
         ch = channel_draw(rng)
-        bi = inner.best_inner(ch, fast=True)
+        bi = inner.best_inner(ch)
         bo = outer.best_outer(ch)
         ok, viol = region.contains(bo, bi, tol=1e-6)
         if not ok:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,3 +151,14 @@ class TestConditionSweepOracles:
         low, high = s_channel_thresholds(10.0, 10.0)
         assert low == pytest.approx(math.sqrt(21.0 / 11.0), abs=1e-12)
         assert high == pytest.approx(10.0 + math.sqrt(111.0), abs=1e-12)
+
+    def test_s_channel_high_threshold_past_the_double_range(self):
+        """At p1 = p2 = 1e308 the high threshold, about 2p, reads +inf:
+        classify reports the channel, with no warning."""
+        ch = ChannelParams(0.5, 1.5, 1e308, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert s_channel_thresholds(ch.p1, ch.p2)[1] == math.inf
+            rep = classify(ch)
+        assert rep.capacity_known is CapacityResult.UNKNOWN
+        assert rep.margins["36"] == -math.inf

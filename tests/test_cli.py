@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,18 @@ class TestClassify:
                             "--p1", "1", "--p2", "1"], capsys)
         assert code == 0
         assert json.loads(out)["capacity_known"] == "z-trivial"
+
+    def test_power_past_the_double_range(self, capsys):
+        """At p1 = p2 = 1e308 the S-channel high threshold passes the double
+        range: the report reads it as +inf, with no warning or traceback."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["classify", "--a", "0.5", "--b", "1.5",
+                                  "--p1", "1e308", "--p2", "1e308"], capsys)
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert rep["capacity_known"] == "unknown"
+        assert rep["margins"]["36"] == -math.inf
 
     def test_raw_reduction(self, capsys):
         code, out, _ = run(["classify", "--raw",

@@ -439,7 +439,7 @@ class TestTdmaAndAggregates:
     def test_every_scheme_inside_best_outer(self, rng):
         for _ in range(10):
             ch = channel_draw(rng)
-            bi = inner.best_inner(ch, fast=True)
+            bi = inner.best_inner(ch)
             bo = outer.best_outer(ch)
             ok, viol = region.contains(bo, bi, tol=1e-6)
             assert ok, viol[:3]
@@ -478,8 +478,7 @@ def test_repeated_build_faults_no_pages(build, bound_mb):
 # after the page-fault test: a best_inner run under tracemalloc can leave
 # the heap so that the next repeated scheme-E build faults pages back in
 @pytest.mark.parametrize("build,bound_mb", _CLOUD_BUILDS + [
-    pytest.param(lambda ch: inner.best_inner(ch, fast=True), 32,
-                 id="best-fast"),
+    pytest.param(lambda ch: inner.best_inner(ch), 32, id="best-fast"),
     pytest.param(lambda ch: outer.bc_pr_outer(ch), 16, id="bc-pr"),
     pytest.param(lambda ch: outer.best_outer(ch), 16, id="best-outer")])
 def test_largest_clouds_are_streamed(build, bound_mb):
@@ -515,7 +514,7 @@ def test_best_inner_lies_in_the_tdma_box(ch):
     """No scheme beats the solo cognitive rate or the beamforming sum rate:
     best_inner has r1_max <= cap(p1) and r2(0) <= cap(peq), within 1e-12
     relative, huge powers included."""
-    bi = inner.best_inner(ch, fast=True)
+    bi = inner.best_inner(ch)
     peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
     assert bi.r1_max <= float(cap(ch.p1)) * (1.0 + 1e-12)
     assert bi.r2[0] <= float(cap(peq)) * (1.0 + 1e-12)
@@ -553,18 +552,13 @@ def test_huge_powers_build_finite_regions(ch):
     assert ok, viol[:3]
 
 
-def _members(ch, fast):
+def _members(ch):
     """The public scheme builders on the grids `best_inner` sweeps."""
-    if fast:
-        al = inner.default_alpha_grid(ch, matched=257, uniform=245)
-        e_f = [inner.scheme_e(ch, al, n_lambda=101),
-               inner.scheme_f(ch, face_lambda=101)]
-    else:
-        al = None
-        e_f = [inner.scheme_e(ch), inner.scheme_f(ch)]
+    al = inner.default_alpha_grid(ch, matched=257, uniform=245)
     return [inner.scheme_a(ch, al), inner.scheme_b(ch, al),
-            inner.scheme_c(ch, al), inner.scheme_d(ch), *e_f,
-            inner.tdma_inner(ch)]
+            inner.scheme_c(ch, al), inner.scheme_d(ch),
+            inner.scheme_e(ch, al, n_lambda=101),
+            inner.scheme_f(ch, face_lambda=101), inner.tdma_inner(ch)]
 
 
 _rng_env = np.random.default_rng(20261019)
@@ -573,9 +567,11 @@ _ENVELOPE_CHANNELS = (
     + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS])
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "default"])
+# best_inner ignores `fast` and `grid`: the "default" cases pass both
+@pytest.mark.parametrize("kwargs", [{}, {"fast": False, "grid": 512}],
+                         ids=["fast", "default"])
 @pytest.mark.parametrize("ch", _ENVELOPE_CHANNELS)
-def test_best_inner_is_the_envelope_of_its_members(ch, fast):
+def test_best_inner_is_the_envelope_of_its_members(ch, kwargs):
     """best_inner is one hull over every member's cloud: it contains each
     member and their union, the hull of the members' vertices, and lies
     no higher than that union.
@@ -585,8 +581,8 @@ def test_best_inner_is_the_envelope_of_its_members(ch, fast):
     cloud such ties chain, so regions are compared shifted by 2t: on the
     p = 1e8 channel the envelope ends 1.6t short of scheme D's corner.
     """
-    members = _members(ch, fast)
-    best = inner.best_inner(ch, fast=fast)
+    members = _members(ch)
+    best = inner.best_inner(ch, **kwargs)
     un = region.union(members)
     shift = 2e-9 * max(best.r1_max, 1.0)
     for m in members + [un]:
@@ -666,3 +662,30 @@ def test_complex_channel_keeps_its_bytes():
             h.update(k.encode() + v.tobytes())
         got[name] = h.hexdigest()[:16]
     assert got == _PINNED_DIGESTS
+
+
+_EDGE = dict(EDGE_CHANNELS)
+_BEST_CHANNELS = {
+    **{f"real{k}": ch for k, ch in enumerate(random_channels(3, 42))},
+    **{f"complex{k}": ch for k, ch
+       in enumerate(random_channels(2, 42, complex_a=True))},
+    "ab=1": _EDGE["ab=1"], "p=1e8": _EDGE["p=1e8"]}
+# sha256 prefixes of best_inner's (r1, r2) breakpoints
+_BEST_DIGESTS = {
+    "real0": "fd394bf654564253", "real1": "335cd3bb38c0630d",
+    "real2": "9ab877ae03b835c0", "complex0": "d0b697eb4dad99fb",
+    "complex1": "cc4c7754b934ff4f", "ab=1": "14601f5a23473d4c",
+    "p=1e8": "c99071066925b8bf",
+}
+
+
+def test_best_inner_keeps_its_bytes():
+    """best_inner has one sampling plan: its breakpoints keep their bytes,
+    whatever the ignored `fast` and `grid` keywords say."""
+    for kwargs in ({}, {"fast": False, "grid": 512}):
+        got = {}
+        for name, ch in _BEST_CHANNELS.items():
+            reg = inner.best_inner(ch, **kwargs)
+            got[name] = hashlib.sha256(
+                reg.r1.tobytes() + reg.r2.tobytes()).hexdigest()[:16]
+        assert got == _BEST_DIGESTS, kwargs

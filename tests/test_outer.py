@@ -404,6 +404,14 @@ class TestTransforms:
         with pytest.raises(InvalidTransform):
             outer.transform_target(ch, outer.TransformTriple(0.5, 0.0, 1.0))
 
+    @pytest.mark.parametrize("preset", ["tos", "tovs"])
+    def test_target_power_overflow_is_typed(self, preset):
+        """At p1 = p2 = 1e308 the target's (|A| sqrt(p1) + |B| sqrt(p2))^2
+        passes the double range."""
+        with pytest.raises(PowerOverflow):
+            outer.transformed_outer(ChannelParams(0.5, 1.5, 1e308, 1e308),
+                                    preset)
+
     def test_transform_regions_contain_capacity(self, rng):
         # any valid preset region must contain every achievable region
         hits = 0
