@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -151,6 +152,25 @@ def _parse_args(parser, argv):
     return parser.parse_args(argv)
 
 
+def _named_nonfinite(obj):
+    """obj with every non-finite float replaced by its name: 'inf', '-inf'
+    or 'nan'."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    if isinstance(obj, dict):
+        return {k: _named_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_named_nonfinite(v) for v in obj]
+    return obj
+
+
+def _json(obj, **kwargs) -> str:
+    """The CLI's one JSON writer: RFC 8259 JSON, non-finite floats written
+    as the strings 'inf', '-inf' and 'nan', finite values as json.dumps
+    writes them."""
+    return json.dumps(_named_nonfinite(obj), allow_nan=False, **kwargs)
+
+
 def _emit(text: str, path: str | None):
     if path:
         with open(path, "w", newline="") as fh:
@@ -173,7 +193,8 @@ def _gnuplot_script(out: str, ids) -> str:
 
 
 def cmd_classify(args) -> int:
-    _emit(classify(args.channel).to_json() + "\n", args.out)
+    _emit(_json(classify(args.channel).to_json_dict(), indent=2,
+                sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -200,7 +221,7 @@ def cmd_region(args) -> int:
     for rid in ids:
         reg = _builder(rid)(args.channel, args.grid).on_grid(args.grid)
         if args.fmt == "json":
-            text = json.dumps(reg.to_json_dict()) + "\n"
+            text = _json(reg.to_json_dict()) + "\n"
             path = (f"{args.out}_{rid.replace(':', '-')}.json"
                     if args.out else None)
         else:
@@ -222,8 +243,7 @@ def cmd_gap(args) -> int:
     reg_i = build_i(args.channel, args.grid)
     reg_o = build_o(args.channel, args.grid)
     rep = region.gap_report(reg_o, reg_i)
-    _emit(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n",
-          args.out)
+    _emit(_json(rep.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -244,7 +264,7 @@ def cmd_atlas(args) -> int:
                  "label": c.label, "capacity_known": c.capacity_known,
                  "margin_5": c.margin_5, "margin_31a": c.margin_31a,
                  "margin_31b": c.margin_31b, "gap": c.gap} for c in cells]
-        _emit(json.dumps(rows) + "\n", args.out)
+        _emit(_json(rows) + "\n", args.out)
     else:
         lines = [verify.ATLAS_CSV_HEADER] + [c.csv_row() for c in cells]
         _emit("\n".join(lines) + "\n", args.out)
@@ -265,14 +285,14 @@ def cmd_verify(args) -> int:
                                       workers=max(workers, 1))
     payload = [r.to_json_dict() for r in reports]
     if args.out:
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json(payload, indent=2, sort_keys=True) + "\n", args.out)
     failed = [r for r in reports if not r.holds]
     for r in sorted(reports, key=lambda r: r.theorem_id):
         status = "PASS" if r.holds else "FAIL"
         print(f"[{status}] {r.theorem_id}: worst violation "
               f"{r.worst_violation:.3e} over {r.channels_tested} checks")
         if not r.holds:
-            print(f"        worst offender: {json.dumps(r.details[0])}")
+            print(f"        worst offender: {_json(r.details[0])}")
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 

@@ -15,8 +15,8 @@ which stays finite for p2 = 0. When the cross gain a is real, the rate
 kernels run in float64; complex128 is kept for complex a.
 
 Each scheme of `best_inner` is a private point cloud (an array, or an
-iterator of (start, rows) blocks for the large E and F sweeps) behind a
-public builder. `best_inner` chains the clouds into one envelope: TDMA,
+iterator of blocks for the large E and F sweeps) behind a public
+builder. `best_inner` chains the clouds into one envelope: TDMA,
 A, B, C, D, F, and then E only where its phase fan applies, since
 scheme F's beta = gamma = 0 face is scheme E's real-scale sweep.
 """
@@ -26,14 +26,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .channel import ChannelParams
 from .errors import DegenerateDenominator
 # union stays importable from here: perfbench's tracer self-test checks it
-from .region import (R1_GRID_DEFAULT, Kind, RateRegion,  # noqa: F401
-                     from_pareto_points, union)
+from .region import (R1_GRID_DEFAULT, GroupBlock, Kind,  # noqa: F401
+                     RateRegion, from_pareto_points, union)
 from .util import alpha_of_r1, cap, pos, r1_grid, scaled_powers
 
 # test-channel noise variances (sigma1^2, sigma2^2) of the binning schemes
@@ -419,18 +420,10 @@ def scheme_c46(ch: ChannelParams) -> RateRegion:
 
 # -- scheme F: rate-split unification of D and E -----------------------------
 
-def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
-    """The five rate bounds of the split strategy, in amplitude space.
-
-    w is the pre-coding coefficient times the private-primary amplitude
-    sqrt((1-beta) p2). Returns (m_r1, m_sum, m_2r1_r2).
-
-    Given the common primary part V2c only the private primary atom and
-    X1c (variance alpha p1) remain: Var(Y | U1, V2c) = 1 + |y_p - g w|^2 t,
-    t = alpha p1 / (|w|^2 + alpha p1), y_p and g being Y's gains on the
-    atom and X1c, and X2 reveals the atom wherever it has power, leaving
-    Var(Y2 | U1, X2, V2c) = 1.
-    """
+def _scheme_f_split(ch: ChannelParams, alpha, beta, gamma):
+    """Scheme F's pre-coding-free terms per split: alpha p1, y1p, y2p (the
+    gains on the private primary atom), Var(Y1 | V2c), Var(Y2 | V2c), where
+    X2 has private power, log2 Var(Y1) and the sum bound m29c."""
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
     ga = np.asarray(gamma, dtype=float)
@@ -444,69 +437,96 @@ def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
     y1c, y1p = x1_2c + a * x2_c, x1_pa + a * x2_pa
     y2c, y2p = b * x1_2c + x2_c, b * x1_pa + x2_pa
 
-    # t = 1 where U1 = 0: it conditions nothing
-    t = _quot(a_pow, np.abs(w) ** 2 + a_pow, 1.0)
     v_y1 = np.abs(y1p) ** 2 + a_pow + 1.0  # Var(Y1 | V2c)
     v_y2 = np.abs(y2p) ** 2 + b ** 2 * a_pow + 1.0
-    cv_y1 = 1.0 + np.abs(y1p - w) ** 2 * t  # Var(Y1 | U1, V2c)
-    cv_y2 = 1.0 + np.abs(y2p - b * w) ** 2 * t
     priv = x2_pa > 0.0
+    # conditioning on {u2c, x2, x1c} leaves the private atom unless X2 has it
+    m29c = np.log2(np.abs(y2c) ** 2 + v_y2) \
+        - np.log2(np.where(priv, 1.0, np.abs(y2p) ** 2 + 1.0))
+    return (a_pow, y1p, y2p, v_y1, v_y2, priv,
+            np.log2(np.abs(y1c) ** 2 + v_y1), m29c)
+
+
+def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
+    """The five rate bounds of the split strategy, in amplitude space.
+
+    w is the pre-coding coefficient times the private-primary amplitude
+    sqrt((1-beta) p2). Returns (m_r1, m_sum, m_2r1_r2).
+
+    Given the common primary part V2c only the private primary atom and
+    X1c (variance alpha p1) remain: Var(Y | U1, V2c) = 1 + |y_p - g w|^2 t,
+    t = alpha p1 / (|w|^2 + alpha p1), y_p and g being Y's gains on the
+    atom and X1c, and X2 reveals the atom wherever it has power, leaving
+    Var(Y2 | U1, X2, V2c) = 1.
+    """
+    return _scheme_f_bounds(ch, _scheme_f_split(ch, alpha, beta, gamma), w)
+
+
+def _scheme_f_bounds(ch: ChannelParams, split, w):
+    """`scheme_f_rates` on the terms of `_scheme_f_split`."""
+    a_pow, y1p, y2p, v_y1, v_y2, priv, l_y1, m29c = split
+    # t = 1 where U1 = 0: it conditions nothing
+    t = _quot(a_pow, np.abs(w) ** 2 + a_pow, 1.0)
+    cv_y1 = 1.0 + np.abs(y1p - w) ** 2 * t  # Var(Y1 | U1, V2c)
+    cv_y2 = 1.0 + np.abs(y2p - ch.b * w) ** 2 * t
     cv_y2x2 = np.where(priv, 1.0, cv_y2)  # Var(Y2 | U1, X2, V2c)
 
     with np.errstate(divide="ignore"):  # t = 0: X2 determines U1
         i_u1x2 = np.where(priv, -np.log2(t), 0.0)
     m29a = pos(np.log2(v_y1) - np.log2(cv_y1) - i_u1x2)
     m29b = pos(np.log2(v_y2) - np.log2(cv_y2x2))
-    # conditioning on {u2c, x2, x1c} leaves the private atom unless X2 has it
-    m29c = np.log2(np.abs(y2c) ** 2 + v_y2) \
-        - np.log2(np.where(priv, 1.0, np.abs(y2p) ** 2 + 1.0))
-    i_y1_u1u2c = np.log2(np.abs(y1c) ** 2 + v_y1) - np.log2(cv_y1)
+    i_y1_u1u2c = l_y1 - np.log2(cv_y1)
     m29d = pos(np.log2(cv_y2) - np.log2(cv_y2x2)) + i_y1_u1u2c
     m29e = pos(m29b + i_y1_u1u2c - i_u1x2)
 
     return np.minimum(m29a, m29b), np.minimum(m29c, m29d), m29e
 
 
-def _scheme_f_vertices(ch: ChannelParams, alpha, beta, gamma, w):
-    """The two interior Pareto vertices of the split strategy at each point
-    of the (scales, splits) amplitudes w, rows as in `_fan_rows`, and the
-    r2 of its third vertex (0, r2c)."""
-    m1, ms, m2r = scheme_f_rates(ch, alpha, beta, gamma, w)
+def _scheme_f_vertices(ch: ChannelParams, split, w):
+    """The split strategy's two interior Pareto vertices at the (scales,
+    splits) amplitudes w, rows as in `_fan_rows`, then per split its third
+    vertex (0, r2c) at its largest finite r2c, the only one on the front."""
+    m1, ms, m2r = _scheme_f_bounds(ch, split, w)
     r1a = np.minimum(m1, np.minimum(ms, m2r / 2.0))
     r2a = pos(np.minimum(ms - r1a, m2r - 2.0 * r1a))
     r1b = np.clip(m2r - ms, 0.0, r1a)
     r2b = pos(np.minimum(ms - r1b, m2r - 2.0 * r1b))
     r2c = pos(np.minimum(ms, m2r))
-    return _fan_rows([r1a, r1b], [r2a, r2b]), r2c
+    r2c = r2c.max(axis=0, initial=-np.inf, where=np.isfinite(r2c))
+    return np.concatenate([_fan_rows([r1a, r1b], [r2a, r2b]),
+                           np.stack([np.zeros_like(r2c), r2c], axis=1)])
 
 
 def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
                     face_lambda: int):
-    """The cloud as (start, rows) blocks."""
-    av, bv, gv = np.meshgrid(al, be, ga, indexing="ij")
-    av, bv, gv = av.ravel(), bv.ravel(), gv.ravel()
-
-    a_pow = av * ch.p1
-    # interference seen by u1c at y1 once the common primary part is known
-    amp = np.sqrt(pos(1.0 - av) * pos(1.0 - gv) * ch.p1) \
-        + _real_a(ch) * np.sqrt(pos(1.0 - bv) * ch.p2)
-    w_c = _costa(a_pow, amp)
+    """The collapse faces, so that the interior meets a populated front,
+    then a `GroupBlock` per pre-coding fan, one group per split triple,
+    with w-free caps: m29c >= ms >= r1 + r2 at every vertex, and r1 <=
+    min(m29a, m29b). m29b <= log2 Var(Y2 | V2c), and so is m29a <= log2
+    Var(Y1 | V2c) where X2 has no private power: conditional variances are
+    >= 1. Where it has, m29a = I(U1; Y1 | V2c) - I(U1; X2 | V2c) <=
+    I(X1c; Y1 | X2, V2c) = cap(alpha p1), Costa's dirty-paper bound (IEEE
+    Trans. IT, 1983), with equality at the Costa coefficient."""
+    av, bv, gv = (v.ravel() for v in np.meshgrid(al, be, ga, indexing="ij"))
+    split = _scheme_f_split(ch, av, bv, gv)
+    a_pow, y1p, _, v_y1, v_y2, priv, _, m29c = split
+    # y1p: interference seen by u1c at y1 once the common primary part is known
+    w_c = _costa(a_pow, y1p)
+    r1_cap = np.minimum(np.where(priv, cap(a_pow), np.log2(v_y1)),
+                        np.log2(v_y2))
 
     scales = np.linspace(0.0, 2.0, n_lambda)
     if _phase_fan(ch):
         phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 5))
         scales = np.outer(scales, phases).ravel()
 
+    def rows(fan, keep):
+        pts = _scheme_f_vertices(ch, [v[keep] for v in split],
+                                 np.multiply.outer(fan, w_c[keep]))
+        # kept row j is row j // k of triple keep[j % k], k = keep.size
+        return pts, lambda at: at // keep.size * av.size + keep[at % keep.size]
+
     def blocks():
-        # one n_lambda fan per block: temporaries under the 4 MB huge-page cut
-        start, r2c_max = 0, -np.inf
-        for fan in scales.reshape(-1, n_lambda):
-            rows, r2c = _scheme_f_vertices(ch, av, bv, gv,
-                                           np.multiply.outer(fan, w_c))
-            # at r1 = 0 only the largest finite r2 can reach the front
-            r2c_max = r2c.max(initial=r2c_max, where=np.isfinite(r2c))
-            yield start, rows
-            start += rows.shape[0]
         # dense collapse faces: beta = gamma = 0 is exactly the pre-coded
         # common scheme E, built by E's own code on its default split grid
         # with real scales of E's costa1 amplitude (so, with no phase fan, E's
@@ -515,12 +535,15 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
         face = default_alpha_grid(ch)
         w = np.multiply.outer(np.linspace(0.0, 2.0, max(n_lambda, face_lambda)),
                               _scheme_e_costa1(ch, face))
-        for s, rows in _scheme_e_blocks(ch, face, [w], w.size):
-            yield start + s, rows
-        start += 2 * w.size
+        yield from _scheme_e_blocks(ch, face, [w], w.size)
         r1d, sd = scheme_d_rates(ch, np.sqrt(pos(1.0 - face)))
-        yield start, _rect_sum_vertices(r1d, sd, sd)
-        yield start + 2 * sd.size, [[0.0, r2c_max]]
+        yield 2 * w.size, _rect_sum_vertices(r1d, sd, sd)
+        start = 2 * (w.size + sd.size)
+        # one n_lambda fan per block: temporaries under the 4 MB huge-page cut
+        for fan in scales.reshape(-1, n_lambda):
+            size = (2 * fan.size + 1) * av.size
+            yield GroupBlock(start, partial(rows, fan), r1_cap, m29c, size)
+            start += size
 
     return blocks()
 
@@ -555,15 +578,18 @@ def tdma_inner(ch: ChannelParams) -> RateRegion:
 
 
 def _chain(clouds):
-    """One (start, rows) block stream over clouds that are each an array or
-    a block iterator, every cloud's source indices renumbered past those of
-    the clouds before it."""
+    """One block stream over clouds that are each an array or a block
+    iterator, every cloud's source indices renumbered past those of the
+    clouds before it."""
     offset = 0
     for cloud in clouds:
         end = 0
-        for start, rows in cloud if isinstance(cloud, Iterator) else [(0, cloud)]:
-            yield offset + start, rows
-            end = max(end, start + len(rows))
+        for block in cloud if isinstance(cloud, Iterator) else [(0, cloud)]:
+            start, rows = block[:2]
+            group = isinstance(block, GroupBlock)
+            yield (block._replace(start=offset + start) if group
+                   else (offset + start, rows))
+            end = max(end, start + (block.size if group else len(rows)))
         offset += end
 
 
@@ -574,12 +600,13 @@ def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
     filter and hull. TDMA leads, so its corner (cap(p1), 0), the
     largest r1 of any scheme, sets the cull's bin scale, and its two
     points seed both axis corners; then come A, B and C on one split grid
-    of 257 matched r1 nodes plus 245 fill, D, and the big F sweep (11^3
-    splits by 41 pre-coding scales) last but for E, so that it is culled
-    against a populated front. Scheme F's beta = gamma = 0 face is scheme
-    E's own sweep at 101 scales on a split grid holding E's, so E's rows
-    join only where its phase fan adds rows the face lacks. With a real
-    cross gain every rate kernel runs in float64. `grid` and `fast` are
+    of 257 matched r1 nodes plus 245 fill, D, and F: its two collapse
+    faces, then its 11^3 split triples by 41 pre-coding scales, of which
+    the kernel skips, unevaluated, every triple whose polygon the front
+    already dominates. Scheme F's beta = gamma = 0 face is scheme E's own
+    sweep at 101 scales on a split grid holding E's, so E's rows join only
+    where its phase fan adds rows the face lacks. With a real cross gain
+    every rate kernel runs in float64. `grid` and `fast` are
     accepted for existing callers and ignored: there is one sampling plan.
     """
     al = default_alpha_grid(ch, matched=257, uniform=245)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import enum
 import io
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,28 +252,60 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return verts
 
 
+class GroupBlock(NamedTuple):
+    """Rows in groups, each in its polygon {r1 <= min(r1_cap, sum_cap),
+    r1 + r2 <= sum_cap, r2 <= sum_cap}. rows(keep) gives the rows of groups
+    `keep` and a map from their positions to source offsets (of `size`)."""
+
+    start: int
+    rows: Callable
+    r1_cap: np.ndarray
+    sum_cap: np.ndarray
+    size: int
+
+
+def _kept_groups(block: GroupBlock, later, top: float, nbins: int):
+    """Groups that may pass the cull's first test r2 > later[i]. A row in
+    bin i has r1 >= (i - 1) top / nbins, so r2 <= sum_cap less that: a
+    group is kept where, on a bin up to its r1 bound's, that exceeds
+    later[i] less a 1e-9 max(top, 1) margin, or where a bound is nan."""
+    tol = 1e-9 * max(top, 1.0)
+    lo = np.maximum(np.arange(-1.0, nbins - 1.0) * (top / nbins), 0.0)
+    lim = np.minimum.accumulate(later + lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (np.minimum(block.r1_cap, block.sum_cap) + tol) / top
+    reach = _bin_index(np.where(u < 1.0, np.maximum(u, 0.0), 1.0), nbins)
+    return np.flatnonzero(~(block.sum_cap + tol <= lim[reach]))
+
+
 def _front_candidates(points, nbins: int = 4096):
     """Finite points of a cloud, clipped at zero, that may lie on its front.
 
     `points` is one array of (r1, r2) rows, or an iterator of (start, rows)
-    blocks, `start` being the source index of the block's first row. Each
-    block is culled as it arrives against the running per-bin maxima of r1,
-    binned by the largest r1 of the first block that has a positive one
-    (later, larger r1 clamp into the last bin); blocks pass whole until then.
-    A culled point lies at or below the best r2 of a later bin, whose points
-    all have larger r1, so it is strictly dominated: the front and its
-    equal-point ties survive. A block is culled twice: against the bins of
-    the blocks before it, then, once its survivors are scattered into the
-    bins, against those. A point culled the first time lies at or below
-    every suffix maximum from its own bin down, so it could raise none, and
-    the bins, suffix maxima and survivors are those of scattering the whole
-    block. Returns (r1, r2, src) ascending in source index.
+    blocks, `start` being the source index of the block's first row, and
+    `GroupBlock`s. Each block is culled as it arrives against the running
+    per-bin maxima of r1, binned by the largest r1 of the first block that
+    has a positive one (later, larger r1 clamp into the last bin); blocks
+    pass whole until then. A culled point lies at or below the best r2 of
+    a later bin, whose points all have larger r1, so it is strictly
+    dominated: the front and its equal-point ties survive. A block is
+    culled twice: against the bins of the blocks before it, then, once its
+    survivors are scattered into the bins, against those. A point culled
+    the first time lies at or below every suffix maximum from its own bin
+    down, so it could raise none, and the bins, suffix maxima and survivors
+    are those of scattering the whole block. A GroupBlock's groups that
+    would fail the first test whole are never evaluated (`_kept_groups`).
+    Returns (r1, r2, src) ascending in source index.
     """
     blocks = points if isinstance(points, Iterator) else [(0, points)]
     best = np.full(nbins, -np.inf)
     later = np.full(nbins, -np.inf)
     top, supplied, held = 0.0, False, []
-    for start, rows in blocks:
+    for block in blocks:
+        start, rows, src_of = block[0], block[1], np.asarray
+        if isinstance(block, GroupBlock):
+            rows, src_of = rows(_kept_groups(block, later, top, nbins)
+                                if top > 0.0 else np.arange(block.r1_cap.size))
         pts = np.asarray(rows, dtype=float).reshape(-1, 2)
         supplied = supplied or pts.size > 0
         sel = None
@@ -297,7 +330,7 @@ def _front_candidates(points, nbins: int = 4096):
             sel = cand if sel is None else sel[cand]
         else:
             r2 = np.clip(r2, 0.0, None)
-        src = start + (np.arange(r1.size) if sel is None else sel)
+        src = start + src_of(np.arange(r1.size) if sel is None else sel)
         held.append((r1, r2, src))
     if not supplied:
         raise EmptyInput("no points supplied")
@@ -312,13 +345,13 @@ def from_pareto_points(points, kind: Kind, params=None,
                        region_id: str = "") -> RateRegion:
     """Build a region from achievable/bound sample points.
 
-    `points` is an array of (r1, r2) rows, or an iterator of (start, rows)
-    blocks (see `_front_candidates`), so a sweep can hand over its cloud one
-    block at a time without holding it. Dominated points are discarded and
-    negatives clamped to zero; the boundary starts at (0, r2 of the first
-    front point). An inner region keeps the upper-hull vertices of the
-    front, so it holds every point of the cloud; an outer region keeps the
-    front points, read step-up. `params` may carry per-point maximizer
+    `points` is an array of (r1, r2) rows, or an iterator of blocks (see
+    `_front_candidates`), so a sweep can hand over its cloud one block at a
+    time without holding it. Dominated points are discarded and negatives
+    clamped to zero; the boundary starts at (0, r2 of the first front
+    point). An inner region keeps the upper-hull vertices of the front, so
+    it holds every point of the cloud; an outer region keeps the front
+    points, read step-up. `params` may carry per-point maximizer
     values into the region meta: a dict of arrays aligned with the source
     rows, or a function from the kept points' source indices to such a dict.
     """

@@ -92,8 +92,12 @@ def q_alpha(ch: ChannelParams, alpha):
     """
     al = np.asarray(alpha, dtype=float)
     d = abs(1.0 - ch.a * ch.b) ** 2
-    return (ch.p2 * d * (al * ch.p1 + 1.0)
-            - (ch.b ** 2 - 1.0) * (_var1(ch, al) + 1.0))
+    # p2 |1-ab|^2 (alpha p1 + 1) on p2 scaled by `scaled_powers`' exact
+    # power of two: bit-identical where finite, +inf past the double range
+    _, p2, k = scaled_powers(ch.p1, ch.p2)
+    with np.errstate(over="ignore"):
+        lead = np.ldexp(p2 * d * (al * ch.p1 + 1.0), k)
+    return lead - (ch.b ** 2 - 1.0) * (_var1(ch, al) + 1.0)
 
 
 def random_channels(n: int, seed: int, complex_a: bool = False):

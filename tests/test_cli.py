@@ -16,6 +16,13 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """RFC 8259 parse: Infinity, -Infinity and NaN are rejected."""
+    def reject(token):
+        raise ValueError(f"non-RFC 8259 token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestClassify:
     def test_pdc_channel(self, capsys):
         code, out, _ = run(["classify", "--a", "0", "--b", "1.3",
@@ -33,15 +40,18 @@ class TestClassify:
 
     def test_power_past_the_double_range(self, capsys):
         """At p1 = p2 = 1e308 the S-channel high threshold passes the double
-        range: the report reads it as +inf, with no warning or traceback."""
+        range: the report reads it as +inf, with no warning or traceback,
+        and its infinite margins are written as RFC 8259 strings."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(["classify", "--a", "0.5", "--b", "1.5",
                                   "--p1", "1e308", "--p2", "1e308"], capsys)
         assert code == 0 and err == ""
-        rep = json.loads(out)
+        rep = strict_json(out)
         assert rep["capacity_known"] == "unknown"
-        assert rep["margins"]["36"] == -math.inf
+        assert rep["margins"]["36"] == "-inf"
+        assert {rep["margins"][k] for k in ("5", "31a", "31b", "36")} \
+            <= {"inf", "-inf"}
 
     def test_raw_reduction(self, capsys):
         code, out, _ = run(["classify", "--raw",
@@ -234,6 +244,26 @@ class TestGap:
         peq = (math.sqrt(1.4142 ** 2 * 6.0) + math.sqrt(6.0)) ** 2
         assert json.loads(out)["multiplicative"] == pytest.approx(
             2.0 - math.log2(7.0) / math.log2(1.0 + peq), abs=1e-12)
+
+    def test_infinite_ratio_is_rfc_json(self, capsys):
+        """An inner region with r2(0) = 0 misses some outer ray, so the
+        multiplicative gap is inf: it is written as the string 'inf'."""
+        code, out, _ = run(["gap", "--a", "0.5", "--b", "1.5", "--p1",
+                            "1e-10", "--p2", "1", "--outer", "unified",
+                            "--inner", "tdma"], capsys)
+        assert code == 0
+        rep = strict_json(out)
+        assert rep["multiplicative"] == "inf"
+        assert math.isfinite(rep["additive_bits"])
+
+    def test_finite_output_keeps_its_bytes(self, capsys):
+        """Finite reports are written exactly as json.dumps writes them."""
+        code, out, _ = run(["gap", "--a", "0.5", "--b", "1.4142",
+                            "--p1", "6", "--p2", "6", "--outer", "pl-si",
+                            "--inner", "tdma", "--grid", "512"], capsys)
+        assert code == 0
+        rep = strict_json(out)
+        assert out == json.dumps(rep, indent=2, sort_keys=True) + "\n"
 
 
 def test_readme_lists_every_id():

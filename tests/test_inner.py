@@ -689,3 +689,99 @@ def test_best_inner_keeps_its_bytes():
             got[name] = hashlib.sha256(
                 reg.r1.tobytes() + reg.r2.tobytes()).hexdigest()[:16]
         assert got == _BEST_DIGESTS, kwargs
+
+
+_F_PINNED = {"phase-fan": ChannelParams(-0.6 + 0.2j, 1.7, 10.0, 10.0),
+             **{f"real{k}": ch for k, ch in enumerate(random_channels(2, 42))}}
+# sha256 prefixes of scheme_f's (r1, r2) breakpoints
+_F_DIGESTS = {"phase-fan": "de652be1eae7404c", "real0": "04b1f0c307099e8d",
+              "real1": "1359ee3502c12daa"}
+
+
+def test_scheme_f_keeps_its_bytes():
+    """Scheme F's block order and its skipped triples move no breakpoint."""
+    got = {}
+    for name, ch in _F_PINNED.items():
+        reg = inner.scheme_f(ch)
+        got[name] = hashlib.sha256(
+            reg.r1.tobytes() + reg.r2.tobytes()).hexdigest()[:16]
+    assert got == _F_DIGESTS
+
+
+_F_GRID = np.linspace(0.0, 1.0, 11)
+_F_CHANNELS = (
+    [pytest.param(ch, id=f"real{k}")
+     for k, ch in enumerate(random_channels(40, 42))]
+    + [pytest.param(ch, id=f"complex{k}")
+       for k, ch in enumerate(random_channels(10, 42, complex_a=True))]
+    + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS + HUGE_CHANNELS])
+
+
+def _f_blocks(ch):
+    """Scheme F's cloud on best_inner's grids."""
+    return inner._scheme_f_cloud(ch, _F_GRID, _F_GRID, _F_GRID, 41, 101)
+
+
+def _f_triples(ch):
+    av, bv, gv = np.meshgrid(_F_GRID, _F_GRID, _F_GRID, indexing="ij")
+    return av.ravel(), bv.ravel(), gv.ravel()
+
+
+def test_scheme_f_skip_is_exact():
+    """Fed scheme F's fans as group-bounded blocks, the envelope kernel
+    returns the same candidates as from the fans evaluated whole, while it
+    evaluates only part of the triples."""
+    kept, total = [], []
+
+    def grouped(blocks):
+        for b in blocks:
+            if isinstance(b, region.GroupBlock):
+                total.append(b.r1_cap.size)
+                b = b._replace(rows=lambda keep, rows=b.rows:
+                               kept.append(keep.size) or rows(keep))
+            yield b
+
+    def evaluated(blocks):
+        for b in blocks:
+            if isinstance(b, region.GroupBlock):
+                rows, src_of = b.rows(np.arange(b.r1_cap.size))
+                at = np.arange(len(rows))
+                assert np.array_equal(src_of(at), at)
+                b = (b.start, rows)
+            yield b
+
+    for ch in [p.values[0] for p in _F_CHANNELS]:
+        want = region._front_candidates(evaluated(_f_blocks(ch)))
+        got = region._front_candidates(grouped(_f_blocks(ch)))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), ch
+    assert sum(kept) < 0.5 * sum(total)
+
+
+@pytest.mark.parametrize("ch", _F_CHANNELS)
+def test_scheme_f_rows_lie_in_their_polygons(ch):
+    """Every interior vertex row of a triple, (0, r2c) included, lies in
+    the polygon {r1 <= min(r1_cap, sum_cap), r1 + r2 <= sum_cap,
+    r2 <= sum_cap} of its group, within 1e-12 max(1, rate)."""
+    block = next(b for b in _f_blocks(ch) if isinstance(b, region.GroupBlock))
+    split = inner._scheme_f_split(ch, *_f_triples(ch))
+    w_c = inner._costa(split[0], split[1])
+    scales = np.linspace(0.0, 2.0, 41)
+    if inner._phase_fan(ch):
+        scales = np.outer(scales, np.exp(1j * np.linspace(-np.pi / 2,
+                                                          np.pi / 2, 5)))
+    n = w_c.size
+    r1_cap = np.minimum(block.r1_cap, block.sum_cap)
+    s_cap = block.sum_cap
+
+    def inside(x, cap):
+        ok = np.isfinite(x) & np.isfinite(cap)
+        return np.all(x[ok] <= cap[ok] + 1e-12 * np.maximum(1.0, np.abs(cap[ok])))
+
+    for fan in np.reshape(scales, (-1, 41)):
+        rows = inner._scheme_f_vertices(ch, split, np.multiply.outer(fan, w_c))
+        assert len(rows) == (2 * fan.size + 1) * n  # the last n are (0, r2c)
+        g = np.arange(len(rows)) % n
+        r1, r2 = rows[:, 0], rows[:, 1]
+        assert inside(r1, r1_cap[g]) and inside(r1 + r2, s_cap[g])
+        assert inside(r2, s_cap[g])

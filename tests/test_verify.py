@@ -312,3 +312,33 @@ def test_margins_finite_at_huge_powers(ch):
     assert math.isfinite(rep.details[0]["max_gap_alpha_bits"])
     with np.errstate(over="ignore"):  # q(alpha) itself may pass 1.8e308
         assert not np.any(np.isnan(verify.q_alpha(ch, al)))
+
+
+@pytest.mark.parametrize("ch", [pytest.param(ch, id=name) for name, ch
+                                in HUGE_CHANNELS + EDGE_CHANNELS])
+def test_q_alpha_keeps_its_sign_past_the_double_range(ch):
+    """q(alpha) is finite or +-inf with no warning, with the sign of its
+    exact value, and bit-identical to the unscaled formula where that is
+    finite."""
+    import mpmath
+    al = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-300, 3e-11, 1e-3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = verify.q_alpha(ch, al)
+    assert not np.any(np.isnan(q))
+    d = abs(1.0 - ch.a * ch.b) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = (ch.p2 * d * (al * ch.p1 + 1.0)
+                 - (ch.b ** 2 - 1.0) * (verify._var1(ch, al) + 1.0))
+    fin = np.isfinite(plain)
+    assert np.array_equal(q[fin], plain[fin])
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    a, b, p1, p2 = (mp.mpf(x) for x in (ch.a.real, ch.b, ch.p1, ch.p2))
+    for x, got in zip(al, q):
+        x = mp.mpf(x)
+        exact = (p2 * d * (x * p1 + 1) - (b ** 2 - 1)
+                 * (p1 + abs(ch.a) ** 2 * p2
+                    + 2 * a * mp.sqrt((1 - x) * p1 * p2) + 1))
+        if abs(exact) > 1e-9 * (p1 + p2) * (b ** 2 + 1):
+            assert np.sign(got) == mp.sign(exact), (float(x), got)
