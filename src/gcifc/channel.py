@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -116,9 +115,6 @@ class RegimeReport:
             "capacity_known": self.capacity_known.value,
             "margins": dict(self.margins),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def to_standard_form(raw: RawChannel) -> ChannelParams:

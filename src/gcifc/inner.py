@@ -499,7 +499,7 @@ def _scheme_f_vertices(ch: ChannelParams, split, w):
 
 def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
                     face_lambda: int):
-    """The collapse faces, so that the interior meets a populated front,
+    """The cloud as blocks: the faces, so that the interior meets a front,
     then a `GroupBlock` per pre-coding fan, one group per split triple,
     with w-free caps: m29c >= ms >= r1 + r2 at every vertex, and r1 <=
     min(m29a, m29b). m29b <= log2 Var(Y2 | V2c), and so is m29a <= log2

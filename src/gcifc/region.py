@@ -302,7 +302,7 @@ def _front_candidates(points, nbins: int = 4096):
     later = np.full(nbins, -np.inf)
     top, supplied, held = 0.0, False, []
     for block in blocks:
-        start, rows, src_of = block[0], block[1], np.asarray
+        start, rows, src_of = block[0], block[1], np.asarray  # identity
         if isinstance(block, GroupBlock):
             rows, src_of = rows(_kept_groups(block, later, top, nbins)
                                 if top > 0.0 else np.arange(block.r1_cap.size))
