@@ -1,11 +1,12 @@
 """Command-line front end: classify | region | gap | atlas | verify.
 
 Emits plot-ready CSV (or JSON) with 12-digit mantissas and fixed C
-formatting, so identical configs produce byte-identical output. A JSON
-config file can mirror any flag of its subcommand, keyed by the flag's
-name (`"format"`, `"a-min"`) or its dest (`"fmt"`, `"a_min"`); explicit
-flags win. CIFC_THREADS caps worker threads for the verification sweeps.
-Invalid values exit 2 (EXIT_USAGE) with a message, never a traceback.
+formatting, so identical configs produce byte-identical output. Each
+subcommand takes only the flags it reads. A JSON config file can mirror
+any flag of its subcommand, keyed by the flag's name (`"format"`,
+`"a-min"`) or its dest (`"fmt"`, `"a_min"`); explicit flags win.
+CIFC_THREADS caps worker threads for the verification sweeps. Invalid
+values and flags exit 2 (EXIT_USAGE) with a message, never a traceback.
 """
 
 from __future__ import annotations
@@ -67,6 +68,23 @@ BUILDERS = {
 }
 
 
+# add_argument's keywords per flag: --config and --out on every subcommand
+_FLAGS = {
+    "a": dict(help="cross gain at the cognitive receiver "
+                   "(complex, e.g. '0.5' or '1+2j')"),
+    "b": dict(type=float, help="cross gain at the primary receiver (>= 0)"),
+    "p1": dict(type=float, help="cognitive transmit power"),
+    "p2": dict(type=float, help="primary transmit power"),
+    "raw": dict(help="raw channel 'h11=..,h12=..,h21=..,h22=..,sigma1=..,"
+                     "sigma2=..,p1=..,p2=..' (auto-reduced to standard form)"),
+    "config": dict(help="JSON file mirroring the flags"),
+    "out": dict(help="output path (or prefix for region)"),
+    "format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
+    "grid": dict(type=int, default=region.R1_GRID_DEFAULT,
+                 help="r1 nodes of output tables and outer bounds"),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -109,12 +127,12 @@ def _checked_channel(a, b, p1, p2) -> ChannelParams:
         raise UsageError(f"invalid channel: {exc}") from None
 
 
-def _channel_from_args(args) -> ChannelParams | None:
-    if getattr(args, "raw", None):
+def _channel_from_args(args) -> ChannelParams:
+    if args.raw:
         return to_standard_form(_parse_raw(args.raw))
-    if getattr(args, "a", None) is None and getattr(args, "b", None) is None:
-        return None
-    missing = [k for k in ("a", "b", "p1", "p2") if getattr(args, k, None) is None]
+    if args.a is None and args.b is None:
+        raise UsageError("a channel is required: --a/--b/--p1/--p2 or --raw")
+    missing = [k for k in ("a", "b", "p1", "p2") if getattr(args, k) is None]
     if missing:
         raise UsageError(f"missing channel flags: --{', --'.join(missing)}")
     return _checked_channel(_parse_complex(args.a), args.b, args.p1, args.p2)
@@ -179,14 +197,14 @@ def _emit(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def _region_csv_name(out: str, rid: str) -> str:
-    return f"{out}_{rid.replace(':', '-')}.csv"
+def _region_path(out: str, rid: str, ext: str) -> str:
+    return f"{out}_{rid.replace(':', '-')}.{ext}"
 
 
 def _gnuplot_script(out: str, ids) -> str:
     lines = ["set datafile separator ','", "set key autotitle columnhead",
              "set xlabel 'R1 [bits]'", "set ylabel 'R2 [bits]'"]
-    plots = ", ".join(f"'{_region_csv_name(out, rid)}' using 1:2 with lines "
+    plots = ", ".join(f"'{_region_path(out, rid, 'csv')}' using 1:2 with lines "
                       f"title '{rid}'" for rid in ids)
     lines.append("plot " + plots)
     return "\n".join(lines) + "\n"
@@ -220,16 +238,11 @@ def cmd_region(args) -> int:
         raise UsageError("region needs --ids")
     for rid in ids:
         reg = _builder(rid)(args.channel, args.grid).on_grid(args.grid)
-        if args.fmt == "json":
-            text = _json(reg.to_json_dict()) + "\n"
-            path = (f"{args.out}_{rid.replace(':', '-')}.json"
-                    if args.out else None)
-        else:
-            text = reg.to_csv()
-            path = _region_csv_name(args.out, rid) if args.out else None
+        text = (_json(reg.to_json_dict()) + "\n" if args.fmt == "json"
+                else reg.to_csv())
         if not args.out:
             sys.stdout.write(f"# id: {rid}\n")
-        _emit(text, path)
+        _emit(text, args.out and _region_path(args.out, rid, args.fmt))
     if args.gnuplot and args.out and args.fmt == "csv":
         _emit(_gnuplot_script(args.out, ids), f"{args.out}.gp")
     return EXIT_OK
@@ -303,39 +316,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "cognitive interference channel")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):
+    def command(name, run, help, flags=()):
         sp = sub.add_parser(name, help=help)
         # the handler, and the parser a --config file sets defaults on
         sp.set_defaults(run=run, command_parser=sp)
-        sp.add_argument("--a", help="cross gain at the cognitive receiver "
-                                    "(complex, e.g. '0.5' or '1+2j')")
-        sp.add_argument("--b", type=float,
-                        help="cross gain at the primary receiver (>= 0)")
-        sp.add_argument("--p1", type=float, help="cognitive transmit power")
-        sp.add_argument("--p2", type=float, help="primary transmit power")
-        sp.add_argument("--raw", help="raw channel 'h11=..,h12=..,h21=..,"
-                                      "h22=..,sigma1=..,sigma2=..,p1=..,p2=..' "
-                                      "(auto-reduced to standard form)")
-        sp.add_argument("--config", help="JSON file mirroring the flags")
-        sp.add_argument("--out", help="output path (or prefix for region)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default="csv")
-        sp.add_argument("--grid", type=int, default=region.R1_GRID_DEFAULT,
-                        help="r1 nodes of output tables and outer bounds")
+        for flag in ("config", "out", *flags):
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
         return sp
 
-    command("classify", cmd_classify, "regime flags and margins")
+    channel = ("a", "b", "p1", "p2", "raw")
+    command("classify", cmd_classify, "regime flags and margins", channel)
 
-    sp = command("region", cmd_region, "boundary tables for bounds/schemes")
+    sp = command("region", cmd_region, "boundary tables for bounds/schemes",
+                 channel + ("format", "grid"))
     sp.add_argument("--ids", help="comma-separated bound/scheme ids")
     sp.add_argument("--gnuplot", action="store_true",
                     help="also emit a gnuplot script next to the CSVs")
 
-    sp = command("gap", cmd_gap, "additive/multiplicative gap between bounds")
+    sp = command("gap", cmd_gap, "additive/multiplicative gap between bounds",
+                 channel + ("grid",))
     sp.add_argument("--outer", dest="outer_id", help="outer bound id")
     sp.add_argument("--inner", dest="inner_id", help="inner scheme id")
 
-    sp = command("atlas", cmd_atlas, "regime or gap map over an (a, b) grid")
+    sp = command("atlas", cmd_atlas, "regime or gap map over an (a, b) grid",
+                 ("p1", "p2", "format"))
     sp.add_argument("--p", type=float, help="set p1 = p2 = p")
     sp.add_argument("--mode", choices=("regime", "gap"), default="regime")
     sp.add_argument("--resolution", type=int, default=41)
@@ -354,13 +358,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
-        if args.grid < 1:
+        if "grid" in args and args.grid < 1:
             raise UsageError("--grid must be positive")
-        if args.command in ("classify", "region", "gap"):
+        if "raw" in args:
             args.channel = _channel_from_args(args)
-            if args.channel is None:
-                raise UsageError("a channel is required: --a/--b/--p1/--p2 "
-                                 "or --raw")
         return args.run(args)
     except SystemExit as exc:  # argparse has printed its message
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

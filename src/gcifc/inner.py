@@ -32,10 +32,11 @@ import numpy as np
 
 from .channel import ChannelParams
 from .errors import DegenerateDenominator
-# union stays importable from here: perfbench's tracer self-test checks it
-from .region import (R1_GRID_DEFAULT, GroupBlock, Kind,  # noqa: F401
-                     RateRegion, from_pareto_points, union)
-from .util import alpha_of_r1, cap, pos, r1_grid, scaled_powers
+from .region import (R1_GRID_DEFAULT, GroupBlock, RateRegion,
+                     from_pareto_points)
+from .region import union  # noqa: F401 (perfbench's tracer test reads it)
+from .util import (alpha_of_r1, cap, coop_sum_cap, pos, r1_grid,
+                   scaled_powers)
 
 # test-channel noise variances (sigma1^2, sigma2^2) of the binning schemes
 _SIGMA_PAIRS = ((1.0, 0.0), (1.0, 1.0))
@@ -159,7 +160,7 @@ def _scheme_a_cloud(ch: ChannelParams, al):
 def scheme_a(ch: ChannelParams, alpha_grid=None) -> RateRegion:
     """Degraded-broadcast strategy with the primary transmitter silent."""
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
-    return from_pareto_points(_scheme_a_cloud(ch, al), Kind.INNER,
+    return from_pareto_points(_scheme_a_cloud(ch, al),
                               params={"alpha": al}, region_id="a")
 
 
@@ -186,7 +187,7 @@ def scheme_b(ch: ChannelParams, alpha_grid=None) -> RateRegion:
     The default split grid matches R1_GRID_DEFAULT uniform r1 nodes."""
     al = default_alpha_grid(ch, matched=R1_GRID_DEFAULT, uniform=257) \
         if alpha_grid is None else np.asarray(alpha_grid)
-    return from_pareto_points(_scheme_b_cloud(ch, al), Kind.INNER,
+    return from_pareto_points(_scheme_b_cloud(ch, al),
                               params={"alpha": al}, region_id="b")
 
 
@@ -223,8 +224,7 @@ def _scheme_d_cloud(ch: ChannelParams):
 def scheme_d(ch: ChannelParams) -> RateRegion:
     """Superposition strategy: both receivers decode both messages."""
     pts, rr = _scheme_d_cloud(ch)
-    return from_pareto_points(pts, Kind.INNER, params={"rho_re": rr},
-                              region_id="d")
+    return from_pareto_points(pts, params={"rho_re": rr}, region_id="d")
 
 
 # -- scheme E: common cognitive message pre-coded against the primary --------
@@ -331,7 +331,7 @@ def scheme_e(ch: ChannelParams, alpha_grid=None,
     """
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
     blocks, params = _scheme_e_cloud(ch, al, lambda_policy, n_lambda)
-    return from_pareto_points(blocks, Kind.INNER, params=params,
+    return from_pareto_points(blocks, params=params,
                               region_id=f"e:{lambda_policy}")
 
 
@@ -349,8 +349,8 @@ def scheme_c_rates(ch: ChannelParams, alpha, sigma1_sq, sigma2_sq,
                    c1=None, c2=None):
     """(r1, r2, sum) bounds of the double-binning strategy.
 
-    c1/c2 are the auxiliary mixing coefficients; None reproduces the
-    channel-matched choice (c1=a, c2=b). The test-channel noise
+    c1/c2 are the auxiliary mixing coefficients (arrays broadcast against
+    alpha); None reproduces the channel-matched choice (c1=a, c2=b). The test-channel noise
     correlation is set to its penalty-minimizing value internally.
 
     The r1 bound and the sum bound's dirty-paper part are `_f_mi` with
@@ -396,7 +396,7 @@ def scheme_c(ch: ChannelParams, alpha_grid=None,
              sigma_pairs=_SIGMA_PAIRS) -> RateRegion:
     """Double-binning strategy on the channel-matched auxiliaries."""
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
-    return from_pareto_points(_scheme_c_cloud(ch, al, sigma_pairs), Kind.INNER,
+    return from_pareto_points(_scheme_c_cloud(ch, al, sigma_pairs),
                               params={"alpha": np.tile(al, 2 * len(sigma_pairs))},
                               region_id="c")
 
@@ -406,16 +406,12 @@ def scheme_c46(ch: ChannelParams) -> RateRegion:
     al = default_alpha_grid(ch, matched=129, uniform=101)
     # nine mixing coefficients around each channel-matched one (c1 = a, c2 = b)
     offs = np.linspace(-1.0, 1.0, 9)
-    c1_grid = ch.a.real + offs * max(1.0, abs(ch.a))
-    c2_grid = ch.b + offs * max(1.0, ch.b)
-    chunks = []
-    for s1, s2 in _SIGMA_PAIRS:
-        for c1 in c1_grid:
-            for c2 in c2_grid:
-                m1, m2, ms = scheme_c_rates(ch, al, s1, s2, c1=c1, c2=c2)
-                chunks.append(_rect_sum_vertices(m1, m2, ms))
-    pts = np.concatenate(chunks, axis=0)
-    return from_pareto_points(pts, Kind.INNER, region_id="c46")
+    c1 = (ch.a.real + offs * max(1.0, abs(ch.a)))[:, None, None]
+    c2 = (ch.b + offs * max(1.0, ch.b))[None, :, None]
+    pts = np.concatenate([
+        _rect_sum_vertices(*scheme_c_rates(ch, al, s1, s2, c1=c1, c2=c2))
+        for s1, s2 in _SIGMA_PAIRS])
+    return from_pareto_points(pts, region_id="c46")
 
 
 # -- scheme F: rate-split unification of D and E -----------------------------
@@ -561,20 +557,19 @@ def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
     al, be, ga = (np.linspace(0.0, 1.0, 11) if g is None else np.asarray(g)
                   for g in (alpha_grid, beta_grid, gamma_grid))
     return from_pareto_points(
-        _scheme_f_cloud(ch, al, be, ga, n_lambda, face_lambda), Kind.INNER,
-        region_id="f")
+        _scheme_f_cloud(ch, al, be, ga, n_lambda, face_lambda), region_id="f")
 
 
 # -- time sharing and aggregates ---------------------------------------------
 
 def _tdma_cloud(ch: ChannelParams):
-    peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
-    return np.array([[float(cap(ch.p1)), 0.0], [0.0, float(cap(peq))]])
+    return np.array([[float(cap(ch.p1)), 0.0],
+                     [0.0, coop_sum_cap(ch.b, ch.p1, ch.p2)]])
 
 
 def tdma_inner(ch: ChannelParams) -> RateRegion:
     """Chord between the solo cognitive point and the beamforming point."""
-    return from_pareto_points(_tdma_cloud(ch), Kind.INNER, region_id="tdma")
+    return from_pareto_points(_tdma_cloud(ch), region_id="tdma")
 
 
 def _chain(clouds):
@@ -619,4 +614,4 @@ def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
               _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, 101)]
     if _phase_fan(ch):
         clouds.append(_scheme_e_cloud(ch, al, "sweep", 101)[0])
-    return from_pareto_points(_chain(clouds), Kind.INNER, region_id="best")
+    return from_pareto_points(_chain(clouds), region_id="best")

@@ -33,7 +33,8 @@ from .errors import (InvalidTransform, PowerOverflow, RegimeMismatch,
                      SingularPreset)
 from .region import (R1_GRID_DEFAULT, Kind, RateRegion, from_boundary,
                      intersect)
-from .util import alpha_of_r1, cap, pos, r1_grid, scaled_powers
+from .util import (alpha_of_r1, cap, coop_sum_cap, pos, r1_grid,
+                   scaled_powers)
 
 _PRESETS = ("tos", "toweak", "tovs")
 
@@ -139,12 +140,10 @@ def pl_si_points(ch: ChannelParams) -> dict:
     B: (cap(p1), sum - cap(p1)) on the relaxed bound.
     C: the strong-bound corner sharing B's r1 coordinate.
     """
-    peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
     c_p1 = float(cap(ch.p1))
-    a_pt = (0.0, float(cap(peq)))
-    b_pt = (c_p1, float(cap(peq)) - c_p1)
+    coop = coop_sum_cap(ch.b, ch.p1, ch.p2)
     c_pt = (c_p1, float(cap(ch.b ** 2 * ch.p1 + ch.p2)) - c_p1)
-    return {"A": a_pt, "B": b_pt, "C": c_pt, "p_eq": peq}
+    return {"A": (0.0, coop), "B": (c_p1, coop - c_p1), "C": c_pt}
 
 
 def piecewise_linear_outer(ch: ChannelParams,
@@ -152,9 +151,8 @@ def piecewise_linear_outer(ch: ChannelParams,
     """r1 <= cap(p1) and r1 + r2 <= cap((sqrt(b^2 p1) + sqrt(p2))^2), b > 1."""
     if ch.b <= 1.0:
         raise RegimeMismatch("piecewise-linear bound needs b > 1")
-    pts = pl_si_points(ch)
     gx = r1_grid(ch.p1, grid)
-    r2 = pos(pts["A"][1] - gx)
+    r2 = pos(coop_sum_cap(ch.b, ch.p1, ch.p2) - gx)
     return from_boundary(gx, r2, Kind.OUTER, "pl-si")
 
 

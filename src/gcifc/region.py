@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import io
-import json
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -120,15 +119,12 @@ class RateRegion:
                            for v in [params[k]]}
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
-    def from_csv(cls, text: str, kind: Kind, region_id: str = "") -> "RateRegion":
+    def from_csv(cls, text: str, kind: Kind) -> "RateRegion":
         lines = [ln for ln in text.strip().splitlines() if ln]
         header = lines[0].split(",")
         rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        meta = {"id": region_id}
+        meta = {}
         if len(header) > 2:
             meta["params"] = {h: rows[:, i] for i, h in enumerate(header) if i >= 2}
         return cls(kind, rows[:, 0], rows[:, 1], meta)
@@ -341,19 +337,20 @@ def _front_candidates(points, nbins: int = 4096):
     return r1[order], r2[order], src[order]
 
 
-def from_pareto_points(points, kind: Kind, params=None,
+def from_pareto_points(points, params=None,
                        region_id: str = "") -> RateRegion:
-    """Build a region from achievable/bound sample points.
+    """Build an inner region from achievable sample points.
 
     `points` is an array of (r1, r2) rows, or an iterator of blocks (see
     `_front_candidates`), so a sweep can hand over its cloud one block at a
     time without holding it. Dominated points are discarded and negatives
     clamped to zero; the boundary starts at (0, r2 of the first front
-    point). An inner region keeps the upper-hull vertices of the front, so
-    it holds every point of the cloud; an outer region keeps the front
-    points, read step-up. `params` may carry per-point maximizer
-    values into the region meta: a dict of arrays aligned with the source
-    rows, or a function from the kept points' source indices to such a dict.
+    point) and keeps the upper-hull vertices of the front, so the region
+    holds every point of the cloud. Outer regions are never sampled: they
+    wrap exact node values (`from_boundary`). `params` may carry per-point
+    maximizer values into the region meta: a dict of arrays aligned with
+    the source rows, or a function from the kept points' source indices to
+    such a dict.
     """
     r1, r2, src_idx = _front_candidates(points)
     keep = _pareto_filter(r1, r2)
@@ -369,16 +366,15 @@ def from_pareto_points(points, kind: Kind, params=None,
     if r1s[0] > 0.0:  # start on the r2 axis
         r1s, r2s, keep_src = (np.r_[v[:1], v] for v in (r1s, r2s, keep_src))
         r1s[0] = 0.0
-    if kind is Kind.INNER:
-        hull = _upper_hull(r1s, r2s)
-        r1s, r2s, keep_src = r1s[hull], r2s[hull], keep_src[hull]
+    hull = _upper_hull(r1s, r2s)
+    r1s, r2s, keep_src = r1s[hull], r2s[hull], keep_src[hull]
 
     meta: dict = {"id": region_id}
     if params:
         picked = params(keep_src) if callable(params) else \
             {k: np.asarray(v)[keep_src] for k, v in params.items()}
         meta["params"] = {k: np.asarray(v, float) for k, v in picked.items()}
-    return RateRegion(kind, r1s, r2s, meta)
+    return RateRegion(Kind.INNER, r1s, r2s, meta)
 
 
 def from_boundary(r1_grid, r2_vals, kind: Kind, region_id: str = "",
@@ -409,7 +405,7 @@ def union(regions) -> RateRegion:
     if kind is Kind.INNER:
         return from_pareto_points(
             np.concatenate([np.column_stack([r.r1, r.r2]) for r in regions]),
-            kind, region_id=rid)
+            region_id=rid)
     xs = np.unique(np.concatenate([r.r1 for r in regions]))
     ys = np.max([r.boundary_at(xs, outside=-np.inf) for r in regions], axis=0)
     return RateRegion(kind, xs, np.clip(ys, 0.0, None), {"id": rid})

@@ -12,6 +12,21 @@ def cap(x):
     return np.log2(1.0 + np.maximum(x, 0.0))
 
 
+def coop_sum_cap(b: float, p1: float, p2: float) -> float:
+    """cap((sqrt(b^2 p1) + sqrt(p2))^2), the full-cooperation sum rate, as
+    a float: bit-identical to it where finite, with b sqrt(p1) where b^2 p1
+    overflows and 2 log2(s) + log2(1 + s^-2) where the square s^2 does."""
+    # as Python floats: b ** 2 raises OverflowError past b = 1.3e154, and
+    # b^2 p1 overflows to inf, neither with a numpy warning
+    b, p1, p2 = float(b), float(p1), float(p2)
+    root = math.sqrt(b ** 2 * p1) if b < 1e154 else math.inf
+    s = (root if root < math.inf else b * math.sqrt(p1)) + math.sqrt(p2)
+    try:
+        return float(cap(s ** 2))
+    except OverflowError:
+        return 2.0 * math.log2(s) + math.log2(1.0 + s ** -2)
+
+
 def pos(x):
     """Positive part."""
     return np.maximum(x, 0.0)

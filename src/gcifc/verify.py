@@ -16,10 +16,10 @@ import numpy as np
 
 from .channel import (CapacityResult, ChannelParams, classify,
                       s_channel_thresholds)
-from .errors import RegimeMismatch  # re-exported as verify.RegimeMismatch
+from .errors import RegimeMismatch  # noqa: F401 (re-exported)
 from . import inner, outer, region
-from .region import Kind, RateRegion, from_pareto_points
-from .util import cap, pos, scaled_powers
+from .region import RateRegion, from_pareto_points
+from .util import cap, coop_sum_cap, pos, scaled_powers
 
 CAPACITY_TOL_BITS = 1e-4
 SOUNDNESS_TOL_BITS = 1e-6
@@ -199,7 +199,7 @@ def _table_rows(ch: ChannelParams):
     """(row_id, applies, inner_region, outer_region) per constant-gap row."""
     rep = classify(ch)
     b2p1 = ch.b ** 2 * ch.p1
-    peq_pt = (0.0, float(cap((math.sqrt(b2p1) + math.sqrt(ch.p2)) ** 2)))
+    peq_pt = (0.0, coop_sum_cap(ch.b, ch.p1, ch.p2))
     rows = []
 
     if ch.b > 1.0:
@@ -219,20 +219,20 @@ def _table_rows(ch: ChannelParams):
             f1, r2, ss = inner.scheme_e_rates(ch, 1.0, lam)
             pts.append((float(f1), float(min(r2, ss - f1))))
         rows.append(("partial-cancel", applies2,
-                     from_pareto_points(pts, Kind.INNER), so))
+                     from_pareto_points(pts), so))
 
         al4 = 1.0 / max(ch.p1, 1.0)  # min(1, 1 / p1); at p1 = 0 the origin
         a_pt = (float(cap((1 - al4) * ch.p1 / (1 + al4 * ch.p1))),
                 float(cap(al4 * b2p1)))
         rows.append(("broadcast-strong", b2p1 > ch.p2,
-                     from_pareto_points([peq_pt, a_pt], Kind.INNER), so))
+                     from_pareto_points([peq_pt, a_pt]), so))
 
         ssum = min(float(cap(ch.p1 + abs(ch.a) ** 2 * ch.p2)),
                    float(cap(b2p1 + ch.p2)))
         d_pt = (min(float(cap(ch.p1)), ssum),
                 max(ssum - float(cap(ch.p1)), 0.0))
         rows.append(("interference-strip", abs(ch.a) >= 1.0 and b2p1 <= ch.p2,
-                     from_pareto_points([peq_pt, d_pt], Kind.INNER), so))
+                     from_pareto_points([peq_pt, d_pt]), so))
     else:
         rows.append(("broadcast-weak", b2p1 > ch.p2,
                      inner.scheme_a(ch), outer.weak_outer(ch)))
@@ -299,24 +299,18 @@ def run_verification(n: int = 1000, seed: int = 42, workers: int = 1,
         raise ValueError("need at least one channel")
     chans = random_channels(n, seed, complex_a=complex_a)
 
-    def one(idx_ch):
-        idx, ch = idx_ch
-        reports = [check_soundness(ch),
-                   check_capacity(ch),
-                   check_additive_gap(ch),
-                   check_multiplicative_gap(ch),
-                   check_table3(ch)]
-        return idx, reports
+    def one(ch):
+        return [check_soundness(ch), check_capacity(ch), check_additive_gap(ch),
+                check_multiplicative_gap(ch), check_table3(ch)]
 
-    if workers > 1:
+    if workers > 1:  # map keeps the channel order
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, enumerate(chans)))
+            results = list(ex.map(one, chans))
     else:
-        results = [one(t) for t in enumerate(chans)]
-    results.sort(key=lambda t: t[0])
+        results = [one(ch) for ch in chans]
 
     merged: dict[str, list] = {}
-    for idx, reports in results:
+    for idx, reports in enumerate(results):
         for rep in reports:
             merged.setdefault(rep.theorem_id, []).append((idx, rep))
     out = []

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from gcifc import inner
-from gcifc.region import Kind, from_pareto_points
+from gcifc.region import from_pareto_points
 from gcifc.util import cap, pos
 
 
@@ -66,8 +66,7 @@ def scheme_f(ch, n_lambda=41, face_lambda=201):
     v1 = np.minimum(r1d, sd)
     chunks.append(np.stack([v1, pos(sd - v1)], axis=1))
     chunks.append(np.stack([np.zeros_like(sd), pos(sd)], axis=1))
-    return from_pareto_points(np.concatenate(chunks, axis=0), Kind.INNER,
-                              region_id="f")
+    return from_pareto_points(np.concatenate(chunks, axis=0), region_id="f")
 
 
 def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201):
@@ -97,7 +96,6 @@ def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201):
                       0.0)
     lam2 = np.broadcast_to(lam_re, f1.shape).ravel()
     return from_pareto_points(
-        pts, Kind.INNER,
-        params={"alpha": np.concatenate([al2, al2]),
-                "lambda_re": np.concatenate([lam2, lam2])},
+        pts, params={"alpha": np.concatenate([al2, al2]),
+                     "lambda_re": np.concatenate([lam2, lam2])},
         region_id=f"e:{lambda_policy}")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gcifc.cli import BUILDERS, main
+from gcifc.cli import BUILDERS, build_parser, main
 from gcifc.region import Kind
 
 
@@ -273,6 +273,58 @@ def test_readme_lists_every_id():
         listed = re.search(rf"{label} ids:(.*?)\.\s", text, re.S).group(1)
         assert re.findall(r"`([^`]+)`", listed) == [
             rid for rid, (k, _) in BUILDERS.items() if k is kind]
+
+
+def test_readme_lists_every_flag():
+    """README's per-subcommand flag lists name exactly the parser's flags."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = text[text.index("## CLI"):text.index("## Library layout")]
+    subs = build_parser()._subparsers._group_actions[0].choices
+    listed = dict(re.findall(r"^- `(\w+)`: (.*?)\.$", text, re.M | re.S))
+    assert sorted(listed) == sorted(subs)
+    for name, sp in subs.items():
+        flags = [f for act in sp._actions for f in act.option_strings
+                 if f not in ("-h", "--help")]
+        assert re.findall(r"`([^`]+)`", listed[name]) == flags, name
+
+
+# the flags a subcommand does not read, each after an otherwise valid call
+_GAP = ["--outer", "pl-si", "--inner", "tdma"]
+_UNREAD = [
+    ("classify", [], ["--format", "csv"]), ("classify", [], ["--grid", "7"]),
+    ("gap", _GAP, ["--format", "csv"]),
+    *(("atlas", ["--resolution", "2"], flag)
+      for flag in (["--a", "3"], ["--b", "1"], ["--raw", "junk"],
+                   ["--grid", "9"])),
+    *(("verify", ["--n", "1"], flag)
+      for flag in (["--a", "3"], ["--b", "1"], ["--p1", "5"], ["--p2", "5"],
+                   ["--raw", "junk"], ["--format", "csv"], ["--grid", "7"])),
+]
+_CHANNEL = ["--a", "0.5", "--b", "1.5", "--p1", "2", "--p2", "2"]
+
+
+class TestUnreadFlags:
+    """A subcommand takes only the flags it reads: any other exits 2 and
+    is named, on the command line or as a config file key."""
+
+    @pytest.mark.parametrize("cmd,base,flag", _UNREAD,
+                             ids=[f"{c}{f[0]}" for c, _, f in _UNREAD])
+    def test_flag_exit2(self, capsys, cmd, base, flag):
+        channel = _CHANNEL if cmd in ("classify", "gap") else []
+        code, out, err = run([cmd] + channel + base + flag, capsys)
+        assert code == 2 and out == ""
+        assert flag[0] in err
+
+    @pytest.mark.parametrize("cmd,key,val", [
+        ("classify", "grid", 7), ("classify", "fmt", "csv"),
+        ("gap", "format", "json"), ("atlas", "raw", "h11=2"), ("atlas", "a", 3),
+        ("verify", "p1", 5), ("verify", "grid", 7)])
+    def test_config_key_exit2(self, tmp_path, capsys, cmd, key, val):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({key: val}))
+        code, _, err = run([cmd, "--config", str(conf)], capsys)
+        assert code == 2
+        assert "config file" in err and repr(key) in err
 
 
 class TestAtlasAndVerify:

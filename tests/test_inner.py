@@ -520,6 +520,24 @@ def test_best_inner_lies_in_the_tdma_box(ch):
     assert bi.r2[0] <= float(cap(peq)) * (1.0 + 1e-12)
 
 
+# p1 = p2 = 1e308: the beamforming SNR (sqrt(b^2 p1) + sqrt(p2))^2 passes
+# the double range at both gains, and b^2 p1 does too at b = 1.5
+_COOP_OVERFLOW = [pytest.param(ChannelParams(0.5, b, 1e308, 1e308),
+                               id=f"b={b:g}") for b in (1.0, 1.5)]
+
+
+@pytest.mark.parametrize("ch", _COOP_OVERFLOW)
+def test_tdma_past_the_double_range(ch):
+    """TDMA's beamforming corner stays finite, with no warning (warnings
+    are errors here): r2(0) = 2 log2(b sqrt(p1) + sqrt(p2)), since
+    1 + s^-2 rounds to 1."""
+    reg = inner.tdma_inner(ch)
+    s = ch.b * math.sqrt(ch.p1) + math.sqrt(ch.p2)
+    assert reg.r1.tolist() == [0.0, float(cap(ch.p1))]
+    assert reg.r2[0] == pytest.approx(2.0 * math.log2(s), rel=1e-15)
+    assert reg.r2[1] == 0.0
+
+
 # powers next to the double range: p (1 + e^40) and a_pow u overflow
 _HUGER_CHANNELS = [
     ("p=1e300", ChannelParams(0.5, 1.5, 1e300, 1e300)),

@@ -9,7 +9,7 @@ from gcifc import gaussmi, inner, outer, region
 from gcifc.channel import ChannelParams
 from gcifc.errors import (InvalidTransform, PowerOverflow, RegimeMismatch,
                           SingularPreset)
-from gcifc.util import alpha_of_r1, cap, r1_grid
+from gcifc.util import alpha_of_r1, cap, coop_sum_cap, r1_grid
 from conftest import EDGE_CHANNELS, channel_draw, correlated_input_system
 
 
@@ -198,6 +198,49 @@ class TestPiecewiseLinear:
         with pytest.raises(RegimeMismatch):
             outer.piecewise_linear_outer(ChannelParams(0.0, 0.9, 1.0, 1.0))
 
+    @pytest.mark.parametrize("b", [1.0, 1.5])
+    def test_past_the_double_range(self, b):
+        """At p1 = p2 = 1e308 the beamforming SNR overflows, and b^2 p1 too
+        at b = 1.5: the bound keeps TDMA's finite sum cap, with no warning
+        (warnings are errors here), and at b = 1 it raises its regime
+        error."""
+        ch = ChannelParams(0.5, b, 1e308, 1e308)
+        coop = outer.pl_si_points(ch)["A"][1]
+        assert coop == inner.tdma_inner(ch).r2[0] and math.isfinite(coop)
+        if b <= 1.0:
+            with pytest.raises(RegimeMismatch):
+                outer.piecewise_linear_outer(ch)
+            return
+        reg = outer.piecewise_linear_outer(ch)
+        assert reg.r2[0] == coop and np.isfinite(reg.r2).all()
+
+
+def test_coop_sum_cap_keeps_the_plain_bits():
+    """coop_sum_cap equals cap((sqrt(b^2 p1) + sqrt(p2))^2) bit for bit
+    wherever that is finite, and is within 1e-15 relative of the exact
+    value where it overflows."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 100
+    rng = np.random.default_rng(11)
+    overflowed = 0
+    for k in range(3000):
+        b = float(10.0 ** rng.uniform(-3.0, 3.0))
+        low = -320.0 if k % 2 else 290.0  # every other draw near overflow
+        p1, p2 = (float(v) for v in 10.0 ** rng.uniform(low, 308.0, 2))
+        got = coop_sum_cap(b, p1, p2)
+        try:
+            plain = float(cap((math.sqrt(b ** 2 * p1) + math.sqrt(p2)) ** 2))
+        except OverflowError:
+            plain = math.inf
+        if math.isfinite(plain):
+            assert got == plain
+        else:
+            overflowed += 1
+            s = mpmath.sqrt(mpmath.mpf(b) ** 2 * p1) + mpmath.sqrt(p2)
+            assert got == pytest.approx(float(mpmath.log(1 + s ** 2, 2)),
+                                        rel=1e-15)
+    assert overflowed > 50
+
 
 class TestBcPr:
     def test_p2_zero_degraded_bc(self):
@@ -211,7 +254,7 @@ class TestBcPr:
         got = reg.boundary_at(r1_bc)
         assert np.all(got >= r2_bc - 1e-6)
         gap, _ = region.additive_gap(reg, region.from_pareto_points(
-            np.stack([r1_bc, r2_bc], 1), region.Kind.INNER))
+            np.stack([r1_bc, r2_bc], 1)))
         assert gap < 5e-3
 
     def test_isolated_antennas_rectangle(self):

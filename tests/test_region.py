@@ -25,6 +25,18 @@ _STEPS = st.lists(st.tuples(st.floats(0.01, 1.0),
                   min_size=1, max_size=12)
 
 
+def _staircase(pts):
+    """(r1, r2) of the least step-up boundary over a cloud: at 0 and at
+    each r1 of the cloud, the largest r2 (clipped at 0) of the points at or
+    right of it."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order, 0]
+    tail = np.maximum.accumulate(np.clip(pts[order, 1], 0.0, None)[::-1])[::-1]
+    x = np.union1d(0.0, xs)
+    return x, tail[np.searchsorted(xs, x)]
+
+
 def _monotone(steps, kind, concave=False):
     """Boundary from (0, sum of all decrements) that takes the steps after
     the first in turn; with `concave`, its upper concave envelope on the
@@ -56,35 +68,34 @@ class TestFromParetoPoints:
     def test_inner_holds_its_cloud(self, rng):
         # the hull vertices are kept, not chords between uniform nodes
         for pts in _concave_clouds(rng, 20):
-            reg = from_pareto_points(pts, Kind.INNER)
+            reg = from_pareto_points(pts)
             assert np.all(reg.contains_points(pts[:, 0], pts[:, 1], tol=1e-12))
 
     def test_collinear_inner(self):
-        reg = from_pareto_points([(0, 2), (1, 1), (2, 0)], Kind.INNER)
+        reg = from_pareto_points([(0, 2), (1, 1), (2, 0)])
         assert np.allclose(reg.r2, 2.0 - reg.r1, atol=1e-12)
 
     def test_dominated_point_convexified(self):
-        reg = from_pareto_points([(0, 2), (1, 0.5), (2, 0)], Kind.INNER)
+        reg = from_pareto_points([(0, 2), (1, 0.5), (2, 0)])
         assert np.allclose(reg.r2, 2.0 - reg.r1, atol=1e-12)
 
     def test_outer_step_up(self):
-        reg = from_pareto_points([(0, 2), (1, 1)], Kind.OUTER)
+        reg = from_boundary([0, 1], [2, 1], Kind.OUTER)
         assert float(reg.boundary_at(0.5)) == pytest.approx(2.0)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            from_pareto_points([], Kind.INNER)
+            from_pareto_points([])
         with pytest.raises(EmptyInput):
-            from_pareto_points([(np.nan, 1.0)], Kind.INNER)
+            from_pareto_points([(np.nan, 1.0)])
 
     def test_negative_rates_clamped(self):
-        reg = from_pareto_points([(1.0, -0.5), (0.5, 0.25)], Kind.INNER)
+        reg = from_pareto_points([(1.0, -0.5), (0.5, 0.25)])
         assert reg.r2.min() >= 0.0
         assert reg.r1_max == pytest.approx(1.0)
 
     def test_params_carried(self):
-        reg = from_pareto_points([(0, 2), (2, 0)], Kind.INNER,
-                                 params={"alpha": [0.0, 1.0]})
+        reg = from_pareto_points([(0, 2), (2, 0)], params={"alpha": [0.0, 1.0]})
         assert "alpha" in reg.meta["params"]
         assert reg.meta["params"]["alpha"].shape == reg.r1.shape
 
@@ -95,7 +106,9 @@ class TestFromParetoPoints:
         rng = np.random.default_rng(5)
         x = rng.uniform(0.0, 1e-306, 5000)
         y = 3.0 - x * 1e306 + rng.uniform(0.0, 0.5, x.size)
-        reg = from_pareto_points(np.stack([x, y], axis=1), kind)
+        pts = np.stack([x, y], axis=1)
+        reg = (from_pareto_points(pts) if kind is Kind.INNER
+               else from_boundary(*_staircase(pts), kind))
         assert reg.kind is kind and reg.r1[0] == 0.0
         assert 0.0 < reg.r1_max <= x.max()
         assert reg.r2[0] == y.max()
@@ -133,16 +146,16 @@ class TestSetOps:
     def test_inner_union_is_the_hull_of_the_clouds(self, rng):
         clouds = list(_concave_clouds(rng, 6))
         for a, b in zip(clouds[:-1], clouds[1:]):
-            u = union([from_pareto_points(a, Kind.INNER),
-                       from_pareto_points(b, Kind.INNER)])
-            want = from_pareto_points(np.concatenate([a, b]), Kind.INNER)
+            u = union([from_pareto_points(a), from_pareto_points(b)])
+            want = from_pareto_points(np.concatenate([a, b]))
             assert np.array_equal(u.r1, want.r1)
             assert np.array_equal(u.r2, want.r2)
 
     def test_outer_union_is_the_max_at_merged_breakpoints(self, rng):
         clouds = list(_concave_clouds(rng, 6))
         for a, b in zip(clouds[:-1], clouds[1:]):
-            ra, rb = (from_pareto_points(c, Kind.OUTER) for c in (a, b))
+            ra, rb = (from_boundary(*_staircase(c), Kind.OUTER)
+                      for c in (a, b))
             u = union([ra, rb])
             xs = np.union1d(ra.r1, rb.r1)
             assert np.array_equal(u.r1, xs)
@@ -187,8 +200,11 @@ class TestOnGrid:
         # breakpoint at or left of each node; between nodes an inner table
         # lies on or below the region and an outer one on or above it
         for pts in _concave_clouds(rng, 10):
-            reg = from_pareto_points(pts, kind,
-                                     params={"i": np.arange(len(pts))})
+            if kind is Kind.INNER:
+                reg = from_pareto_points(pts, params={"i": np.arange(len(pts))})
+            else:
+                x, y = _staircase(pts)
+                reg = from_boundary(x, y, kind, params={"i": np.arange(x.size)})
             xs = np.union1d(reg.r1, np.linspace(0.0, reg.r1_max, 1001))
             for g in (2, 33, 129):
                 tab = reg.on_grid(g)
@@ -261,7 +277,7 @@ class TestGaps:
 
     def test_multiplicative_degenerate_inner(self):
         outer = line_region(2.0, 1.0, Kind.OUTER)
-        inner = from_pareto_points([(1.0, 0.0)], Kind.INNER)
+        inner = from_pareto_points([(1.0, 0.0)])
         m, _ = multiplicative_gap(outer, inner)
         assert math.isinf(m)
 
@@ -343,8 +359,8 @@ class TestInvariantsAndSerialization:
                     min_size=1, max_size=40))
     @example(pts=[(5e-324, 0.0)])
     def test_boundary_monotone(self, pts):
-        for kind in (Kind.INNER, Kind.OUTER):
-            reg = from_pareto_points(pts, kind)
+        for reg in (from_pareto_points(pts),
+                    from_boundary(*_staircase(pts), Kind.OUTER)):
             assert np.all(np.diff(reg.r2) <= 1e-12)
             assert reg.r1[0] == 0.0
 
@@ -352,7 +368,7 @@ class TestInvariantsAndSerialization:
         # the 512-node table sits within 1e-3 bits of the 2048 one
         for _ in range(10):
             pts = np.abs(rng.normal(size=(60, 2))) * 3
-            reg = from_pareto_points(pts, Kind.INNER)
+            reg = from_pareto_points(pts)
             lo, hi = reg.on_grid(512), reg.on_grid(2048)
             drift = np.max(np.abs(hi.boundary_at(lo.r1) - lo.r2))
             assert drift <= 1e-3
@@ -360,7 +376,7 @@ class TestInvariantsAndSerialization:
     def test_outer_coarsening_never_decreases(self, rng):
         for _ in range(10):
             pts = np.abs(rng.normal(size=(60, 2))) * 3
-            reg = from_pareto_points(pts, Kind.OUTER)
+            reg = from_boundary(*_staircase(pts), Kind.OUTER)
             fine, coarse = reg.on_grid(2048), reg.on_grid(128)
             assert np.all(coarse.boundary_at(fine.r1) >= fine.r2 - 1e-12)
 
@@ -371,8 +387,7 @@ class TestInvariantsAndSerialization:
 
     def test_csv_roundtrip_fidelity(self, rng):
         pts = np.abs(rng.normal(size=(40, 2))) * 5
-        reg = from_pareto_points(pts, Kind.INNER,
-                                 params={"alpha": rng.uniform(size=40)})
+        reg = from_pareto_points(pts, params={"alpha": rng.uniform(size=40)})
         back = RateRegion.from_csv(reg.to_csv(), Kind.INNER)
         assert np.allclose(back.r1, reg.r1, rtol=1e-12, atol=1e-300)
         assert np.allclose(back.r2, reg.r2, rtol=1e-12, atol=1e-300)
@@ -380,7 +395,7 @@ class TestInvariantsAndSerialization:
                            reg.meta["params"]["alpha"], rtol=1e-12)
 
     def test_json_roundtrip(self):
-        reg = from_pareto_points([(0, 2), (2, 0)], Kind.OUTER)
+        reg = from_boundary([0, 2], [2, 0], Kind.OUTER)
         back = RateRegion.from_json_dict(reg.to_json_dict())
         assert back.kind is Kind.OUTER
         assert np.allclose(back.r2, reg.r2)
@@ -494,7 +509,7 @@ class TestEnvelopeKernels:
             for nbins in (1, 3, 8, 4096):
                 r1, r2, src = _front_candidates(iter(blocks), nbins)
                 assert np.array_equal(src[_pareto_filter(r1, r2)], want)
-            got = from_pareto_points(iter(blocks), Kind.OUTER)
-            one = from_pareto_points(pts, Kind.OUTER)
+            got = from_pareto_points(iter(blocks))
+            one = from_pareto_points(pts)
             assert np.array_equal(got.r1, one.r1)
             assert np.array_equal(got.r2, one.r2)
