@@ -5,8 +5,9 @@ formatting, so identical configs produce byte-identical output. Each
 subcommand takes only the flags it reads. A JSON config file can mirror
 any flag of its subcommand, keyed by the flag's name (`"format"`,
 `"a-min"`) or its dest (`"fmt"`, `"a_min"`); explicit flags win.
-CIFC_THREADS caps worker threads for the verification sweeps. Invalid
-values and flags exit 2 (EXIT_USAGE) with a message, never a traceback.
+Invalid values and flags, and values a subcommand would ignore, exit 2
+(EXIT_USAGE) with a message, never a traceback; other library errors
+exit 3, and 1 means only that `verify` found a failed check.
 """
 
 from __future__ import annotations
@@ -14,18 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import inner, outer, region, verify
 from .channel import ChannelParams, RawChannel, classify, to_standard_form
-from .errors import (DegenerateDirectLink, GcifcError, RegimeMismatch,
-                     SingularPreset)
+from .errors import DegenerateDirectLink, GcifcError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
-EXIT_REGIME = 3
+EXIT_LIBRARY = 3  # a bound outside its regime, or another library error
 
 
 def _scheme_e(policy: str):
@@ -96,6 +95,15 @@ def _parse_complex(text: str) -> complex:
         raise UsageError(f"--a: cannot parse complex value {text!r}") from None
 
 
+# each --raw key and the RawChannel field it sets; the fields' defaults
+_RAW_KEYS = {"h11": "h11", "h12": "h12", "h21": "h21", "h22": "h22",
+             "sigma1": "sigma1_sq", "sigma1_sq": "sigma1_sq",
+             "sigma2": "sigma2_sq", "sigma2_sq": "sigma2_sq",
+             "p1": "p1_raw", "p2": "p2_raw"}
+_RAW_DEFAULTS = dict(h11="1", h12="0", h21="0", h22="1", sigma1_sq="1",
+                     sigma2_sq="1", p1_raw="1", p2_raw="1")
+
+
 def _parse_raw(text: str) -> RawChannel:
     fields = {}
     for part in text.split(","):
@@ -103,20 +111,17 @@ def _parse_raw(text: str) -> RawChannel:
             continue
         if "=" not in part:
             raise UsageError(f"--raw: expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        fields[k.strip()] = v.strip()
+        k, v = (s.strip() for s in part.split("=", 1))
+        if k not in _RAW_KEYS:
+            raise UsageError(f"--raw: unknown key {k!r} (keys: "
+                             f"{', '.join(_RAW_KEYS)})")
+        if _RAW_KEYS[k] in fields:
+            raise UsageError(f"--raw: {k!r} sets {_RAW_KEYS[k]} twice")
+        fields[_RAW_KEYS[k]] = v
     try:
-        return RawChannel(
-            h11=complex(fields.get("h11", "1")),
-            h12=complex(fields.get("h12", "0")),
-            h21=complex(fields.get("h21", "0")),
-            h22=complex(fields.get("h22", "1")),
-            sigma1_sq=float(fields.get("sigma1", fields.get("sigma1_sq", "1"))),
-            sigma2_sq=float(fields.get("sigma2", fields.get("sigma2_sq", "1"))),
-            p1_raw=float(fields.get("p1", "1")),
-            p2_raw=float(fields.get("p2", "1")),
-        )
-    except (ValueError, KeyError) as exc:
+        return RawChannel(**{f: (complex if f[0] == "h" else float)(v)
+                             for f, v in {**_RAW_DEFAULTS, **fields}.items()})
+    except ValueError as exc:
         raise UsageError(f"--raw: {exc}") from None
 
 
@@ -127,8 +132,17 @@ def _checked_channel(a, b, p1, p2) -> ChannelParams:
         raise UsageError(f"invalid channel: {exc}") from None
 
 
+def _none_set(args, flags, why: str):
+    """A usage error naming those of `flags` that are set, which `why`
+    would leave unread."""
+    given = [f"--{k}" for k in flags if getattr(args, k) is not None]
+    if given:
+        raise UsageError(f"{why}: {', '.join(given)} would be ignored")
+
+
 def _channel_from_args(args) -> ChannelParams:
     if args.raw:
+        _none_set(args, ("a", "b", "p1", "p2"), "--raw sets the whole channel")
         return to_standard_form(_parse_raw(args.raw))
     if args.a is None and args.b is None:
         raise UsageError("a channel is required: --a/--b/--p1/--p2 or --raw")
@@ -236,6 +250,9 @@ def cmd_region(args) -> int:
     ids = [s.strip() for s in (args.ids or "").split(",") if s.strip()]
     if not ids:
         raise UsageError("region needs --ids")
+    if args.gnuplot and (not args.out or args.fmt != "csv"):
+        raise UsageError("--gnuplot writes a script next to CSV files: it "
+                         "needs --out and --format csv")
     for rid in ids:
         reg = _builder(rid)(args.channel, args.grid).on_grid(args.grid)
         text = (_json(reg.to_json_dict()) + "\n" if args.fmt == "json"
@@ -243,7 +260,7 @@ def cmd_region(args) -> int:
         if not args.out:
             sys.stdout.write(f"# id: {rid}\n")
         _emit(text, args.out and _region_path(args.out, rid, args.fmt))
-    if args.gnuplot and args.out and args.fmt == "csv":
+    if args.gnuplot:
         _emit(_gnuplot_script(args.out, ids), f"{args.out}.gp")
     return EXIT_OK
 
@@ -261,8 +278,10 @@ def cmd_gap(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    p1 = p2 = args.p
-    if args.p is None:
+    if args.p is not None:
+        _none_set(args, ("p1", "p2"), "--p sets both powers")
+        p1 = p2 = args.p
+    else:
         p1 = 10.0 if args.p1 is None else args.p1
         p2 = 10.0 if args.p2 is None else args.p2
     if args.resolution < 2:
@@ -289,13 +308,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--n must be positive")
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
-    threads = os.environ.get("CIFC_THREADS", "1") or "1"
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise UsageError(f"CIFC_THREADS: expected an integer, got {threads!r}") from None
-    reports = verify.run_verification(n=args.n, seed=args.seed,
-                                      workers=max(workers, 1))
+    reports = verify.run_verification(n=args.n, seed=args.seed)
     payload = [r.to_json_dict() for r in reports]
     if args.out:
         _emit(_json(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -368,15 +381,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateDirectLink,) as exc:
+    except DegenerateDirectLink as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RegimeMismatch, SingularPreset) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     except GcifcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+        return EXIT_LIBRARY
 
 
 if __name__ == "__main__":

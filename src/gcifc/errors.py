@@ -25,11 +25,11 @@ class RegimeMismatch(GcifcError):
     """A bound was requested outside its validity regime."""
 
 
-class InvalidTransform(GcifcError):
+class InvalidTransform(RegimeMismatch):
     """Channel-transformation coefficients violate the reconstruction constraints."""
 
 
-class SingularPreset(GcifcError):
+class SingularPreset(RegimeMismatch):
     """A transformation preset hit a vanishing denominator."""
 
 

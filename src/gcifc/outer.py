@@ -420,8 +420,9 @@ def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
     does not apply. The direct members are `_DIRECT`, in that order; the
     bc-dms bounds raise RegimeMismatch off their channels. Then, per
     transformation preset, the capacity region of its target, left out
-    where the preset raises SingularPreset or InvalidTransform, or where
-    `capacity_region` raises RegimeMismatch (capacity unknown).
+    where the preset does not apply or the target's capacity is unknown:
+    each raises a RegimeMismatch (SingularPreset and InvalidTransform are
+    its subclasses).
 
     Every member is an upper bound by construction, so the intersection
     is one too. The direct members are evaluated exactly on the r1 nodes
@@ -437,7 +438,7 @@ def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
     for preset in _PRESETS:
         try:
             reg = capacity_region(_preset_target(ch, preset), grid)
-        except (SingularPreset, InvalidTransform, RegimeMismatch):
+        except RegimeMismatch:
             continue
         bounds.append(_member(reg, f"transform:{preset}"))
     return _member(intersect(bounds), "best")

@@ -165,19 +165,10 @@ def _uniform_grid(r1max: float, grid: int) -> np.ndarray:
 
 
 def _bin_index(u: np.ndarray, nbins: int) -> np.ndarray:
-    """Each point's bin, int(min(u * nbins, nbins - 1)) for u = x / top with
-    top > 0: the one binning rule of the envelope reducers. Clamping before
-    the cast keeps the bin in range where x / top overflows (x above a
-    subnormal top), and equals clamping after it for x <= top."""
+    """Each point's bin, int(min(u * nbins, nbins - 1)) for u = x / top in
+    [0, 1]: the one binning rule of the envelope reducers. Bins are
+    monotone in x, and x = top falls in the last one."""
     return np.minimum(u * nbins, nbins - 1).astype(np.int64)
-
-
-def _bin_max(u: np.ndarray, y: np.ndarray, nbins: int):
-    """Each point's `_bin_index` and each bin's largest y (-inf when empty)."""
-    idx = _bin_index(u, nbins)
-    best = np.full(nbins, -np.inf)
-    np.maximum.at(best, idx, y)
-    return idx, best
 
 
 def _later_max(best: np.ndarray) -> np.ndarray:
@@ -185,24 +176,14 @@ def _later_max(best: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.append(best[1:], -np.inf)[::-1])[::-1]
 
 
-def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
-                   nbins: int = 4096) -> np.ndarray:
+def _pareto_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Indices of non-dominated points, ascending in r1 (r2 descending).
 
-    Among equal points the lowest index wins. Before sorting, points whose
-    r2 does not exceed the best r2 of some later r1 bin are culled: a later
-    bin holds strictly larger r1, so they are dominated. This linear pass
-    leaves only a thin band along the front for the sort.
+    Among equal points the lowest index wins: a stable sort on (r1, -r2)
+    and a suffix maximum of r2.
     """
-    top = r1.max() if r1.size > nbins else 0.0
-    if top > 0.0:
-        idx, best = _bin_max(r1 / top, r2, nbins)
-        cand = np.flatnonzero(r2 > _later_max(best)[idx])
-    else:
-        cand = np.arange(r1.size)
-    r1c, r2c = r1[cand], r2[cand]
-    order = np.lexsort((-r2c, r1c))
-    r1s, r2s = r1c[order], r2c[order]
+    order = np.lexsort((-r2, r1))
+    r1s, r2s = r1[order], r2[order]
     first = np.ones(r1s.size, dtype=bool)
     first[1:] = r1s[1:] != r1s[:-1]
     order, r2s = order[first], r2s[first]
@@ -210,7 +191,7 @@ def _pareto_filter(r1: np.ndarray, r2: np.ndarray,
     keep = np.empty(r2s.size, dtype=bool)
     keep[-1] = True
     keep[:-1] = r2s[:-1] > suffix[1:]
-    return cand[order[keep]]
+    return order[keep]
 
 
 def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -280,11 +261,15 @@ def _front_candidates(points, nbins: int = 4096):
     `points` is one array of (r1, r2) rows, or an iterator of (start, rows)
     blocks, `start` being the source index of the block's first row, and
     `GroupBlock`s. Each block is culled as it arrives against the running
-    per-bin maxima of r1, binned by the largest r1 of the first block that
-    has a positive one (later, larger r1 clamp into the last bin); blocks
-    pass whole until then. A culled point lies at or below the best r2 of
-    a later bin, whose points all have larger r1, so it is strictly
-    dominated: the front and its equal-point ties survive. A block is
+    per-bin maxima of r2, a point's bin being `_bin_index(r1 / top)` with
+    `top` the largest r1 seen so far; blocks pass whole while it is zero.
+    A block whose largest r1 exceeds `top` first rebins the points held
+    so far on its own, so every bin maximum is a held point's under the
+    one rule; a point dropped before lies at or below a held point of
+    larger r1, so the rebuild loses no cull. A culled point lies at or
+    below the best r2 of a later bin, whose points all have larger r1, so
+    it is strictly dominated: the front and its equal-point ties survive
+    (equal points share a bin). A block is
     culled twice: against the bins of the blocks before it, then, once its
     survivors are scattered into the bins, against those. A point culled
     the first time lies at or below every suffix maximum from its own bin
@@ -294,7 +279,6 @@ def _front_candidates(points, nbins: int = 4096):
     Returns (r1, r2, src) ascending in source index.
     """
     blocks = points if isinstance(points, Iterator) else [(0, points)]
-    best = np.full(nbins, -np.inf)
     later = np.full(nbins, -np.inf)
     top, supplied, held = 0.0, False, []
     for block in blocks:
@@ -309,11 +293,14 @@ def _front_candidates(points, nbins: int = 4096):
             sel = np.flatnonzero(np.isfinite(pts).all(axis=1))
             pts = pts[sel]
         r1, r2 = np.clip(pts[:, 0], 0.0, None), pts[:, 1]
-        if top <= 0.0:
-            top = r1.max(initial=0.0)
+        if r1.max(initial=0.0) > top:
+            top = r1.max()
+            best = np.full(nbins, -np.inf)
+            for h1, h2, _ in held:
+                np.maximum.at(best, _bin_index(h1 / top, nbins), h2)
+            later = _later_max(best)
         if top > 0.0:
-            with np.errstate(over="ignore"):  # clamped into the last bin
-                idx = _bin_index(r1 / top, nbins)
+            idx = _bin_index(r1 / top, nbins)
             # later >= 0 wherever it is finite, so a negative r2 meets it
             # as its clipped zero would
             cand = np.flatnonzero(r2 > later[idx])

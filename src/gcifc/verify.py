@@ -9,7 +9,6 @@ uniform a in [-5, 5] (real by default), uniform b in [0, 5].
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,7 +290,7 @@ def atlas(a_range=(-5.0, 5.0), b_range=(0.0, 5.0), resolution: int = 41,
     return cells
 
 
-def run_verification(n: int = 1000, seed: int = 42, workers: int = 1,
+def run_verification(n: int = 1000, seed: int = 42,
                      complex_a: bool = False) -> list[TheoremReport]:
     """Full randomized suite: soundness, capacity certification, and the
     constant-gap theorems over n seeded channels."""
@@ -299,15 +298,9 @@ def run_verification(n: int = 1000, seed: int = 42, workers: int = 1,
         raise ValueError("need at least one channel")
     chans = random_channels(n, seed, complex_a=complex_a)
 
-    def one(ch):
-        return [check_soundness(ch), check_capacity(ch), check_additive_gap(ch),
-                check_multiplicative_gap(ch), check_table3(ch)]
-
-    if workers > 1:  # map keeps the channel order
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, chans))
-    else:
-        results = [one(ch) for ch in chans]
+    results = [[check_soundness(ch), check_capacity(ch),
+                check_additive_gap(ch), check_multiplicative_gap(ch),
+                check_table3(ch)] for ch in chans]
 
     merged: dict[str, list] = {}
     for idx, reports in enumerate(results):

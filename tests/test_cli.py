@@ -370,14 +370,42 @@ class TestInvalidValues:
         (["atlas", "--resolution", "1"], "--resolution"),
         (["atlas", "--p", "-1", "--resolution", "2"], "powers"),
         (["verify", "--n", "1", "--seed", "-1"], "--seed"),
+        # values that would be ignored
+        (["atlas", "--p", "5", "--p1", "3", "--resolution", "2"],
+         "both powers: --p1 would be ignored"),
+        (["classify", "--raw", "h11=2", "--b", "1", "--p2", "3"],
+         "--b, --p2 would be ignored"),
+        (["classify", "--raw", "h1=7"], "unknown key 'h1'"),
+        (["classify", "--raw", "h11=2,h11=3"], "'h11' sets h11 twice"),
+        (["classify", "--raw", "sigma1=2,sigma1_sq=3"],
+         "'sigma1_sq' sets sigma1_sq twice"),
     ])
     def test_invalid_value_exit2(self, capsys, args, flag):
         code, _, err = run(args, capsys)
         assert code == 2
         assert flag in err and "Traceback" not in err
 
-    def test_bad_thread_count_exit2(self, capsys, monkeypatch):
-        monkeypatch.setenv("CIFC_THREADS", "abc")
-        code, _, err = run(["verify", "--n", "1"], capsys)
-        assert code == 2
-        assert "CIFC_THREADS" in err
+
+@pytest.mark.parametrize("channel,rid,error", [
+    (["--a", "0", "--b", "1.3", "--p1", "10", "--p2", "10"],
+     "transform:toweak", "InvalidTransform"),
+    (["--a", "0.5", "--b", "1.5", "--p1", "1e308", "--p2", "1e308"],
+     "transform:tos", "PowerOverflow"),
+])
+def test_library_error_exit3(capsys, channel, rid, error):
+    """Exit 1 means only a failed verification check: a library error
+    other than a degenerate direct link exits 3."""
+    code, out, err = run(["region", "--ids", rid] + channel, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {error}: ")
+
+
+def test_gnuplot_needs_csv_files(tmp_path, capsys):
+    """--gnuplot writes a script next to CSV files: without --out, or with
+    --format json, it is a usage error and nothing is written."""
+    for extra in ([], ["--out", str(tmp_path / "fig"), "--format", "json"]):
+        code, text, err = run(["region", "--ids", "b", "--gnuplot"]
+                              + _CHANNEL + extra, capsys)
+        assert code == 2 and text == ""
+        assert "--gnuplot" in err
+        assert list(tmp_path.iterdir()) == []

@@ -461,22 +461,20 @@ class TestEnvelopeKernels:
             assert np.array_equal(_upper_hull(hx, hy),
                                   _hull_by_definition(hx, hy))
 
-    def test_precull_matches_lexsort_filter(self, rng):
+    def test_pareto_filter_matches_lexsort(self, rng):
         for x, y in _clouds(rng, 400):
-            want = _pareto_lexsort(x, y)
-            for nbins in (1, 3, 8, 4096):
-                assert np.array_equal(_pareto_filter(x, y, nbins), want)
-        for trial in range(6):  # large clouds take the culling path by default
+            assert np.array_equal(_pareto_filter(x, y), _pareto_lexsort(x, y))
+        for trial in range(6):  # large clouds, the last on a tiny support
             x = rng.integers(0, 2000, 20000) / 7.0
             y = np.floor(30.0 - x / 10.0 + rng.integers(0, 5, x.size))
-            if trial == 5:  # a tiny support, where nbins / top overflows
+            if trial == 5:
                 x = x * 1e-308
             assert np.array_equal(_pareto_filter(x, y), _pareto_lexsort(x, y))
 
     def test_streamed_cull_matches_lexsort_filter(self, rng):
         # blocks cut at random and handed over in random order; non-finite
         # rows, an all-zero first block, and a subnormal first block ahead
-        # of r1 near 5, where r1 / top overflows
+        # of r1 near 5, 1e324 times its top
         def cases():
             for trial, (x, y) in enumerate(_clouds(rng, 300)):
                 pts = np.stack([x, y], axis=1)
@@ -493,7 +491,22 @@ class TestEnvelopeKernels:
                     tail = np.stack([5.0 + x / 16.0, y], axis=1)
                     yield np.concatenate([lead, tail]), False
 
-        for pts, shuffle in cases():
+        def growing():
+            # each block's largest r1, at r2 = 0, exceeds the one before it
+            # by one ulp, by large factors, or from a subnormal first top,
+            # so every block rebins the points held so far
+            tops = (1.0 + np.arange(4) * np.spacing(1.0),
+                    np.array([1.0, 1e3, 1e150, 1e300]),
+                    np.array([5e-324, 2e-323, 1e-310, 1.0]))
+            for trial, (x, y) in enumerate(_clouds(rng, 90)):
+                top = tops[trial % 3]
+                rows = [np.stack([np.r_[1.0, x / 12.0] * t,
+                                  np.r_[0.0, np.roll(y, k)]], axis=1)
+                        for k, t in enumerate(top)]
+                starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
+                yield np.concatenate(rows), list(zip(starts, rows))
+
+        def split(pts, shuffle):
             cuts = np.sort(rng.integers(0, len(pts) + 1, 3))
             if not shuffle and len(pts) > 2:
                 cuts[0] = 2  # the lead block stays first and whole
@@ -501,6 +514,9 @@ class TestEnvelopeKernels:
             blocks = list(zip(np.r_[0, cuts], np.split(pts, cuts)))
             if shuffle:
                 blocks = [blocks[i] for i in rng.permutation(len(blocks))]
+            return pts, blocks
+
+        for pts, blocks in [*(split(*c) for c in cases()), *growing()]:
             fin = np.flatnonzero(np.isfinite(pts).all(axis=1))
             if not fin.size:
                 continue

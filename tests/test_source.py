@@ -50,3 +50,55 @@ def test_the_check_sees_an_unused_import(tmp_path):
                    "from .region import (Kind,\n    RateRegion)\n"
                    "def f() -> 'RateRegion':\n    return None\n")
     assert _unused_imports(mod) == ["Kind (line 3)", "math (line 1)"]
+
+
+def _private_defs(tree: ast.Module) -> dict[str, int]:
+    """A module's private top-level names (one leading underscore): its
+    functions, classes and assigned names, with their lines."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((n, node.lineno) for n in names
+                   if n.startswith("_") and not n.startswith("__"))
+    return out
+
+
+def _unread_private(paths) -> list[str]:
+    """Private top-level names of the modules in `paths` that no module
+    reads: a name is read where it is loaded, taken as an attribute or
+    imported by name."""
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{p.name}: {name} (line {line})"
+                  for p, tree in trees.items()
+                  for name, line in _private_defs(tree).items()
+                  if name not in read)
+
+
+def test_no_unread_private_names():
+    assert _unread_private(sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_check_sees_an_unread_private_name(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("_TABLE = {}\n_X, _Y = 1, 2\n\ndef _used():\n    return _X\n"
+                 "\n\ndef _left():\n    return _used()\n\n\nclass _Gone:\n"
+                 "    pass\n")
+    b.write_text("from .a import _TABLE\nimport a\nprint(a._Y)\n")
+    assert _unread_private([a, b]) == ["a.py: _Gone (line 12)",
+                                       "a.py: _left (line 8)"]
