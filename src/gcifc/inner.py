@@ -19,6 +19,13 @@ iterator of blocks for the large E and F sweeps) behind a public
 builder. `best_inner` chains the clouds into one envelope: TDMA,
 A, B, C, D, F, and then E only where its phase fan applies, since
 scheme F's beta = gamma = 0 face is scheme E's real-scale sweep.
+
+F's interior fans and E's sweep reach the envelope as `GroupBlock`s:
+groups of rows, each with w-free caps on its rows' r1 and sum rate, so
+the kernel never evaluates a group whose polygon the front already
+dominates. F groups by split triple (Costa's bound, output variances),
+E by phase ray, run of 8 scales and split (its r1 bound at the run's
+point nearest the Costa vertex t = cos(phi)).
 """
 
 from __future__ import annotations
@@ -263,7 +270,9 @@ def _phase_fan(ch: ChannelParams) -> bool:
 
 def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
                     n_lambda: int):
-    """The cloud as (start, rows) blocks, and its params function."""
+    """The cloud as blocks, and its params function: two plain blocks for
+    a fixed coefficient, the `GroupBlock`s of `_scheme_e_blocks` for the
+    sweep."""
     w_c1 = _scheme_e_costa1(ch, al)
     scales = fixed = None
     if lambda_policy == "costa1":
@@ -271,15 +280,12 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
     elif lambda_policy == "zero":
         fixed = np.zeros(al.size, dtype=w_c1.dtype)
     elif lambda_policy == "sweep":
-        scales = np.linspace(0.0, 2.0, n_lambda)
-        if _phase_fan(ch):
-            phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
-            scales = np.outer(scales, phases).ravel()
+        lin = np.linspace(0.0, 2.0, n_lambda)
+        phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9)) \
+            if _phase_fan(ch) else np.ones(1)
+        scales = np.outer(lin, phases).ravel()
     else:
         raise ValueError(f"unknown lambda policy {lambda_policy!r}")
-    # one fan of n_lambda scales at a time: the cloud is never held
-    fans = [fixed[None, :]] if scales is None else (
-        np.multiply.outer(fan, w_c1) for fan in scales.reshape(-1, n_lambda))
     pairs = al.size * (1 if scales is None else scales.size)
 
     def params(src):
@@ -289,7 +295,9 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
         lam_re = np.real(w) / sp2 if sp2 > 0.0 else np.zeros(np.shape(w))
         return {"alpha": al[split], "lambda_re": lam_re}
 
-    return _scheme_e_blocks(ch, al, fans, pairs), params
+    blocks = _scheme_e_fan(ch, al, fixed[None, :]) if scales is None \
+        else _scheme_e_blocks(ch, al, w_c1, lin, phases)
+    return blocks, params
 
 
 def _costa(a_pow, u):
@@ -306,19 +314,78 @@ def _scheme_e_costa1(ch: ChannelParams, al):
     return _costa(al * ch.p1, _scheme_e_amplitudes(ch, al)[0])
 
 
-def _scheme_e_blocks(ch: ChannelParams, al, fans, pairs: int):
-    """Scheme E's (start, rows) blocks over (k, al.size) arrays of
-    pre-coding amplitudes, `pairs` (scale, split) pairs in all. Rows run
-    over (vertex, scale, split): v2 rows follow every v1 row."""
-    a_pow = (al * ch.p1)[None, :]
-    u1, u2 = (u[None, :] for u in _scheme_e_amplitudes(ch, al))
-    start = 0
-    for w in fans:
-        f1, r2, ssum = _scheme_e_bounds(ch, a_pow, u1, u2, w)
-        v1, v2 = np.split(_rect_sum_vertices(f1, r2, ssum), 2)
-        yield start, v1
-        yield pairs + start, v2
-        start += f1.size
+def _scheme_e_fan(ch: ChannelParams, al, w):
+    """Scheme E's rows at the (k, al.size) pre-coding amplitudes w as two
+    plain blocks: the v1 row of every (scale, split) pair, then the v2s."""
+    u1, u2 = _scheme_e_amplitudes(ch, al)
+    v1, v2 = np.split(_rect_sum_vertices(
+        *_scheme_e_bounds(ch, al * ch.p1, u1, u2, w)), 2)
+    yield 0, v1
+    yield w.size, v2
+
+
+# consecutive pre-coding scales per group of scheme E's sweep
+_E_RUN = 8
+
+
+def _scheme_e_blocks(ch: ChannelParams, al, w_c1, lin, phases):
+    """Scheme E's sweep w = t e^(i phi) w_c1 over the scales t of `lin`, the
+    `phases` e^(i phi) and the costa1 amplitudes w_c1, as `GroupBlock`s of
+    one group per phase ray, run of _E_RUN consecutive scales (the last
+    run may be shorter) and split, rays by falling cos(phi). Source
+    offsets run over (vertex, scale, phase, split): v2 rows follow every
+    v1 row.
+
+    The caps are the w-free sum bound ssum = cap(b^2 alpha p1 + |u2|^2),
+    which bounds r1, r2 and r1 + r2 at both vertices, and the largest r1
+    bound f1 on the group's segment. There f1 = log2(Var(S) / G(t)), with
+    G(t) = |w - u1|^2 + 1 + |w|^2 / (alpha p1) a convex quadratic in t,
+    least at t = cos(phi) because w_c1 = alpha p1 u1 / (alpha p1 + 1) is
+    Costa's coefficient: so f1 peaks at cos(phi) clipped to the run, where
+    the cap evaluates the kernel (at phi = 0 and t = 1 it is Costa's
+    cap(alpha p1)). With alpha p1 = 0, f1 = 0 on the whole ray.
+    """
+    n_split, n_phase = al.size, phases.size
+    pairs = lin.size * n_phase * n_split
+    scales = np.outer(lin, phases).ravel()
+    a_pow = al * ch.p1
+    u1, u2 = _scheme_e_amplitudes(ch, al)
+    ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)
+    rays = np.argsort(-phases.real, kind="stable")
+    full, tail = divmod(lin.size, _E_RUN)
+    # blocks as (rays, first scale, run length, runs): the first ray's whole
+    # runs up to the one holding its peak, so that a cloud opening the
+    # envelope evaluates only those whole, then the rest of them, each other
+    # ray's whole runs, and every ray's tail run
+    cut = min(np.searchsorted(lin, phases[rays[0]].real) // _E_RUN + 1, full)
+    specs = [(rays[:1], 0, _E_RUN, cut),
+             (rays[:1], cut * _E_RUN, _E_RUN, full - cut)]
+    specs += [(rays[i:i + 1], 0, _E_RUN, full) for i in range(1, n_phase)]
+    specs.append((rays, full * _E_RUN, tail, 1))
+
+    def rows(ray, lo, size, runs, keep):
+        r, run, j = np.unravel_index(keep, (ray.size, runs, n_split))
+        s = (lo + run * size + np.arange(size)[:, None]) * n_phase + ray[r]
+        pts = _rect_sum_vertices(*_scheme_e_bounds(
+            ch, a_pow[j], u1[j], u2[j], scales[s] * w_c1[j]))
+        s = s.ravel()
+
+        def src_of(at):
+            vertex, at = np.divmod(at, s.size)
+            return vertex * pairs + s[at] * n_split + j[at % j.size]
+
+        return pts, src_of
+
+    for ray, lo, size, runs in specs:
+        if size * runs == 0:
+            continue
+        t_lo = lo + size * np.arange(runs)
+        # a clipped peak is a row's own scale: the cap is that row's f1
+        peak = np.clip(phases[ray, None].real, lin[t_lo], lin[t_lo + size - 1])
+        w = np.multiply.outer(peak * phases[ray, None], w_c1)
+        yield GroupBlock(0, partial(rows, ray, lo, size, runs),
+                         _f_mi(1.0, u1, 1.0, w, a_pow).ravel(),
+                         np.tile(ssum, ray.size * runs), 2 * pairs)
 
 
 def scheme_e(ch: ChannelParams, alpha_grid=None,
@@ -531,7 +598,7 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
         face = default_alpha_grid(ch)
         w = np.multiply.outer(np.linspace(0.0, 2.0, max(n_lambda, face_lambda)),
                               _scheme_e_costa1(ch, face))
-        yield from _scheme_e_blocks(ch, face, [w], w.size)
+        yield from _scheme_e_fan(ch, face, w)
         r1d, sd = scheme_d_rates(ch, np.sqrt(pos(1.0 - face)))
         yield 2 * w.size, _rect_sum_vertices(r1d, sd, sd)
         start = 2 * (w.size + sd.size)
@@ -600,7 +667,10 @@ def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
     the kernel skips, unevaluated, every triple whose polygon the front
     already dominates. Scheme F's beta = gamma = 0 face is scheme E's own
     sweep at 101 scales on a split grid holding E's, so E's rows join only
-    where its phase fan adds rows the face lacks. With a real cross gain
+    where its phase fan adds rows the face lacks: 9 phase rays by 101
+    scales, grouped by ray, run of 8 scales and split, of which the kernel
+    likewise evaluates only the groups the front does not dominate (6-8%
+    on random complex draws). With a real cross gain
     every rate kernel runs in float64. `grid` and `fast` are
     accepted for existing callers and ignored: there is one sampling plan.
     """

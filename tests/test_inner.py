@@ -116,8 +116,8 @@ class TestFDpc:
 
         monkeypatch.setattr(inner, "_f_mi", spy)
         al = inner.default_alpha_grid(ch)[::67]
-        for _ in inner._scheme_e_cloud(ch, al, "sweep", 5)[0]:
-            pass
+        for block in inner._scheme_e_cloud(ch, al, "sweep", 5)[0]:
+            block.rows(np.arange(block.r1_cap.size))
         for s1 in (0.25, 1.0):
             for c1 in (-1.0, ch.a.real, 0.8):
                 inner.scheme_c_rates(ch, al, s1, 1.0, c1=c1)
@@ -661,6 +661,16 @@ _PINNED_DIGESTS = {
 }
 
 
+def _digest(reg):
+    """sha256 prefix of (r1, r2, params) of a region's uniform table at the
+    default grid."""
+    reg = reg.on_grid(region.R1_GRID_DEFAULT)
+    h = hashlib.sha256(reg.r1.tobytes() + reg.r2.tobytes())
+    for k, v in sorted(reg.meta.get("params", {}).items()):
+        h.update(k.encode() + v.tobytes())
+    return h.hexdigest()[:16]
+
+
 def test_complex_channel_keeps_its_bytes():
     """A complex a keeps every public builder in complex128, byte for byte,
     even with an imaginary part too small to turn on the phase fans."""
@@ -672,14 +682,14 @@ def test_complex_channel_keeps_its_bytes():
         "e:zero": lambda ch: inner.scheme_e(ch, lambda_policy="zero"),
         "f": inner.scheme_f, "tdma": inner.tdma_inner,
     }
-    got = {}
-    for name, build in builds.items():
-        reg = build(_PINNED_CH).on_grid(region.R1_GRID_DEFAULT)
-        h = hashlib.sha256(reg.r1.tobytes() + reg.r2.tobytes())
-        for k, v in sorted(reg.meta.get("params", {}).items()):
-            h.update(k.encode() + v.tobytes())
-        got[name] = h.hexdigest()[:16]
+    got = {name: _digest(build(_PINNED_CH)) for name, build in builds.items()}
     assert got == _PINNED_DIGESTS
+
+
+def test_phase_fan_keeps_its_bytes():
+    """Scheme E's sweep with its phase fan on, grouped by ray, run and
+    split, keeps the bytes it had when every ray was evaluated whole."""
+    assert _digest(inner.scheme_e(_COMPLEX_CH)) == "694ba394e6a6f64f"
 
 
 _EDGE = dict(EDGE_CHANNELS)
@@ -803,3 +813,89 @@ def test_scheme_f_rows_lie_in_their_polygons(ch):
         r1, r2 = rows[:, 0], rows[:, 1]
         assert inside(r1, r1_cap[g]) and inside(r1 + r2, s_cap[g])
         assert inside(r2, s_cap[g])
+
+
+_E_CHANNELS = (
+    [pytest.param(ch, id=f"complex{k}")
+     for k, ch in enumerate(random_channels(10, 42, complex_a=True))]
+    + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS + HUGE_CHANNELS])
+
+
+def _e_candidates(ch, wrap):
+    """`_front_candidates` of best_inner's block stream, its phase fan turned
+    on whatever a is, and scheme E's sweep blocks passed through `wrap`."""
+    cloud = inner._scheme_e_cloud
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inner, "_phase_fan", lambda ch: True)
+        mp.setattr(inner, "_scheme_e_cloud",
+                   lambda *args: (wrap(cloud(*args)[0]), None))
+        mp.setattr(inner, "from_pareto_points",
+                   lambda pts, **kw: region._front_candidates(pts))
+        return inner.best_inner(ch)
+
+
+def test_scheme_e_skip_is_exact():
+    """Fed scheme E's phase fan as group-bounded blocks after the rest of
+    best_inner's clouds, the envelope kernel returns the same candidates as
+    from the fan evaluated whole. On the random complex draws it evaluates
+    under a tenth of the (ray, run, split) groups. The edge and huge-power
+    channels are not counted: there the fan's polygons often reach the
+    front, and every group is kept where p1, p2, a or b is 0 (p1
+    subnormal too) and at p = (1e200, 1)."""
+    kept, total = [], []
+
+    def grouped(blocks):
+        for b in blocks:
+            total.append(b.r1_cap.size)
+            yield b._replace(rows=lambda keep, rows=b.rows:
+                             kept.append(keep.size) or rows(keep))
+
+    def evaluated(blocks):
+        for b in blocks:
+            inf = np.full(b.r1_cap.size, np.inf)
+            yield b._replace(r1_cap=inf, sum_cap=inf)
+
+    draws = [0, 0]
+    for p in _E_CHANNELS:
+        ch = p.values[0]
+        kept.clear()
+        total.clear()
+        want = _e_candidates(ch, evaluated)
+        got = _e_candidates(ch, grouped)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), ch
+        if p.id.startswith("complex"):
+            draws = [draws[0] + sum(kept), draws[1] + sum(total)]
+    assert draws[0] < 0.1 * draws[1]
+
+
+@pytest.mark.parametrize("ch", _E_CHANNELS)
+def test_scheme_e_rows_lie_in_their_polygons(ch, monkeypatch):
+    """Every row of scheme E's phase fan lies in the polygon {r1 <=
+    min(r1_cap, sum_cap), r1 + r2 <= sum_cap, r2 <= sum_cap} of its group,
+    within 1e-12 max(1, cap), and is, bit for bit, the row of the whole
+    fan at its source offset."""
+    monkeypatch.setattr(inner, "_phase_fan", lambda ch: True)
+    al = inner.default_alpha_grid(ch, matched=257, uniform=245)
+    scales = np.outer(np.linspace(0.0, 2.0, 101),
+                      np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9)))
+    w = np.multiply.outer(scales.ravel(), inner._scheme_e_costa1(ch, al))
+    whole = np.concatenate([r for _, r in inner._scheme_e_fan(ch, al, w)])
+
+    def inside(x, cap):
+        ok = np.isfinite(x) & np.isfinite(cap)
+        return np.all(x[ok] <= cap[ok] + 1e-12 * np.maximum(1.0, np.abs(cap[ok])))
+
+    seen = []
+    for block in inner._scheme_e_cloud(ch, al, "sweep", 101)[0]:
+        n = block.r1_cap.size
+        rows, src_of = block.rows(np.arange(n))
+        src = src_of(np.arange(len(rows)))
+        assert np.array_equal(rows, whole[src], equal_nan=True)
+        seen.append(src)
+        g = np.arange(len(rows)) % n
+        r1, r2 = rows[:, 0], rows[:, 1]
+        r1_cap = np.minimum(block.r1_cap, block.sum_cap)[g]
+        assert inside(r1, r1_cap) and inside(r1 + r2, block.sum_cap[g])
+        assert inside(r2, block.sum_cap[g])
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(len(whole)))
