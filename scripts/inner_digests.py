@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Digests of every inner region on a fixed channel set, for checking that
+a change to the inner schemes or the envelope moves no region.
+
+Each row is one build: the inner id, the channel as "a b p1 p2" (Python
+reprs), the sha256 of the region's r1, r2 and params bytes, the number of
+warnings the build raised, and the name of the exception it raised (then
+the digest is empty). Two trees give the same file when every region,
+warning count and exception is the same:
+
+    PYTHONPATH=src python scripts/inner_digests.py --out digests.csv
+
+--out defaults to inner_digests.csv.
+
+The channels are random_channels(400, 42), random_channels(60, 42,
+complex_a=True), the test suite's EDGE_CHANNELS and HUGE_CHANNELS,
+(0.5, 1.5), (0.5, 0.5) and (-0.6+0.2j, 1.7) at p1 = p2 = 1e300, 1e308 and
+1e-320, and the cells of the default 11 x 11 atlas at p = 0.1, 10 and 100:
+845 channels. --n keeps the first n of them.
+"""
+
+import argparse
+import csv
+import hashlib
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from gcifc.channel import ChannelParams
+from gcifc.cli import BUILDERS
+from gcifc.verify import random_channels
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from conftest import EDGE_CHANNELS, HUGE_CHANNELS  # noqa: E402
+
+IDS = ("a", "b", "c", "c46", "d", "e", "e:costa1", "e:zero", "f", "tdma",
+       "inner:best")
+
+
+def channels():
+    out = random_channels(400, 42) + random_channels(60, 42, complex_a=True)
+    out += [ch for _, ch in EDGE_CHANNELS + HUGE_CHANNELS]
+    out += [ChannelParams(a, b, p, p) for p in (1e300, 1e308, 1e-320)
+            for a, b in ((0.5, 1.5), (0.5, 0.5), (-0.6 + 0.2j, 1.7))]
+    # verify.atlas's cells on its default ranges
+    out += [ChannelParams(float(a), float(b), p, p) for p in (0.1, 10.0, 100.0)
+            for b in np.linspace(0.0, 5.0, 11)
+            for a in np.linspace(-5.0, 5.0, 11)]
+    return out
+
+
+def digest(reg) -> str:
+    h = hashlib.sha256(reg.r1.tobytes() + reg.r2.tobytes())
+    for key, vals in sorted(reg.meta.get("params", {}).items()):
+        h.update(key.encode() + np.asarray(vals, float).tobytes())
+    return h.hexdigest()
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--n", type=int, default=None,
+                    help="first n channels only")
+    ap.add_argument("--out", default="inner_digests.csv")
+    args = ap.parse_args()
+
+    with open(args.out, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["id", "channel", "digest", "warnings", "exception"])
+        for ch in channels()[:args.n]:
+            name = " ".join([repr(complex(ch.a))]
+                            + [repr(float(v)) for v in (ch.b, ch.p1, ch.p2)])
+            for rid in IDS:
+                value, error = "", ""
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        value = digest(BUILDERS[rid][1](ch, None))
+                    except Exception as exc:  # recorded, then the next build
+                        error = type(exc).__name__
+                out.writerow([rid, name, value, len(caught), error])
+
+
+if __name__ == "__main__":
+    main()

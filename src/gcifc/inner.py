@@ -20,12 +20,13 @@ builder. `best_inner` chains the clouds into one envelope: TDMA,
 A, B, C, D, F, and then E only where its phase fan applies, since
 scheme F's beta = gamma = 0 face is scheme E's real-scale sweep.
 
-F's interior fans and E's sweep reach the envelope as `GroupBlock`s:
+F's interior fans and all of E's rows (its sweep, its fixed coefficients
+and F's beta = gamma = 0 face) reach the envelope as `GroupBlock`s:
 groups of rows, each with w-free caps on its rows' r1 and sum rate, so
 the kernel never evaluates a group whose polygon the front already
 dominates. F groups by split triple (Costa's bound, output variances),
-E by phase ray, run of 8 scales and split (its r1 bound at the run's
-point nearest the Costa vertex t = cos(phi)).
+E's one kernel by phase ray, run of 8 scales and split (its r1 bound at
+the run's point nearest the Costa vertex t = cos(phi)).
 """
 
 from __future__ import annotations
@@ -270,34 +271,30 @@ def _phase_fan(ch: ChannelParams) -> bool:
 
 def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
                     n_lambda: int):
-    """The cloud as blocks, and its params function: two plain blocks for
-    a fixed coefficient, the `GroupBlock`s of `_scheme_e_blocks` for the
-    sweep."""
-    w_c1 = _scheme_e_costa1(ch, al)
-    scales = fixed = None
-    if lambda_policy == "costa1":
-        fixed = w_c1
-    elif lambda_policy == "zero":
-        fixed = np.zeros(al.size, dtype=w_c1.dtype)
+    """The cloud as the `GroupBlock`s of `_scheme_e_blocks`, and its params
+    function. A fixed coefficient is the one scale 1.0 on the one ray
+    phi = 0 of its base amplitude: costa1's, or zeros (1.0 * +0.0 keeps
+    lambda_re at +0.0; a scale of 0.0 on costa1 could give -0.0)."""
+    base = _scheme_e_costa1(ch, al)
+    lin = phases = np.ones(1)
+    if lambda_policy == "zero":
+        base = np.zeros_like(base)
     elif lambda_policy == "sweep":
         lin = np.linspace(0.0, 2.0, n_lambda)
-        phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9)) \
-            if _phase_fan(ch) else np.ones(1)
-        scales = np.outer(lin, phases).ravel()
-    else:
+        if _phase_fan(ch):
+            phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
+    elif lambda_policy != "costa1":
         raise ValueError(f"unknown lambda policy {lambda_policy!r}")
-    pairs = al.size * (1 if scales is None else scales.size)
+    scales = np.outer(lin, phases).ravel()
 
     def params(src):
-        scale, split = np.divmod(src % pairs, al.size)
-        w = fixed[split] if scales is None else scales[scale] * w_c1[split]
+        scale, split = np.divmod(src % (scales.size * al.size), al.size)
+        w = scales[scale] * base[split]
         sp2 = math.sqrt(ch.p2)
         lam_re = np.real(w) / sp2 if sp2 > 0.0 else np.zeros(np.shape(w))
         return {"alpha": al[split], "lambda_re": lam_re}
 
-    blocks = _scheme_e_fan(ch, al, fixed[None, :]) if scales is None \
-        else _scheme_e_blocks(ch, al, w_c1, lin, phases)
-    return blocks, params
+    return _scheme_e_blocks(ch, al, base, lin, phases), params
 
 
 def _costa(a_pow, u):
@@ -314,36 +311,30 @@ def _scheme_e_costa1(ch: ChannelParams, al):
     return _costa(al * ch.p1, _scheme_e_amplitudes(ch, al)[0])
 
 
-def _scheme_e_fan(ch: ChannelParams, al, w):
-    """Scheme E's rows at the (k, al.size) pre-coding amplitudes w as two
-    plain blocks: the v1 row of every (scale, split) pair, then the v2s."""
-    u1, u2 = _scheme_e_amplitudes(ch, al)
-    v1, v2 = np.split(_rect_sum_vertices(
-        *_scheme_e_bounds(ch, al * ch.p1, u1, u2, w)), 2)
-    yield 0, v1
-    yield w.size, v2
-
-
 # consecutive pre-coding scales per group of scheme E's sweep
 _E_RUN = 8
 
 
-def _scheme_e_blocks(ch: ChannelParams, al, w_c1, lin, phases):
-    """Scheme E's sweep w = t e^(i phi) w_c1 over the scales t of `lin`, the
-    `phases` e^(i phi) and the costa1 amplitudes w_c1, as `GroupBlock`s of
-    one group per phase ray, run of _E_RUN consecutive scales (the last
-    run may be shorter) and split, rays by falling cos(phi). Source
+def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
+    """Scheme E's rows at w = t e^(i phi) base over the scales t of `lin`,
+    the `phases` e^(i phi) and the per-split `base` amplitudes, as
+    `GroupBlock`s of one group per phase ray, run of _E_RUN consecutive
+    scales (the last run may be shorter) and split, rays by falling
+    cos(phi). Source
     offsets run over (vertex, scale, phase, split): v2 rows follow every
     v1 row.
 
     The caps are the w-free sum bound ssum = cap(b^2 alpha p1 + |u2|^2),
     which bounds r1, r2 and r1 + r2 at both vertices, and the largest r1
-    bound f1 on the group's segment. There f1 = log2(Var(S) / G(t)), with
-    G(t) = |w - u1|^2 + 1 + |w|^2 / (alpha p1) a convex quadratic in t,
-    least at t = cos(phi) because w_c1 = alpha p1 u1 / (alpha p1 + 1) is
-    Costa's coefficient: so f1 peaks at cos(phi) clipped to the run, where
-    the cap evaluates the kernel (at phi = 0 and t = 1 it is Costa's
-    cap(alpha p1)). With alpha p1 = 0, f1 = 0 on the whole ray.
+    bound f1 on the group's segment. For the costa1 base w_c1, f1 =
+    log2(Var(S) / G(t)), with G(t) = |w - u1|^2 + 1 + |w|^2 / (alpha p1) a
+    convex quadratic in t, least at t = cos(phi) because w_c1 = alpha p1
+    u1 / (alpha p1 + 1) is Costa's coefficient: so f1 peaks at cos(phi)
+    clipped to the run, where the cap evaluates the kernel (at phi = 0 and
+    t = 1 it is Costa's cap(alpha p1)). With alpha p1 = 0, f1 = 0 on the
+    whole ray. A run of one scale clips the peak to that scale, so its cap
+    is its row's own f1 whatever the base amplitude: a fixed coefficient
+    (`lin` = `phases` = [1.0]) has exact caps.
     """
     n_split, n_phase = al.size, phases.size
     pairs = lin.size * n_phase * n_split
@@ -367,7 +358,7 @@ def _scheme_e_blocks(ch: ChannelParams, al, w_c1, lin, phases):
         r, run, j = np.unravel_index(keep, (ray.size, runs, n_split))
         s = (lo + run * size + np.arange(size)[:, None]) * n_phase + ray[r]
         pts = _rect_sum_vertices(*_scheme_e_bounds(
-            ch, a_pow[j], u1[j], u2[j], scales[s] * w_c1[j]))
+            ch, a_pow[j], u1[j], u2[j], scales[s] * base[j]))
         s = s.ravel()
 
         def src_of(at):
@@ -382,7 +373,7 @@ def _scheme_e_blocks(ch: ChannelParams, al, w_c1, lin, phases):
         t_lo = lo + size * np.arange(runs)
         # a clipped peak is a row's own scale: the cap is that row's f1
         peak = np.clip(phases[ray, None].real, lin[t_lo], lin[t_lo + size - 1])
-        w = np.multiply.outer(peak * phases[ray, None], w_c1)
+        w = np.multiply.outer(peak * phases[ray, None], base)
         yield GroupBlock(0, partial(rows, ray, lo, size, runs),
                          _f_mi(1.0, u1, 1.0, w, a_pow).ravel(),
                          np.tile(ssum, ray.size * runs), 2 * pairs)
@@ -591,17 +582,17 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
 
     def blocks():
         # dense collapse faces: beta = gamma = 0 is exactly the pre-coded
-        # common scheme E, built by E's own code on its default split grid
-        # with real scales of E's costa1 amplitude (so, with no phase fan, E's
-        # sweep rows are among these); beta = gamma = 1 with no pre-coding is
-        # the all-common scheme D
+        # common scheme E, streamed as E's own grouped blocks on its default
+        # split grid at real scales of E's costa1 amplitude (so, with no
+        # phase fan, E's sweep rows are among these); beta = gamma = 1 with
+        # no pre-coding is the all-common scheme D
         face = default_alpha_grid(ch)
-        w = np.multiply.outer(np.linspace(0.0, 2.0, max(n_lambda, face_lambda)),
-                              _scheme_e_costa1(ch, face))
-        yield from _scheme_e_fan(ch, face, w)
+        lin = np.linspace(0.0, 2.0, max(n_lambda, face_lambda))
+        yield from _scheme_e_blocks(ch, face, _scheme_e_costa1(ch, face), lin,
+                                    np.ones(1))
         r1d, sd = scheme_d_rates(ch, np.sqrt(pos(1.0 - face)))
-        yield 2 * w.size, _rect_sum_vertices(r1d, sd, sd)
-        start = 2 * (w.size + sd.size)
+        yield 2 * lin.size * face.size, _rect_sum_vertices(r1d, sd, sd)
+        start = 2 * (lin.size + 1) * face.size
         # one n_lambda fan per block: temporaries under the 4 MB huge-page cut
         for fan in scales.reshape(-1, n_lambda):
             size = (2 * fan.size + 1) * av.size
@@ -666,13 +657,14 @@ def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
     faces, then its 11^3 split triples by 41 pre-coding scales, of which
     the kernel skips, unevaluated, every triple whose polygon the front
     already dominates. Scheme F's beta = gamma = 0 face is scheme E's own
-    sweep at 101 scales on a split grid holding E's, so E's rows join only
-    where its phase fan adds rows the face lacks: 9 phase rays by 101
-    scales, grouped by ray, run of 8 scales and split, of which the kernel
-    likewise evaluates only the groups the front does not dominate (6-8%
-    on random complex draws). With a real cross gain
-    every rate kernel runs in float64. `grid` and `fast` are
-    accepted for existing callers and ignored: there is one sampling plan.
+    grouped sweep at 101 real scales on a split grid holding E's (the
+    kernel evaluates about 40% of its groups on random real draws), so
+    E's rows join only where its phase fan adds rows the face lacks: 9
+    phase rays by 101 scales, of which the kernel likewise evaluates only
+    the groups the front does not dominate (6-8% on random complex
+    draws). With a real cross gain every rate kernel runs in float64.
+    `grid` and `fast` are accepted for existing callers and ignored: there
+    is one sampling plan.
     """
     al = default_alpha_grid(ch, matched=257, uniform=245)
     f_grid = np.linspace(0.0, 1.0, 11)

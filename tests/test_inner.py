@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import platform
 import resource
@@ -755,32 +756,45 @@ def _f_triples(ch):
     return av.ravel(), bv.ravel(), gv.ravel()
 
 
+def _interior(block):
+    """Whether a block of scheme F's cloud is one of its interior fans: a
+    GroupBlock of one group per split triple (the face's groups are E's)."""
+    return (isinstance(block, region.GroupBlock)
+            and block.r1_cap.size == _F_GRID.size ** 3)
+
+
+def _uncapped(blocks):
+    """The block stream with every GroupBlock's caps infinite, so that the
+    envelope kernel evaluates all of its groups."""
+    for b in blocks:
+        if isinstance(b, region.GroupBlock):
+            inf = np.full(b.r1_cap.size, np.inf)
+            b = b._replace(r1_cap=inf, sum_cap=inf)
+        yield b
+
+
+def _counted(blocks, kept, total, counts=lambda b: True):
+    """The block stream, appending to `total` the group count of each
+    GroupBlock that `counts` selects and to `kept` the groups the envelope
+    kernel evaluates of it."""
+    for b in blocks:
+        if isinstance(b, region.GroupBlock) and counts(b):
+            total.append(b.r1_cap.size)
+            b = b._replace(rows=lambda keep, rows=b.rows:
+                           kept.append(keep.size) or rows(keep))
+        yield b
+
+
 def test_scheme_f_skip_is_exact():
-    """Fed scheme F's fans as group-bounded blocks, the envelope kernel
-    returns the same candidates as from the fans evaluated whole, while it
-    evaluates only part of the triples."""
+    """Fed scheme F's cloud as group-bounded blocks (its face's and its
+    interior fans'), the envelope kernel returns the same candidates as
+    with every group evaluated, while it evaluates only part of the
+    interior triples."""
     kept, total = [], []
-
-    def grouped(blocks):
-        for b in blocks:
-            if isinstance(b, region.GroupBlock):
-                total.append(b.r1_cap.size)
-                b = b._replace(rows=lambda keep, rows=b.rows:
-                               kept.append(keep.size) or rows(keep))
-            yield b
-
-    def evaluated(blocks):
-        for b in blocks:
-            if isinstance(b, region.GroupBlock):
-                rows, src_of = b.rows(np.arange(b.r1_cap.size))
-                at = np.arange(len(rows))
-                assert np.array_equal(src_of(at), at)
-                b = (b.start, rows)
-            yield b
-
     for ch in [p.values[0] for p in _F_CHANNELS]:
-        want = region._front_candidates(evaluated(_f_blocks(ch)))
-        got = region._front_candidates(grouped(_f_blocks(ch)))
+        want = region._front_candidates(_uncapped(_f_blocks(ch)))
+        got = region._front_candidates(
+            _counted(_f_blocks(ch), kept, total, _interior))
         for g, w in zip(got, want):
             assert np.array_equal(g, w), ch
     assert sum(kept) < 0.5 * sum(total)
@@ -790,8 +804,10 @@ def test_scheme_f_skip_is_exact():
 def test_scheme_f_rows_lie_in_their_polygons(ch):
     """Every interior vertex row of a triple, (0, r2c) included, lies in
     the polygon {r1 <= min(r1_cap, sum_cap), r1 + r2 <= sum_cap,
-    r2 <= sum_cap} of its group, within 1e-12 max(1, rate)."""
-    block = next(b for b in _f_blocks(ch) if isinstance(b, region.GroupBlock))
+    r2 <= sum_cap} of its group, within 1e-12 max(1, rate). The first
+    fan's block, evaluated whole, gives its rows in source order."""
+    block = next(b for b in _f_blocks(ch) if _interior(b))
+    first, src_of = block.rows(np.arange(block.r1_cap.size))
     split = inner._scheme_f_split(ch, *_f_triples(ch))
     w_c = inner._costa(split[0], split[1])
     scales = np.linspace(0.0, 2.0, 41)
@@ -806,9 +822,12 @@ def test_scheme_f_rows_lie_in_their_polygons(ch):
         ok = np.isfinite(x) & np.isfinite(cap)
         return np.all(x[ok] <= cap[ok] + 1e-12 * np.maximum(1.0, np.abs(cap[ok])))
 
-    for fan in np.reshape(scales, (-1, 41)):
+    at = np.arange(len(first))
+    assert np.array_equal(src_of(at), at)
+    for k, fan in enumerate(np.reshape(scales, (-1, 41))):
         rows = inner._scheme_f_vertices(ch, split, np.multiply.outer(fan, w_c))
         assert len(rows) == (2 * fan.size + 1) * n  # the last n are (0, r2c)
+        assert k or np.array_equal(rows, first, equal_nan=True)
         g = np.arange(len(rows)) % n
         r1, r2 = rows[:, 0], rows[:, 1]
         assert inside(r1, r1_cap[g]) and inside(r1 + r2, s_cap[g])
@@ -843,25 +862,13 @@ def test_scheme_e_skip_is_exact():
     front, and every group is kept where p1, p2, a or b is 0 (p1
     subnormal too) and at p = (1e200, 1)."""
     kept, total = [], []
-
-    def grouped(blocks):
-        for b in blocks:
-            total.append(b.r1_cap.size)
-            yield b._replace(rows=lambda keep, rows=b.rows:
-                             kept.append(keep.size) or rows(keep))
-
-    def evaluated(blocks):
-        for b in blocks:
-            inf = np.full(b.r1_cap.size, np.inf)
-            yield b._replace(r1_cap=inf, sum_cap=inf)
-
     draws = [0, 0]
     for p in _E_CHANNELS:
         ch = p.values[0]
         kept.clear()
         total.clear()
-        want = _e_candidates(ch, evaluated)
-        got = _e_candidates(ch, grouped)
+        want = _e_candidates(ch, _uncapped)
+        got = _e_candidates(ch, lambda blocks: _counted(blocks, kept, total))
         for g, w in zip(got, want):
             assert np.array_equal(g, w), ch
         if p.id.startswith("complex"):
@@ -869,33 +876,94 @@ def test_scheme_e_skip_is_exact():
     assert draws[0] < 0.1 * draws[1]
 
 
+def _face_candidates(ch, wrap):
+    """`_front_candidates` of best_inner's block stream, the blocks of every
+    `_scheme_e_blocks` call (on a real a, only F's beta = gamma = 0 face)
+    passed through `wrap`."""
+    kernel = inner._scheme_e_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inner, "_scheme_e_blocks",
+                   lambda *args: wrap(kernel(*args)))
+        mp.setattr(inner, "from_pareto_points",
+                   lambda pts, **kw: region._front_candidates(pts))
+        return inner.best_inner(ch)
+
+
+def test_scheme_f_face_skip_is_exact():
+    """Inside best_inner, scheme F's beta = gamma = 0 face, E's grouped
+    blocks at 101 real scales, gives the same front (points and source
+    indices) as with every group evaluated. On the random real draws the
+    kernel evaluates under 45% of the face's (run, split) groups (39.8% on
+    these 40 draws). The candidates may differ by dominated points: where
+    E's r1 exceeds TDMA's cap(p1) by rounding, the face's first block
+    raises the bins' scale, and its groups are judged on the bins from
+    before (8 and 1 more candidates on two of these channels)."""
+    kept, total = [], []
+    draws = [0, 0]
+    for k, ch in enumerate(random_channels(40, 42) + [
+            ch for _, ch in EDGE_CHANNELS + HUGE_CHANNELS]):
+        kept.clear()
+        total.clear()
+        want = _face_candidates(ch, _uncapped)
+        got = _face_candidates(ch, lambda blocks: _counted(blocks, kept, total))
+        fw = region._pareto_filter(*want[:2])
+        fg = region._pareto_filter(*got[:2])
+        for g, w in zip(got, want):
+            assert np.array_equal(g[fg], w[fw]), ch
+        if k < 40:
+            draws = [draws[0] + sum(kept), draws[1] + sum(total)]
+    assert draws[0] < 0.45 * draws[1]
+
+
+def _e_streams(ch):
+    """Scheme E's four row streams, each as (name, blocks, splits, base
+    amplitudes, scales): the phase-fan sweep, the costa1 and zero
+    coefficients on best_inner's split grid, and F's beta = gamma = 0 face
+    (101 real scales on E's default split grid)."""
+    al = inner.default_alpha_grid(ch, matched=257, uniform=245)
+    w_c1 = inner._scheme_e_costa1(ch, al)
+    fan = np.outer(np.linspace(0.0, 2.0, 101),
+                   np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))).ravel()
+    for name, base, scales in (("sweep", w_c1, fan),
+                               ("costa1", w_c1, np.ones(1)),
+                               ("zero", np.zeros_like(w_c1), np.ones(1))):
+        yield (name, inner._scheme_e_cloud(ch, al, name, 101)[0], al, base,
+               scales)
+    face = inner.default_alpha_grid(ch)
+    yield ("face", itertools.takewhile(
+        lambda b: isinstance(b, region.GroupBlock), _f_blocks(ch)), face,
+        inner._scheme_e_costa1(ch, face), np.linspace(0.0, 2.0, 101))
+
+
 @pytest.mark.parametrize("ch", _E_CHANNELS)
 def test_scheme_e_rows_lie_in_their_polygons(ch, monkeypatch):
-    """Every row of scheme E's phase fan lies in the polygon {r1 <=
-    min(r1_cap, sum_cap), r1 + r2 <= sum_cap, r2 <= sum_cap} of its group,
-    within 1e-12 max(1, cap), and is, bit for bit, the row of the whole
-    fan at its source offset."""
+    """In each of scheme E's row streams (`_e_streams`), every row lies in
+    the polygon {r1 <= min(r1_cap, sum_cap), r1 + r2 <= sum_cap, r2 <=
+    sum_cap} of its group, within 1e-12 max(1, cap), and is, bit for bit,
+    the row of E's bounds on the whole (scale, split) grid at its source
+    offset, which every row holds once."""
     monkeypatch.setattr(inner, "_phase_fan", lambda ch: True)
-    al = inner.default_alpha_grid(ch, matched=257, uniform=245)
-    scales = np.outer(np.linspace(0.0, 2.0, 101),
-                      np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9)))
-    w = np.multiply.outer(scales.ravel(), inner._scheme_e_costa1(ch, al))
-    whole = np.concatenate([r for _, r in inner._scheme_e_fan(ch, al, w)])
 
     def inside(x, cap):
         ok = np.isfinite(x) & np.isfinite(cap)
         return np.all(x[ok] <= cap[ok] + 1e-12 * np.maximum(1.0, np.abs(cap[ok])))
 
-    seen = []
-    for block in inner._scheme_e_cloud(ch, al, "sweep", 101)[0]:
-        n = block.r1_cap.size
-        rows, src_of = block.rows(np.arange(n))
-        src = src_of(np.arange(len(rows)))
-        assert np.array_equal(rows, whole[src], equal_nan=True)
-        seen.append(src)
-        g = np.arange(len(rows)) % n
-        r1, r2 = rows[:, 0], rows[:, 1]
-        r1_cap = np.minimum(block.r1_cap, block.sum_cap)[g]
-        assert inside(r1, r1_cap) and inside(r1 + r2, block.sum_cap[g])
-        assert inside(r2, block.sum_cap[g])
-    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(len(whole)))
+    for name, blocks, al, base, scales in _e_streams(ch):
+        u1, u2 = inner._scheme_e_amplitudes(ch, al)
+        whole = inner._rect_sum_vertices(*inner._scheme_e_bounds(
+            ch, al * ch.p1, u1, u2, np.multiply.outer(scales, base)))
+        seen = []
+        for block in blocks:
+            n = block.r1_cap.size
+            rows, src_of = block.rows(np.arange(n))
+            src = src_of(np.arange(len(rows)))
+            assert np.array_equal(rows, whole[src], equal_nan=True), name
+            seen.append(src)
+            g = np.arange(len(rows)) % n
+            r1, r2 = rows[:, 0], rows[:, 1]
+            r1_cap = np.minimum(block.r1_cap, block.sum_cap)[g]
+            assert inside(r1, r1_cap), name
+            assert inside(r1 + r2, block.sum_cap[g]), name
+            assert inside(r2, block.sum_cap[g]), name
+        assert np.array_equal(np.sort(np.concatenate(seen)),
+                              np.arange(len(whole))), name
