@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Digests of every inner region on a fixed channel set, for checking that
-a change to the inner schemes or the envelope moves no region.
+"""Digests of every region and regime report on a fixed channel set, for
+checking that a change moves no region and no margin.
 
-Each row is one build: the inner id, the channel as "a b p1 p2" (Python
-reprs), the sha256 of the region's r1, r2 and params bytes, the number of
-warnings the build raised, and the name of the exception it raised (then
-the digest is empty). Two trees give the same file when every region,
-warning count and exception is the same:
+Each row is one build: the id (every `cli.BUILDERS` id, outer bounds on
+the default r1 grid, then `classify`), the channel as "a b p1 p2" (Python
+reprs), the sha256 of the region's r1, r2 and params bytes (for
+`classify`, of its capacity label and margins), the number of warnings the
+build raised, and the name of the exception it raised (then the digest is
+empty). Two trees give the same file when every region, margin, warning
+count and exception is the same:
 
-    PYTHONPATH=src python scripts/inner_digests.py --out digests.csv
+    PYTHONPATH=src python scripts/region_digests.py --out digests.csv
 
---out defaults to inner_digests.csv.
+--out defaults to region_digests.csv.
 
 The channels are random_channels(400, 42), random_channels(60, 42,
 complex_a=True), the test suite's EDGE_CHANNELS and HUGE_CHANNELS,
@@ -28,15 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from gcifc.channel import ChannelParams
+from gcifc.channel import ChannelParams, classify
 from gcifc.cli import BUILDERS
+from gcifc.region import R1_GRID_DEFAULT
 from gcifc.verify import random_channels
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import EDGE_CHANNELS, HUGE_CHANNELS  # noqa: E402
-
-IDS = ("a", "b", "c", "c46", "d", "e", "e:costa1", "e:zero", "f", "tdma",
-       "inner:best")
 
 
 def channels():
@@ -58,11 +58,24 @@ def digest(reg) -> str:
     return h.hexdigest()
 
 
+def report_digest(rep) -> str:
+    h = hashlib.sha256(rep.capacity_known.value.encode())
+    for key, val in sorted(rep.margins.items()):
+        h.update(key.encode() + np.float64(val).tobytes())
+    return h.hexdigest()
+
+
+# id -> digest of its build on a channel
+DIGESTS = {rid: (lambda ch, build=build: digest(build(ch, R1_GRID_DEFAULT)))
+           for rid, (_, build) in BUILDERS.items()}
+DIGESTS["classify"] = lambda ch: report_digest(classify(ch))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=None,
                     help="first n channels only")
-    ap.add_argument("--out", default="inner_digests.csv")
+    ap.add_argument("--out", default="region_digests.csv")
     args = ap.parse_args()
 
     with open(args.out, "w", newline="") as fh:
@@ -71,12 +84,12 @@ def main():
         for ch in channels()[:args.n]:
             name = " ".join([repr(complex(ch.a))]
                             + [repr(float(v)) for v in (ch.b, ch.p1, ch.p2)])
-            for rid in IDS:
+            for rid, run in DIGESTS.items():
                 value, error = "", ""
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     try:
-                        value = digest(BUILDERS[rid][1](ch, None))
+                        value = run(ch)
                     except Exception as exc:  # recorded, then the next build
                         error = type(exc).__name__
                 out.writerow([rid, name, value, len(caught), error])

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateDirectLink
-from .util import scaled_powers
+from .util import units
 
 # the one tolerance for degenerate gains: the S, Z and degraded channels and
 # the channel-transformation constraints
@@ -146,10 +146,10 @@ def very_strong_condition(ch: ChannelParams) -> tuple[bool, float]:
     condition additionally requires |b| > 1. Returns (flag, margin) where
     margin is the LHS regardless of the |b| gate.
     """
-    s1, s2, k = scaled_powers(ch.p1, ch.p2)
-    margin = ((abs(ch.a) ** 2 - 1.0) * ch.p2
-              - (ch.b ** 2 - 1.0) * ch.p1
-              - 2.0 * abs(ch.a - ch.b) * math.ldexp(math.sqrt(s1 * s2), k))
+    u = units(ch)
+    margin = float(u.power((abs(ch.a) ** 2 - 1.0) * u.p2
+                           - (ch.b ** 2 - 1.0) * u.p1
+                           - 2.0 * abs(ch.a - ch.b) * math.sqrt(u.p1 * u.p2)))
     return (margin >= 0.0 and ch.b > 1.0), margin
 
 
@@ -158,16 +158,16 @@ def pdc_margins(ch: ChannelParams) -> tuple[float, float]:
 
     First: p2|1-a b|^2 - [(b^2-1)(1+p1+|a|^2 p2) - p1 p2 |1-a b|^2].
     Second: p2|1-a b|^2 - (b^2-1)(1+p1+|a|^2 p2 + 2 Re{a} sqrt(p1 p2)).
-    Both >= 0 (with b > 1) puts the channel in the PDC regime.
+    Both >= 0 (with b > 1) puts the channel in the PDC regime. The first
+    is quadratic in the powers, with the unit noise n as a power.
     """
+    u = units(ch)
     d = abs(1.0 - ch.a * ch.b) ** 2
     bsq1 = ch.b ** 2 - 1.0
-    base = 1.0 + ch.p1 + abs(ch.a) ** 2 * ch.p2
-    m_a = ch.p2 * d - (bsq1 * base - ch.p1 * ch.p2 * d)
-    s1, s2, k = scaled_powers(ch.p1, ch.p2)
-    root = math.ldexp(math.sqrt(s1 * s2), k)
-    m_b = ch.p2 * d - bsq1 * (base + 2.0 * ch.a.real * root)
-    return m_a, m_b
+    base = u.n + u.p1 + abs(ch.a) ** 2 * u.p2
+    m_a = u.p2 * d * u.n - (bsq1 * base * u.n - u.p1 * u.p2 * d)
+    m_b = u.p2 * d - bsq1 * (base + 2.0 * ch.a.real * math.sqrt(u.p1 * u.p2))
+    return float(u.power(m_a, 2)), float(u.power(m_b))
 
 
 def s_channel_thresholds(p1: float, p2: float) -> tuple[float, float]:
@@ -176,15 +176,13 @@ def s_channel_thresholds(p1: float, p2: float) -> tuple[float, float]:
     Capacity is known for b <= low (perfect pre-cancellation branch) and
     for b >= high (no-pre-coding branch). low = sqrt(1 + p2/(1+p1)),
     high = sqrt(p1 p2) + sqrt(p1 p2 + p2 + 1); +inf past the double range.
+    Both in the noise units of power sqrt(p1 p2), the scale of high.
     """
-    low = math.sqrt(1.0 + p2 / (1.0 + p1))
-    s1, s2, k = scaled_powers(p1, p2)
-    u = math.ldexp(1.0, -2 * k)  # p1 p2 = s1 s2 / u
-    try:
-        high = math.ldexp(math.sqrt(s1 * s2)
-                          + math.sqrt(s1 * s2 + p2 * u + u), k)
-    except OverflowError:  # no b reaches it
-        high = math.inf
+    u = units(ChannelParams(0.0, 0.0, math.sqrt(p1) * math.sqrt(p2), 0.0))
+    s1, s2, n = p1 * u.n, p2 * u.n, u.n
+    low = math.sqrt(1.0 + s2 / (n + s1))
+    prod = s1 * s2
+    high = float(u.power(math.sqrt(prod) + math.sqrt(prod + s2 * n + n * n)))
     return low, high
 
 

@@ -12,7 +12,9 @@ hull kept as each region has vertices all along its boundary.
 Pre-coding coefficients are handled in "amplitude space": a coefficient
 lambda on the primary signal enters only through w = lambda*sqrt(p2),
 which stays finite for p2 = 0. When the cross gain a is real, the rate
-kernels run in float64; complex128 is kept for complex a.
+kernels run in float64; complex128 is kept for complex a. Every closed
+form reads the channel in noise units (`util.units`), the noise variance
+n in place of each unit noise.
 
 Each scheme of `best_inner` is a private point cloud (an array, or an
 iterator of blocks for the large E and F sweeps) behind a public
@@ -43,8 +45,7 @@ from .errors import DegenerateDenominator
 from .region import (R1_GRID_DEFAULT, GroupBlock, RateRegion,
                      from_pareto_points)
 from .region import union  # noqa: F401 (perfbench's tracer test reads it)
-from .util import (alpha_of_r1, cap, coop_sum_cap, pos, r1_grid,
-                   scaled_powers)
+from .util import alpha_of_r1, cap, coop_sum_cap, pos, r1_grid, units
 
 # test-channel noise variances (sigma1^2, sigma2^2) of the binning schemes
 _SIGMA_PAIRS = ((1.0, 0.0), (1.0, 1.0))
@@ -83,17 +84,19 @@ def _f_mi(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp: bool = True):
     coefficients times sqrt(p2). In Gram form the value is
     log2(var(S) V / G), V = Var(U | Xi) = a_pow + su^2 and
     G = a_pow |c1 w - u2|^2 + sigma^2 (a_pow + |w|^2) + su^2 var(S); G is
-    divided by V term by term, so nothing overflows. V = 0 gives 0. With
-    clamp the difference is floored at zero, matching the rate
-    interpretation.
+    divided by V term by term, so nothing overflows; as (a_pow + |w|^2) / V
+    and var(S) / G can pass the double range, sigma^2 multiplies first
+    (G >= sigma^2). V = 0 gives 0. With clamp the difference is floored at
+    zero, matching the rate interpretation.
     """
     a_pow = np.asarray(a_pow, dtype=float)
     var_s = np.abs(c1) ** 2 * a_pow + np.abs(u2) ** 2 + sigma_sq
     v = a_pow + su_sq
+    s = sigma_sq or 1.0  # a noiseless S leaves the ratio unscaled
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (a_pow / v * np.abs(c1 * w - u2) ** 2
-             + sigma_sq * ((a_pow + np.abs(w) ** 2) / v) + su_sq / v * var_s)
-        val = np.where(v == 0.0, 0.0, np.log2(var_s / g))
+             + sigma_sq * (a_pow + np.abs(w) ** 2) / v + su_sq / v * var_s)
+        val = np.where(v == 0.0, 0.0, np.log2(var_s * s / g) - np.log2(s))
     return pos(val) if clamp else val
 
 
@@ -156,12 +159,13 @@ def _fan_rows(r1s, r2s):
 
 def _scheme_a_cloud(ch: ChannelParams, al):
     abar = 1.0 - al
+    u = units(ch)
     if ch.b <= 1.0:
-        r1 = cap(al * ch.p1)
-        r2 = cap(abar * ch.b ** 2 * ch.p1 / (1.0 + al * ch.b ** 2 * ch.p1))
+        r1 = u.cap(al * u.p1)
+        r2 = cap(abar * ch.b ** 2 * u.p1 / (u.n + al * ch.b ** 2 * u.p1))
     else:
-        r1 = cap(abar * ch.p1 / (1.0 + al * ch.p1))
-        r2 = cap(al * ch.b ** 2 * ch.p1)
+        r1 = cap(abar * u.p1 / (u.n + al * u.p1))
+        r2 = u.cap(al * ch.b ** 2 * u.p1)
     return np.stack([r1, r2], axis=1)
 
 
@@ -178,11 +182,11 @@ def scheme_b_rates(ch: ChannelParams, alpha):
     """Corner (r1, r2) of the private/pre-coded strategy at each split."""
     al = np.asarray(alpha, dtype=float)
     abar = 1.0 - al
-    b2p1 = ch.b ** 2 * ch.p1
-    p1, p2, k = scaled_powers(ch.p1, ch.p2)
-    cross = np.ldexp(2.0 * np.sqrt(abar * (ch.b ** 2 * p1) * p2), k)
-    r1 = cap(al * ch.p1)
-    r2 = pos(cap(b2p1 + ch.p2 + cross) - cap(ch.b ** 2 * al * ch.p1))
+    u = units(ch)
+    b2p1 = ch.b ** 2 * u.p1
+    cross = 2.0 * np.sqrt(abar * b2p1 * u.p2)
+    r1 = u.cap(al * u.p1)
+    r2 = pos(u.cap(b2p1 + u.p2 + cross) - u.cap(ch.b ** 2 * al * u.p1))
     return r1, r2
 
 
@@ -205,12 +209,13 @@ def scheme_d_rates(ch: ChannelParams, rho):
     """(r1 cap, sum cap) of the all-common strategy at each correlation."""
     rho = np.asarray(rho, dtype=complex)
     rsq = np.clip(np.abs(rho) ** 2, 0.0, 1.0)
-    p1, p2, k = scaled_powers(ch.p1, ch.p2)
-    sp = math.ldexp(math.sqrt(p1 * p2), k)
-    r1 = np.minimum(cap((1.0 - rsq) * ch.p1), cap((1.0 - rsq) * ch.b ** 2 * ch.p1))
-    s1 = cap(ch.p1 + abs(ch.a) ** 2 * ch.p2
-             + 2.0 * np.real(np.conj(ch.a) * rho) * sp)
-    s2 = cap(ch.b ** 2 * ch.p1 + ch.p2 + 2.0 * ch.b * np.real(rho) * sp)
+    u = units(ch)
+    sp = math.sqrt(u.p1 * u.p2)
+    r1 = np.minimum(u.cap((1.0 - rsq) * u.p1),
+                    u.cap((1.0 - rsq) * ch.b ** 2 * u.p1))
+    s1 = u.cap(u.p1 + abs(ch.a) ** 2 * u.p2
+               + 2.0 * np.real(np.conj(ch.a) * rho) * sp)
+    s2 = u.cap(ch.b ** 2 * u.p1 + u.p2 + 2.0 * ch.b * np.real(rho) * sp)
     return r1, np.minimum(s1, s2)
 
 
@@ -240,9 +245,10 @@ def scheme_d(ch: ChannelParams) -> RateRegion:
 def _scheme_e_amplitudes(ch: ChannelParams, alpha):
     """Interferer amplitudes seen by the two pre-coding rate terms."""
     abar = pos(1.0 - np.asarray(alpha, dtype=float))
-    coop = np.sqrt(abar * ch.p1)
-    u1 = _real_a(ch) * math.sqrt(ch.p2) + coop
-    u2 = math.sqrt(ch.p2) + ch.b * coop
+    u = units(ch)
+    coop = np.sqrt(abar * u.p1)
+    u1 = _real_a(ch) * math.sqrt(u.p2) + coop
+    u2 = math.sqrt(u.p2) + ch.b * coop
     return u1, u2
 
 
@@ -250,18 +256,20 @@ def _scheme_e_bounds(ch: ChannelParams, a_pow, u1, u2, w):
     """(r1 bound, r2 bound, sum bound) of the pre-coded common strategy in
     amplitude space: the common power a_pow, the interferer amplitudes
     u1, u2 of `_scheme_e_amplitudes` and the pre-coding amplitude w."""
-    f1 = _f_mi(1.0, u1, 1.0, w, a_pow)
-    f2 = _f_mi(ch.b, u2, 1.0, w, a_pow, clamp=False)
-    ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)
+    u = units(ch)
+    f1 = _f_mi(1.0, u1, u.n, w, a_pow)
+    f2 = _f_mi(ch.b, u2, u.n, w, a_pow, clamp=False)
+    ssum = u.cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)
     return f1, pos(ssum - f2), ssum
 
 
 def scheme_e_rates(ch: ChannelParams, alpha, lam):
     """(r1 bound, r2 bound, sum bound) of the pre-coded common strategy."""
     al = np.asarray(alpha, dtype=float)
+    u = units(ch)
     u1, u2 = _scheme_e_amplitudes(ch, al)
-    return _scheme_e_bounds(ch, al * ch.p1, u1, u2,
-                            np.asarray(lam) * math.sqrt(ch.p2))
+    return _scheme_e_bounds(ch, al * u.p1, u1, u2,
+                            np.asarray(lam) * math.sqrt(u.p2))
 
 
 def _phase_fan(ch: ChannelParams) -> bool:
@@ -286,29 +294,22 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
     elif lambda_policy != "costa1":
         raise ValueError(f"unknown lambda policy {lambda_policy!r}")
     scales = np.outer(lin, phases).ravel()
+    sp2 = math.sqrt(units(ch).p2)
 
     def params(src):
         scale, split = np.divmod(src % (scales.size * al.size), al.size)
         w = scales[scale] * base[split]
-        sp2 = math.sqrt(ch.p2)
         lam_re = np.real(w) / sp2 if sp2 > 0.0 else np.zeros(np.shape(w))
         return {"alpha": al[split], "lambda_re": lam_re}
 
     return _scheme_e_blocks(ch, al, base, lin, phases), params
 
 
-def _costa(a_pow, u):
-    """The Costa pre-coding amplitude a_pow * u / (a_pow + 1). Where
-    a_pow >= 1 both a_pow and a_pow + 1 are first scaled by the power of
-    two putting a_pow in [0.5, 1): exact, so bit-identical wherever
-    a_pow * u is finite (u normal), and finite where it would overflow."""
-    k = -np.maximum(np.frexp(a_pow)[1], 0)
-    return np.ldexp(a_pow, k) * u / np.ldexp(a_pow + 1.0, k)
-
-
 def _scheme_e_costa1(ch: ChannelParams, al):
-    """The costa1 pre-coding amplitude per split."""
-    return _costa(al * ch.p1, _scheme_e_amplitudes(ch, al)[0])
+    """The costa1 amplitude per split, Costa's a_pow u1 / (a_pow + n)."""
+    u = units(ch)
+    a_pow = al * u.p1
+    return a_pow * _scheme_e_amplitudes(ch, al)[0] / (a_pow + u.n)
 
 
 # consecutive pre-coding scales per group of scheme E's sweep
@@ -327,9 +328,9 @@ def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
     The caps are the w-free sum bound ssum = cap(b^2 alpha p1 + |u2|^2),
     which bounds r1, r2 and r1 + r2 at both vertices, and the largest r1
     bound f1 on the group's segment. For the costa1 base w_c1, f1 =
-    log2(Var(S) / G(t)), with G(t) = |w - u1|^2 + 1 + |w|^2 / (alpha p1) a
-    convex quadratic in t, least at t = cos(phi) because w_c1 = alpha p1
-    u1 / (alpha p1 + 1) is Costa's coefficient: so f1 peaks at cos(phi)
+    log2(Var(S) / G(t)), with G(t) = |w - u1|^2 + n + n |w|^2 / (alpha p1)
+    a convex quadratic in t, least at t = cos(phi) because w_c1 = alpha p1
+    u1 / (alpha p1 + n) is Costa's coefficient: so f1 peaks at cos(phi)
     clipped to the run, where the cap evaluates the kernel (at phi = 0 and
     t = 1 it is Costa's cap(alpha p1)). With alpha p1 = 0, f1 = 0 on the
     whole ray. A run of one scale clips the peak to that scale, so its cap
@@ -339,9 +340,10 @@ def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
     n_split, n_phase = al.size, phases.size
     pairs = lin.size * n_phase * n_split
     scales = np.outer(lin, phases).ravel()
-    a_pow = al * ch.p1
+    u = units(ch)
+    a_pow = al * u.p1
     u1, u2 = _scheme_e_amplitudes(ch, al)
-    ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)
+    ssum = u.cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)
     rays = np.argsort(-phases.real, kind="stable")
     full, tail = divmod(lin.size, _E_RUN)
     # blocks as (rays, first scale, run length, runs): the first ray's whole
@@ -375,7 +377,7 @@ def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
         peak = np.clip(phases[ray, None].real, lin[t_lo], lin[t_lo + size - 1])
         w = np.multiply.outer(peak * phases[ray, None], base)
         yield GroupBlock(0, partial(rows, ray, lo, size, runs),
-                         _f_mi(1.0, u1, 1.0, w, a_pow).ravel(),
+                         _f_mi(1.0, u1, u.n, w, a_pow).ravel(),
                          np.tile(ssum, ray.size * runs), 2 * pairs)
 
 
@@ -415,31 +417,33 @@ def scheme_c_rates(ch: ChannelParams, alpha, sigma1_sq, sigma2_sq,
     U1's noise s1. Given X2 only X (variance a = alpha p1) and the noises
     remain, so Var(Y2 | U2, X2) = 1 + b^2 a s2 / d2 and Var(U1 | U2, X2) =
     [a (s2 + s1 c2^2 + 2 |c2| m) + (r - m)(r + m)] / d2, d2 = c2^2 a + s2,
-    r = sqrt(s1 s2), m = |E[N1 N2*]|.
+    r = sqrt(s1 s2), m = |E[N1 N2*]|. The test-channel noises are in
+    noise units too; noise-level products are divided by n first.
     """
     al = np.asarray(alpha, dtype=float)
-    a_pow = al * ch.p1
-    q = np.sqrt(pos(1.0 - al) * ch.p1) if ch.p2 > 0 else np.zeros_like(al)
-    sp2 = math.sqrt(ch.p2)
+    u = units(ch)
+    a_pow = al * u.p1
+    q = np.sqrt(pos(1.0 - al) * u.p1) if ch.p2 > 0 else np.zeros_like(al)
+    sp2 = math.sqrt(u.p2)
     a = _real_a(ch)
     c1 = np.asarray(a if c1 is None else c1)
     if np.iscomplexobj(a):
         c1 = c1.astype(complex)
     c2 = np.asarray(ch.b if c2 is None else c2, dtype=float)
-    s1, s2 = float(sigma1_sq), float(sigma2_sq)
+    s1, s2 = float(sigma1_sq) * u.n, float(sigma2_sq) * u.n
 
     # I(Y1; U1) - I(U1; X2)
-    f1 = _f_mi(1.0, q + a * sp2, 1.0, q + c1 * sp2, a_pow, s1, clamp=False)
+    f1 = _f_mi(1.0, q + a * sp2, u.n, q + c1 * sp2, a_pow, s1, clamp=False)
 
-    var_y2 = ch.b ** 2 * a_pow + np.abs(ch.b * q + sp2) ** 2 + 1.0
+    var_y2 = ch.b ** 2 * a_pow + np.abs(ch.b * q + sp2) ** 2 + u.n
     d1, d2 = a_pow + s1, c2 ** 2 * a_pow + s2  # Var(U1 | X2), Var(U2 | X2)
-    cv_y2 = 1.0 + ch.b ** 2 * a_pow * _quot(s2, d2, 1.0)
+    cv_y2 = u.n + ch.b ** 2 * a_pow * _quot(s2, d2, 1.0)
     m2 = pos(np.log2(var_y2) - np.log2(cv_y2))
 
-    r = math.sqrt(s1 * s2)
+    r = math.sqrt(float(sigma1_sq) * float(sigma2_sq)) * u.n
     m = np.minimum(r, np.abs(c2) * a_pow)
-    cv_u1 = _quot(a_pow * (s2 + s1 * c2 ** 2 + 2.0 * np.abs(c2) * m)
-                  + (r - m) * (r + m), d2, d1)
+    cv_u1 = _quot(a_pow * ((s2 + s1 * c2 ** 2 + 2.0 * np.abs(c2) * m) / u.n)
+                  + (r - m) / u.n * (r + m), d2, d1 / u.n) * u.n
     # m2 + I(Y1; U1) - I(U1; X2) - I(U1; U2 | X2)
     ms = pos(m2 + f1 + np.log2(_quot(cv_u1, d1, 1.0)))
     return pos(f1), m2, ms
@@ -481,7 +485,7 @@ def _scheme_f_split(ch: ChannelParams, alpha, beta, gamma):
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
     ga = np.asarray(gamma, dtype=float)
-    p1, p2, a, b = ch.p1, ch.p2, _real_a(ch), ch.b
+    (p1, p2, n, _), a, b = units(ch), _real_a(ch), ch.b
 
     x2_c = np.sqrt(be * p2)
     x2_pa = np.sqrt(pos(1.0 - be) * p2)
@@ -491,12 +495,12 @@ def _scheme_f_split(ch: ChannelParams, alpha, beta, gamma):
     y1c, y1p = x1_2c + a * x2_c, x1_pa + a * x2_pa
     y2c, y2p = b * x1_2c + x2_c, b * x1_pa + x2_pa
 
-    v_y1 = np.abs(y1p) ** 2 + a_pow + 1.0  # Var(Y1 | V2c)
-    v_y2 = np.abs(y2p) ** 2 + b ** 2 * a_pow + 1.0
+    v_y1 = np.abs(y1p) ** 2 + a_pow + n  # Var(Y1 | V2c)
+    v_y2 = np.abs(y2p) ** 2 + b ** 2 * a_pow + n
     priv = x2_pa > 0.0
     # conditioning on {u2c, x2, x1c} leaves the private atom unless X2 has it
     m29c = np.log2(np.abs(y2c) ** 2 + v_y2) \
-        - np.log2(np.where(priv, 1.0, np.abs(y2p) ** 2 + 1.0))
+        - np.log2(np.where(priv, n, np.abs(y2p) ** 2 + n))
     return (a_pow, y1p, y2p, v_y1, v_y2, priv,
             np.log2(np.abs(y1c) ** 2 + v_y1), m29c)
 
@@ -513,17 +517,19 @@ def scheme_f_rates(ch: ChannelParams, alpha, beta, gamma, w):
     atom and X1c, and X2 reveals the atom wherever it has power, leaving
     Var(Y2 | U1, X2, V2c) = 1.
     """
-    return _scheme_f_bounds(ch, _scheme_f_split(ch, alpha, beta, gamma), w)
+    return _scheme_f_bounds(ch, _scheme_f_split(ch, alpha, beta, gamma),
+                            np.asarray(w) * math.sqrt(units(ch).n))
 
 
 def _scheme_f_bounds(ch: ChannelParams, split, w):
     """`scheme_f_rates` on the terms of `_scheme_f_split`."""
     a_pow, y1p, y2p, v_y1, v_y2, priv, l_y1, m29c = split
+    n = units(ch).n
     # t = 1 where U1 = 0: it conditions nothing
     t = _quot(a_pow, np.abs(w) ** 2 + a_pow, 1.0)
-    cv_y1 = 1.0 + np.abs(y1p - w) ** 2 * t  # Var(Y1 | U1, V2c)
-    cv_y2 = 1.0 + np.abs(y2p - ch.b * w) ** 2 * t
-    cv_y2x2 = np.where(priv, 1.0, cv_y2)  # Var(Y2 | U1, X2, V2c)
+    cv_y1 = n + np.abs(y1p - w) ** 2 * t  # Var(Y1 | U1, V2c)
+    cv_y2 = n + np.abs(y2p - ch.b * w) ** 2 * t
+    cv_y2x2 = np.where(priv, n, cv_y2)  # Var(Y2 | U1, X2, V2c)
 
     with np.errstate(divide="ignore"):  # t = 0: X2 determines U1
         i_u1x2 = np.where(priv, -np.log2(t), 0.0)
@@ -558,16 +564,18 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
     with w-free caps: m29c >= ms >= r1 + r2 at every vertex, and r1 <=
     min(m29a, m29b). m29b <= log2 Var(Y2 | V2c), and so is m29a <= log2
     Var(Y1 | V2c) where X2 has no private power: conditional variances are
-    >= 1. Where it has, m29a = I(U1; Y1 | V2c) - I(U1; X2 | V2c) <=
-    I(X1c; Y1 | X2, V2c) = cap(alpha p1), Costa's dirty-paper bound (IEEE
-    Trans. IT, 1983), with equality at the Costa coefficient."""
+    >= the noise (n in noise units, whose log2 is -2k). Where it has,
+    m29a = I(U1; Y1 | V2c) - I(U1; X2 | V2c) <= I(X1c; Y1 | X2, V2c) =
+    cap(alpha p1), Costa's dirty-paper bound (IEEE Trans. IT, 1983), with
+    equality at the Costa coefficient."""
     av, bv, gv = (v.ravel() for v in np.meshgrid(al, be, ga, indexing="ij"))
+    u = units(ch)
     split = _scheme_f_split(ch, av, bv, gv)
     a_pow, y1p, _, v_y1, v_y2, priv, _, m29c = split
-    # y1p: interference seen by u1c at y1 once the common primary part is known
-    w_c = _costa(a_pow, y1p)
-    r1_cap = np.minimum(np.where(priv, cap(a_pow), np.log2(v_y1)),
-                        np.log2(v_y2))
+    # Costa's amplitude for y1p, the interference u1c sees at y1 given v2c
+    w_c = a_pow * y1p / (a_pow + u.n)
+    r1_cap = np.minimum(np.where(priv, u.cap(a_pow), np.log2(v_y1) + u.k2),
+                        np.log2(v_y2) + u.k2)
 
     scales = np.linspace(0.0, 2.0, n_lambda)
     if _phase_fan(ch):
@@ -621,8 +629,8 @@ def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
 # -- time sharing and aggregates ---------------------------------------------
 
 def _tdma_cloud(ch: ChannelParams):
-    return np.array([[float(cap(ch.p1)), 0.0],
-                     [0.0, coop_sum_cap(ch.b, ch.p1, ch.p2)]])
+    u = units(ch)
+    return np.array([[float(u.cap(u.p1)), 0.0], [0.0, coop_sum_cap(ch)]])
 
 
 def tdma_inner(ch: ChannelParams) -> RateRegion:

@@ -13,7 +13,9 @@ between calls.
 
 `best_outer` intersects every bound that applies. Each bound states its
 validity regime once, in its own builder, which raises RegimeMismatch
-outside it; the composition re-tests nothing.
+outside it; the composition re-tests nothing. The closed forms read the
+channel in noise units (`util.units`); bc-pr and the transform targets
+keep their own range and raise PowerOverflow past it.
 
 Cross-term convention: every alpha-parameterized bound uses
 2*sqrt(abar * b^2 * p1 * p2), i.e. input correlation sqrt(1 - alpha),
@@ -33,21 +35,16 @@ from .errors import (InvalidTransform, PowerOverflow, RegimeMismatch,
                      SingularPreset)
 from .region import (R1_GRID_DEFAULT, Kind, RateRegion, from_boundary,
                      intersect)
-from .util import (alpha_of_r1, cap, coop_sum_cap, pos, r1_grid,
-                   scaled_powers)
+from .util import alpha_of_r1, cap, coop_sum_cap, pos, r1_grid, units
 
 _PRESETS = ("tos", "toweak", "tovs")
 
 
-def _cross(ch: ChannelParams, abar):
-    p1, p2, k = scaled_powers(ch.p1, ch.p2)
-    root = np.sqrt(np.maximum(abar, 0.0) * ch.b ** 2 * p1 * p2)
-    return np.ldexp(2.0 * root, k)
-
-
 def _sum_si(ch: ChannelParams, abar):
     """cap of the full-power cooperative sum SNR at correlation sqrt(abar)."""
-    return cap(ch.b ** 2 * ch.p1 + ch.p2 + _cross(ch, abar))
+    u = units(ch)
+    cross = 2.0 * np.sqrt(np.maximum(abar, 0.0) * ch.b ** 2 * u.p1 * u.p2)
+    return u.cap(ch.b ** 2 * u.p1 + u.p2 + cross)
 
 
 def weak_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
@@ -56,7 +53,8 @@ def weak_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
         raise RegimeMismatch("weak bound needs b <= 1")
     gx = r1_grid(ch.p1, grid)
     alpha = alpha_of_r1(gx, ch.p1)
-    r2 = _sum_si(ch, 1.0 - alpha) - cap(ch.b ** 2 * alpha * ch.p1)
+    u = units(ch)
+    r2 = _sum_si(ch, 1.0 - alpha) - u.cap(ch.b ** 2 * alpha * u.p1)
     return from_boundary(gx, pos(r2), Kind.OUTER, "weak", {"alpha": alpha})
 
 
@@ -80,8 +78,9 @@ def unified_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion:
     """
     gx = r1_grid(ch.p1, grid)
     alpha = alpha_of_r1(gx, ch.p1)
+    u = units(ch)
     b_only = _sum_si(ch, 1.0 - alpha)
-    s = b_only + pos(gx - cap(ch.b ** 2 * alpha * ch.p1))
+    s = b_only + pos(gx - u.cap(ch.b ** 2 * alpha * u.p1))
     r2 = np.minimum(b_only, s - gx)
     return from_boundary(gx, pos(r2), Kind.OUTER, "unified", {"alpha": alpha})
 
@@ -100,10 +99,10 @@ def bc_dms_degraded_outer(ch: ChannelParams,
         raise RegimeMismatch("degraded cooperative bound needs real a = 1/b, b >= 1")
     gx = r1_grid(ch.p1, grid)
     alpha = alpha_of_r1(gx, ch.p1)
-    b2p1 = ch.b ** 2 * ch.p1
-    p1, p2, k = scaled_powers(ch.p1, ch.p2)
-    cross = math.ldexp(2.0 * math.sqrt(ch.b ** 2 * p1 * p2), k)
-    r2_bc = cap((ch.p2 + (1.0 - alpha) * b2p1 + cross) / (1.0 + alpha * ch.p1))
+    u = units(ch)
+    b2p1 = ch.b ** 2 * u.p1
+    cross = 2.0 * math.sqrt(ch.b ** 2 * u.p1 * u.p2)
+    r2_bc = cap((u.p2 + (1.0 - alpha) * b2p1 + cross) / (u.n + alpha * u.p1))
     r2_sum = _sum_si(ch, 1.0 - alpha) - gx
     return from_boundary(gx, pos(np.minimum(r2_bc, r2_sum)), Kind.OUTER,
                          "bc-dms-deg", {"alpha": alpha})
@@ -121,11 +120,11 @@ def bc_dms_s_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegion
     gx = r1_grid(ch.p1, grid)
     alpha = alpha_of_r1(gx, ch.p1)
     abar = 1.0 - alpha
-    b2p1 = ch.b ** 2 * ch.p1
-    den = 1.0 + alpha * ch.p1
-    p1, p2, k = scaled_powers(ch.p1, ch.p2)
-    cross = np.ldexp(2.0 * np.sqrt(abar * (ch.b ** 2 * p1) * p2 / den), k)
-    r2_bc = cap(ch.p2 + b2p1 * abar / den + cross)
+    u = units(ch)
+    b2p1 = ch.b ** 2 * u.p1
+    den = u.n + alpha * u.p1  # n / den is unit-free
+    cross = 2.0 * np.sqrt(abar * b2p1 * u.p2 * u.n / den)
+    r2_bc = u.cap(u.p2 + b2p1 * abar * u.n / den + cross)
     r2_sum = _sum_si(ch, abar) - gx
     return from_boundary(gx, pos(np.minimum(r2_bc, r2_sum)), Kind.OUTER,
                          "bc-dms-s", {"alpha": alpha})
@@ -140,9 +139,10 @@ def pl_si_points(ch: ChannelParams) -> dict:
     B: (cap(p1), sum - cap(p1)) on the relaxed bound.
     C: the strong-bound corner sharing B's r1 coordinate.
     """
-    c_p1 = float(cap(ch.p1))
-    coop = coop_sum_cap(ch.b, ch.p1, ch.p2)
-    c_pt = (c_p1, float(cap(ch.b ** 2 * ch.p1 + ch.p2)) - c_p1)
+    u = units(ch)
+    c_p1 = float(u.cap(u.p1))
+    coop = coop_sum_cap(ch)
+    c_pt = (c_p1, float(u.cap(ch.b ** 2 * u.p1 + u.p2)) - c_p1)
     return {"A": (0.0, coop), "B": (c_p1, coop - c_p1), "C": c_pt}
 
 
@@ -152,7 +152,7 @@ def piecewise_linear_outer(ch: ChannelParams,
     if ch.b <= 1.0:
         raise RegimeMismatch("piecewise-linear bound needs b > 1")
     gx = r1_grid(ch.p1, grid)
-    r2 = pos(coop_sum_cap(ch.b, ch.p1, ch.p2) - gx)
+    r2 = pos(coop_sum_cap(ch) - gx)
     return from_boundary(gx, r2, Kind.OUTER, "pl-si")
 
 
@@ -226,7 +226,8 @@ def _bc_support(ch: ChannelParams, theta) -> np.ndarray:
     Every delta gives a valid bound (at p1 = 0 or p2 = 0, a limit of
     valid ones), so the minimum over the finite set searched here is one.
     A delta whose SNRs overflow a double, as the outer ones do near
-    p = 1e300, is left out of it (reads +inf).
+    p = 1e300, is left out of it (reads +inf); r^2, of degree two in P,
+    is beyond noise units at p = 1e308.
     """
     mu1, mu2 = np.cos(theta), np.sin(theta)
     hi2 = (mu2 >= mu1)[:, None]
@@ -361,7 +362,8 @@ def capacity_region(ch: ChannelParams, grid: int = R1_GRID_DEFAULT) -> RateRegio
         raise RegimeMismatch("capacity unknown for this channel")
     if rep.capacity_known is CapacityResult.Z_TRIVIAL:
         gx = r1_grid(ch.p1, grid)
-        return from_boundary(gx, np.full(gx.shape, float(cap(ch.p2))),
+        u = units(ch)
+        return from_boundary(gx, np.full(gx.shape, float(u.cap(u.p2))),
                              Kind.OUTER, "capacity")
     if rep.capacity_known is CapacityResult.WEAK:
         return weak_outer(ch, grid)
@@ -380,8 +382,9 @@ def _member(reg: RateRegion, rid: str) -> RateRegion:
 
 
 # best_outer's direct members, in intersection order; each raises
-# RegimeMismatch where it does not apply
+# RegimeMismatch where it does not apply, bc-pr PowerOverflow past its range
 _DIRECT = (unified_outer, bc_dms_degraded_outer, bc_dms_s_outer, bc_pr_outer)
+_LEFT_OUT = (RegimeMismatch, PowerOverflow)
 
 
 def _direct_members(ch: ChannelParams, grid: int) -> list[RateRegion]:
@@ -390,7 +393,7 @@ def _direct_members(ch: ChannelParams, grid: int) -> list[RateRegion]:
     for build in _DIRECT:
         try:
             members.append(build(ch, grid))
-        except RegimeMismatch:
+        except _LEFT_OUT:
             continue
     return members
 
@@ -422,11 +425,13 @@ def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
     transformation preset, the capacity region of its target, left out
     where the preset does not apply or the target's capacity is unknown:
     each raises a RegimeMismatch (SingularPreset and InvalidTransform are
-    its subclasses).
+    its subclasses). A member that raises PowerOverflow (bc-pr, or a
+    preset target past the double range, near p = 1e308) is left out too.
 
     Every member is an upper bound by construction, so the intersection
-    is one too. The direct members are evaluated exactly on the r1 nodes
-    of `r1_grid(ch.p1, grid)`, the transform members on their target's.
+    is one too, and so is one with a member fewer. The direct members are
+    evaluated exactly on the r1 nodes of `r1_grid(ch.p1, grid)`, the
+    transform members on their target's.
     Bounds that provably never bind are left out: for b > 1,
     `unified_outer` is `strong_outer` (r1 = cap(alpha p1) <= cap(b^2 alpha
     p1) zeroes its positive part), and `piecewise_linear_outer`,
@@ -434,11 +439,12 @@ def best_outer(ch: ChannelParams, grid: int = R1_GRID_DEFAULT,
     `extra_floor` is accepted for existing callers and ignored: every
     member is an upper bound already, so nothing needs a floor.
     """
+    units(ch)  # huge gains raise here, not as an empty intersection
     bounds = _direct_members(ch, grid)
     for preset in _PRESETS:
         try:
             reg = capacity_region(_preset_target(ch, preset), grid)
-        except RegimeMismatch:
+        except _LEFT_OUT:
             continue
         bounds.append(_member(reg, f"transform:{preset}"))
     return _member(intersect(bounds), "best")

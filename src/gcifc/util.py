@@ -1,10 +1,13 @@
-"""Small shared numerics: Shannon cap function and friends. Bits throughout."""
+"""Shared numerics: Shannon cap, noise units and friends. Bits throughout."""
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import PowerOverflow
 
 
 def cap(x):
@@ -12,19 +15,53 @@ def cap(x):
     return np.log2(1.0 + np.maximum(x, 0.0))
 
 
-def coop_sum_cap(b: float, p1: float, p2: float) -> float:
-    """cap((sqrt(b^2 p1) + sqrt(p2))^2), the full-cooperation sum rate, as
-    a float: bit-identical to it where finite, with b sqrt(p1) where b^2 p1
-    overflows and 2 log2(s) + log2(1 + s^-2) where the square s^2 does."""
-    # as Python floats: b ** 2 raises OverflowError past b = 1.3e154, and
-    # b^2 p1 overflows to inf, neither with a numpy warning
-    b, p1, p2 = float(b), float(p1), float(p2)
-    root = math.sqrt(b ** 2 * p1) if b < 1e154 else math.inf
-    s = (root if root < math.inf else b * math.sqrt(p1)) + math.sqrt(p2)
-    try:
-        return float(cap(s ** 2))
-    except OverflowError:
-        return 2.0 * math.log2(s) + math.log2(1.0 + s ** -2)
+class Units(NamedTuple):
+    """A channel in noise units: its powers p1 2^-2k and p2 2^-2k, the
+    noise variance n = 2^-2k, and k2 = 2k."""
+
+    p1: float
+    p2: float
+    n: float
+    k2: int
+
+    def cap(self, x):
+        """cap(x / n) of a power x in noise units: log2(n + x) + 2k."""
+        return np.log2(self.n + np.maximum(x, 0.0)) + self.k2
+
+    def power(self, x, degree: int = 1):
+        """x 2^(2k degree): a value of that degree in the powers, unscaled."""
+        with np.errstate(over="ignore"):
+            return np.ldexp(x, degree * self.k2)
+
+
+def units(ch) -> Units:
+    """The channel (a, b, p1, p2) in noise units. A rate depends on the
+    SNRs only (Cover and Thomas, ch. 9), so every closed form reads the
+    powers and the unit noise scaled by one power of two, 2^-2k, which is
+    exact (Higham, Accuracy and Stability of Numerical Algorithms, §2).
+    With max(p1, p2) < 2^e and g = max(1, |a|, b) < 2^f, k = 0 where
+    e + 2f <= 510, else the least k with e + 2f - 2k <= 510; where k = 0
+    the closed forms keep the plain formulas' bits (they multiply or
+    divide by n = 1 and add 2k = 0). The largest terms, p1 p2 |1 - a b|^2
+    <= 4 (p1 g^2)(p2 g^2) < 2^1022 and scheme E's |b w - u2|^2 <= 16 g^4 p
+    < 2^(514 + 2f), are finite while f <= 254, and then n >= 2^-1022;
+    noise-level products divide by n first. Larger gains raise
+    PowerOverflow. A power below 2^(2k - 1074) reads as 0, with the rates
+    it carried: under 1e-299 bits at (0, 1.5, 1e308, 1e-300).
+    """
+    g = max(1.0, abs(ch.a), ch.b)
+    if g >= 2.0 ** 254:
+        raise PowerOverflow("a gain past 2^254 leaves no exact scale")
+    e = math.frexp(max(ch.p1, ch.p2))[1] + 2 * math.frexp(g)[1]
+    k2 = 2 * max(0, (e - 509) // 2)
+    return Units(math.ldexp(ch.p1, -k2), math.ldexp(ch.p2, -k2),
+                 math.ldexp(1.0, -k2), k2)
+
+
+def coop_sum_cap(ch) -> float:
+    """cap((sqrt(b^2 p1) + sqrt(p2))^2), the full-cooperation sum rate."""
+    u = units(ch)
+    return float(u.cap((math.sqrt(ch.b ** 2 * u.p1) + math.sqrt(u.p2)) ** 2))
 
 
 def pos(x):
@@ -44,18 +81,6 @@ def alpha_of_r1(x, p1: float):
     a = (np.exp2(np.asarray(x, dtype=float)) - 1.0) / p1
     a = np.where(a > 1.0 - 1e-12, 1.0, a)
     return np.clip(a, 0.0, 1.0)
-
-
-def scaled_powers(p1: float, p2: float):
-    """(p1 2^-k, p2 2^-k, k), with k = 0 unless p1 p2 passes about 2^1000.
-
-    sqrt(c p1 p2) = 2^k sqrt(c p1' p2'), and scaling by a power of two is
-    exact, so the rescaled root is bit-identical wherever p1 p2 is finite
-    and stays finite where the product would overflow.
-    """
-    e = math.frexp(p1)[1] + math.frexp(p2)[1]
-    k = e // 2 if e > 1000 else 0
-    return math.ldexp(p1, -k), math.ldexp(p2, -k), k
 
 
 def r1_grid(p1: float, grid: int):

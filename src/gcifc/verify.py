@@ -18,7 +18,7 @@ from .channel import (CapacityResult, ChannelParams, classify,
 from .errors import RegimeMismatch  # noqa: F401 (re-exported)
 from . import inner, outer, region
 from .region import RateRegion, from_pareto_points
-from .util import cap, coop_sum_cap, pos, scaled_powers
+from .util import cap, coop_sum_cap, pos, units
 
 CAPACITY_TOL_BITS = 1e-4
 SOUNDNESS_TOL_BITS = 1e-6
@@ -74,11 +74,10 @@ ATLAS_CSV_HEADER = "a_re,a_im,b,label,margin_5,margin_31a,margin_31b,gap"
 
 
 def _var1(ch: ChannelParams, alpha):
-    """p1 + |a|^2 p2 + 2 Re{a} sqrt((1 - alpha) p1 p2), the root taken by
-    `scaled_powers`, so it is finite wherever the sum is."""
-    p1, p2, k = scaled_powers(ch.p1, ch.p2)
-    root = np.sqrt(pos(1.0 - np.asarray(alpha, dtype=float)) * p1 * p2)
-    return ch.p1 + abs(ch.a) ** 2 * ch.p2 + np.ldexp(2.0 * ch.a.real * root, k)
+    """p1 + |a|^2 p2 + 2 Re{a} sqrt((1 - alpha) p1 p2) in noise units."""
+    u = units(ch)
+    root = np.sqrt(pos(1.0 - np.asarray(alpha, dtype=float)) * u.p1 * u.p2)
+    return u.p1 + abs(ch.a) ** 2 * u.p2 + 2.0 * ch.a.real * root
 
 
 def q_alpha(ch: ChannelParams, alpha):
@@ -87,16 +86,16 @@ def q_alpha(ch: ChannelParams, alpha):
     q(alpha) = p2 |1-a b|^2 (alpha p1 + 1)
              - (b^2-1)(p1 + |a|^2 p2 + 2 Re{a} sqrt(abar p1 p2) + 1).
     Nonnegative on [0, 1] iff the primary-decodes-cognitive conditions
-    hold; concave in alpha (quadratic in sqrt(1 - alpha)).
+    hold; concave in alpha (quadratic in sqrt(1 - alpha)). Quadratic in
+    the powers with the unit noise n as a power, so it is evaluated in
+    noise units and reads +-inf past the double range.
     """
     al = np.asarray(alpha, dtype=float)
+    u = units(ch)
     d = abs(1.0 - ch.a * ch.b) ** 2
-    # p2 |1-ab|^2 (alpha p1 + 1) on p2 scaled by `scaled_powers`' exact
-    # power of two: bit-identical where finite, +inf past the double range
-    _, p2, k = scaled_powers(ch.p1, ch.p2)
-    with np.errstate(over="ignore"):
-        lead = np.ldexp(p2 * d * (al * ch.p1 + 1.0), k)
-    return lead - (ch.b ** 2 - 1.0) * (_var1(ch, al) + 1.0)
+    q = (u.p2 * d * (al * u.p1 + u.n)
+         - (ch.b ** 2 - 1.0) * u.n * (_var1(ch, al) + u.n))
+    return u.power(q, 2)
 
 
 def random_channels(n: int, seed: int, complex_a: bool = False):
@@ -155,8 +154,9 @@ def check_capacity(ch: ChannelParams) -> TheoremReport:
 
 def scheme_c_alpha_gap(ch: ChannelParams, alpha):
     """Per-split shortfall of the double-binning strategy (bits)."""
+    u = units(ch)
     var1 = _var1(ch, alpha)
-    return np.log2(1.0 + var1 / (1.0 + var1))
+    return np.log2(1.0 + var1 / (u.n + var1))
 
 
 def check_additive_gap(ch: ChannelParams) -> TheoremReport:
@@ -197,8 +197,9 @@ def check_multiplicative_gap(ch: ChannelParams) -> TheoremReport:
 def _table_rows(ch: ChannelParams):
     """(row_id, applies, inner_region, outer_region) per constant-gap row."""
     rep = classify(ch)
-    b2p1 = ch.b ** 2 * ch.p1
-    peq_pt = (0.0, coop_sum_cap(ch.b, ch.p1, ch.p2))
+    u = units(ch)
+    b2p1 = ch.b ** 2 * u.p1
+    peq_pt = (0.0, coop_sum_cap(ch))
     rows = []
 
     if ch.b > 1.0:
@@ -207,8 +208,8 @@ def _table_rows(ch: ChannelParams):
                      region.union([inner.scheme_e(ch, lambda_policy="costa1"),
                                    inner.tdma_inner(ch)]), so))
 
-        applies2 = b2p1 <= ch.p2
-        pts = [peq_pt, (0.0, float(cap(ch.p2)))]
+        applies2 = b2p1 <= u.p2
+        pts = [peq_pt, (0.0, float(u.cap(u.p2)))]
         if ch.a.real <= 1.0 / ch.b and ch.p1 > 1.0:
             lam = ch.a * (ch.p1 - math.sqrt(ch.p1)) / (ch.p1 + 1.0)
             f1, r2, ss = inner.scheme_e_rates(ch, 1.0, lam)
@@ -221,19 +222,19 @@ def _table_rows(ch: ChannelParams):
                      from_pareto_points(pts), so))
 
         al4 = 1.0 / max(ch.p1, 1.0)  # min(1, 1 / p1); at p1 = 0 the origin
-        a_pt = (float(cap((1 - al4) * ch.p1 / (1 + al4 * ch.p1))),
-                float(cap(al4 * b2p1)))
-        rows.append(("broadcast-strong", b2p1 > ch.p2,
+        a_pt = (float(cap((1 - al4) * u.p1 / (u.n + al4 * u.p1))),
+                float(u.cap(al4 * b2p1)))
+        rows.append(("broadcast-strong", b2p1 > u.p2,
                      from_pareto_points([peq_pt, a_pt]), so))
 
-        ssum = min(float(cap(ch.p1 + abs(ch.a) ** 2 * ch.p2)),
-                   float(cap(b2p1 + ch.p2)))
-        d_pt = (min(float(cap(ch.p1)), ssum),
-                max(ssum - float(cap(ch.p1)), 0.0))
-        rows.append(("interference-strip", abs(ch.a) >= 1.0 and b2p1 <= ch.p2,
+        c_p1 = float(u.cap(u.p1))
+        ssum = min(float(u.cap(u.p1 + abs(ch.a) ** 2 * u.p2)),
+                   float(u.cap(b2p1 + u.p2)))
+        d_pt = (min(c_p1, ssum), max(ssum - c_p1, 0.0))
+        rows.append(("interference-strip", abs(ch.a) >= 1.0 and b2p1 <= u.p2,
                      from_pareto_points([peq_pt, d_pt]), so))
     else:
-        rows.append(("broadcast-weak", b2p1 > ch.p2,
+        rows.append(("broadcast-weak", b2p1 > u.p2,
                      inner.scheme_a(ch), outer.weak_outer(ch)))
     return rows
 

@@ -400,6 +400,20 @@ def test_library_error_exit3(capsys, channel, rid, error):
     assert err.startswith(f"error: {error}: ")
 
 
+@pytest.mark.parametrize("rid", ["e:costa1", "outer:best"])
+def test_region_past_the_double_range(capsys, rid):
+    """At p1 = p2 = 1e308 scheme E and the composed outer bound build in
+    noise units (best_outer leaves out bc-pr and the transform members,
+    whose doubles overflow): exit 0 with a finite table and no warning."""
+    code, out, err = run(["region", "--ids", rid, "--a", "0.5", "--b", "1.5",
+                          "--p1", "1e308", "--p2", "1e308"], capsys)
+    assert code == 0 and err == ""
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows and all(math.isfinite(float(v)) for row in rows
+                        for v in row[:2])
+
+
 def test_gnuplot_needs_csv_files(tmp_path, capsys):
     """--gnuplot writes a script next to CSV files: without --out, or with
     --format json, it is a usage error and nothing is written."""

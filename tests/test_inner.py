@@ -11,7 +11,7 @@ import pytest
 from gcifc import gaussmi, inner, outer, region
 from gcifc.channel import ChannelParams
 from gcifc.errors import DegenerateDenominator, GcifcError
-from gcifc.util import cap
+from gcifc.util import cap, units
 from gcifc.verify import random_channels
 from conftest import (EDGE_CHANNELS, HUGE_CHANNELS, channel_draw,
                       scheme_c_system, scheme_d_system, scheme_e_system,
@@ -122,7 +122,9 @@ class TestFDpc:
         for s1 in (0.25, 1.0):
             for c1 in (-1.0, ch.a.real, 0.8):
                 inner.scheme_c_rates(ch, al, s1, 1.0, c1=c1)
-        assert {c[5] for c in calls} == {0.0, 0.25, 1.0}
+        # U1's noise s1 in noise units
+        n = units(ch).n
+        assert {c[5] for c in calls} == {0.0, 0.25 * n, n}
 
         worst = 0.0
         for c1, u2, sigma_sq, w, a_pow, su_sq in calls:
@@ -498,13 +500,23 @@ def test_largest_clouds_are_streamed(build, bound_mb):
     assert peak < bound_mb * 2 ** 20
 
 
+# p1 = p2 = 1e308, where the beamforming SNR and b^2 p1 pass the double
+# range, and p2 = 1e-300 beside p1 = 1e308, which underflows in noise units
+_P1E308_CHANNELS = [
+    ("p=1e308", ChannelParams(0.5, 1.5, 1e308, 1e308)),
+    ("b=1-p=1e308", ChannelParams(0.5, 1.0, 1e308, 1e308)),
+    ("weak-p=1e308", ChannelParams(0.5, 0.5, 1e308, 1e308)),
+    ("complex-p=1e308", ChannelParams(-0.6 + 0.2j, 1.7, 1e308, 1e308)),
+    ("s-p=(1e308,1e-300)", ChannelParams(0.0, 1.5, 1e308, 1e-300)),
+]
+
 _BOX_CHANNELS = (
     [pytest.param(ch, id=f"real{k}")
      for k, ch in enumerate(random_channels(40, 42))]
     + [pytest.param(ch, id=f"complex{k}")
        for k, ch in enumerate(random_channels(10, 42, complex_a=True))]
     + [pytest.param(ch, id=name)
-       for name, ch in EDGE_CHANNELS + HUGE_CHANNELS]
+       for name, ch in EDGE_CHANNELS + HUGE_CHANNELS + _P1E308_CHANNELS]
     + [pytest.param(ChannelParams(0.5 + 0.5j, 1.5, 1e160, 1e160),
                     id="complex-p=1e160"),
        pytest.param(ChannelParams(3.0, 0.2, 1e12, 1e-3), id="p1=1e12")])
@@ -514,11 +526,15 @@ _BOX_CHANNELS = (
 def test_best_inner_lies_in_the_tdma_box(ch):
     """No scheme beats the solo cognitive rate or the beamforming sum rate:
     best_inner has r1_max <= cap(p1) and r2(0) <= cap(peq), within 1e-12
-    relative, huge powers included."""
+    relative, huge powers included (cap(peq) in 50 digits, as peq can
+    pass the double range)."""
+    import mpmath
     bi = inner.best_inner(ch)
-    peq = (math.sqrt(ch.b ** 2 * ch.p1) + math.sqrt(ch.p2)) ** 2
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    peq = (mp.sqrt(mp.mpf(ch.b) ** 2 * ch.p1) + mp.sqrt(ch.p2)) ** 2
     assert bi.r1_max <= float(cap(ch.p1)) * (1.0 + 1e-12)
-    assert bi.r2[0] <= float(cap(peq)) * (1.0 + 1e-12)
+    assert bi.r2[0] <= float(mp.log(1 + peq, 2)) * (1.0 + 1e-12)
 
 
 # p1 = p2 = 1e308: the beamforming SNR (sqrt(b^2 p1) + sqrt(p2))^2 passes
@@ -546,14 +562,22 @@ _HUGER_CHANNELS = [
     ("complex-p=1e300", ChannelParams(0.5 + 0.5j, 1.5, 1e300, 1e300)),
 ]
 
+# with complex a the Costa amplitude is a complex division, rounded as a
+# product by a reciprocal, so past an SNR of about 1e32 the cancellation
+# c1 w - u2 in `_f_mi` is rounding noise at Costa's coefficient: here
+# e:costa1 stops 2.4e-5 bits short of cap(p1), at any scale
+_COSTA_SHORT = [ChannelParams(-0.6 + 0.2j, 1.7, 1e308, 1e308)]
+
 
 @pytest.mark.parametrize("ch", [pytest.param(ch, id=name) for name, ch
-                                in HUGE_CHANNELS + _HUGER_CHANNELS])
+                                in HUGE_CHANNELS + _HUGER_CHANNELS
+                                + _P1E308_CHANNELS])
 def test_huge_powers_build_finite_regions(ch):
     """Every public builder either raises a typed error for the channel's
     regime or returns a finite region, with no numpy warning, scheme E's
-    costa1 pre-coding reaches r1 = cap(p1), and best_inner lies inside
-    best_outer."""
+    costa1 pre-coding reaches r1 = cap(p1), best_inner lies inside
+    best_outer, and every verification check runs and holds."""
+    from gcifc import verify
     from gcifc.cli import BUILDERS
     builds = {rid: build for rid, (_, build) in BUILDERS.items()}
     builds["capacity"] = outer.capacity_region
@@ -564,11 +588,17 @@ def test_huge_powers_build_finite_regions(ch):
         except GcifcError:
             continue
         assert np.all(np.isfinite(reg.r1)) and np.all(np.isfinite(reg.r2)), name
-    assert regions["e:costa1"].r1_max == pytest.approx(float(cap(ch.p1)),
-                                                       rel=1e-12)
+    if ch not in _COSTA_SHORT:
+        assert regions["e:costa1"].r1_max == pytest.approx(
+            float(cap(ch.p1)), rel=1e-12)
     ok, viol = region.contains(regions["outer:best"], regions["inner:best"],
                                1e-9)
     assert ok, viol[:3]
+    for check in (verify.check_soundness, verify.check_capacity,
+                  verify.check_additive_gap, verify.check_multiplicative_gap,
+                  verify.check_table3):
+        rep = check(ch)
+        assert rep.holds, (rep.theorem_id, rep.worst_violation)
 
 
 def _members(ch):
@@ -809,7 +839,7 @@ def test_scheme_f_rows_lie_in_their_polygons(ch):
     block = next(b for b in _f_blocks(ch) if _interior(b))
     first, src_of = block.rows(np.arange(block.r1_cap.size))
     split = inner._scheme_f_split(ch, *_f_triples(ch))
-    w_c = inner._costa(split[0], split[1])
+    w_c = split[0] * split[1] / (split[0] + units(ch).n)  # Costa's amplitude
     scales = np.linspace(0.0, 2.0, 41)
     if inner._phase_fan(ch):
         scales = np.outer(scales, np.exp(1j * np.linspace(-np.pi / 2,
@@ -951,7 +981,7 @@ def test_scheme_e_rows_lie_in_their_polygons(ch, monkeypatch):
     for name, blocks, al, base, scales in _e_streams(ch):
         u1, u2 = inner._scheme_e_amplitudes(ch, al)
         whole = inner._rect_sum_vertices(*inner._scheme_e_bounds(
-            ch, al * ch.p1, u1, u2, np.multiply.outer(scales, base)))
+            ch, al * units(ch).p1, u1, u2, np.multiply.outer(scales, base)))
         seen = []
         for block in blocks:
             n = block.r1_cap.size

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNS = [
     ("lambda_tradeoff.py", ["--n", "11", "--out", "lam.csv"],
      {"lam.csv": "lambda,r1_bound,r2_bound"}),
-    ("inner_digests.py", ["--n", "2", "--out", "digests.csv"],
+    ("region_digests.py", ["--n", "2", "--out", "digests.csv"],
      {"digests.csv": "id,channel,digest,warnings,exception"}),
 ]
 

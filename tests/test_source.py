@@ -102,3 +102,36 @@ def test_the_check_sees_an_unread_private_name(tmp_path):
     b.write_text("from .a import _TABLE\nimport a\nprint(a._Y)\n")
     assert _unread_private([a, b]) == ["a.py: _Gone (line 12)",
                                        "a.py: _left (line 8)"]
+
+
+def _scale_calls(path: Path) -> list[str]:
+    """Calls of ldexp or frexp in a module, with their lines, outside
+    `util.py` (which owns the noise-unit scale) and `outer._mac_max`
+    (bc-pr's log-domain kernel)."""
+    if path.name == "util.py":
+        return []
+    tree = ast.parse(path.read_text())
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_mac_max" \
+                and path.name == "outer.py":
+            skip.update(id(n) for n in ast.walk(node))
+    return sorted(f"{path.name}: {name} (line {node.lineno})"
+                  for node in ast.walk(tree) if id(node) not in skip
+                  for name in [getattr(node, "attr", getattr(node, "id", ""))]
+                  if name in ("ldexp", "frexp"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_scale_decision_lives_in_util(path):
+    assert _scale_calls(path) == []
+
+
+def test_the_scale_check_sees_a_stray_ldexp(tmp_path):
+    mod = tmp_path / "outer.py"
+    mod.write_text("import math\nfrom numpy import frexp\n\n"
+                   "def _mac_max(x):\n    return math.ldexp(x, 1)\n\n"
+                   "def f(x):\n    return math.ldexp(x, -1), frexp(x)\n")
+    assert _scale_calls(mod) == ["outer.py: frexp (line 8)",
+                                 "outer.py: ldexp (line 8)"]

@@ -8,7 +8,7 @@ from gcifc.channel import (CapacityResult, ChannelParams, classify,
                            pdc_margins, s_channel_thresholds)
 from gcifc import inner, outer, region, verify
 from gcifc.errors import GcifcError
-from gcifc.util import cap
+from gcifc.util import cap, units
 from conftest import EDGE_CHANNELS, HUGE_CHANNELS, channel_draw
 
 
@@ -322,8 +322,10 @@ def test_q_alpha_keeps_its_sign_past_the_double_range(ch):
     assert not np.any(np.isnan(q))
     d = abs(1.0 - ch.a * ch.b) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
+        # _var1 is in noise units: scaled back exactly
+        var1 = np.ldexp(verify._var1(ch, al), units(ch).k2)
         plain = (ch.p2 * d * (al * ch.p1 + 1.0)
-                 - (ch.b ** 2 - 1.0) * (verify._var1(ch, al) + 1.0))
+                 - (ch.b ** 2 - 1.0) * (var1 + 1.0))
     fin = np.isfinite(plain)
     assert np.array_equal(q[fin], plain[fin])
     mp = mpmath.mp.clone()
