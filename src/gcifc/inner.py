@@ -18,9 +18,9 @@ n in place of each unit noise.
 
 Each scheme of `best_inner` is a private point cloud (an array, or an
 iterator of blocks for the large E and F sweeps) behind a public
-builder. `best_inner` chains the clouds into one envelope: TDMA,
-A, B, C, D, F, and then E only where its phase fan applies, since
-scheme F's beta = gamma = 0 face is scheme E's real-scale sweep.
+builder. `best_inner` streams A, B, C, F, and E only where its phase fan
+applies, into one envelope: TDMA's corners are rows of B, and F's faces
+are D's cloud and E's real-scale sweep.
 
 F's interior fans and all of E's rows (its sweep, its fixed coefficients
 and F's beta = gamma = 0 face) reach the envelope as `GroupBlock`s:
@@ -33,8 +33,8 @@ the run's point nearest the Costa vertex t = cos(phi)).
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,7 +45,8 @@ from .errors import DegenerateDenominator
 from .region import (R1_GRID_DEFAULT, GroupBlock, RateRegion,
                      from_pareto_points)
 from .region import union  # noqa: F401 (perfbench's tracer test reads it)
-from .util import alpha_of_r1, cap, coop_sum_cap, pos, r1_grid, units
+from .util import (alpha_of_r1, cap, coop_sum_cap, pos, r1_grid, root_ratio,
+                   units)
 
 # test-channel noise variances (sigma1^2, sigma2^2) of the binning schemes
 _SIGMA_PAIRS = ((1.0, 0.0), (1.0, 1.0))
@@ -68,12 +69,15 @@ class DpcInfo:
 
 
 def lambda_costa(h: complex, sigma_sq: float, alpha: float, p1: float) -> complex:
-    """Rate-maximizing pre-coding coefficient alpha*p1*h/(alpha*p1 + sigma^2)."""
-    a_pow = alpha * p1
-    den = a_pow + sigma_sq
+    """Rate-maximizing pre-coding coefficient alpha*p1*h/(alpha*p1 + sigma^2),
+    in the noise units of power p1 (`util.units`), the fraction first: h
+    alone may be near the double range."""
+    u = units(ChannelParams(0.0, 0.0, p1, 0.0))
+    a_pow = alpha * u.p1
+    den = a_pow + sigma_sq * u.n
     if den <= 0.0:
         raise DegenerateDenominator("alpha*p1 + sigma_sq must be positive")
-    return a_pow * h / den
+    return a_pow / den * h
 
 
 def _f_mi(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp: bool = True):
@@ -102,24 +106,25 @@ def _f_mi(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp: bool = True):
 
 def f_dpc(h: complex, sigma_sq: float, lam: complex, alpha, p1: float,
           p2: float):
-    """Pre-coded rate residual f(h, sigma^2; lambda), clamped at zero."""
-    a_pow = np.asarray(alpha, dtype=float) * p1
-    sp2 = math.sqrt(p2)
-    return _f_mi(1.0, h * sp2, sigma_sq, np.asarray(lam) * sp2, a_pow)
+    """Pre-coded rate residual f(h, sigma^2; lambda), clamped at zero, in
+    the noise units of the powers p1, p2 (`util.units`)."""
+    u = units(ChannelParams(0.0, 0.0, p1, p2))
+    a_pow = np.asarray(alpha, dtype=float) * u.p1
+    sp2 = math.sqrt(u.p2)
+    return _f_mi(1.0, h * sp2, sigma_sq * u.n, np.asarray(lam) * sp2, a_pow)
 
 
 def dpc_info(ch: ChannelParams, alpha: float) -> DpcInfo:
     """Both Costa coefficients at a power split, plus f at the maximizer."""
-    abar = 1.0 - alpha
     if ch.p2 <= 0.0:
         raise DegenerateDenominator("pre-coding needs p2 > 0")
-    h1 = ch.a + math.sqrt(abar * ch.p1 / ch.p2)
+    coop = root_ratio((1.0 - alpha) * ch.p1, ch.p2)
+    h1 = ch.a + coop
     lc1 = lambda_costa(h1, 1.0, alpha, ch.p1)
     if ch.b <= 0.0:
         lc2 = 0.0 + 0.0j
     else:
-        h2 = 1.0 / ch.b + math.sqrt(abar * ch.p1 / ch.p2)
-        lc2 = lambda_costa(h2, 1.0 / ch.b ** 2, alpha, ch.p1)
+        lc2 = lambda_costa(1.0 / ch.b + coop, 1.0 / ch.b ** 2, alpha, ch.p1)
     fval = float(f_dpc(h1, 1.0, lc1, alpha, ch.p1, ch.p2))
     return DpcInfo(lc1, lc2, fval)
 
@@ -305,11 +310,22 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
     return _scheme_e_blocks(ch, al, base, lin, phases), params
 
 
+def _costa(a_pow, amp, n):
+    """Costa's amplitude a_pow amp / (a_pow + n). A complex amp is scaled by
+    the real fraction, each part as a real number (numpy would divide by a
+    reciprocal): past an SNR of 2^53 the fraction is 1, so c1 w - amp in
+    `_f_mi` is exact. A real amp keeps the plain quotient and its bits; at
+    SNRs of 1e100 and more it is 1 ulp off amp on some splits, where the
+    rate reads hundreds of bits low."""
+    if not np.iscomplexobj(amp):
+        return a_pow * amp / (a_pow + n)
+    return a_pow / (a_pow + n) * amp
+
+
 def _scheme_e_costa1(ch: ChannelParams, al):
     """The costa1 amplitude per split, Costa's a_pow u1 / (a_pow + n)."""
     u = units(ch)
-    a_pow = al * u.p1
-    return a_pow * _scheme_e_amplitudes(ch, al)[0] / (a_pow + u.n)
+    return _costa(al * u.p1, _scheme_e_amplitudes(ch, al)[0], u.n)
 
 
 # consecutive pre-coding scales per group of scheme E's sweep
@@ -376,9 +392,9 @@ def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
         # a clipped peak is a row's own scale: the cap is that row's f1
         peak = np.clip(phases[ray, None].real, lin[t_lo], lin[t_lo + size - 1])
         w = np.multiply.outer(peak * phases[ray, None], base)
-        yield GroupBlock(0, partial(rows, ray, lo, size, runs),
+        yield GroupBlock(partial(rows, ray, lo, size, runs),
                          _f_mi(1.0, u1, u.n, w, a_pow).ravel(),
-                         np.tile(ssum, ray.size * runs), 2 * pairs)
+                         np.tile(ssum, ray.size * runs))
 
 
 def scheme_e(ch: ChannelParams, alpha_grid=None,
@@ -567,13 +583,16 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
     >= the noise (n in noise units, whose log2 is -2k). Where it has,
     m29a = I(U1; Y1 | V2c) - I(U1; X2 | V2c) <= I(X1c; Y1 | X2, V2c) =
     cap(alpha p1), Costa's dirty-paper bound (IEEE Trans. IT, 1983), with
-    equality at the Costa coefficient."""
+    equality at the Costa coefficient. The faces: beta = gamma = 1 with no
+    pre-coding is scheme D, streamed as D's own cloud (either sign of rho,
+    all achievable); beta = gamma = 0 is scheme E, as E's grouped blocks
+    on its split grid at real scales of its costa1 amplitude."""
     av, bv, gv = (v.ravel() for v in np.meshgrid(al, be, ga, indexing="ij"))
     u = units(ch)
     split = _scheme_f_split(ch, av, bv, gv)
     a_pow, y1p, _, v_y1, v_y2, priv, _, m29c = split
     # Costa's amplitude for y1p, the interference u1c sees at y1 given v2c
-    w_c = a_pow * y1p / (a_pow + u.n)
+    w_c = _costa(a_pow, y1p, u.n)
     r1_cap = np.minimum(np.where(priv, u.cap(a_pow), np.log2(v_y1) + u.k2),
                         np.log2(v_y2) + u.k2)
 
@@ -588,26 +607,14 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
         # kept row j is row j // k of triple keep[j % k], k = keep.size
         return pts, lambda at: at // keep.size * av.size + keep[at % keep.size]
 
-    def blocks():
-        # dense collapse faces: beta = gamma = 0 is exactly the pre-coded
-        # common scheme E, streamed as E's own grouped blocks on its default
-        # split grid at real scales of E's costa1 amplitude (so, with no
-        # phase fan, E's sweep rows are among these); beta = gamma = 1 with
-        # no pre-coding is the all-common scheme D
-        face = default_alpha_grid(ch)
-        lin = np.linspace(0.0, 2.0, max(n_lambda, face_lambda))
-        yield from _scheme_e_blocks(ch, face, _scheme_e_costa1(ch, face), lin,
-                                    np.ones(1))
-        r1d, sd = scheme_d_rates(ch, np.sqrt(pos(1.0 - face)))
-        yield 2 * lin.size * face.size, _rect_sum_vertices(r1d, sd, sd)
-        start = 2 * (lin.size + 1) * face.size
-        # one n_lambda fan per block: temporaries under the 4 MB huge-page cut
-        for fan in scales.reshape(-1, n_lambda):
-            size = (2 * fan.size + 1) * av.size
-            yield GroupBlock(start, partial(rows, fan), r1_cap, m29c, size)
-            start += size
-
-    return blocks()
+    yield _scheme_d_cloud(ch)[0]
+    face = default_alpha_grid(ch)
+    lin = np.linspace(0.0, 2.0, max(n_lambda, face_lambda))
+    yield from _scheme_e_blocks(ch, face, _scheme_e_costa1(ch, face), lin,
+                                np.ones(1))
+    # one n_lambda fan per block: temporaries under the 4 MB huge-page cut
+    for fan in scales.reshape(-1, n_lambda):
+        yield GroupBlock(partial(rows, fan), r1_cap, m29c)
 
 
 def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
@@ -616,9 +623,10 @@ def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
     """Split strategy unioning the common-common and pre-coded structures.
 
     On the split boundaries the strategy collapses exactly to the
-    all-common scheme (beta = gamma = 1, no pre-coding) and to the
-    pre-coded common scheme (beta = gamma = 0), so those two faces are
-    always swept densely alongside the interior grid.
+    all-common scheme D (beta = gamma = 1, no pre-coding) and to the
+    pre-coded common scheme E (beta = gamma = 0), so those two faces are
+    always swept densely alongside the interior grid: D's own cloud (so
+    this region holds `scheme_d`'s), and E's sweep at `face_lambda` scales.
     """
     al, be, ga = (np.linspace(0.0, 1.0, 11) if g is None else np.asarray(g)
                   for g in (alpha_grid, beta_grid, gamma_grid))
@@ -628,60 +636,43 @@ def scheme_f(ch: ChannelParams, alpha_grid=None, beta_grid=None,
 
 # -- time sharing and aggregates ---------------------------------------------
 
-def _tdma_cloud(ch: ChannelParams):
-    u = units(ch)
-    return np.array([[float(u.cap(u.p1)), 0.0], [0.0, coop_sum_cap(ch)]])
-
-
 def tdma_inner(ch: ChannelParams) -> RateRegion:
     """Chord between the solo cognitive point and the beamforming point."""
-    return from_pareto_points(_tdma_cloud(ch), region_id="tdma")
-
-
-def _chain(clouds):
-    """One block stream over clouds that are each an array or a block
-    iterator, every cloud's source indices renumbered past those of the
-    clouds before it."""
-    offset = 0
-    for cloud in clouds:
-        end = 0
-        for block in cloud if isinstance(cloud, Iterator) else [(0, cloud)]:
-            start, rows = block[:2]
-            group = isinstance(block, GroupBlock)
-            yield (block._replace(start=offset + start) if group
-                   else (offset + start, rows))
-            end = max(end, start + (block.size if group else len(rows)))
-        offset += end
+    u = units(ch)
+    return from_pareto_points(
+        np.array([[float(u.cap(u.p1)), 0.0], [0.0, coop_sum_cap(ch)]]),
+        region_id="tdma")
 
 
 def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
-    """Time-sharing hull of the union of every scheme.
+    """Time-sharing hull of the union of every scheme, each streamed once.
 
-    One envelope: every scheme's cloud streams into a single cull, Pareto
-    filter and hull. TDMA leads, so its corner (cap(p1), 0), the
-    largest r1 of any scheme, sets the cull's bin scale, and its two
-    points seed both axis corners; then come A, B and C on one split grid
-    of 257 matched r1 nodes plus 245 fill, D, and F: its two collapse
-    faces, then its 11^3 split triples by 41 pre-coding scales, of which
-    the kernel skips, unevaluated, every triple whose polygon the front
-    already dominates. Scheme F's beta = gamma = 0 face is scheme E's own
-    grouped sweep at 101 real scales on a split grid holding E's (the
-    kernel evaluates about 40% of its groups on random real draws), so
-    E's rows join only where its phase fan adds rows the face lacks: 9
-    phase rays by 101 scales, of which the kernel likewise evaluates only
-    the groups the front does not dominate (6-8% on random complex
-    draws). With a real cross gain every rate kernel runs in float64.
-    `grid` and `fast` are accepted for existing callers and ignored: there
-    is one sampling plan.
+    One envelope: the clouds of A, B and C on one split grid (257 matched
+    r1 nodes plus 245 fill), then F's, then E's phase fan where it
+    applies, stream into a single cull, Pareto filter and hull. A leads:
+    its largest r1, cap(p1), which no scheme exceeds, sets the cull's bin
+    scale. F hands over its faces, D's cloud and E's sweep at 101 real
+    scales, then its 11^3 split triples by 41 pre-coding scales; the
+    kernel skips every group whose polygon the front already dominates.
+    `grid` and `fast` are accepted for existing callers and ignored.
+
+    Left out, as inside this hull: TDMA, whose corners are B's rows at
+    alpha = 1 (r1 = cap(p1), the same expression) and alpha = 0 (r2 =
+    cap(b^2 p1 + p2 + 2 sqrt(b^2 p1 p2)), the cooperative sum rate within
+    2 ulps); D, F's beta = gamma = 1 face; E without a phase fan, F's
+    beta = gamma = 0 face. Kept, as neither maps into F's parameters, and
+    each binding (drop-one support at 4,001 slopes): A, which silences
+    the primary transmitter that F keeps at full power (0.687 bits at
+    (0, 3, 1e160, 1)), and C, which bins (0.177 bits at (0.5, 0.5, 1e300,
+    1e300)). E's phase fan stays on the 502 splits: as F's face, on F's
+    1,002, it costs 8-10% of a complex channel's time, and the whole face
+    on 502 splits loses up to 1.4e-3 bits at (0.5, 1.5, 1e300, 1e300).
     """
     al = default_alpha_grid(ch, matched=257, uniform=245)
     f_grid = np.linspace(0.0, 1.0, 11)
-    clouds = [_tdma_cloud(ch),
-              _scheme_a_cloud(ch, al),
-              _scheme_b_cloud(ch, al),
-              _scheme_c_cloud(ch, al),
-              _scheme_d_cloud(ch)[0],
-              _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, 101)]
-    if _phase_fan(ch):
-        clouds.append(_scheme_e_cloud(ch, al, "sweep", 101)[0])
-    return from_pareto_points(_chain(clouds), region_id="best")
+    clouds = itertools.chain(
+        [_scheme_a_cloud(ch, al), _scheme_b_cloud(ch, al),
+         _scheme_c_cloud(ch, al)],
+        _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, 101),
+        _scheme_e_cloud(ch, al, "sweep", 101)[0] if _phase_fan(ch) else [])
+    return from_pareto_points(clouds, region_id="best")

@@ -232,13 +232,11 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class GroupBlock(NamedTuple):
     """Rows in groups, each in its polygon {r1 <= min(r1_cap, sum_cap),
     r1 + r2 <= sum_cap, r2 <= sum_cap}. rows(keep) gives the rows of groups
-    `keep` and a map from their positions to source offsets (of `size`)."""
+    `keep` and a map from their positions to their source indices."""
 
-    start: int
     rows: Callable
     r1_cap: np.ndarray
     sum_cap: np.ndarray
-    size: int
 
 
 def _kept_groups(block: GroupBlock, later, top: float, nbins: int):
@@ -258,34 +256,36 @@ def _kept_groups(block: GroupBlock, later, top: float, nbins: int):
 def _front_candidates(points, nbins: int = 4096):
     """Finite points of a cloud, clipped at zero, that may lie on its front.
 
-    `points` is one array of (r1, r2) rows, or an iterator of (start, rows)
-    blocks, `start` being the source index of the block's first row, and
-    `GroupBlock`s. Each block is culled as it arrives against the running
-    per-bin maxima of r2, a point's bin being `_bin_index(r1 / top)` with
-    `top` the largest r1 seen so far; blocks pass whole while it is zero.
-    A block whose largest r1 exceeds `top` first rebins the points held
-    so far on its own, so every bin maximum is a held point's under the
-    one rule; a point dropped before lies at or below a held point of
-    larger r1, so the rebuild loses no cull. A culled point lies at or
-    below the best r2 of a later bin, whose points all have larger r1, so
-    it is strictly dominated: the front and its equal-point ties survive
-    (equal points share a bin). A block is
-    culled twice: against the bins of the blocks before it, then, once its
+    `points` is one array of (r1, r2) rows, or an iterator of such arrays
+    and `GroupBlock`s. A row's source index is its index in its array, or
+    what its GroupBlock's map gives: it means something only in a cloud
+    that carries params. Each block is culled as it arrives against the
+    running per-bin maxima of r2, a point's bin being
+    `_bin_index(r1 / top)` with `top` the largest r1 seen so far; blocks
+    pass whole while it is zero. A block whose largest r1 exceeds `top`
+    first rebins the points held so far on its own, so every bin maximum
+    is a held point's under the one rule; a point dropped before lies at
+    or below a held point of larger r1, so the rebuild loses no cull. A
+    culled point lies at or below the best r2 of a later bin, whose points
+    all have larger r1, so it is strictly dominated: the front and its
+    equal-point ties survive (equal points share a bin). A block is culled
+    twice: against the bins of the blocks before it, then, once its
     survivors are scattered into the bins, against those. A point culled
     the first time lies at or below every suffix maximum from its own bin
     down, so it could raise none, and the bins, suffix maxima and survivors
     are those of scattering the whole block. A GroupBlock's groups that
     would fail the first test whole are never evaluated (`_kept_groups`).
-    Returns (r1, r2, src) ascending in source index.
+    Returns (r1, r2, src), stably sorted by source index.
     """
-    blocks = points if isinstance(points, Iterator) else [(0, points)]
+    blocks = points if isinstance(points, Iterator) else [points]
     later = np.full(nbins, -np.inf)
     top, supplied, held = 0.0, False, []
     for block in blocks:
-        start, rows, src_of = block[0], block[1], np.asarray  # identity
+        rows, src_of = block, np.asarray  # identity
         if isinstance(block, GroupBlock):
-            rows, src_of = rows(_kept_groups(block, later, top, nbins)
-                                if top > 0.0 else np.arange(block.r1_cap.size))
+            rows, src_of = block.rows(
+                _kept_groups(block, later, top, nbins) if top > 0.0
+                else np.arange(block.r1_cap.size))
         pts = np.asarray(rows, dtype=float).reshape(-1, 2)
         supplied = supplied or pts.size > 0
         sel = None
@@ -313,7 +313,7 @@ def _front_candidates(points, nbins: int = 4096):
             sel = cand if sel is None else sel[cand]
         else:
             r2 = np.clip(r2, 0.0, None)
-        src = start + src_of(np.arange(r1.size) if sel is None else sel)
+        src = src_of(np.arange(r1.size) if sel is None else sel)
         held.append((r1, r2, src))
     if not supplied:
         raise EmptyInput("no points supplied")

@@ -7,7 +7,8 @@ cloud one lambda fan at a time. The equivalence tests in test_sweeps.py
 require the library to reproduce them bit for bit.
 
 Like the library, they compute in float64 when the cross gain a is real
-(a.imag == 0) and in complex128 otherwise.
+(a.imag == 0) and in complex128 otherwise, where a Costa amplitude is
+the real Costa fraction times the complex interferer amplitude.
 """
 
 import math
@@ -16,11 +17,19 @@ import numpy as np
 
 from gcifc import inner
 from gcifc.region import from_pareto_points
-from gcifc.util import cap, pos
+from gcifc.util import alpha_of_r1, cap, pos, r1_grid
 
 
 def _real_a(ch):
     return ch.a.real if ch.a.imag == 0.0 else ch.a
+
+
+def _costa(a_pow, amp):
+    """Costa's amplitude a_pow amp / (a_pow + 1), a complex amp scaled by
+    the real fraction a_pow / (a_pow + 1)."""
+    if not np.iscomplexobj(amp):
+        return a_pow * amp / (a_pow + 1.0)
+    return a_pow / (a_pow + 1.0) * amp
 
 
 def _f_grid(ch, n):
@@ -30,7 +39,7 @@ def _f_grid(ch, n):
     a_pow = av * ch.p1
     amp = np.sqrt(pos(1.0 - av) * pos(1.0 - gv) * ch.p1) \
         + _real_a(ch) * np.sqrt(pos(1.0 - bv) * ch.p2)
-    return av, bv, gv, a_pow * amp / (a_pow + 1.0)
+    return av, bv, gv, _costa(a_pow, amp)
 
 
 def scheme_f(ch, n_lambda=41, face_lambda=201):
@@ -57,12 +66,19 @@ def scheme_f(ch, n_lambda=41, face_lambda=201):
     a_pow = face * ch.p1
     u1, u2 = inner._scheme_e_amplitudes(ch, face)
     w = np.multiply.outer(np.linspace(0.0, 2.0, max(n_lambda, face_lambda)),
-                          a_pow * u1 / (a_pow + 1.0))
+                          _costa(a_pow, u1))
     f1 = inner._f_mi(1.0, u1[None, :], 1.0, w, a_pow[None, :])
     f2 = inner._f_mi(ch.b, u2[None, :], 1.0, w, a_pow[None, :], clamp=False)
     ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)[None, :]
     chunks.append(inner._rect_sum_vertices(f1, pos(ssum - f2), ssum))
-    r1d, sd = inner.scheme_d_rates(ch, np.sqrt(pos(1.0 - face)))
+    # the beta = gamma = 1 face: scheme D on its own correlation grid, both
+    # signs, with its phase fan for complex a
+    am = alpha_of_r1(r1_grid(ch.p1, 513), ch.p1)
+    rho = np.unique(np.concatenate([np.sqrt(1.0 - am),
+                                    np.linspace(0.0, 1.0, 489)]))
+    if abs(ch.a.imag) > 1e-12:
+        rho = np.outer(rho, np.exp(1j * np.linspace(0.0, np.pi, 17))).ravel()
+    r1d, sd = inner.scheme_d_rates(ch, np.concatenate([rho, -rho]))
     v1 = np.minimum(r1d, sd)
     chunks.append(np.stack([v1, pos(sd - v1)], axis=1))
     chunks.append(np.stack([np.zeros_like(sd), pos(sd)], axis=1))
@@ -76,7 +92,7 @@ def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201):
         else np.asarray(alpha_grid)
     a_pow = al * ch.p1
     u1, u2 = inner._scheme_e_amplitudes(ch, al)
-    w_c1 = a_pow * u1 / (a_pow + 1.0)
+    w_c1 = _costa(a_pow, u1)
     if lambda_policy == "costa1":
         w = w_c1[None, :]
     elif lambda_policy == "zero":

@@ -11,7 +11,7 @@ import pytest
 from gcifc import gaussmi, inner, outer, region
 from gcifc.channel import ChannelParams
 from gcifc.errors import DegenerateDenominator, GcifcError
-from gcifc.util import cap, units
+from gcifc.util import cap, coop_sum_cap, units
 from gcifc.verify import random_channels
 from conftest import (EDGE_CHANNELS, HUGE_CHANNELS, channel_draw,
                       scheme_c_system, scheme_d_system, scheme_e_system,
@@ -562,11 +562,42 @@ _HUGER_CHANNELS = [
     ("complex-p=1e300", ChannelParams(0.5 + 0.5j, 1.5, 1e300, 1e300)),
 ]
 
-# with complex a the Costa amplitude is a complex division, rounded as a
-# product by a reciprocal, so past an SNR of about 1e32 the cancellation
-# c1 w - u2 in `_f_mi` is rounding noise at Costa's coefficient: here
-# e:costa1 stops 2.4e-5 bits short of cap(p1), at any scale
-_COSTA_SHORT = [ChannelParams(-0.6 + 0.2j, 1.7, 1e308, 1e308)]
+@pytest.mark.parametrize("ch", [pytest.param(ch, id=name)
+                                for name, ch in _P1E308_CHANNELS])
+def test_dpc_info_past_the_double_range(ch):
+    """The pre-coding helpers run in noise units: both Costa coefficients
+    and f at the maximizer are finite, with no warning, at every split,
+    whatever the power ratio p1 / p2."""
+    for alpha in (0.0, 0.5, 1.0):
+        info = inner.dpc_info(ch, alpha)
+        assert all(np.isfinite(v) for v in (info.lambda_costa1,
+                                             info.lambda_costa2,
+                                             info.f_value)), alpha
+        # f at Costa's coefficient is cap(alpha p1)
+        assert info.f_value == pytest.approx(
+            float(units(ch).cap(alpha * units(ch).p1)), rel=1e-12)
+
+
+@pytest.mark.parametrize("ch", [
+    ChannelParams(0.5 + 0.5j, 1.5, 1e100, 1e100),
+    ChannelParams(-0.6 + 0.2j, 1.5, 1e300, 1e300),
+    ChannelParams(-0.6 + 0.2j, 1.7, 1e308, 1e308)])
+def test_complex_costa_amplitude_reaches_cap_p1(ch):
+    """With complex a, Costa's amplitude is the real fraction
+    a_pow / (a_pow + n) times the interferer's, which is the interferer's
+    itself past an SNR of 2^53: the cancellation c1 w - u1 at it stays
+    exact, E's r1 bound is Costa's cap(alpha p1) at every split, and
+    e:costa1 reaches r1 = cap(p1) (6.1e-6 to 5.5e-5 bits short when numpy
+    divided by the reciprocal; 430 of these splits hundreds of bits short
+    at p = 1e300 when each part of a_pow u1 was divided by a_pow + n)."""
+    u = units(ch)
+    got = inner.scheme_e(ch, lambda_policy="costa1").r1_max
+    assert got == pytest.approx(float(u.cap(u.p1)), rel=1e-12)
+    al = inner.default_alpha_grid(ch)
+    f1 = inner._f_mi(1.0, inner._scheme_e_amplitudes(ch, al)[0], u.n,
+                     inner._scheme_e_costa1(ch, al), al * u.p1)
+    want = u.cap(al * u.p1)
+    assert np.all(np.abs(f1 - want) <= 1e-12 * np.maximum(1.0, want))
 
 
 @pytest.mark.parametrize("ch", [pytest.param(ch, id=name) for name, ch
@@ -588,9 +619,8 @@ def test_huge_powers_build_finite_regions(ch):
         except GcifcError:
             continue
         assert np.all(np.isfinite(reg.r1)) and np.all(np.isfinite(reg.r2)), name
-    if ch not in _COSTA_SHORT:
-        assert regions["e:costa1"].r1_max == pytest.approx(
-            float(cap(ch.p1)), rel=1e-12)
+    assert regions["e:costa1"].r1_max == pytest.approx(
+        float(cap(ch.p1)), rel=1e-12)
     ok, viol = region.contains(regions["outer:best"], regions["inner:best"],
                                1e-9)
     assert ok, viol[:3]
@@ -645,6 +675,57 @@ def test_best_inner_is_the_envelope_of_its_members(ch, kwargs):
                   <= un.boundary_at(np.maximum(xs - shift, 0.0)) + 1e-12)
 
 
+def _support(reg, theta):
+    """max of cos(theta) r1 + sin(theta) r2 over the breakpoints and
+    (r1_max, 0), per slope."""
+    r1 = np.append(reg.r1, reg.r1_max)
+    r2 = np.append(reg.r2, 0.0)
+    return np.max(np.outer(np.cos(theta), r1) + np.outer(np.sin(theta), r2),
+                  axis=1)
+
+
+def _edge_normals(reg):
+    """The slopes of the boundary's edge normals, (r1_max, 0) closing it,
+    and of both axes: where a difference of two supports can peak."""
+    x = np.append(reg.r1, reg.r1_max)
+    y = np.append(reg.r2, 0.0)
+    return np.concatenate([np.arctan2(np.diff(x), -np.diff(y)),
+                           [0.0, np.pi / 2]])
+
+
+@pytest.mark.parametrize("ch", _ENVELOPE_CHANNELS + [
+    pytest.param(ChannelParams(-2.0, 2.5, 0.1, 0.1), id="d-binds")])
+def test_scheme_f_holds_scheme_d(ch):
+    """Scheme F's beta = gamma = 1 face is scheme D's own cloud, so F's
+    region holds D's: its support is no lower at any slope, within 1e-12
+    bits, checked at every edge normal of both hulls (where the
+    difference of the supports peaks). At (-2, 2.5, 0.1, 0.1) D's rows
+    at rho < 0 reach 1.6e-3 bits past F's former positive-rho face."""
+    f, d = inner.scheme_f(ch), inner.scheme_d(ch)
+    theta = np.concatenate([_edge_normals(f), _edge_normals(d)])
+    assert np.all(_support(d, theta) <= _support(f, theta) + 1e-12)
+
+
+@pytest.mark.parametrize("ch", [
+    pytest.param(ch, id=f"real{k}")
+    for k, ch in enumerate(random_channels(20, 42))]
+    + [pytest.param(ch, id=f"complex{k}")
+       for k, ch in enumerate(random_channels(5, 42, complex_a=True))]
+    + [pytest.param(ch, id=name) for name, ch in
+       EDGE_CHANNELS + HUGE_CHANNELS + _P1E308_CHANNELS])
+def test_scheme_b_holds_tdma_corners(ch):
+    """TDMA's corners are scheme B's rows at alpha = 1 and alpha = 0, both
+    on best_inner's split grid: r1 = cap(p1) bit for bit, and the
+    cooperative sum rate within 2 ulps."""
+    al = inner.default_alpha_grid(ch, matched=257, uniform=245)
+    assert al[0] == 0.0 and al[-1] == 1.0
+    (r1, _), (_, r2) = np.transpose(inner.scheme_b_rates(ch, [1.0, 0.0]))
+    u = units(ch)
+    assert r1 == float(u.cap(u.p1))
+    coop = coop_sum_cap(ch)
+    assert abs(r2 - coop) <= 2.0 * np.spacing(coop)
+
+
 _rng_real = np.random.default_rng(20261020)
 _REAL_CHANNELS = ([channel_draw(_rng_real) for _ in range(6)]
                   + [ch for _, ch in EDGE_CHANNELS if ch.a.imag == 0.0])
@@ -686,9 +767,9 @@ _PINNED_CH = ChannelParams(0.5 + 1e-13j, 1.3, 6.0, 4.0)
 _PINNED_DIGESTS = {
     "a": "e6983aa2131a737b", "b": "5eacae3433a71a84",
     "c": "f3f4e820f667629c", "c46": "3e916582b7b2dd6f",
-    "d": "8fabd512f565e12c", "e:sweep": "2d950cf14c260668",
-    "e:costa1": "94b53663ea4a552d", "e:zero": "3f772cfc7e0dd3f2",
-    "f": "37de0de0efdf7645", "tdma": "d0b44682c4e93457",
+    "d": "8fabd512f565e12c", "e:sweep": "22495f8724b00743",
+    "e:costa1": "aaf58c2c8bcfab30", "e:zero": "3f772cfc7e0dd3f2",
+    "f": "360bff3ef112a603", "tdma": "d0b44682c4e93457",
 }
 
 
@@ -720,7 +801,7 @@ def test_complex_channel_keeps_its_bytes():
 def test_phase_fan_keeps_its_bytes():
     """Scheme E's sweep with its phase fan on, grouped by ray, run and
     split, keeps the bytes it had when every ray was evaluated whole."""
-    assert _digest(inner.scheme_e(_COMPLEX_CH)) == "694ba394e6a6f64f"
+    assert _digest(inner.scheme_e(_COMPLEX_CH)) == "e6705b4d5e7d6204"
 
 
 _EDGE = dict(EDGE_CHANNELS)
@@ -731,10 +812,10 @@ _BEST_CHANNELS = {
     "ab=1": _EDGE["ab=1"], "p=1e8": _EDGE["p=1e8"]}
 # sha256 prefixes of best_inner's (r1, r2) breakpoints
 _BEST_DIGESTS = {
-    "real0": "fd394bf654564253", "real1": "335cd3bb38c0630d",
+    "real0": "fd394bf654564253", "real1": "eba6297053754956",
     "real2": "9ab877ae03b835c0", "complex0": "d0b697eb4dad99fb",
-    "complex1": "cc4c7754b934ff4f", "ab=1": "14601f5a23473d4c",
-    "p=1e8": "c99071066925b8bf",
+    "complex1": "b1158e18650131fc", "ab=1": "14601f5a23473d4c",
+    "p=1e8": "f071828e2bf64e11",
 }
 
 
@@ -753,8 +834,8 @@ def test_best_inner_keeps_its_bytes():
 _F_PINNED = {"phase-fan": ChannelParams(-0.6 + 0.2j, 1.7, 10.0, 10.0),
              **{f"real{k}": ch for k, ch in enumerate(random_channels(2, 42))}}
 # sha256 prefixes of scheme_f's (r1, r2) breakpoints
-_F_DIGESTS = {"phase-fan": "de652be1eae7404c", "real0": "04b1f0c307099e8d",
-              "real1": "1359ee3502c12daa"}
+_F_DIGESTS = {"phase-fan": "f70b875a435e0bf8", "real0": "04b1f0c307099e8d",
+              "real1": "eba6297053754956"}
 
 
 def test_scheme_f_keeps_its_bytes():
@@ -815,16 +896,27 @@ def _counted(blocks, kept, total, counts=lambda b: True):
         yield b
 
 
+def _led(ch, blocks):
+    """The block stream after a corner (cap(p1) (1 + 1e-9), 0), past every
+    row's r1 (rounding included), so that no block raises the bins' scale:
+    a GroupBlock that does has its groups judged on the bins from before."""
+    yield np.array([[float(cap(ch.p1)) * (1.0 + 1e-9), 0.0]])
+    yield from blocks
+
+
 def test_scheme_f_skip_is_exact():
-    """Fed scheme F's cloud as group-bounded blocks (its face's and its
-    interior fans'), the envelope kernel returns the same candidates as
-    with every group evaluated, while it evaluates only part of the
-    interior triples."""
+    """Fed scheme F's cloud as group-bounded blocks (D's face as rows,
+    then E's face and the interior fans as GroupBlocks) on bins of a fixed
+    scale, the envelope kernel returns the same candidates as with every
+    group evaluated, while it evaluates only part of the interior
+    triples. (Without the lead corner, E's face raises the scale that D's
+    face set, so the candidates differ by dominated points; the regions
+    are checked against their loop form in test_sweeps.py.)"""
     kept, total = [], []
     for ch in [p.values[0] for p in _F_CHANNELS]:
-        want = region._front_candidates(_uncapped(_f_blocks(ch)))
+        want = region._front_candidates(_uncapped(_led(ch, _f_blocks(ch))))
         got = region._front_candidates(
-            _counted(_f_blocks(ch), kept, total, _interior))
+            _counted(_led(ch, _f_blocks(ch)), kept, total, _interior))
         for g, w in zip(got, want):
             assert np.array_equal(g, w), ch
     assert sum(kept) < 0.5 * sum(total)
@@ -839,7 +931,7 @@ def test_scheme_f_rows_lie_in_their_polygons(ch):
     block = next(b for b in _f_blocks(ch) if _interior(b))
     first, src_of = block.rows(np.arange(block.r1_cap.size))
     split = inner._scheme_f_split(ch, *_f_triples(ch))
-    w_c = split[0] * split[1] / (split[0] + units(ch).n)  # Costa's amplitude
+    w_c = inner._costa(split[0], split[1], units(ch).n)
     scales = np.linspace(0.0, 2.0, 41)
     if inner._phase_fan(ch):
         scales = np.outer(scales, np.exp(1j * np.linspace(-np.pi / 2,
@@ -925,7 +1017,7 @@ def test_scheme_f_face_skip_is_exact():
     indices) as with every group evaluated. On the random real draws the
     kernel evaluates under 45% of the face's (run, split) groups (39.8% on
     these 40 draws). The candidates may differ by dominated points: where
-    E's r1 exceeds TDMA's cap(p1) by rounding, the face's first block
+    E's r1 exceeds A's cap(p1) by rounding, the face's first block
     raises the bins' scale, and its groups are judged on the bins from
     before (8 and 1 more candidates on two of these channels)."""
     kept, total = [], []
@@ -960,9 +1052,10 @@ def _e_streams(ch):
         yield (name, inner._scheme_e_cloud(ch, al, name, 101)[0], al, base,
                scales)
     face = inner.default_alpha_grid(ch)
+    # F's stream: D's cloud, then the face, then the interior fans
     yield ("face", itertools.takewhile(
-        lambda b: isinstance(b, region.GroupBlock), _f_blocks(ch)), face,
-        inner._scheme_e_costa1(ch, face), np.linspace(0.0, 2.0, 101))
+        lambda b: not _interior(b), itertools.islice(_f_blocks(ch), 1, None)),
+        face, inner._scheme_e_costa1(ch, face), np.linspace(0.0, 2.0, 101))
 
 
 @pytest.mark.parametrize("ch", _E_CHANNELS)

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcifc.errors import EmptyInput, MixedKinds
-from gcifc.region import (GapReport, Kind, RateRegion, _front_candidates,
-                          _pareto_filter, _upper_hull,
+from gcifc.region import (GapReport, GroupBlock, Kind, RateRegion,
+                          _front_candidates, _pareto_filter, _upper_hull,
                           additive_gap, contains, from_boundary,
                           from_pareto_points, gap_report, intersect,
                           multiplicative_gap, union)
@@ -506,6 +506,12 @@ class TestEnvelopeKernels:
                 starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
                 yield np.concatenate(rows), list(zip(starts, rows))
 
+        def offset(start, rows):
+            # one uncapped group, its rows' source indices offset by start
+            inf = np.full(1, np.inf)
+            return GroupBlock(lambda keep: (rows, lambda at: start + at),
+                              inf, inf)
+
         def split(pts, shuffle):
             cuts = np.sort(rng.integers(0, len(pts) + 1, 3))
             if not shuffle and len(pts) > 2:
@@ -523,9 +529,13 @@ class TestEnvelopeKernels:
             x, y = np.clip(pts[fin, 0], 0, None), np.clip(pts[fin, 1], 0, None)
             want = fin[_pareto_lexsort(x, y)]
             for nbins in (1, 3, 8, 4096):
-                r1, r2, src = _front_candidates(iter(blocks), nbins)
+                r1, r2, src = _front_candidates(
+                    iter([offset(*b) for b in blocks]), nbins)
                 assert np.array_equal(src[_pareto_filter(r1, r2)], want)
-            got = from_pareto_points(iter(blocks))
             one = from_pareto_points(pts)
-            assert np.array_equal(got.r1, one.r1)
-            assert np.array_equal(got.r2, one.r2)
+            # plain arrays, whose source indices restart in each block
+            for stream in ([offset(*b) for b in blocks],
+                           [rows for _, rows in blocks]):
+                got = from_pareto_points(iter(stream))
+                assert np.array_equal(got.r1, one.r1)
+                assert np.array_equal(got.r2, one.r2)

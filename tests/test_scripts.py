@@ -1,12 +1,16 @@
 """Smoke runs of the scripts in scripts/, on small arguments: each exits 0
 and writes CSVs with the expected header."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from gcifc.cli import BUILDERS, INNER
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,18 +20,38 @@ RUNS = [
      {"lam.csv": "lambda,r1_bound,r2_bound"}),
     ("region_digests.py", ["--n", "2", "--out", "digests.csv"],
      {"digests.csv": "id,channel,digest,warnings,exception"}),
+    ("region_support.py", ["--n", "2", "--out", "support"],
+     {"support/channels.csv": "index,channel"}),
 ]
 
 
-@pytest.mark.parametrize("script,args,headers", RUNS, ids=[r[0] for r in RUNS])
-def test_script_runs(script, args, headers, tmp_path):
+def _run(script, args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
-                          + args, cwd=tmp_path, env=env, capture_output=True,
+                          + args, cwd=cwd, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script,args,headers", RUNS, ids=[r[0] for r in RUNS])
+def test_script_runs(script, args, headers, tmp_path):
+    _run(script, args, tmp_path)
     for name, header in headers.items():
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == header and len(lines) > 1
+
+
+def test_region_support_compare(tmp_path):
+    """The compare mode reports, for every inner id, a run against itself
+    as unmoved."""
+    _run("region_support.py", ["--n", "1", "--out", "run"], tmp_path)
+    out = _run("region_support.py", ["--compare", "run", "run"], tmp_path)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["id"] for r in rows] == [
+        rid for rid, (kind, _) in BUILDERS.items() if kind is INNER]
+    for r in rows:
+        assert (r["channels"], r["falls"], r["rises"], r["one_side_only"]) \
+            == ("1", "0", "0", "0"), r
