@@ -4,15 +4,19 @@ checking that a change moves no region and no margin.
 
 Each row is one build: the id (every `cli.BUILDERS` id, outer bounds on
 the default r1 grid, then `classify`), the channel as "a b p1 p2" (Python
-reprs), the sha256 of the region's r1, r2 and params bytes (for
-`classify`, of its capacity label and margins), the number of warnings the
-build raised, and the name of the exception it raised (then the digest is
-empty). Two trees give the same file when every region, margin, warning
-count and exception is the same:
+reprs), the sha256 of the region's r1 and r2 bytes (for `classify`, of
+its capacity label and margins), the sha256 of its params (names and
+bytes; empty for `classify`), the number of warnings the build raised,
+and the name of the exception it raised (then both digests are empty).
+Two trees give the same file when every region, params array, margin,
+warning count and exception is the same:
 
     PYTHONPATH=src python scripts/region_digests.py --out digests.csv
+    PYTHONPATH=src python scripts/region_digests.py --compare old.csv new.csv
 
---out defaults to region_digests.csv.
+--out defaults to region_digests.csv. The second prints, per id, as CSV:
+the channels in both files, and how many of them differ in their region
+digest, params digest, warning count and exception.
 
 The channels are random_channels(400, 42), random_channels(60, 42,
 complex_a=True), the test suite's EDGE_CHANNELS and HUGE_CHANNELS,
@@ -51,24 +55,61 @@ def channels():
     return out
 
 
-def digest(reg) -> str:
-    h = hashlib.sha256(reg.r1.tobytes() + reg.r2.tobytes())
+def digest(reg) -> tuple[str, str]:
+    """(region digest, params digest) of a region."""
+    h = hashlib.sha256()
     for key, vals in sorted(reg.meta.get("params", {}).items()):
         h.update(key.encode() + np.asarray(vals, float).tobytes())
-    return h.hexdigest()
+    return (hashlib.sha256(reg.r1.tobytes() + reg.r2.tobytes()).hexdigest(),
+            h.hexdigest())
 
 
-def report_digest(rep) -> str:
+def report_digest(rep) -> tuple[str, str]:
     h = hashlib.sha256(rep.capacity_known.value.encode())
     for key, val in sorted(rep.margins.items()):
         h.update(key.encode() + np.float64(val).tobytes())
-    return h.hexdigest()
+    return h.hexdigest(), ""
 
 
-# id -> digest of its build on a channel
+# id -> digests of its build on a channel
 DIGESTS = {rid: (lambda ch, build=build: digest(build(ch, R1_GRID_DEFAULT)))
            for rid, (_, build) in BUILDERS.items()}
 DIGESTS["classify"] = lambda ch: report_digest(classify(ch))
+COLUMNS = ["region", "params", "warnings", "exception"]
+
+
+def write(path, n):
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["id", "channel"] + COLUMNS)
+        for ch in channels()[:n]:
+            name = " ".join([repr(complex(ch.a))]
+                            + [repr(float(v)) for v in (ch.b, ch.p1, ch.p2)])
+            for rid, run in DIGESTS.items():
+                value, error = ("", ""), ""
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        value = run(ch)
+                    except Exception as exc:  # recorded, then the next build
+                        error = type(exc).__name__
+                out.writerow([rid, name, *value, len(caught), error])
+
+
+def compare(old, new):
+    tables = []
+    for path in (old, new):
+        with open(path, newline="") as fh:
+            tables.append({(r["id"], r["channel"]): r
+                           for r in csv.DictReader(fh)})
+    a, b = tables
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["id", "channels"] + COLUMNS)
+    for rid in dict.fromkeys(key[0] for key in b):
+        both = [key for key in b if key[0] == rid and key in a]
+        out.writerow([rid, len(both)] + [
+            sum(a[key][col] != b[key][col] for key in both)
+            for col in COLUMNS])
 
 
 def main():
@@ -76,23 +117,12 @@ def main():
     ap.add_argument("--n", type=int, default=None,
                     help="first n channels only")
     ap.add_argument("--out", default="region_digests.csv")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = ap.parse_args()
-
-    with open(args.out, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["id", "channel", "digest", "warnings", "exception"])
-        for ch in channels()[:args.n]:
-            name = " ".join([repr(complex(ch.a))]
-                            + [repr(float(v)) for v in (ch.b, ch.p1, ch.p2)])
-            for rid, run in DIGESTS.items():
-                value, error = "", ""
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        value = run(ch)
-                    except Exception as exc:  # recorded, then the next build
-                        error = type(exc).__name__
-                out.writerow([rid, name, value, len(caught), error])
+    if args.compare:
+        compare(*args.compare)
+    else:
+        write(args.out, args.n)
 
 
 if __name__ == "__main__":

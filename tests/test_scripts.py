@@ -19,7 +19,7 @@ RUNS = [
     ("lambda_tradeoff.py", ["--n", "11", "--out", "lam.csv"],
      {"lam.csv": "lambda,r1_bound,r2_bound"}),
     ("region_digests.py", ["--n", "2", "--out", "digests.csv"],
-     {"digests.csv": "id,channel,digest,warnings,exception"}),
+     {"digests.csv": "id,channel,region,params,warnings,exception"}),
     ("region_support.py", ["--n", "2", "--out", "support"],
      {"support/channels.csv": "index,channel"}),
 ]
@@ -55,3 +55,26 @@ def test_region_support_compare(tmp_path):
     for r in rows:
         assert (r["channels"], r["falls"], r["rises"], r["one_side_only"]) \
             == ("1", "0", "0", "0"), r
+
+
+def test_region_digests_compare(tmp_path):
+    """The compare mode reports, for every id, a run against itself as
+    unmoved, and counts a changed params digest under its own column."""
+    _run("region_digests.py", ["--n", "1", "--out", "old.csv"], tmp_path)
+    lines = (tmp_path / "old.csv").read_text().splitlines()
+    rows = [r.split(",") for r in lines]
+    at = next(i for i, r in enumerate(rows) if r[0] == "a")
+    rows[at][3] = "0" * 64
+    (tmp_path / "new.csv").write_text("\n".join(map(",".join, rows)) + "\n")
+    out = _run("region_digests.py", ["--compare", "old.csv", "old.csv"],
+               tmp_path)
+    moved = _run("region_digests.py", ["--compare", "old.csv", "new.csv"],
+                 tmp_path)
+    ids = list(BUILDERS) + ["classify"]
+    for text, changed in ((out, None), (moved, "a")):
+        got = list(csv.DictReader(io.StringIO(text)))
+        assert [r["id"] for r in got] == ids
+        for r in got:
+            want = ("1", "0", "1" if r["id"] == changed else "0", "0", "0")
+            assert (r["channels"], r["region"], r["params"], r["warnings"],
+                    r["exception"]) == want, r
