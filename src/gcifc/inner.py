@@ -143,21 +143,19 @@ def default_alpha_grid(ch: ChannelParams, matched: int = 513,
     return np.unique(np.concatenate([am, 1.0 - rho ** 2]))
 
 
-def _rect_sum_vertices(m1, m2, ms):
-    """Pareto vertices of {r1 <= m1, r2 <= m2, r1 + r2 <= ms} (vectorized)."""
-    m1, m2, ms = (np.asarray(v, dtype=float) for v in (m1, m2, ms))
-    v1r1 = np.minimum(m1, ms)
-    v1 = np.stack([v1r1, pos(np.minimum(m2, ms - v1r1))], axis=-1)
-    v2r1 = np.minimum(m1, pos(ms - m2))
-    v2 = np.stack([v2r1, pos(np.minimum(m2, ms - v2r1))], axis=-1)
-    return np.concatenate([v1.reshape(-1, 2), v2.reshape(-1, 2)], axis=0)
-
-
-def _fan_rows(r1s, r2s):
-    """(n, 2) rate pairs from per-vertex (scale, split) arrays, ordered by
-    scale, then vertex, then split."""
-    return np.stack([np.stack(r1s, axis=1), np.stack(r2s, axis=1)],
-                    axis=-1).reshape(-1, 2)
+def _rect_sum_vertices(m1, m2, ms, *params):
+    """Pareto vertices of {r1 <= m1, r2 <= m2, r1 + r2 <= ms}, vectorized:
+    a block of columns (r1, r2, *params), every box's first vertex, then
+    every box's second."""
+    m1, m2, ms, *params = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (m1, m2, ms, *params)))
+    out = np.empty((2 + len(params), 2) + m1.shape)
+    np.minimum(m1, ms, out=out[0, 0])
+    np.minimum(m1, pos(ms - m2), out=out[0, 1])
+    np.maximum(np.minimum(m2, ms - out[0]), 0.0, out=out[1])  # pos
+    for row, v in zip(out[2:], params):
+        row[:] = v  # at both vertices
+    return out.reshape(out.shape[0], -1)
 
 
 # -- scheme A: primary silent, cognitive broadcasts both messages ------------
@@ -171,14 +169,14 @@ def _scheme_a_cloud(ch: ChannelParams, al):
     else:
         r1 = cap(abar * u.p1 / (u.n + al * u.p1))
         r2 = u.cap(al * ch.b ** 2 * u.p1)
-    return np.stack([r1, r2], axis=1)
+    return np.stack([r1, r2, al])
 
 
 def scheme_a(ch: ChannelParams, alpha_grid=None) -> RateRegion:
     """Degraded-broadcast strategy with the primary transmitter silent."""
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
-    return from_pareto_points(_scheme_a_cloud(ch, al),
-                              params={"alpha": al}, region_id="a")
+    return from_pareto_points(_scheme_a_cloud(ch, al), ("alpha",),
+                              region_id="a")
 
 
 # -- scheme B: private messages, perfect pre-coding at the cognitive side ----
@@ -196,7 +194,7 @@ def scheme_b_rates(ch: ChannelParams, alpha):
 
 
 def _scheme_b_cloud(ch: ChannelParams, al):
-    return np.stack(scheme_b_rates(ch, al), axis=1)
+    return np.stack([*scheme_b_rates(ch, al), al])
 
 
 def scheme_b(ch: ChannelParams, alpha_grid=None) -> RateRegion:
@@ -204,8 +202,8 @@ def scheme_b(ch: ChannelParams, alpha_grid=None) -> RateRegion:
     The default split grid matches R1_GRID_DEFAULT uniform r1 nodes."""
     al = default_alpha_grid(ch, matched=R1_GRID_DEFAULT, uniform=257) \
         if alpha_grid is None else np.asarray(alpha_grid)
-    return from_pareto_points(_scheme_b_cloud(ch, al),
-                              params={"alpha": al}, region_id="b")
+    return from_pareto_points(_scheme_b_cloud(ch, al), ("alpha",),
+                              region_id="b")
 
 
 # -- scheme D: both messages common (compound multiple access) ---------------
@@ -225,7 +223,7 @@ def scheme_d_rates(ch: ChannelParams, rho):
 
 
 def _scheme_d_cloud(ch: ChannelParams):
-    """The cloud and, per row, the real part of its correlation."""
+    """The cloud, with the real part of each row's correlation."""
     am = alpha_of_r1(r1_grid(ch.p1, 513), ch.p1)
     base = np.unique(np.concatenate([np.sqrt(1.0 - am),
                                      np.linspace(0.0, 1.0, 489)]))
@@ -235,14 +233,13 @@ def _scheme_d_cloud(ch: ChannelParams):
         rho = np.outer(base, phases).ravel()
         rho = np.concatenate([rho, -rho])
     r1, s = scheme_d_rates(ch, rho)
-    return (_rect_sum_vertices(r1, s, s),
-            np.concatenate([np.real(rho), np.real(rho)]))
+    return _rect_sum_vertices(r1, s, s, np.real(rho))
 
 
 def scheme_d(ch: ChannelParams) -> RateRegion:
     """Superposition strategy: both receivers decode both messages."""
-    pts, rr = _scheme_d_cloud(ch)
-    return from_pareto_points(pts, params={"rho_re": rr}, region_id="d")
+    return from_pareto_points(_scheme_d_cloud(ch), ("rho_re",),
+                              region_id="d")
 
 
 # -- scheme E: common cognitive message pre-coded against the primary --------
@@ -284,10 +281,10 @@ def _phase_fan(ch: ChannelParams) -> bool:
 
 def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
                     n_lambda: int):
-    """The cloud as the `GroupBlock`s of `_scheme_e_blocks`, and its params
-    function. A fixed coefficient is the one scale 1.0 on the one ray
-    phi = 0 of its base amplitude: costa1's, or zeros (1.0 * +0.0 keeps
-    lambda_re at +0.0; a scale of 0.0 on costa1 could give -0.0)."""
+    """The cloud as the `GroupBlock`s of `_scheme_e_blocks`. A fixed
+    coefficient is the one scale 1.0 on the one ray phi = 0 of its base
+    amplitude: costa1's, or zeros (1.0 * +0.0 keeps lambda_re at +0.0; a
+    scale of 0.0 on costa1 could give -0.0)."""
     base = _scheme_e_costa1(ch, al)
     lin = phases = np.ones(1)
     if lambda_policy == "zero":
@@ -298,16 +295,7 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
             phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
     elif lambda_policy != "costa1":
         raise ValueError(f"unknown lambda policy {lambda_policy!r}")
-    scales = np.outer(lin, phases).ravel()
-    sp2 = math.sqrt(units(ch).p2)
-
-    def params(src):
-        scale, split = np.divmod(src % (scales.size * al.size), al.size)
-        w = scales[scale] * base[split]
-        lam_re = np.real(w) / sp2 if sp2 > 0.0 else np.zeros(np.shape(w))
-        return {"alpha": al[split], "lambda_re": lam_re}
-
-    return _scheme_e_blocks(ch, al, base, lin, phases), params
+    return _scheme_e_blocks(ch, al, base, lin, phases)
 
 
 def _costa(a_pow, amp, n):
@@ -337,9 +325,9 @@ def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
     the `phases` e^(i phi) and the per-split `base` amplitudes, as
     `GroupBlock`s of one group per phase ray, run of _E_RUN consecutive
     scales (the last run may be shorter) and split, rays by falling
-    cos(phi). Source
-    offsets run over (vertex, scale, phase, split): v2 rows follow every
-    v1 row.
+    cos(phi). Each row carries its params: the split's alpha and
+    lambda_re = Re(w) / sqrt(p2) (0 where p2 = 0), from the w it is
+    evaluated at.
 
     The caps are the w-free sum bound ssum = cap(b^2 alpha p1 + |u2|^2),
     which bounds r1, r2 and r1 + r2 at both vertices, and the largest r1
@@ -354,9 +342,9 @@ def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
     (`lin` = `phases` = [1.0]) has exact caps.
     """
     n_split, n_phase = al.size, phases.size
-    pairs = lin.size * n_phase * n_split
     scales = np.outer(lin, phases).ravel()
     u = units(ch)
+    sp2 = math.sqrt(u.p2)
     a_pow = al * u.p1
     u1, u2 = _scheme_e_amplitudes(ch, al)
     ssum = u.cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)
@@ -375,15 +363,10 @@ def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
     def rows(ray, lo, size, runs, keep):
         r, run, j = np.unravel_index(keep, (ray.size, runs, n_split))
         s = (lo + run * size + np.arange(size)[:, None]) * n_phase + ray[r]
-        pts = _rect_sum_vertices(*_scheme_e_bounds(
-            ch, a_pow[j], u1[j], u2[j], scales[s] * base[j]))
-        s = s.ravel()
-
-        def src_of(at):
-            vertex, at = np.divmod(at, s.size)
-            return vertex * pairs + s[at] * n_split + j[at % j.size]
-
-        return pts, src_of
+        w = scales[s] * base[j]
+        lam_re = np.real(w) / sp2 if sp2 > 0.0 else np.zeros(w.shape)
+        return _rect_sum_vertices(*_scheme_e_bounds(
+            ch, a_pow[j], u1[j], u2[j], w), al[j], lam_re)
 
     for ray, lo, size, runs in specs:
         if size * runs == 0:
@@ -406,8 +389,8 @@ def scheme_e(ch: ChannelParams, alpha_grid=None,
     coefficient in [0, 2] (plus a phase fan for complex channels).
     """
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
-    blocks, params = _scheme_e_cloud(ch, al, lambda_policy, n_lambda)
-    return from_pareto_points(blocks, params=params,
+    return from_pareto_points(_scheme_e_cloud(ch, al, lambda_policy, n_lambda),
+                              ("alpha", "lambda_re"),
                               region_id=f"e:{lambda_policy}")
 
 
@@ -466,8 +449,9 @@ def scheme_c_rates(ch: ChannelParams, alpha, sigma1_sq, sigma2_sq,
 
 
 def _scheme_c_cloud(ch: ChannelParams, al, sigma_pairs=_SIGMA_PAIRS):
-    return np.concatenate([_rect_sum_vertices(*scheme_c_rates(ch, al, s1, s2))
-                           for s1, s2 in sigma_pairs], axis=0)
+    return np.concatenate([
+        _rect_sum_vertices(*scheme_c_rates(ch, al, s1, s2), al)
+        for s1, s2 in sigma_pairs], axis=1)
 
 
 def scheme_c(ch: ChannelParams, alpha_grid=None,
@@ -475,8 +459,7 @@ def scheme_c(ch: ChannelParams, alpha_grid=None,
     """Double-binning strategy on the channel-matched auxiliaries."""
     al = default_alpha_grid(ch) if alpha_grid is None else np.asarray(alpha_grid)
     return from_pareto_points(_scheme_c_cloud(ch, al, sigma_pairs),
-                              params={"alpha": np.tile(al, 2 * len(sigma_pairs))},
-                              region_id="c")
+                              ("alpha",), region_id="c")
 
 
 def scheme_c46(ch: ChannelParams) -> RateRegion:
@@ -488,7 +471,7 @@ def scheme_c46(ch: ChannelParams) -> RateRegion:
     c2 = (ch.b + offs * max(1.0, ch.b))[None, :, None]
     pts = np.concatenate([
         _rect_sum_vertices(*scheme_c_rates(ch, al, s1, s2, c1=c1, c2=c2))
-        for s1, s2 in _SIGMA_PAIRS])
+        for s1, s2 in _SIGMA_PAIRS], axis=1)
     return from_pareto_points(pts, region_id="c46")
 
 
@@ -560,8 +543,9 @@ def _scheme_f_bounds(ch: ChannelParams, split, w):
 
 def _scheme_f_vertices(ch: ChannelParams, split, w):
     """The split strategy's two interior Pareto vertices at the (scales,
-    splits) amplitudes w, rows as in `_fan_rows`, then per split its third
-    vertex (0, r2c) at its largest finite r2c, the only one on the front."""
+    splits) amplitudes w, as columns ordered by scale, then vertex, then
+    split, then per split its third vertex (0, r2c) at its largest finite
+    r2c, the only one on the front."""
     m1, ms, m2r = _scheme_f_bounds(ch, split, w)
     r1a = np.minimum(m1, np.minimum(ms, m2r / 2.0))
     r2a = pos(np.minimum(ms - r1a, m2r - 2.0 * r1a))
@@ -569,8 +553,10 @@ def _scheme_f_vertices(ch: ChannelParams, split, w):
     r2b = pos(np.minimum(ms - r1b, m2r - 2.0 * r1b))
     r2c = pos(np.minimum(ms, m2r))
     r2c = r2c.max(axis=0, initial=-np.inf, where=np.isfinite(r2c))
-    return np.concatenate([_fan_rows([r1a, r1b], [r2a, r2b]),
-                           np.stack([np.zeros_like(r2c), r2c], axis=1)])
+    return np.concatenate([
+        np.stack([np.stack([r1a, r1b], axis=1).ravel(),
+                  np.stack([r2a, r2b], axis=1).ravel()]),
+        [np.zeros_like(r2c), r2c]], axis=1)
 
 
 def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
@@ -602,12 +588,10 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
         scales = np.outer(scales, phases).ravel()
 
     def rows(fan, keep):
-        pts = _scheme_f_vertices(ch, [v[keep] for v in split],
-                                 np.multiply.outer(fan, w_c[keep]))
-        # kept row j is row j // k of triple keep[j % k], k = keep.size
-        return pts, lambda at: at // keep.size * av.size + keep[at % keep.size]
+        return _scheme_f_vertices(ch, [v[keep] for v in split],
+                                  np.multiply.outer(fan, w_c[keep]))
 
-    yield _scheme_d_cloud(ch)[0]
+    yield _scheme_d_cloud(ch)
     face = default_alpha_grid(ch)
     lin = np.linspace(0.0, 2.0, max(n_lambda, face_lambda))
     yield from _scheme_e_blocks(ch, face, _scheme_e_costa1(ch, face), lin,
@@ -640,7 +624,7 @@ def tdma_inner(ch: ChannelParams) -> RateRegion:
     """Chord between the solo cognitive point and the beamforming point."""
     u = units(ch)
     return from_pareto_points(
-        np.array([[float(u.cap(u.p1)), 0.0], [0.0, coop_sum_cap(ch)]]),
+        np.array([[float(u.cap(u.p1)), 0.0], [0.0, coop_sum_cap(ch)]]).T,
         region_id="tdma")
 
 
@@ -674,5 +658,5 @@ def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
         [_scheme_a_cloud(ch, al), _scheme_b_cloud(ch, al),
          _scheme_c_cloud(ch, al)],
         _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, 101),
-        _scheme_e_cloud(ch, al, "sweep", 101)[0] if _phase_fan(ch) else [])
+        _scheme_e_cloud(ch, al, "sweep", 101) if _phase_fan(ch) else [])
     return from_pareto_points(clouds, region_id="best")

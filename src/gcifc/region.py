@@ -232,7 +232,7 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class GroupBlock(NamedTuple):
     """Rows in groups, each in its polygon {r1 <= min(r1_cap, sum_cap),
     r1 + r2 <= sum_cap, r2 <= sum_cap}. rows(keep) gives the rows of groups
-    `keep` and a map from their positions to their source indices."""
+    `keep` as one block of columns (r1, r2, then a row per param)."""
 
     rows: Callable
     r1_cap: np.ndarray
@@ -253,14 +253,14 @@ def _kept_groups(block: GroupBlock, later, top: float, nbins: int):
     return np.flatnonzero(~(block.sum_cap + tol <= lim[reach]))
 
 
-def _front_candidates(points, nbins: int = 4096):
+def _front_candidates(points, width: int = 2, nbins: int = 4096):
     """Finite points of a cloud, clipped at zero, that may lie on its front.
 
-    `points` is one array of (r1, r2) rows, or an iterator of such arrays
-    and `GroupBlock`s. A row's source index is its index in its array, or
-    what its GroupBlock's map gives: it means something only in a cloud
-    that carries params. Each block is culled as it arrives against the
-    running per-bin maxima of r2, a point's bin being
+    `points` is one block, or an iterator of blocks and `GroupBlock`s. A
+    block is a float array of columns: its rows are r1, r2, then one per
+    param; the first `width` rows are kept, so a cloud may carry params
+    its caller does not read. Each block is culled as it arrives against
+    the running per-bin maxima of r2, a point's bin being
     `_bin_index(r1 / top)` with `top` the largest r1 seen so far; blocks
     pass whole while it is zero. A block whose largest r1 exceeds `top`
     first rebins the points held so far on its own, so every bin maximum
@@ -275,93 +275,82 @@ def _front_candidates(points, nbins: int = 4096):
     down, so it could raise none, and the bins, suffix maxima and survivors
     are those of scattering the whole block. A GroupBlock's groups that
     would fail the first test whole are never evaluated (`_kept_groups`).
-    Returns (r1, r2, src), stably sorted by source index.
+    Returns the survivors' `width` rows, in the order they arrived.
     """
     blocks = points if isinstance(points, Iterator) else [points]
     later = np.full(nbins, -np.inf)
     top, supplied, held = 0.0, False, []
     for block in blocks:
-        rows, src_of = block, np.asarray  # identity
         if isinstance(block, GroupBlock):
-            rows, src_of = block.rows(
+            block = block.rows(
                 _kept_groups(block, later, top, nbins) if top > 0.0
                 else np.arange(block.r1_cap.size))
-        pts = np.asarray(rows, dtype=float).reshape(-1, 2)
-        supplied = supplied or pts.size > 0
-        sel = None
-        if not np.isfinite(pts).all():
-            sel = np.flatnonzero(np.isfinite(pts).all(axis=1))
-            pts = pts[sel]
-        r1, r2 = np.clip(pts[:, 0], 0.0, None), pts[:, 1]
+        cols = np.asarray(block, dtype=float)
+        cols = cols[:width] if cols.size else np.empty((width, 0))
+        supplied = supplied or cols.size > 0
+        if not np.isfinite(cols[:2]).all():
+            cols = cols[:, np.isfinite(cols[:2]).all(axis=0)]
+        r1 = np.clip(cols[0], 0.0, None)
         if r1.max(initial=0.0) > top:
             top = r1.max()
             best = np.full(nbins, -np.inf)
-            for h1, h2, _ in held:
-                np.maximum.at(best, _bin_index(h1 / top, nbins), h2)
+            for h in held:
+                np.maximum.at(best, _bin_index(h[0] / top, nbins), h[1])
             later = _later_max(best)
+        cand = np.arange(cols.shape[1])
         if top > 0.0:
             idx = _bin_index(r1 / top, nbins)
             # later >= 0 wherever it is finite, so a negative r2 meets it
             # as its clipped zero would
-            cand = np.flatnonzero(r2 > later[idx])
-            idx, r1 = idx[cand], r1[cand]
-            r2 = np.clip(r2[cand], 0.0, None)
+            cand = np.flatnonzero(cols[1] > later[idx])
+            idx, r2 = idx[cand], np.clip(cols[1, cand], 0.0, None)
             np.maximum.at(best, idx, r2)
             later = _later_max(best)
-            keep = r2 > later[idx]
-            cand, r1, r2 = cand[keep], r1[keep], r2[keep]
-            sel = cand if sel is None else sel[cand]
-        else:
-            r2 = np.clip(r2, 0.0, None)
-        src = src_of(np.arange(r1.size) if sel is None else sel)
-        held.append((r1, r2, src))
+            cand = cand[r2 > later[idx]]
+        cols = cols[:, cand]  # the survivors' columns, copied
+        cols[0] = r1[cand]
+        np.clip(cols[1], 0.0, None, out=cols[1])
+        held.append(cols)
     if not supplied:
         raise EmptyInput("no points supplied")
-    r1, r2, src = (np.concatenate(v) for v in zip(*held))
-    if src.size == 0:
+    cols = np.concatenate(held, axis=1)
+    if cols.shape[1] == 0:
         raise EmptyInput("no finite points supplied")
-    order = np.argsort(src, kind="stable")
-    return r1[order], r2[order], src[order]
+    return cols
 
 
-def from_pareto_points(points, params=None,
-                       region_id: str = "") -> RateRegion:
+def from_pareto_points(points, names=(), region_id: str = "") -> RateRegion:
     """Build an inner region from achievable sample points.
 
-    `points` is an array of (r1, r2) rows, or an iterator of blocks (see
-    `_front_candidates`), so a sweep can hand over its cloud one block at a
-    time without holding it. Dominated points are discarded and negatives
-    clamped to zero; the boundary starts at (0, r2 of the first front
-    point) and keeps the upper-hull vertices of the front, so the region
-    holds every point of the cloud. Outer regions are never sampled: they
-    wrap exact node values (`from_boundary`). `params` may carry per-point
-    maximizer values into the region meta: a dict of arrays aligned with
-    the source rows, or a function from the kept points' source indices to
-    such a dict.
+    `points` is one block of columns (r1, r2, then one row per name of
+    `names`), or an iterator of blocks (see `_front_candidates`), so a
+    sweep can hand over its cloud one block at a time without holding it.
+    Dominated points are discarded and negatives clamped to zero; the
+    boundary starts at (0, r2 of the first front point) and keeps the
+    upper-hull vertices of the front, so the region holds every point of
+    the cloud. Each kept vertex's param columns go to meta["params"],
+    keyed by `names`; among exactly equal points, the first to arrive
+    wins. Outer regions are never sampled: they wrap exact node values
+    (`from_boundary`).
     """
-    r1, r2, src_idx = _front_candidates(points)
-    keep = _pareto_filter(r1, r2)
-    r1s, r2s, keep_src = r1[keep], r2[keep], src_idx[keep]
+    cols = _front_candidates(points, 2 + len(names))
+    cols = cols[:, _pareto_filter(cols[0], cols[1])]
 
     # coalesce r1 ties within 1e-9 * max(r1_max, 1), keeping the first (the
     # largest r2): without it best_inner's top corner drops near-vertically
     # within 1e-13 of r1_max, and a boundary read there falls by bits
-    tie = 1e-9 * max(float(r1s[-1]), 1.0)
-    mask = np.concatenate([[True], np.diff(r1s) > tie])
-    r1s, r2s, keep_src = r1s[mask], r2s[mask], keep_src[mask]
+    tie = 1e-9 * max(float(cols[0, -1]), 1.0)
+    cols = cols[:, np.concatenate([[True], np.diff(cols[0]) > tie])]
 
-    if r1s[0] > 0.0:  # start on the r2 axis
-        r1s, r2s, keep_src = (np.r_[v[:1], v] for v in (r1s, r2s, keep_src))
-        r1s[0] = 0.0
-    hull = _upper_hull(r1s, r2s)
-    r1s, r2s, keep_src = r1s[hull], r2s[hull], keep_src[hull]
+    if cols[0, 0] > 0.0:  # start on the r2 axis
+        cols = np.concatenate([cols[:, :1], cols], axis=1)
+        cols[0, 0] = 0.0
+    cols = cols[:, _upper_hull(cols[0], cols[1])]
 
     meta: dict = {"id": region_id}
-    if params:
-        picked = params(keep_src) if callable(params) else \
-            {k: np.asarray(v)[keep_src] for k, v in params.items()}
-        meta["params"] = {k: np.asarray(v, float) for k, v in picked.items()}
-    return RateRegion(Kind.INNER, r1s, r2s, meta)
+    if names:
+        meta["params"] = dict(zip(names, cols[2:]))
+    return RateRegion(Kind.INNER, cols[0], cols[1], meta)
 
 
 def from_boundary(r1_grid, r2_vals, kind: Kind, region_id: str = "",
@@ -391,7 +380,7 @@ def union(regions) -> RateRegion:
     rid = "|".join(r.region_id for r in regions)
     if kind is Kind.INNER:
         return from_pareto_points(
-            np.concatenate([np.column_stack([r.r1, r.r2]) for r in regions]),
+            np.concatenate([[r.r1, r.r2] for r in regions], axis=1),
             region_id=rid)
     xs = np.unique(np.concatenate([r.r1 for r in regions]))
     ys = np.max([r.boundary_at(xs, outside=-np.inf) for r in regions], axis=0)

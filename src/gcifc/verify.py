@@ -219,20 +219,20 @@ def _table_rows(ch: ChannelParams):
             f1, r2, ss = inner.scheme_e_rates(ch, 1.0, lam)
             pts.append((float(f1), float(min(r2, ss - f1))))
         rows.append(("partial-cancel", applies2,
-                     from_pareto_points(pts), so))
+                     from_pareto_points(np.transpose(pts)), so))
 
         al4 = 1.0 / max(ch.p1, 1.0)  # min(1, 1 / p1); at p1 = 0 the origin
         a_pt = (float(cap((1 - al4) * u.p1 / (u.n + al4 * u.p1))),
                 float(u.cap(al4 * b2p1)))
         rows.append(("broadcast-strong", b2p1 > u.p2,
-                     from_pareto_points([peq_pt, a_pt]), so))
+                     from_pareto_points(np.transpose([peq_pt, a_pt])), so))
 
         c_p1 = float(u.cap(u.p1))
         ssum = min(float(u.cap(u.p1 + abs(ch.a) ** 2 * u.p2)),
                    float(u.cap(b2p1 + u.p2)))
         d_pt = (min(c_p1, ssum), max(ssum - c_p1, 0.0))
         rows.append(("interference-strip", abs(ch.a) >= 1.0 and b2p1 <= u.p2,
-                     from_pareto_points([peq_pt, d_pt]), so))
+                     from_pareto_points(np.transpose([peq_pt, d_pt])), so))
     else:
         rows.append(("broadcast-weak", b2p1 > u.p2,
                      inner.scheme_a(ch), outer.weak_outer(ch)))

@@ -1,9 +1,9 @@
 """Loop form of the scheme-F lambda fans, and the one-shot scheme-E sweep.
 
 The loop form evaluates one lambda scale at a time, as the library did
-before it broadcast the sweep. `scheme_e` builds the whole scheme-E cloud
-and its params arrays at once, as the library did before it streamed the
-cloud one lambda fan at a time. The equivalence tests in test_sweeps.py
+before it broadcast the sweep. `scheme_e` builds the whole scheme-E cloud,
+its params columns included, at once, as the library did before it
+streamed the cloud one lambda fan at a time. The equivalence tests in test_sweeps.py
 require the library to reproduce them bit for bit.
 
 Like the library, they compute in float64 when the cross gain a is real
@@ -57,9 +57,8 @@ def scheme_f(ch, n_lambda=41, face_lambda=201):
         r1b = np.clip(m2r - ms, 0.0, r1a)
         r2b = pos(np.minimum(ms - r1b, m2r - 2.0 * r1b))
         r2c = pos(np.minimum(ms, m2r))
-        chunks.append(np.stack([
-            np.concatenate([r1a, r1b, np.zeros_like(r2c)]),
-            np.concatenate([r2a, r2b, r2c])], axis=1))
+        chunks.append([np.concatenate([r1a, r1b, np.zeros_like(r2c)]),
+                       np.concatenate([r2a, r2b, r2c])])
     # the beta = gamma = 0 face: scheme E at real scales of its own costa1
     # amplitude
     face = inner.default_alpha_grid(ch)
@@ -80,14 +79,14 @@ def scheme_f(ch, n_lambda=41, face_lambda=201):
         rho = np.outer(rho, np.exp(1j * np.linspace(0.0, np.pi, 17))).ravel()
     r1d, sd = inner.scheme_d_rates(ch, np.concatenate([rho, -rho]))
     v1 = np.minimum(r1d, sd)
-    chunks.append(np.stack([v1, pos(sd - v1)], axis=1))
-    chunks.append(np.stack([np.zeros_like(sd), pos(sd)], axis=1))
-    return from_pareto_points(np.concatenate(chunks, axis=0), region_id="f")
+    chunks.append([v1, pos(sd - v1)])
+    chunks.append([np.zeros_like(sd), pos(sd)])
+    return from_pareto_points(np.concatenate(chunks, axis=1), region_id="f")
 
 
-def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201):
-    """inner.scheme_e from one cloud of every (scale, split) pair, with
-    alpha and lambda_re arrays aligned with its rows."""
+def scheme_e_cloud(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201):
+    """inner.scheme_e's cloud as one block of every (scale, split) pair:
+    columns r1, r2, alpha, lambda_re."""
     al = inner.default_alpha_grid(ch) if alpha_grid is None \
         else np.asarray(alpha_grid)
     a_pow = al * ch.p1
@@ -106,12 +105,14 @@ def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201):
     f1 = inner._f_mi(1.0, u1[None, :], 1.0, w, a_pow[None, :])
     f2 = inner._f_mi(ch.b, u2[None, :], 1.0, w, a_pow[None, :], clamp=False)
     ssum = cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)[None, :]
-    pts = inner._rect_sum_vertices(f1, pos(ssum - f2), ssum)
-    al2 = np.broadcast_to(al[None, :], f1.shape).ravel()
     lam_re = np.where(ch.p2 > 0, np.real(w) / max(math.sqrt(ch.p2), 1e-300),
                       0.0)
-    lam2 = np.broadcast_to(lam_re, f1.shape).ravel()
+    return inner._rect_sum_vertices(f1, pos(ssum - f2), ssum, al, lam_re)
+
+
+def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201):
+    """inner.scheme_e from `scheme_e_cloud`, its rows in (vertex, scale,
+    split) order."""
     return from_pareto_points(
-        pts, params={"alpha": np.concatenate([al2, al2]),
-                     "lambda_re": np.concatenate([lam2, lam2])},
-        region_id=f"e:{lambda_policy}")
+        scheme_e_cloud(ch, alpha_grid, lambda_policy, n_lambda),
+        ("alpha", "lambda_re"), region_id=f"e:{lambda_policy}")

@@ -256,7 +256,7 @@ class TestBcPr:
         got = reg.boundary_at(r1_bc)
         assert np.all(got >= r2_bc - 1e-6)
         gap, _ = region.additive_gap(reg, region.from_pareto_points(
-            np.stack([r1_bc, r2_bc], 1)))
+            np.stack([r1_bc, r2_bc])))
         assert gap < 5e-3
 
     def test_isolated_antennas_rectangle(self):

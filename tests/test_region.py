@@ -68,15 +68,15 @@ class TestFromParetoPoints:
     def test_inner_holds_its_cloud(self, rng):
         # the hull vertices are kept, not chords between uniform nodes
         for pts in _concave_clouds(rng, 20):
-            reg = from_pareto_points(pts)
+            reg = from_pareto_points(pts.T)
             assert np.all(reg.contains_points(pts[:, 0], pts[:, 1], tol=1e-12))
 
     def test_collinear_inner(self):
-        reg = from_pareto_points([(0, 2), (1, 1), (2, 0)])
+        reg = from_pareto_points([[0, 1, 2], [2, 1, 0]])
         assert np.allclose(reg.r2, 2.0 - reg.r1, atol=1e-12)
 
     def test_dominated_point_convexified(self):
-        reg = from_pareto_points([(0, 2), (1, 0.5), (2, 0)])
+        reg = from_pareto_points([[0, 1, 2], [2, 0.5, 0]])
         assert np.allclose(reg.r2, 2.0 - reg.r1, atol=1e-12)
 
     def test_outer_step_up(self):
@@ -87,17 +87,17 @@ class TestFromParetoPoints:
         with pytest.raises(EmptyInput):
             from_pareto_points([])
         with pytest.raises(EmptyInput):
-            from_pareto_points([(np.nan, 1.0)])
+            from_pareto_points([[np.nan], [1.0]])
 
     def test_negative_rates_clamped(self):
-        reg = from_pareto_points([(1.0, -0.5), (0.5, 0.25)])
+        reg = from_pareto_points([[1.0, 0.5], [-0.5, 0.25]])
         assert reg.r2.min() >= 0.0
         assert reg.r1_max == pytest.approx(1.0)
 
     def test_params_carried(self):
-        reg = from_pareto_points([(0, 2), (2, 0)], params={"alpha": [0.0, 1.0]})
-        assert "alpha" in reg.meta["params"]
-        assert reg.meta["params"]["alpha"].shape == reg.r1.shape
+        reg = from_pareto_points([[0, 2], [2, 0], [0.0, 1.0]], ("alpha",))
+        assert list(reg.meta["params"]) == ["alpha"]
+        assert reg.meta["params"]["alpha"].tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("kind", [Kind.INNER, Kind.OUTER])
     def test_subnormal_scale_large_cloud(self, kind):
@@ -107,7 +107,7 @@ class TestFromParetoPoints:
         x = rng.uniform(0.0, 1e-306, 5000)
         y = 3.0 - x * 1e306 + rng.uniform(0.0, 0.5, x.size)
         pts = np.stack([x, y], axis=1)
-        reg = (from_pareto_points(pts) if kind is Kind.INNER
+        reg = (from_pareto_points(pts.T) if kind is Kind.INNER
                else from_boundary(*_staircase(pts), kind))
         assert reg.kind is kind and reg.r1[0] == 0.0
         assert 0.0 < reg.r1_max <= x.max()
@@ -146,8 +146,8 @@ class TestSetOps:
     def test_inner_union_is_the_hull_of_the_clouds(self, rng):
         clouds = list(_concave_clouds(rng, 6))
         for a, b in zip(clouds[:-1], clouds[1:]):
-            u = union([from_pareto_points(a), from_pareto_points(b)])
-            want = from_pareto_points(np.concatenate([a, b]))
+            u = union([from_pareto_points(a.T), from_pareto_points(b.T)])
+            want = from_pareto_points(np.concatenate([a, b]).T)
             assert np.array_equal(u.r1, want.r1)
             assert np.array_equal(u.r2, want.r2)
 
@@ -201,7 +201,8 @@ class TestOnGrid:
         # lies on or below the region and an outer one on or above it
         for pts in _concave_clouds(rng, 10):
             if kind is Kind.INNER:
-                reg = from_pareto_points(pts, params={"i": np.arange(len(pts))})
+                reg = from_pareto_points(
+                    np.vstack([pts.T, np.arange(len(pts))]), ("i",))
             else:
                 x, y = _staircase(pts)
                 reg = from_boundary(x, y, kind, params={"i": np.arange(x.size)})
@@ -277,7 +278,7 @@ class TestGaps:
 
     def test_multiplicative_degenerate_inner(self):
         outer = line_region(2.0, 1.0, Kind.OUTER)
-        inner = from_pareto_points([(1.0, 0.0)])
+        inner = from_pareto_points([[1.0], [0.0]])
         m, _ = multiplicative_gap(outer, inner)
         assert math.isinf(m)
 
@@ -359,7 +360,7 @@ class TestInvariantsAndSerialization:
                     min_size=1, max_size=40))
     @example(pts=[(5e-324, 0.0)])
     def test_boundary_monotone(self, pts):
-        for reg in (from_pareto_points(pts),
+        for reg in (from_pareto_points(np.transpose(pts)),
                     from_boundary(*_staircase(pts), Kind.OUTER)):
             assert np.all(np.diff(reg.r2) <= 1e-12)
             assert reg.r1[0] == 0.0
@@ -368,7 +369,7 @@ class TestInvariantsAndSerialization:
         # the 512-node table sits within 1e-3 bits of the 2048 one
         for _ in range(10):
             pts = np.abs(rng.normal(size=(60, 2))) * 3
-            reg = from_pareto_points(pts)
+            reg = from_pareto_points(pts.T)
             lo, hi = reg.on_grid(512), reg.on_grid(2048)
             drift = np.max(np.abs(hi.boundary_at(lo.r1) - lo.r2))
             assert drift <= 1e-3
@@ -387,7 +388,8 @@ class TestInvariantsAndSerialization:
 
     def test_csv_roundtrip_fidelity(self, rng):
         pts = np.abs(rng.normal(size=(40, 2))) * 5
-        reg = from_pareto_points(pts, params={"alpha": rng.uniform(size=40)})
+        reg = from_pareto_points(np.vstack([pts.T, rng.uniform(size=40)]),
+                                 ("alpha",))
         back = RateRegion.from_csv(reg.to_csv(), Kind.INNER)
         assert np.allclose(back.r1, reg.r1, rtol=1e-12, atol=1e-300)
         assert np.allclose(back.r2, reg.r2, rtol=1e-12, atol=1e-300)
@@ -507,10 +509,10 @@ class TestEnvelopeKernels:
                 yield np.concatenate(rows), list(zip(starts, rows))
 
         def offset(start, rows):
-            # one uncapped group, its rows' source indices offset by start
+            # one uncapped group, each row carrying its source index
             inf = np.full(1, np.inf)
-            return GroupBlock(lambda keep: (rows, lambda at: start + at),
-                              inf, inf)
+            cols = np.vstack([rows.T, start + np.arange(len(rows))])
+            return GroupBlock(lambda keep: cols, inf, inf)
 
         def split(pts, shuffle):
             cuts = np.sort(rng.integers(0, len(pts) + 1, 3))
@@ -523,19 +525,29 @@ class TestEnvelopeKernels:
             return pts, blocks
 
         for pts, blocks in [*(split(*c) for c in cases()), *growing()]:
-            fin = np.flatnonzero(np.isfinite(pts).all(axis=1))
+            # source indices in arrival order: the first to arrive of equal
+            # points wins
+            order = np.concatenate([start + np.arange(len(rows))
+                                    for start, rows in blocks])
+            fin = order[np.isfinite(pts[order]).all(axis=1)]
             if not fin.size:
                 continue
             x, y = np.clip(pts[fin, 0], 0, None), np.clip(pts[fin, 1], 0, None)
             want = fin[_pareto_lexsort(x, y)]
             for nbins in (1, 3, 8, 4096):
-                r1, r2, src = _front_candidates(
-                    iter([offset(*b) for b in blocks]), nbins)
-                assert np.array_equal(src[_pareto_filter(r1, r2)], want)
-            one = from_pareto_points(pts)
-            # plain arrays, whose source indices restart in each block
+                cols = _front_candidates(
+                    iter([offset(*b) for b in blocks]), 3, nbins)
+                assert np.array_equal(cols[2][_pareto_filter(*cols[:2])], want)
+            one = from_pareto_points(pts.T)
+            # without the index column, and with it as a param: each vertex
+            # is its own row's point (the first also at r1 = 0)
             for stream in ([offset(*b) for b in blocks],
-                           [rows for _, rows in blocks]):
+                           [rows.T for _, rows in blocks]):
                 got = from_pareto_points(iter(stream))
                 assert np.array_equal(got.r1, one.r1)
                 assert np.array_equal(got.r2, one.r2)
+            got = from_pareto_points(iter([offset(*b) for b in blocks]),
+                                     ("i",))
+            i = got.meta["params"]["i"].astype(int)
+            assert np.array_equal(got.r2, np.clip(pts[i, 1], 0, None))
+            assert np.array_equal(got.r1[1:], np.clip(pts[i[1:], 0], 0, None))
