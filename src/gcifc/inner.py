@@ -299,14 +299,13 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
 
 
 def _costa(a_pow, amp, n):
-    """Costa's amplitude a_pow amp / (a_pow + n). A complex amp is scaled by
-    the real fraction, each part as a real number (numpy would divide by a
-    reciprocal): past an SNR of 2^53 the fraction is 1, so c1 w - amp in
-    `_f_mi` is exact. A real amp keeps the plain quotient and its bits; at
-    SNRs of 1e100 and more it is 1 ulp off amp on some splits, where the
-    rate reads hundreds of bits low."""
-    if not np.iscomplexobj(amp):
-        return a_pow * amp / (a_pow + n)
+    """Costa's amplitude a_pow amp / (a_pow + n), as the real fraction
+    a_pow / (a_pow + n) times amp (each part of a complex amp as a real
+    number; numpy would divide by a reciprocal). Past an SNR of 2^53 the
+    fraction is 1, so c1 w - amp in `_f_mi` is exact; the quotient
+    a_pow amp / (a_pow + n) is 1 ulp off amp on some splits at SNRs of
+    1e100 and more, where E's r1 bound read hundreds of bits low and its
+    r2 bound hundreds of bits above its exact value."""
     return a_pow / (a_pow + n) * amp
 
 

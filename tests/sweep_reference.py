@@ -7,8 +7,8 @@ streamed the cloud one lambda fan at a time. The equivalence tests in test_sweep
 require the library to reproduce them bit for bit.
 
 Like the library, they compute in float64 when the cross gain a is real
-(a.imag == 0) and in complex128 otherwise, where a Costa amplitude is
-the real Costa fraction times the complex interferer amplitude.
+(a.imag == 0) and in complex128 otherwise; a Costa amplitude is the real
+Costa fraction times the interferer amplitude.
 """
 
 import math
@@ -25,10 +25,8 @@ def _real_a(ch):
 
 
 def _costa(a_pow, amp):
-    """Costa's amplitude a_pow amp / (a_pow + 1), a complex amp scaled by
-    the real fraction a_pow / (a_pow + 1)."""
-    if not np.iscomplexobj(amp):
-        return a_pow * amp / (a_pow + 1.0)
+    """Costa's amplitude a_pow amp / (a_pow + 1), as the real fraction
+    a_pow / (a_pow + 1) times amp."""
     return a_pow / (a_pow + 1.0) * amp
 
 

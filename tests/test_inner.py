@@ -582,15 +582,22 @@ def test_dpc_info_past_the_double_range(ch):
 @pytest.mark.parametrize("ch", [
     ChannelParams(0.5 + 0.5j, 1.5, 1e100, 1e100),
     ChannelParams(-0.6 + 0.2j, 1.5, 1e300, 1e300),
-    ChannelParams(-0.6 + 0.2j, 1.7, 1e308, 1e308)])
+    ChannelParams(-0.6 + 0.2j, 1.7, 1e308, 1e308),
+    ChannelParams(0.5, 1.5, 1e100, 1e100),
+    ChannelParams(0.5, 1.5, 1e160, 1e160),
+    ChannelParams(0.5, 1.5, 1e300, 1e300),
+    ChannelParams(0.5, 0.5, 1e300, 1e300),
+    ChannelParams(0.0, 3.0, 1e160, 1.0)])
 def test_complex_costa_amplitude_reaches_cap_p1(ch):
-    """With complex a, Costa's amplitude is the real fraction
+    """Costa's amplitude, complex or real, is the real fraction
     a_pow / (a_pow + n) times the interferer's, which is the interferer's
     itself past an SNR of 2^53: the cancellation c1 w - u1 at it stays
     exact, E's r1 bound is Costa's cap(alpha p1) at every split, and
     e:costa1 reaches r1 = cap(p1) (6.1e-6 to 5.5e-5 bits short when numpy
     divided by the reciprocal; 430 of these splits hundreds of bits short
-    at p = 1e300 when each part of a_pow u1 was divided by a_pow + n)."""
+    at p = 1e300 when each part of a_pow u1 was divided by a_pow + n, and
+    with real a up to 890 bits short on 41 to 172 of the splits of these
+    channels at 1e100 and more when a_pow u1 was)."""
     u = units(ch)
     got = inner.scheme_e(ch, lambda_policy="costa1").r1_max
     assert got == pytest.approx(float(u.cap(u.p1)), rel=1e-12)
@@ -599,6 +606,51 @@ def test_complex_costa_amplitude_reaches_cap_p1(ch):
                      inner._scheme_e_costa1(ch, al), al * u.p1)
     want = u.cap(al * u.p1)
     assert np.all(np.abs(f1 - want) <= 1e-12 * np.maximum(1.0, want))
+
+
+@pytest.mark.parametrize("ch", [
+    pytest.param(ChannelParams(0.0, 3.0, 1e160, 1.0), id="s-p1=1e160"),
+    pytest.param(ChannelParams(0.5, 1.5, 1e200, 1.0), id="p=(1e200,1)")])
+def test_costa1_bounds_hold_their_exact_values(ch):
+    """At every split of E's default grid, E's r1 and r2 bounds at the
+    costa1 coefficient are, within 1e-12 max(1, value), no higher than
+    their values in 400 digits on the same split, from the channel's own
+    numbers and the exact coefficient alpha p1 u1 / (alpha p1 + n): r1
+    is that value, Costa's cap(alpha p1), and r2 at most 1 bit below it.
+    (With a_pow u1 / (a_pow + n) rounded 1 ulp off u1, r2 exceeded it by
+    up to 428 bits on 111 splits at (0, 3, 1e160, 1), rows no coefficient
+    reaches.)"""
+    mpmath = pytest.importorskip("mpmath")
+    u = units(ch)
+    al = inner.default_alpha_grid(ch)
+    u1, u2 = inner._scheme_e_amplitudes(ch, al)
+    f1, r2, _ = inner._scheme_e_bounds(ch, al * u.p1, u1, u2,
+                                       inner._scheme_e_costa1(ch, al))
+    want = np.empty((2, al.size))
+    with mpmath.workdps(400):
+        n, b = mpmath.mpf(u.n), mpmath.mpf(ch.b)
+        sp2 = mpmath.sqrt(mpmath.mpf(u.p2))
+
+        def f_mi(c, amp, w, a):
+            """I(S; U) - I(U; Xi) in the textbook form, as in _f_mi."""
+            var_s = c ** 2 * a + amp ** 2 + n
+            det = var_s * (a + w ** 2) - (c * a + amp * w) ** 2
+            return mpmath.log(var_s * a / det, 2)
+
+        for k, alpha in enumerate(map(mpmath.mpf, al.tolist())):
+            a = alpha * mpmath.mpf(u.p1)
+            coop = mpmath.sqrt((1 - alpha) * mpmath.mpf(u.p1))
+            v1 = mpmath.mpf(ch.a.real) * sp2 + coop
+            v2 = sp2 + b * coop
+            ssum = mpmath.log(n + b ** 2 * a + v2 ** 2, 2) + u.k2
+            w = a * v1 / (a + n)
+            e1, e2 = (0, ssum) if a == 0 else (f_mi(1, v1, w, a),
+                                                ssum - f_mi(b, v2, w, a))
+            want[:, k] = float(max(e1, 0)), float(max(e2, 0))
+    tol = 1e-12 * np.maximum(1.0, want)
+    assert np.all(np.abs(f1 - want[0]) <= tol[0])
+    assert np.all(r2 <= want[1] + tol[1])
+    assert np.all(r2 >= want[1] - 1.0)
 
 
 @pytest.mark.parametrize("ch", [pytest.param(ch, id=name) for name, ch
@@ -870,9 +922,9 @@ _BEST_CHANNELS = {
     "ab=1": _EDGE["ab=1"], "p=1e8": _EDGE["p=1e8"]}
 # sha256 prefixes of best_inner's (r1, r2) breakpoints
 _BEST_DIGESTS = {
-    "real0": "fd394bf654564253", "real1": "eba6297053754956",
-    "real2": "9ab877ae03b835c0", "complex0": "d0b697eb4dad99fb",
-    "complex1": "b1158e18650131fc", "ab=1": "14601f5a23473d4c",
+    "real0": "37c320f92ae0674e", "real1": "60cd4848278260fc",
+    "real2": "23b0754204ff8004", "complex0": "d0b697eb4dad99fb",
+    "complex1": "b1158e18650131fc", "ab=1": "6361aa74c53effcc",
     "p=1e8": "f071828e2bf64e11",
 }
 
@@ -892,8 +944,8 @@ def test_best_inner_keeps_its_bytes():
 _F_PINNED = {"phase-fan": ChannelParams(-0.6 + 0.2j, 1.7, 10.0, 10.0),
              **{f"real{k}": ch for k, ch in enumerate(random_channels(2, 42))}}
 # sha256 prefixes of scheme_f's (r1, r2) breakpoints
-_F_DIGESTS = {"phase-fan": "f70b875a435e0bf8", "real0": "04b1f0c307099e8d",
-              "real1": "eba6297053754956"}
+_F_DIGESTS = {"phase-fan": "f70b875a435e0bf8", "real0": "3f926f371359fae4",
+              "real1": "60cd4848278260fc"}
 
 
 def test_scheme_f_keeps_its_bytes():
