@@ -541,10 +541,10 @@ def _scheme_f_bounds(ch: ChannelParams, split, w):
 
 
 def _scheme_f_vertices(ch: ChannelParams, split, w):
-    """The split strategy's two interior Pareto vertices at the (scales,
-    splits) amplitudes w, as columns ordered by scale, then vertex, then
-    split, then per split its third vertex (0, r2c) at its largest finite
-    r2c, the only one on the front."""
+    """The split strategy's interior Pareto vertices at the (scales,
+    splits) amplitudes w, as columns: the first vertex at every (scale,
+    split), then the second, then per split its third vertex (0, r2c) at
+    its largest finite r2c, the only one on the front."""
     m1, ms, m2r = _scheme_f_bounds(ch, split, w)
     r1a = np.minimum(m1, np.minimum(ms, m2r / 2.0))
     r2a = pos(np.minimum(ms - r1a, m2r - 2.0 * r1a))
@@ -552,10 +552,9 @@ def _scheme_f_vertices(ch: ChannelParams, split, w):
     r2b = pos(np.minimum(ms - r1b, m2r - 2.0 * r1b))
     r2c = pos(np.minimum(ms, m2r))
     r2c = r2c.max(axis=0, initial=-np.inf, where=np.isfinite(r2c))
-    return np.concatenate([
-        np.stack([np.stack([r1a, r1b], axis=1).ravel(),
-                  np.stack([r2a, r2b], axis=1).ravel()]),
-        [np.zeros_like(r2c), r2c]], axis=1)
+    return np.concatenate([np.reshape([r1a, r2a], (2, -1)),
+                           np.reshape([r1b, r2b], (2, -1)),
+                           [np.zeros_like(r2c), r2c]], axis=1)
 
 
 def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
@@ -623,7 +622,7 @@ def tdma_inner(ch: ChannelParams) -> RateRegion:
     """Chord between the solo cognitive point and the beamforming point."""
     u = units(ch)
     return from_pareto_points(
-        np.array([[float(u.cap(u.p1)), 0.0], [0.0, coop_sum_cap(ch)]]).T,
+        np.array([[float(u.cap(u.p1)), 0.0], [0.0, coop_sum_cap(ch)]]),
         region_id="tdma")
 
 

@@ -308,8 +308,7 @@ def _front_candidates(points, width: int = 2, nbins: int = 4096):
             later = _later_max(best)
             cand = cand[r2 > later[idx]]
         cols = cols[:, cand]  # the survivors' columns, copied
-        cols[0] = r1[cand]
-        np.clip(cols[1], 0.0, None, out=cols[1])
+        np.clip(cols[:2], 0.0, None, out=cols[:2])
         held.append(cols)
     if not supplied:
         raise EmptyInput("no points supplied")
