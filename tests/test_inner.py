@@ -787,8 +787,8 @@ def _param_points(ch, rid, params):
     n = len(next(iter(params.values())))
     if rid == "a":
         pts = [inner.scheme_a(ch, [al]) for al in params["alpha"]]
-        return np.array([[[r.r1_max] for r in pts], [[r.r2[-1]] for r in pts]]
-                        ).transpose(0, 2, 1)
+        rates = [[r.r1_max for r in pts], [r.r2[-1] for r in pts]]
+        return np.array(rates)[:, None]
     if rid == "b":
         return np.array(inner.scheme_b_rates(ch, params["alpha"]))[:, None]
     if rid == "c":
@@ -829,7 +829,7 @@ def test_params_rebuild_their_own_vertices(ch, rid):
     below, a point that its own params give through the public rate
     functions: scheme C's at both test-channel noise pairs, D's at the
     real correlation rho_re, E's at the coefficient lambda_re (a is
-    real). The first vertex, at r1 = 0, lies below its neighbour's point."""
+    real). A first vertex moved to r1 = 0 keeps the params of its point."""
     reg = _PARAM_BUILDS[rid](ch)
     got = _param_points(ch, rid, reg.meta["params"])
     below = np.all(np.array([reg.r1, reg.r2])[:, None] <= got + 1e-9, axis=0)
