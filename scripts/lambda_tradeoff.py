@@ -30,7 +30,7 @@ def main():
     ch = ChannelParams(args.a, args.b, args.p, args.p)
     lam = np.linspace(0.0, args.lmax, args.n)
     r1, r2, ssum = inner.scheme_e_rates(ch, args.alpha, lam)
-    info = inner.dpc_info(ch, args.alpha)
+    costa1, costa2 = inner.costa_lambdas(ch, args.alpha)
 
     lines = ["lambda,r1_bound,r2_bound"]
     lines += [f"{l:.12e},{a:.12e},{b:.12e}" for l, a, b in zip(lam, r1, r2)]
@@ -40,8 +40,8 @@ def main():
             fh.write(text)
     else:
         print(text, end="")
-    print(f"# costa1 = {info.lambda_costa1.real:.6f}, "
-          f"costa2 = {info.lambda_costa2.real:.6f}, sum = {float(ssum):.6f}")
+    print(f"# costa1 = {costa1.real:.6f}, "
+          f"costa2 = {costa2.real:.6f}, sum = {float(ssum):.6f}")
 
 
 if __name__ == "__main__":

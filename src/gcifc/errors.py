@@ -9,18 +9,6 @@ class DegenerateDirectLink(GcifcError):
     """Standard-form reduction needs both direct gains nonzero."""
 
 
-class UnknownVariable(GcifcError):
-    """A linear combination referenced an undeclared variable."""
-
-
-class NonPSD(GcifcError):
-    """A user-supplied covariance matrix is not positive semidefinite."""
-
-
-class SingularConditioning(GcifcError):
-    """Mutual information is infinite (deterministic dependence)."""
-
-
 class RegimeMismatch(GcifcError):
     """A bound was requested outside its validity regime."""
 
@@ -39,10 +27,6 @@ class EmptyInput(GcifcError):
 
 class MixedKinds(GcifcError):
     """Inner and outer regions cannot be combined by this operation."""
-
-
-class DegenerateDenominator(GcifcError):
-    """A closed form was evaluated at a parameter point where it is undefined."""
 
 
 class PowerOverflow(GcifcError):

@@ -5,7 +5,7 @@ covariance determinant ratios, evaluated as vectorized closed forms in
 Gram form (a sum of squared minors, which cannot cancel; conditioning on
 X2 drops its source), so they need no clamps at any power. Schemes C and
 E share one dirty-paper kernel, `_f_mi`; every scheme is cross-checked
-against the gaussmi oracle in the test suite. Power-split parameters are
+against the suite's oracle, `tests/gaussmi.py`. Power-split parameters are
 swept on grids whose r1 images are uniform (plus a uniform fill), so the
 hull kept as each region has vertices all along its boundary.
 
@@ -35,18 +35,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import DegenerateDenominator
 from .region import (R1_GRID_DEFAULT, GroupBlock, RateRegion,
                      from_pareto_points)
 from .region import union  # noqa: F401 (perfbench's tracer test reads it)
-from .util import (alpha_of_r1, cap, coop_sum_cap, pos, r1_grid, root_ratio,
-                   units)
+from .util import alpha_of_r1, cap, coop_sum_cap, pos, r1_grid, units
 
 # test-channel noise variances (sigma1^2, sigma2^2) of the binning schemes
 _SIGMA_PAIRS = ((1.0, 0.0), (1.0, 1.0))
@@ -57,27 +54,6 @@ def _real_a(ch: ChannelParams):
     in float64 (real division is also correctly rounded, complex is not),
     and as a complex otherwise."""
     return ch.a.real if ch.a.imag == 0.0 else ch.a
-
-
-@dataclass(frozen=True)
-class DpcInfo:
-    """Pre-coding coefficients maximizing r1 / minimizing r2, plus f at the max."""
-
-    lambda_costa1: complex
-    lambda_costa2: complex
-    f_value: float
-
-
-def lambda_costa(h: complex, sigma_sq: float, alpha: float, p1: float) -> complex:
-    """Rate-maximizing pre-coding coefficient alpha*p1*h/(alpha*p1 + sigma^2),
-    in the noise units of power p1 (`util.units`), the fraction first: h
-    alone may be near the double range."""
-    u = units(ChannelParams(0.0, 0.0, p1, 0.0))
-    a_pow = alpha * u.p1
-    den = a_pow + sigma_sq * u.n
-    if den <= 0.0:
-        raise DegenerateDenominator("alpha*p1 + sigma_sq must be positive")
-    return a_pow / den * h
 
 
 def _f_mi(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp: bool = True):
@@ -102,31 +78,6 @@ def _f_mi(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp: bool = True):
              + sigma_sq * (a_pow + np.abs(w) ** 2) / v + su_sq / v * var_s)
         val = np.where(v == 0.0, 0.0, np.log2(var_s * s / g) - np.log2(s))
     return pos(val) if clamp else val
-
-
-def f_dpc(h: complex, sigma_sq: float, lam: complex, alpha, p1: float,
-          p2: float):
-    """Pre-coded rate residual f(h, sigma^2; lambda), clamped at zero, in
-    the noise units of the powers p1, p2 (`util.units`)."""
-    u = units(ChannelParams(0.0, 0.0, p1, p2))
-    a_pow = np.asarray(alpha, dtype=float) * u.p1
-    sp2 = math.sqrt(u.p2)
-    return _f_mi(1.0, h * sp2, sigma_sq * u.n, np.asarray(lam) * sp2, a_pow)
-
-
-def dpc_info(ch: ChannelParams, alpha: float) -> DpcInfo:
-    """Both Costa coefficients at a power split, plus f at the maximizer."""
-    if ch.p2 <= 0.0:
-        raise DegenerateDenominator("pre-coding needs p2 > 0")
-    coop = root_ratio((1.0 - alpha) * ch.p1, ch.p2)
-    h1 = ch.a + coop
-    lc1 = lambda_costa(h1, 1.0, alpha, ch.p1)
-    if ch.b <= 0.0:
-        lc2 = 0.0 + 0.0j
-    else:
-        lc2 = lambda_costa(1.0 / ch.b + coop, 1.0 / ch.b ** 2, alpha, ch.p1)
-    fval = float(f_dpc(h1, 1.0, lc1, alpha, ch.p1, ch.p2))
-    return DpcInfo(lc1, lc2, fval)
 
 
 def default_alpha_grid(ch: ChannelParams, matched: int = 513,
@@ -313,6 +264,20 @@ def _scheme_e_costa1(ch: ChannelParams, al):
     """The costa1 amplitude per split, Costa's a_pow u1 / (a_pow + n)."""
     u = units(ch)
     return _costa(al * u.p1, _scheme_e_amplitudes(ch, al)[0], u.n)
+
+
+def costa_lambdas(ch: ChannelParams, alpha):
+    """Scheme E's Costa coefficients lambda = w / sqrt(p2) per split:
+    costa1 maximizes the r1 bound (`_scheme_e_costa1`); costa2, Costa's
+    amplitude of u2 at the power b^2 alpha p1 over b, minimizes the r2
+    bound. Both are 0 where p2 reads 0 in noise units (`_scheme_e_blocks`),
+    costa2 also where b = 0, where the r2 bound is least at w = 0."""
+    al = np.asarray(alpha, dtype=float)
+    u = units(ch)
+    sp2 = math.sqrt(u.p2) or math.inf  # a finite amplitude over inf is 0
+    u2 = _scheme_e_amplitudes(ch, al)[1]
+    return (_scheme_e_costa1(ch, al) / sp2,
+            _costa(ch.b ** 2 * al * u.p1, u2, u.n) / (ch.b or math.inf) / sp2)
 
 
 # consecutive pre-coding scales per group of scheme E's sweep

@@ -64,14 +64,6 @@ def coop_sum_cap(ch) -> float:
     return float(u.cap((math.sqrt(ch.b ** 2 * u.p1) + math.sqrt(u.p2)) ** 2))
 
 
-def root_ratio(x: float, y: float) -> float:
-    """sqrt(x / y) for x >= 0 and y > 0, finite wherever the root is: the
-    mantissas' ratio, scaled by an even power of two, which is exact."""
-    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
-    half = (ex - ey) // 2
-    return math.ldexp(math.sqrt(math.ldexp(mx, ex - ey - 2 * half) / my), half)
-
-
 def pos(x):
     """Positive part."""
     return np.maximum(x, 0.0)

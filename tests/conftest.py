@@ -1,6 +1,6 @@
 """Shared oracle builders: every scheme's random-variable assignment as a
-gaussmi system, so closed forms can be checked against exact covariance
-mutual information."""
+system of the oracle tests/gaussmi.py, so closed forms can be checked
+against exact covariance mutual information."""
 
 import math
 from pathlib import Path
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gcifc.channel import ChannelParams
-from gcifc import gaussmi
+import gaussmi
 
 
 # zero, subnormal and huge powers and the singular lines, by name

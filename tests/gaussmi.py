@@ -18,7 +18,20 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NonPSD, SingularConditioning, UnknownVariable
+from gcifc.errors import GcifcError
+
+
+class UnknownVariable(GcifcError):
+    """A linear combination referenced an undeclared variable."""
+
+
+class NonPSD(GcifcError):
+    """A user-supplied covariance matrix is not positive semidefinite."""
+
+
+class SingularConditioning(GcifcError):
+    """Mutual information is infinite (deterministic dependence)."""
+
 
 # Eigenvalues below this (relative to the largest) count as zero rank.
 _RANK_TOL = 1e-12

@@ -6,12 +6,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from gcifc import gaussmi, inner, outer, region, verify
-from gcifc.channel import (CapacityResult, ChannelParams, classify,
-                           s_channel_thresholds, very_strong_condition)
+from gcifc import inner, outer, region, verify
+from gcifc.channel import (ChannelParams, classify, s_channel_thresholds,
+                           very_strong_condition)
 from gcifc.util import cap
+import gaussmi
 from conftest import (channel_draw, correlated_input_system, scheme_d_system,
                       scheme_e_system)
 
@@ -254,8 +254,9 @@ def test_criterion_9_oracle_equivalence(rng):
         f1w = (gaussmi.mutual_info(syse, "Y1", "U1c")
                - gaussmi.mutual_info(syse, "U1c", "X2"))
         chk(f1, max(f1w, 0.0))
-        h1 = ch.a + math.sqrt((1 - ale) * ch.p1 / ch.p2)
-        chk(inner.f_dpc(h1, 1.0, lam, ale, ch.p1, ch.p2), max(f1w, 0.0))
+        sp2 = math.sqrt(ch.p2)
+        u1 = (ch.a + math.sqrt((1 - ale) * ch.p1 / ch.p2)) * sp2
+        chk(inner._f_mi(1.0, u1, 1.0, lam * sp2, ale * ch.p1), max(f1w, 0.0))
 
         # silent-primary broadcast layers
         ab = rng.uniform(0.0, 1.0)
@@ -381,13 +382,13 @@ def test_criterion_11_figure_reproduction():
 
     # pre-coding trade-off shape at the reference channel
     ch = ChannelParams(math.sqrt(0.3), math.sqrt(2.0), 6.0, 6.0)
-    info = inner.dpc_info(ch, 0.5)
+    lc1, lc2 = inner.costa_lambdas(ch, 0.5)
     lam = np.linspace(0.0, 2.5, 2501)
     f1, r2, _ = inner.scheme_e_rates(ch, 0.5, lam)
-    ok_fig4 = (abs(lam[int(np.argmax(f1))] - info.lambda_costa1.real) <= 1e-3
-               and abs(lam[int(np.argmin(r2))] - info.lambda_costa2.real) <= 1e-3
-               and abs(info.lambda_costa1.real - 0.9411) <= 1e-4
-               and abs(info.lambda_costa2.real - 1.2122) <= 1e-4)
+    ok_fig4 = (abs(lam[int(np.argmax(f1))] - lc1.real) <= 1e-3
+               and abs(lam[int(np.argmin(r2))] - lc2.real) <= 1e-3
+               and abs(lc1.real - 0.9411) <= 1e-4
+               and abs(lc2.real - 1.2122) <= 1e-4)
 
     # sweep region ordering at the same channel
     sweep = inner.scheme_e(ch, lambda_policy="sweep")

@@ -9,11 +9,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gcifc import gaussmi, inner, outer, region
+from gcifc import inner, outer, region
 from gcifc.channel import ChannelParams
-from gcifc.errors import DegenerateDenominator, GcifcError
+from gcifc.errors import GcifcError
 from gcifc.util import cap, coop_sum_cap, units
 from gcifc.verify import random_channels
+import gaussmi
 from conftest import (EDGE_CHANNELS, HUGE_CHANNELS, channel_draw,
                       scheme_c_system, scheme_d_system, scheme_e_system,
                       scheme_f_system)
@@ -23,23 +24,29 @@ FIG4_CH = ChannelParams(math.sqrt(0.3), math.sqrt(2.0), 6.0, 6.0)
 
 class TestLambdaCosta:
     def test_zero_private_power(self):
-        assert inner.lambda_costa(1.5, 1.0, 0.0, 10.0) == 0.0
+        assert inner._costa(0.0, 1.5, 1.0) == 0.0
 
     def test_noiseless_limit(self):
-        assert inner.lambda_costa(1.5 + 0.5j, 0.0, 0.5, 10.0) == 1.5 + 0.5j
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateDenominator):
-            inner.lambda_costa(1.0, 0.0, 0.0, 10.0)
+        assert inner._costa(5.0, 1.5 + 0.5j, 0.0) == 1.5 + 0.5j
 
     def test_reference_values(self):
         # alpha = 0.5, p1 = p2 = 6, a = sqrt(0.3), b = sqrt(2)
-        info = inner.dpc_info(FIG4_CH, 0.5)
+        lc1, lc2 = inner.costa_lambdas(FIG4_CH, 0.5)
         want1 = 0.75 * (math.sqrt(0.3) + math.sqrt(0.5))
-        assert info.lambda_costa1 == pytest.approx(want1, abs=1e-4)
-        assert abs(info.lambda_costa1 - 0.9411) < 1e-4
-        assert abs(info.lambda_costa2 - 1.2122) < 1e-4
-        assert info.f_value == pytest.approx(float(cap(3.0)), abs=1e-12)
+        assert lc1 == pytest.approx(want1, abs=1e-4)
+        assert abs(lc1 - 0.9411) < 1e-4
+        assert abs(lc2 - 1.2122) < 1e-4
+        f1 = inner.scheme_e_rates(FIG4_CH, 0.5, lc1)[0]
+        assert float(f1) == pytest.approx(float(cap(3.0)), abs=1e-12)
+
+    def test_zero_conventions(self):
+        """Both are 0 at p2 = 0, as E's params are, and costa2 at b = 0,
+        where the r2 bound is least at lambda = 0."""
+        edge, al = dict(EDGE_CHANNELS), np.array([0.0, 0.5, 1.0])
+        assert not np.any(inner.costa_lambdas(edge["p2=0"], al))
+        assert not np.any(inner.costa_lambdas(edge["b=0"], al)[1])
+        r2 = inner.scheme_e_rates(edge["b=0"], 0.5, np.linspace(-1, 1, 201))[1]
+        assert r2[100] == r2.min()
 
 
 class TestFDpc:
@@ -49,12 +56,13 @@ class TestFDpc:
             sig = rng.uniform(0.1, 3.0)
             al = rng.uniform(0.05, 1.0)
             p1, p2 = 10.0 ** rng.uniform(-0.5, 1.5, 2)
-            lc = inner.lambda_costa(h, sig, al, p1)
-            f_at_c = float(inner.f_dpc(h, sig, lc, al, p1, p2))
-            assert f_at_c == pytest.approx(math.log2(1 + al * p1 / sig),
+            u, a_pow = h * math.sqrt(p2), al * p1
+            wc = inner._costa(a_pow, u, sig)
+            f_at_c = float(inner._f_mi(1.0, u, sig, wc, a_pow))
+            assert f_at_c == pytest.approx(math.log2(1 + a_pow / sig),
                                            abs=1e-9)
-            lam = lc * (1 + rng.uniform(-0.5, 0.5))
-            assert float(inner.f_dpc(h, sig, lam, al, p1, p2)) <= f_at_c + 1e-12
+            w = wc * (1 + rng.uniform(-0.5, 0.5))
+            assert float(inner._f_mi(1.0, u, sig, w, a_pow)) <= f_at_c + 1e-12
 
     def test_printed_closed_form(self, rng):
         # det-ratio evaluation equals the textbook expression
@@ -64,14 +72,14 @@ class TestFDpc:
             al = rng.uniform(0.05, 1.0)
             p1, p2 = 10.0 ** rng.uniform(-0.5, 1.5, 2)
             lam = (rng.normal() + 1j * rng.normal()) * 0.7
-            a_pow = al * p1
-            lc = inner.lambda_costa(h, sig, al, p1)
+            a_pow, sp2 = al * p1, math.sqrt(p2)
+            lc = inner._costa(a_pow, h, sig)
             if abs(lc) < 1e-9:
                 continue
             k = a_pow * abs(h) ** 2 * p2 / (a_pow + abs(h) ** 2 * p2 + sig)
             want = math.log2((sig + a_pow)
                              / (sig + k * abs(lam / lc - 1.0) ** 2))
-            got = float(inner.f_dpc(h, sig, lam, al, p1, p2))
+            got = float(inner._f_mi(1.0, h * sp2, sig, lam * sp2, a_pow))
             assert got == pytest.approx(max(want, 0.0), abs=1e-9)
 
     def test_zero_lambda_form(self):
@@ -80,11 +88,12 @@ class TestFDpc:
         want = math.log2((sig + a_pow) /
                          (sig + a_pow * h ** 2 * p2
                           / (a_pow + h ** 2 * p2 + sig)))
-        assert float(inner.f_dpc(h, sig, 0.0, al, p1, p2)) == pytest.approx(
-            want, abs=1e-12)
+        got = inner._f_mi(1.0, h * math.sqrt(p2), sig, 0.0, a_pow)
+        assert float(got) == pytest.approx(want, abs=1e-12)
 
     def test_clamped_far_from_costa(self):
-        assert float(inner.f_dpc(1.0, 1.0, 50.0, 0.5, 4.0, 9.0)) == 0.0
+        # h = 1, lambda = 50 at p1 = 4, p2 = 9 and alpha = 0.5
+        assert float(inner._f_mi(1.0, 3.0, 1.0, 150.0, 2.0)) == 0.0
 
     def test_oracle_equivalence(self, rng):
         # f equals I(X1c + h X2 + Z; U1c) - I(U1c; X2) under the scheme
@@ -98,8 +107,9 @@ class TestFDpc:
                         - gaussmi.mutual_info(sys, "U1c", "X2"))
             except Exception:
                 continue
-            h1 = ch.a + math.sqrt((1 - al) * ch.p1 / ch.p2)
-            got = float(inner.f_dpc(h1, 1.0, lam, al, ch.p1, ch.p2))
+            sp2 = math.sqrt(ch.p2)
+            u1 = (ch.a + math.sqrt((1 - al) * ch.p1 / ch.p2)) * sp2
+            got = float(inner._f_mi(1.0, u1, 1.0, lam * sp2, al * ch.p1))
             assert got == pytest.approx(max(want, 0.0), abs=1e-9)
 
     @pytest.mark.parametrize("p", [1e8, 1e12, 1e160])
@@ -252,13 +262,13 @@ class TestSchemeE:
 
     def test_lambda_shape_facts(self):
         # r1 concave with max at costa1; r2 convex with min at costa2
-        info = inner.dpc_info(FIG4_CH, 0.5)
+        lc1, lc2 = inner.costa_lambdas(FIG4_CH, 0.5)
         lam = np.linspace(0.0, 2.5, 2501)
         f1, r2, _ = inner.scheme_e_rates(FIG4_CH, 0.5, lam)
         i1 = int(np.argmax(f1))
-        assert lam[i1] == pytest.approx(info.lambda_costa1.real, abs=1e-3)
+        assert lam[i1] == pytest.approx(lc1, abs=1e-3)
         i2 = int(np.argmin(r2))
-        assert lam[i2] == pytest.approx(info.lambda_costa2.real, abs=1e-3)
+        assert lam[i2] == pytest.approx(lc2, abs=1e-3)
 
     def test_sweep_contains_fixed_policies(self):
         ch = FIG4_CH
@@ -511,13 +521,15 @@ _P1E308_CHANNELS = [
     ("s-p=(1e308,1e-300)", ChannelParams(0.0, 1.5, 1e308, 1e-300)),
 ]
 
-_BOX_CHANNELS = (
+_F_CHANNELS = (
     [pytest.param(ch, id=f"real{k}")
      for k, ch in enumerate(random_channels(40, 42))]
     + [pytest.param(ch, id=f"complex{k}")
        for k, ch in enumerate(random_channels(10, 42, complex_a=True))]
-    + [pytest.param(ch, id=name)
-       for name, ch in EDGE_CHANNELS + HUGE_CHANNELS + _P1E308_CHANNELS]
+    + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS + HUGE_CHANNELS])
+_BOX_CHANNELS = (
+    _F_CHANNELS
+    + [pytest.param(ch, id=name) for name, ch in _P1E308_CHANNELS]
     + [pytest.param(ChannelParams(0.5 + 0.5j, 1.5, 1e160, 1e160),
                     id="complex-p=1e160"),
        pytest.param(ChannelParams(3.0, 0.2, 1e12, 1e-3), id="p1=1e12")])
@@ -563,22 +575,6 @@ _HUGER_CHANNELS = [
     ("complex-p=1e300", ChannelParams(0.5 + 0.5j, 1.5, 1e300, 1e300)),
 ]
 
-@pytest.mark.parametrize("ch", [pytest.param(ch, id=name)
-                                for name, ch in _P1E308_CHANNELS])
-def test_dpc_info_past_the_double_range(ch):
-    """The pre-coding helpers run in noise units: both Costa coefficients
-    and f at the maximizer are finite, with no warning, at every split,
-    whatever the power ratio p1 / p2."""
-    for alpha in (0.0, 0.5, 1.0):
-        info = inner.dpc_info(ch, alpha)
-        assert all(np.isfinite(v) for v in (info.lambda_costa1,
-                                             info.lambda_costa2,
-                                             info.f_value)), alpha
-        # f at Costa's coefficient is cap(alpha p1)
-        assert info.f_value == pytest.approx(
-            float(units(ch).cap(alpha * units(ch).p1)), rel=1e-12)
-
-
 @pytest.mark.parametrize("ch", [
     ChannelParams(0.5 + 0.5j, 1.5, 1e100, 1e100),
     ChannelParams(-0.6 + 0.2j, 1.5, 1e300, 1e300),
@@ -587,7 +583,11 @@ def test_dpc_info_past_the_double_range(ch):
     ChannelParams(0.5, 1.5, 1e160, 1e160),
     ChannelParams(0.5, 1.5, 1e300, 1e300),
     ChannelParams(0.5, 0.5, 1e300, 1e300),
-    ChannelParams(0.0, 3.0, 1e160, 1.0)])
+    ChannelParams(0.0, 3.0, 1e160, 1.0),
+    ChannelParams(0.5, 1.5, 1e308, 1e308),
+    ChannelParams(0.5, 1.0, 1e308, 1e308),
+    ChannelParams(0.5, 0.5, 1e308, 1e308),
+    ChannelParams(0.0, 1.5, 1e308, 1e-300)])
 def test_complex_costa_amplitude_reaches_cap_p1(ch):
     """Costa's amplitude, complex or real, is the real fraction
     a_pow / (a_pow + n) times the interferer's, which is the interferer's
@@ -597,11 +597,13 @@ def test_complex_costa_amplitude_reaches_cap_p1(ch):
     divided by the reciprocal; 430 of these splits hundreds of bits short
     at p = 1e300 when each part of a_pow u1 was divided by a_pow + n, and
     with real a up to 890 bits short on 41 to 172 of the splits of these
-    channels at 1e100 and more when a_pow u1 was)."""
+    channels at 1e100 and more when a_pow u1 was). Both Costa coefficients
+    lambda are finite at every split, whatever the power ratio p1 / p2."""
     u = units(ch)
     got = inner.scheme_e(ch, lambda_policy="costa1").r1_max
     assert got == pytest.approx(float(u.cap(u.p1)), rel=1e-12)
     al = inner.default_alpha_grid(ch)
+    assert np.all(np.isfinite(inner.costa_lambdas(ch, al)))
     f1 = inner._f_mi(1.0, inner._scheme_e_amplitudes(ch, al)[0], u.n,
                      inner._scheme_e_costa1(ch, al), al * u.p1)
     want = u.cap(al * u.p1)
@@ -959,12 +961,6 @@ def test_scheme_f_keeps_its_bytes():
 
 
 _F_GRID = np.linspace(0.0, 1.0, 11)
-_F_CHANNELS = (
-    [pytest.param(ch, id=f"real{k}")
-     for k, ch in enumerate(random_channels(40, 42))]
-    + [pytest.param(ch, id=f"complex{k}")
-       for k, ch in enumerate(random_channels(10, 42, complex_a=True))]
-    + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS + HUGE_CHANNELS])
 
 
 def _f_blocks(ch):

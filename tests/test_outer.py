@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from gcifc import gaussmi, inner, outer, region
+from gcifc import inner, outer, region
 from gcifc.channel import ChannelParams
 from gcifc.errors import (InvalidTransform, PowerOverflow, RegimeMismatch,
                           SingularPreset)
-from gcifc.util import alpha_of_r1, cap, coop_sum_cap, r1_grid, units
+from gcifc.util import cap, coop_sum_cap, r1_grid, units
+import gaussmi
 from conftest import EDGE_CHANNELS, channel_draw, correlated_input_system
-
-
-def matched_alpha(reg):
-    return alpha_of_r1(reg.r1, None) if False else reg.meta["params"]["alpha"]
 
 
 class TestWeakStrongUnified:

@@ -44,6 +44,12 @@ def test_script_runs(script, args, headers, tmp_path):
         assert lines[0] == header and len(lines) > 1
 
 
+def test_lambda_tradeoff_costa_line(tmp_path):
+    """The default run ends on Fig. 4's Costa coefficients and sum bound."""
+    assert _run("lambda_tradeoff.py", [], tmp_path).splitlines()[-1] == (
+        "# costa1 = 0.941122, costa2 = 1.212183, sum = 4.954196")
+
+
 def test_region_support_compare(tmp_path):
     """The compare mode reports, for every inner id, a run against itself
     as unmoved."""

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gcifc"
+ORACLE = Path(__file__).resolve().parent / "gaussmi.py"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -38,7 +39,7 @@ def _unused_imports(path: Path) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + [ORACLE],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
@@ -102,6 +103,51 @@ def test_the_check_sees_an_unread_private_name(tmp_path):
     b.write_text("from .a import _TABLE\nimport a\nprint(a._Y)\n")
     assert _unread_private([a, b]) == ["a.py: _Gone (line 12)",
                                        "a.py: _left (line 8)"]
+
+
+def _unread_surface(paths) -> list[str]:
+    """Modules of a package that no module of it imports by a relative
+    import (`cli.py` and `__init__.py` are its entry points), and classes
+    of its `errors.py` that no module raises and that are no base of a
+    class that is raised."""
+    nodes = [n for p in paths for n in ast.walk(ast.parse(p.read_text()))]
+    imported = {"cli", "__init__"}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module
+                            else [alias.name for alias in node.names])
+    raised = {getattr(exc, "id", getattr(exc, "attr", None))
+              for exc in (getattr(n.exc, "func", n.exc) for n in nodes
+                          if isinstance(n, ast.Raise) and n.exc)}
+    classes = [n for p in paths if p.name == "errors.py"
+               for n in ast.parse(p.read_text()).body
+               if isinstance(n, ast.ClassDef)]
+    for cls in reversed(classes):  # each base is defined above its subclasses
+        if cls.name in raised:
+            raised.update(getattr(b, "id", None) for b in cls.bases)
+    return ([f"module {p.name}" for p in paths if p.stem not in imported]
+            + [f"errors.py: {c.name}" for c in classes
+               if c.name not in raised])
+
+
+def test_no_unread_package_surface():
+    assert _unread_surface(sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_check_sees_unread_surface(tmp_path):
+    files = {"__init__.py": "from .region import f\n",
+             "cli.py": "from . import inner\n",
+             "region.py": "from .errors import Child\nraise Child('x')\n",
+             "inner.py": "from . import errors\nraise errors.Leaf\n",
+             "errors.py": "class Base(Exception): pass\n"
+                          "class Mid(Base): pass\nclass Child(Mid): pass\n"
+                          "class Leaf(Base): pass\n"
+                          "class Unraised(Base): pass\n",
+             "oracle.py": "import numpy\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert _unread_surface(sorted(tmp_path.glob("*.py"))) == [
+        "module oracle.py", "errors.py: Unraised"]
 
 
 def _scale_calls(path: Path) -> list[str]:
