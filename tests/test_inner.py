@@ -583,11 +583,7 @@ _HUGER_CHANNELS = [
     ChannelParams(0.5, 1.5, 1e160, 1e160),
     ChannelParams(0.5, 1.5, 1e300, 1e300),
     ChannelParams(0.5, 0.5, 1e300, 1e300),
-    ChannelParams(0.0, 3.0, 1e160, 1.0),
-    ChannelParams(0.5, 1.5, 1e308, 1e308),
-    ChannelParams(0.5, 1.0, 1e308, 1e308),
-    ChannelParams(0.5, 0.5, 1e308, 1e308),
-    ChannelParams(0.0, 1.5, 1e308, 1e-300)])
+    ChannelParams(0.0, 3.0, 1e160, 1.0)])
 def test_complex_costa_amplitude_reaches_cap_p1(ch):
     """Costa's amplitude, complex or real, is the real fraction
     a_pow / (a_pow + n) times the interferer's, which is the interferer's
@@ -598,7 +594,24 @@ def test_complex_costa_amplitude_reaches_cap_p1(ch):
     at p = 1e300 when each part of a_pow u1 was divided by a_pow + n, and
     with real a up to 890 bits short on 41 to 172 of the splits of these
     channels at 1e100 and more when a_pow u1 was). Both Costa coefficients
-    lambda are finite at every split, whatever the power ratio p1 / p2."""
+    lambda are finite at every split."""
+    _check_costa_kernel(ch)
+
+
+@pytest.mark.parametrize("ch", [pytest.param(ch, id=name)
+                                for name, ch in _P1E308_CHANNELS])
+def test_dpc_info_past_the_double_range(ch):
+    """Scheme E's Costa kernel runs in noise units: both Costa
+    coefficients are finite, f at costa1 is cap(alpha p1) at every split
+    and e:costa1 reaches r1 = cap(p1), with no warning, whatever the power
+    ratio p1 / p2."""
+    _check_costa_kernel(ch)
+
+
+def _check_costa_kernel(ch):
+    """e:costa1 reaches r1 = cap(p1); on every split of E's default grid
+    both Costa coefficients are finite and f at costa1 is cap(alpha p1),
+    within 1e-12 max(1, value)."""
     u = units(ch)
     got = inner.scheme_e(ch, lambda_policy="costa1").r1_max
     assert got == pytest.approx(float(u.cap(u.p1)), rel=1e-12)
