@@ -16,7 +16,9 @@ warning count and exception is the same:
 
 --out defaults to region_digests.csv. The second prints, per id, as CSV:
 the channels in both files, and how many of them differ in their region
-digest, params digest, warning count and exception.
+digest, params digest, warning count and exception. It names each
+differing (id, channel) pair on stderr and exits 1 if there is one, so
+it can gate a change.
 
 The channels are random_channels(400, 42), random_channels(60, 42,
 complex_a=True), the test suite's EDGE_CHANNELS and HUGE_CHANNELS,
@@ -105,11 +107,18 @@ def compare(old, new):
     a, b = tables
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["id", "channels"] + COLUMNS)
+    moved = False
     for rid in dict.fromkeys(key[0] for key in b):
         both = [key for key in b if key[0] == rid and key in a]
         out.writerow([rid, len(both)] + [
             sum(a[key][col] != b[key][col] for key in both)
             for col in COLUMNS])
+        for key in both:
+            cols = [col for col in COLUMNS if a[key][col] != b[key][col]]
+            if cols:
+                moved = True
+                print(*key, " ".join(cols), sep=",", file=sys.stderr)
+    return 1 if moved else 0
 
 
 def main():
@@ -120,10 +129,10 @@ def main():
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = ap.parse_args()
     if args.compare:
-        compare(*args.compare)
-    else:
-        write(args.out, args.n)
+        return compare(*args.compare)
+    write(args.out, args.n)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

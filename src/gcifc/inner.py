@@ -18,9 +18,10 @@ n in place of each unit noise.
 
 Each scheme of `best_inner` is a private point cloud (an array, or an
 iterator of blocks for the large E and F sweeps) behind a public
-builder. `best_inner` streams A, B, C, F, and E only where its phase fan
-applies, into one envelope: TDMA's corners are rows of B, and F's faces
-are D's cloud and E's real-scale sweep.
+builder. `best_inner` streams A, B, C, F's faces, E's phase fan where it
+applies and F's interior into one envelope: TDMA's corners are rows of
+B, F's faces are D's cloud and E's real-scale sweep, which holds the
+fan's phi = 0 ray.
 
 F's interior fans and all of E's rows (its sweep, its fixed coefficients
 and F's beta = gamma = 0 face) reach the envelope as `GroupBlock`s:
@@ -56,7 +57,8 @@ def _real_a(ch: ChannelParams):
     return ch.a.real if ch.a.imag == 0.0 else ch.a
 
 
-def _f_mi(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp: bool = True):
+def _f_mi(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp: bool = True,
+          var_s=None, noise=None):
     """I(S; U) - I(U; Xi) in bits, S = c1 X + u2 Xi + sigma Z and
     U = X + w Xi + su Zu, with var(X) = a_pow and unit Xi, Z, Zu.
 
@@ -66,18 +68,28 @@ def _f_mi(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp: bool = True):
     G = a_pow |c1 w - u2|^2 + sigma^2 (a_pow + |w|^2) + su^2 var(S); G is
     divided by V term by term, so nothing overflows; as (a_pow + |w|^2) / V
     and var(S) / G can pass the double range, sigma^2 multiplies first
-    (G >= sigma^2). V = 0 gives 0. With clamp the difference is floored at
+    (G >= sigma^2); with su = 0 the factors a_pow / V = 1 and su^2 / V = 0
+    are left out. E's bounds pass var(S) and G's w term (`_f_noise`)
+    precomputed. V = 0 gives 0. With clamp the difference is floored at
     zero, matching the rate interpretation.
     """
     a_pow = np.asarray(a_pow, dtype=float)
-    var_s = np.abs(c1) ** 2 * a_pow + np.abs(u2) ** 2 + sigma_sq
+    if var_s is None:
+        var_s = np.abs(c1) ** 2 * a_pow + np.abs(u2) ** 2 + sigma_sq
     v = a_pow + su_sq
+    noise = _f_noise(sigma_sq, w, a_pow, v) if noise is None else noise
     s = sigma_sq or 1.0  # a noiseless S leaves the ratio unscaled
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (a_pow / v * np.abs(c1 * w - u2) ** 2
-             + sigma_sq * (a_pow + np.abs(w) ** 2) / v + su_sq / v * var_s)
+        g = np.abs(c1 * w - u2) ** 2
+        g = a_pow / v * g + noise + su_sq / v * var_s if su_sq else g + noise
         val = np.where(v == 0.0, 0.0, np.log2(var_s * s / g) - np.log2(s))
     return pos(val) if clamp else val
+
+
+def _f_noise(sigma_sq, w, a_pow, v):
+    """The term sigma^2 (a_pow + |w|^2) / V of `_f_mi`'s G."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sigma_sq * (a_pow + np.abs(w) ** 2) / v
 
 
 def default_alpha_grid(ch: ChannelParams, matched: int = 513,
@@ -205,14 +217,23 @@ def _scheme_e_amplitudes(ch: ChannelParams, alpha):
     return u1, u2
 
 
-def _scheme_e_bounds(ch: ChannelParams, a_pow, u1, u2, w):
+def _scheme_e_terms(ch: ChannelParams, a_pow, u1, u2):
+    """Scheme E's w-free terms per split: its bounds' var(S), its sum bound."""
+    u = units(ch)
+    s2 = ch.b ** 2 * a_pow + np.abs(u2) ** 2
+    return a_pow + np.abs(u1) ** 2 + u.n, s2 + u.n, u.cap(s2)
+
+
+def _scheme_e_bounds(ch: ChannelParams, a_pow, u1, u2, w, terms=None):
     """(r1 bound, r2 bound, sum bound) of the pre-coded common strategy in
     amplitude space: the common power a_pow, the interferer amplitudes
-    u1, u2 of `_scheme_e_amplitudes` and the pre-coding amplitude w."""
+    u1, u2 of `_scheme_e_amplitudes` and the pre-coding amplitude w. The
+    `_scheme_e_terms` of the splits may come precomputed."""
     u = units(ch)
-    f1 = _f_mi(1.0, u1, u.n, w, a_pow)
-    f2 = _f_mi(ch.b, u2, u.n, w, a_pow, clamp=False)
-    ssum = u.cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)
+    var1, var2, ssum = terms or _scheme_e_terms(ch, a_pow, u1, u2)
+    noise = _f_noise(u.n, w, a_pow, a_pow)  # V = a_pow: E's U has no noise
+    f1 = _f_mi(1.0, u1, u.n, w, a_pow, var_s=var1, noise=noise)
+    f2 = _f_mi(ch.b, u2, u.n, w, a_pow, clamp=False, var_s=var2, noise=noise)
     return f1, pos(ssum - f2), ssum
 
 
@@ -230,6 +251,11 @@ def _phase_fan(ch: ChannelParams) -> bool:
     return abs(ch.a.imag) > 1e-12
 
 
+# consecutive pre-coding scales per group of E's sweep; its fan's phases
+_E_RUN = 8
+_E_PHASES = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
+
+
 def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
                     n_lambda: int):
     """The cloud as the `GroupBlock`s of `_scheme_e_blocks`. A fixed
@@ -243,7 +269,7 @@ def _scheme_e_cloud(ch: ChannelParams, al, lambda_policy: str,
     elif lambda_policy == "sweep":
         lin = np.linspace(0.0, 2.0, n_lambda)
         if _phase_fan(ch):
-            phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
+            phases = _E_PHASES
     elif lambda_policy != "costa1":
         raise ValueError(f"unknown lambda policy {lambda_policy!r}")
     return _scheme_e_blocks(ch, al, base, lin, phases)
@@ -280,18 +306,17 @@ def costa_lambdas(ch: ChannelParams, alpha):
             _costa(ch.b ** 2 * al * u.p1, u2, u.n) / (ch.b or math.inf) / sp2)
 
 
-# consecutive pre-coding scales per group of scheme E's sweep
-_E_RUN = 8
-
-
-def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
+def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases,
+                     peak_first: bool = False):
     """Scheme E's rows at w = t e^(i phi) base over the scales t of `lin`,
     the `phases` e^(i phi) and the per-split `base` amplitudes, as
     `GroupBlock`s of one group per phase ray, run of _E_RUN consecutive
-    scales (the last run may be shorter) and split, rays by falling
-    cos(phi). Each row carries its params: the split's alpha and
-    lambda_re = Re(w) / sqrt(p2) (0 where p2 = 0), from the w it is
-    evaluated at.
+    scales (the last run may be shorter) and split: the first ray's runs
+    up to the one holding its peak (with `peak_first`, that one alone and
+    then the runs before it), the rest of them, each other ray's whole
+    runs, then every ray's tail run; rays by falling cos(phi). Where the
+    envelope keeps params, a row carries the split's alpha and lambda_re
+    = Re(w) / sqrt(p2) (0 where p2 = 0), from the w it is evaluated at.
 
     The caps are the w-free sum bound ssum = cap(b^2 alpha p1 + |u2|^2),
     which bounds r1, r2 and r1 + r2 at both vertices, and the largest r1
@@ -311,26 +336,26 @@ def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
     sp2 = math.sqrt(u.p2)
     a_pow = al * u.p1
     u1, u2 = _scheme_e_amplitudes(ch, al)
-    ssum = u.cap(ch.b ** 2 * a_pow + np.abs(u2) ** 2)
+    terms = _scheme_e_terms(ch, a_pow, u1, u2)
     rays = np.argsort(-phases.real, kind="stable")
     full, tail = divmod(lin.size, _E_RUN)
-    # blocks as (rays, first scale, run length, runs): the first ray's whole
-    # runs up to the one holding its peak, so that a cloud opening the
-    # envelope evaluates only those whole, then the rest of them, each other
-    # ray's whole runs, and every ray's tail run
+    # blocks as (rays, first scale, run length, runs), from (first, end) runs
     cut = min(np.searchsorted(lin, phases[rays[0]].real) // _E_RUN + 1, full)
-    specs = [(rays[:1], 0, _E_RUN, cut),
-             (rays[:1], cut * _E_RUN, _E_RUN, full - cut)]
+    head = [(cut - 1, cut), (0, cut - 1)] if peak_first and cut else [(0, cut)]
+    specs = [(rays[:1], i * _E_RUN, _E_RUN, j - i)
+             for i, j in head + [(cut, full)]]
     specs += [(rays[i:i + 1], 0, _E_RUN, full) for i in range(1, n_phase)]
     specs.append((rays, full * _E_RUN, tail, 1))
 
-    def rows(ray, lo, size, runs, keep):
+    def rows(ray, lo, size, runs, keep, width):
         r, run, j = np.unravel_index(keep, (ray.size, runs, n_split))
         s = (lo + run * size + np.arange(size)[:, None]) * n_phase + ray[r]
         w = scales[s] * base[j]
-        lam_re = np.real(w) / sp2 if sp2 > 0.0 else np.zeros(w.shape)
-        return _rect_sum_vertices(*_scheme_e_bounds(
-            ch, a_pow[j], u1[j], u2[j], w), al[j], lam_re)
+        cols = _scheme_e_bounds(ch, a_pow[j], u1[j], u2[j], w,
+                                [t[j] for t in terms])
+        if width > 2:
+            cols += (al[j], np.real(w) / sp2 if sp2 else np.zeros(w.shape))
+        return _rect_sum_vertices(*cols)
 
     for ray, lo, size, runs in specs:
         if size * runs == 0:
@@ -341,7 +366,7 @@ def _scheme_e_blocks(ch: ChannelParams, al, base, lin, phases):
         w = np.multiply.outer(peak * phases[ray, None], base)
         yield GroupBlock(partial(rows, ray, lo, size, runs),
                          _f_mi(1.0, u1, u.n, w, a_pow).ravel(),
-                         np.tile(ssum, ray.size * runs))
+                         np.tile(terms[2], ray.size * runs))
 
 
 def scheme_e(ch: ChannelParams, alpha_grid=None,
@@ -496,10 +521,11 @@ def _scheme_f_bounds(ch: ChannelParams, split, w):
 
     with np.errstate(divide="ignore"):  # t = 0: X2 determines U1
         i_u1x2 = np.where(priv, -np.log2(t), 0.0)
-    m29a = pos(np.log2(v_y1) - np.log2(cv_y1) - i_u1x2)
-    m29b = pos(np.log2(v_y2) - np.log2(cv_y2x2))
-    i_y1_u1u2c = l_y1 - np.log2(cv_y1)
-    m29d = pos(np.log2(cv_y2) - np.log2(cv_y2x2)) + i_y1_u1u2c
+    l_cv_y1, l_cv_y2x2 = np.log2(cv_y1), np.log2(cv_y2x2)
+    m29a = pos(np.log2(v_y1) - l_cv_y1 - i_u1x2)
+    m29b = pos(np.log2(v_y2) - l_cv_y2x2)
+    i_y1_u1u2c = l_y1 - l_cv_y1
+    m29d = pos(np.log2(cv_y2) - l_cv_y2x2) + i_y1_u1u2c
     m29e = pos(m29b + i_y1_u1u2c - i_u1x2)
 
     return np.minimum(m29a, m29b), np.minimum(m29c, m29d), m29e
@@ -523,19 +549,20 @@ def _scheme_f_vertices(ch: ChannelParams, split, w):
 
 
 def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
-                    face_lambda: int):
+                    face_lambda: int, between=()):
     """The cloud as blocks: the faces, so that the interior meets a front,
-    then a `GroupBlock` per pre-coding fan, one group per split triple,
-    with w-free caps: m29c >= ms >= r1 + r2 at every vertex, and r1 <=
-    min(m29a, m29b). m29b <= log2 Var(Y2 | V2c), and so is m29a <= log2
-    Var(Y1 | V2c) where X2 has no private power: conditional variances are
-    >= the noise (n in noise units, whose log2 is -2k). Where it has,
-    m29a = I(U1; Y1 | V2c) - I(U1; X2 | V2c) <= I(X1c; Y1 | X2, V2c) =
-    cap(alpha p1), Costa's dirty-paper bound (IEEE Trans. IT, 1983), with
-    equality at the Costa coefficient. The faces: beta = gamma = 1 with no
-    pre-coding is scheme D, streamed as D's own cloud (either sign of rho,
-    all achievable); beta = gamma = 0 is scheme E, as E's grouped blocks
-    on its split grid at real scales of its costa1 amplitude."""
+    the blocks `between`, then a `GroupBlock` per phase's pre-coding fan,
+    by falling cos(phi), one group per split triple, with w-free caps:
+    m29c >= ms >= r1 + r2 at every vertex, and r1 <= min(m29a, m29b).
+    m29b <= log2 Var(Y2 | V2c), and so is m29a <= log2 Var(Y1 | V2c)
+    where X2 has no private power: conditional variances are >= the noise
+    (n in noise units, whose log2 is -2k). Where it has, m29a = I(U1; Y1 |
+    V2c) - I(U1; X2 | V2c) <= I(X1c; Y1 | X2, V2c) = cap(alpha p1),
+    Costa's dirty-paper bound (IEEE Trans. IT, 1983), with equality at the
+    Costa coefficient. The faces: beta = gamma = 1 with no pre-coding is
+    scheme D, streamed as D's own cloud (either sign of rho, all
+    achievable); beta = gamma = 0 is scheme E, as E's grouped blocks on
+    its split grid at real scales of its costa1 amplitude, peak first."""
     av, bv, gv = (v.ravel() for v in np.meshgrid(al, be, ga, indexing="ij"))
     u = units(ch)
     split = _scheme_f_split(ch, av, bv, gv)
@@ -545,12 +572,12 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
     r1_cap = np.minimum(np.where(priv, u.cap(a_pow), np.log2(v_y1) + u.k2),
                         np.log2(v_y2) + u.k2)
 
-    scales = np.linspace(0.0, 2.0, n_lambda)
+    fans = np.linspace(0.0, 2.0, n_lambda)[None]
     if _phase_fan(ch):
         phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 5))
-        scales = np.outer(scales, phases).ravel()
+        fans = np.outer(fans, phases[[2, 1, 3, 0, 4]]).T  # falling cos
 
-    def rows(fan, keep):
+    def rows(fan, keep, width):
         return _scheme_f_vertices(ch, [v[keep] for v in split],
                                   np.multiply.outer(fan, w_c[keep]))
 
@@ -558,9 +585,10 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
     face = default_alpha_grid(ch)
     lin = np.linspace(0.0, 2.0, max(n_lambda, face_lambda))
     yield from _scheme_e_blocks(ch, face, _scheme_e_costa1(ch, face), lin,
-                                np.ones(1))
-    # one n_lambda fan per block: temporaries under the 4 MB huge-page cut
-    for fan in scales.reshape(-1, n_lambda):
+                                np.ones(1), peak_first=True)
+    yield from between
+    # one fan per block: temporaries under the 4 MB huge-page cut
+    for fan in fans:
         yield GroupBlock(partial(rows, fan), r1_cap, m29c)
 
 
@@ -595,19 +623,21 @@ def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
     """Time-sharing hull of the union of every scheme, each streamed once.
 
     One envelope: the clouds of A, B and C on one split grid (257 matched
-    r1 nodes plus 245 fill), then F's, then E's phase fan where it
-    applies, stream into a single cull, Pareto filter and hull. A leads:
-    its largest r1, cap(p1), which no scheme exceeds, sets the cull's bin
-    scale. F hands over its faces, D's cloud and E's sweep at 101 real
-    scales, then its 11^3 split triples by 41 pre-coding scales; the
-    kernel skips every group whose polygon the front already dominates.
-    `grid` and `fast` are accepted for existing callers and ignored.
+    r1 nodes plus 245 fill), F's faces, E's phase fan where it applies and
+    F's interior stream into one cull, Pareto filter and hull. A leads:
+    its largest r1, cap(p1), which no scheme exceeds, sets the bin scale.
+    F's faces, D's cloud and E's sweep at 101 real scales from the run
+    holding t = 1, form the front early; then come 11^3 split triples by
+    41 pre-coding scales. The kernel skips every group whose polygon the
+    front already dominates. `grid` and `fast` are accepted and ignored.
 
     Left out, as inside this hull: TDMA, whose corners are B's rows at
     alpha = 1 (r1 = cap(p1), the same expression) and alpha = 0 (r2 =
     cap(b^2 p1 + p2 + 2 sqrt(b^2 p1 p2)), the cooperative sum rate within
     2 ulps); D, F's beta = gamma = 1 face; E without a phase fan, F's
-    beta = gamma = 0 face. Kept, as neither maps into F's parameters, and
+    beta = gamma = 0 face, and the fan's phi = 0 ray, whose rows are, bit
+    for bit, rows of that face (E's 502 splits lie in F's 1,002, at the
+    same 101 scales). Kept, as neither maps into F's parameters, and
     each binding (drop-one support at 4,001 slopes): A, which silences
     the primary transmitter that F keeps at full power (0.687 bits at
     (0, 3, 1e160, 1)), and C, which bins (0.177 bits at (0.5, 0.5, 1e300,
@@ -617,9 +647,12 @@ def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
     """
     al = default_alpha_grid(ch, matched=257, uniform=245)
     f_grid = np.linspace(0.0, 1.0, 11)
+    e_fan = _scheme_e_blocks(ch, al, _scheme_e_costa1(ch, al),
+                             np.linspace(0.0, 2.0, 101),
+                             _E_PHASES[_E_PHASES.imag != 0.0],
+                             peak_first=True) if _phase_fan(ch) else ()
     clouds = itertools.chain(
         [_scheme_a_cloud(ch, al), _scheme_b_cloud(ch, al),
          _scheme_c_cloud(ch, al)],
-        _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, 101),
-        _scheme_e_cloud(ch, al, "sweep", 101) if _phase_fan(ch) else [])
+        _scheme_f_cloud(ch, f_grid, f_grid, f_grid, 41, 101, e_fan))
     return from_pareto_points(clouds, region_id="best")

@@ -198,9 +198,10 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Indices of the upper concave envelope of points sorted by x.
 
     The first and last points are always kept; every other kept point lies
-    strictly above the chord of its hull neighbours. Vectorised quickhull:
-    each pass adds, per hull edge, the candidate farthest above that edge
-    (the first one on ties) and discards the candidates on or below it.
+    strictly above the hull edge it was added against (by the rounded cross
+    product), not always above the chord of its final neighbours. Vectorised
+    quickhull: each pass adds, per hull edge, the candidate farthest above
+    that edge (the first one on ties) and discards those on or below it.
     """
     n = x.size
     if n < 3:
@@ -231,8 +232,9 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 class GroupBlock(NamedTuple):
     """Rows in groups, each in its polygon {r1 <= min(r1_cap, sum_cap),
-    r1 + r2 <= sum_cap, r2 <= sum_cap}. rows(keep) gives the rows of groups
-    `keep` as one block of columns (r1, r2, then a row per param)."""
+    r1 + r2 <= sum_cap, r2 <= sum_cap}. rows(keep, width) gives the rows
+    of groups `keep` as one block of columns (r1, r2, then a row per
+    param), of which the envelope reads the first `width`."""
 
     rows: Callable
     r1_cap: np.ndarray
@@ -275,7 +277,10 @@ def _front_candidates(points, width: int = 2, nbins: int = 4096):
     down, so it could raise none, and the bins, suffix maxima and survivors
     are those of scattering the whole block. A GroupBlock's groups that
     would fail the first test whole are never evaluated (`_kept_groups`).
-    Returns the survivors' `width` rows, in the order they arrived.
+    Last, the held points are culled against the final bins: the last bin
+    to attain a suffix maximum attains it with a held point, which stays,
+    so only points that it strictly dominates go. Returns the survivors'
+    `width` rows, in the order they arrived.
     """
     blocks = points if isinstance(points, Iterator) else [points]
     later = np.full(nbins, -np.inf)
@@ -284,7 +289,7 @@ def _front_candidates(points, width: int = 2, nbins: int = 4096):
         if isinstance(block, GroupBlock):
             block = block.rows(
                 _kept_groups(block, later, top, nbins) if top > 0.0
-                else np.arange(block.r1_cap.size))
+                else np.arange(block.r1_cap.size), width)
         cols = np.asarray(block, dtype=float)
         cols = cols[:width] if cols.size else np.empty((width, 0))
         supplied = supplied or cols.size > 0
@@ -315,6 +320,8 @@ def _front_candidates(points, width: int = 2, nbins: int = 4096):
     cols = np.concatenate(held, axis=1)
     if cols.shape[1] == 0:
         raise EmptyInput("no finite points supplied")
+    if top > 0.0:  # the held points that the final bins dominate
+        cols = cols[:, cols[1] > later[_bin_index(cols[0] / top, nbins)]]
     return cols
 
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -122,14 +123,14 @@ class TestFDpc:
         calls = []
         kernel = inner._f_mi
 
-        def spy(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp=True):
+        def spy(c1, u2, sigma_sq, w, a_pow, su_sq=0.0, clamp=True, **terms):
             calls.append((c1, u2, sigma_sq, w, a_pow, su_sq))
-            return kernel(c1, u2, sigma_sq, w, a_pow, su_sq, clamp)
+            return kernel(c1, u2, sigma_sq, w, a_pow, su_sq, clamp, **terms)
 
         monkeypatch.setattr(inner, "_f_mi", spy)
         al = inner.default_alpha_grid(ch)[::67]
         for block in inner._scheme_e_cloud(ch, al, "sweep", 5):
-            block.rows(np.arange(block.r1_cap.size))
+            block.rows(np.arange(block.r1_cap.size), 4)
         for s1 in (0.25, 1.0):
             for c1 in (-1.0, ch.a.real, 0.8):
                 inner.scheme_c_rates(ch, al, s1, 1.0, c1=c1)
@@ -1010,8 +1011,8 @@ def _counted(blocks, kept, total, counts=lambda b: True):
     for b in blocks:
         if isinstance(b, region.GroupBlock) and counts(b):
             total.append(b.r1_cap.size)
-            b = b._replace(rows=lambda keep, rows=b.rows:
-                           kept.append(keep.size) or rows(keep))
+            b = b._replace(rows=lambda keep, width, rows=b.rows:
+                           kept.append(keep.size) or rows(keep, width))
         yield b
 
 
@@ -1040,11 +1041,16 @@ def test_scheme_f_skip_is_exact():
     assert sum(kept) < 0.5 * sum(total)
 
 
+def _bits(cols):
+    """A block's columns as int64 bit patterns."""
+    return np.ascontiguousarray(cols, dtype=float).view(np.int64)
+
+
 def _bit_sorted(cols):
     """A block's columns as int64 bit patterns, lexsorted by their rows:
     two blocks hold the same multiset of rows, bit for bit, exactly when
     these are equal."""
-    bits = np.ascontiguousarray(cols, dtype=float).view(np.int64)
+    bits = _bits(cols)
     return bits[:, np.lexsort(bits[::-1])]
 
 
@@ -1052,29 +1058,33 @@ def _bit_sorted(cols):
 def test_scheme_f_rows_lie_in_their_polygons(ch):
     """Every interior vertex row of a triple, (0, r2c) included, lies in
     the polygon {r1 <= min(r1_cap, sum_cap), r1 + r2 <= sum_cap,
-    r2 <= sum_cap} of its group, within 1e-12 max(1, rate). The first
-    fan's block, evaluated whole, holds its fan's rows, bit for bit."""
-    block = next(b for b in _f_blocks(ch) if _interior(b))
-    first = block.rows(np.arange(block.r1_cap.size))
+    r2 <= sum_cap} of its group, within 1e-12 max(1, rate). Each block is
+    one phase's fan of 41 scales, phases by falling cos(phi) (phi = 0
+    first), and holds that fan's rows, bit for bit."""
+    blocks = [b for b in _f_blocks(ch) if _interior(b)]
     split = inner._scheme_f_split(ch, *_f_triples(ch))
     w_c = inner._costa(split[0], split[1], units(ch).n)
-    scales = np.linspace(0.0, 2.0, 41)
+    scales = np.linspace(0.0, 2.0, 41)[None]
     if inner._phase_fan(ch):
-        scales = np.outer(scales, np.exp(1j * np.linspace(-np.pi / 2,
-                                                          np.pi / 2, 5)))
+        phi = np.linspace(-np.pi / 2, np.pi / 2, 5)
+        scales = np.outer(scales, np.exp(1j * phi)).T
+        scales = scales[np.argsort(-np.cos(phi), kind="stable")]
+        assert np.array_equal(scales[0], np.linspace(0.0, 2.0, 41))
+    assert len(blocks) == len(scales)
     n = w_c.size
-    r1_cap = np.minimum(block.r1_cap, block.sum_cap)
-    s_cap = block.sum_cap
+    r1_cap = np.minimum(blocks[0].r1_cap, blocks[0].sum_cap)
+    s_cap = blocks[0].sum_cap
 
     def inside(x, cap):
         ok = np.isfinite(x) & np.isfinite(cap)
         return np.all(x[ok] <= cap[ok] + 1e-12 * np.maximum(1.0, np.abs(cap[ok])))
 
-    for k, fan in enumerate(np.reshape(scales, (-1, 41))):
+    for block, fan in zip(blocks, scales):
         rows = inner._scheme_f_vertices(ch, split, np.multiply.outer(fan, w_c))
         # the last n are (0, r2c)
         assert rows.shape == (2, (2 * fan.size + 1) * n)
-        assert k or np.array_equal(_bit_sorted(rows), _bit_sorted(first))
+        got = block.rows(np.arange(block.r1_cap.size), 2)
+        assert np.array_equal(_bit_sorted(rows), _bit_sorted(got))
         g = np.arange(rows.shape[1]) % n
         r1, r2 = rows
         assert inside(r1, r1_cap[g]) and inside(r1 + r2, s_cap[g])
@@ -1089,21 +1099,28 @@ _E_CHANNELS = (
 
 def _e_candidates(ch, wrap):
     """`_front_candidates` of best_inner's block stream, its phase fan turned
-    on whatever a is, and scheme E's sweep blocks passed through `wrap`."""
-    cloud = inner._scheme_e_cloud
+    on whatever a is, and the fan's blocks (the `_scheme_e_blocks` call of
+    more than one phase) passed through `wrap`."""
+    kernel = inner._scheme_e_blocks
+
+    def blocks(ch, al, base, lin, phases, **kw):
+        out = kernel(ch, al, base, lin, phases, **kw)
+        return wrap(out) if phases.size > 1 else out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inner, "_phase_fan", lambda ch: True)
-        mp.setattr(inner, "_scheme_e_cloud", lambda *args: wrap(cloud(*args)))
+        mp.setattr(inner, "_scheme_e_blocks", blocks)
         mp.setattr(inner, "from_pareto_points",
                    lambda pts, **kw: region._front_candidates(pts))
         return inner.best_inner(ch)
 
 
 def test_scheme_e_skip_is_exact():
-    """Fed scheme E's phase fan as group-bounded blocks after the rest of
-    best_inner's clouds, the envelope kernel returns the same candidates as
-    from the fan evaluated whole. On the random complex draws it evaluates
-    under a tenth of the (ray, run, split) groups. The edge and huge-power
+    """Fed scheme E's phase fan (without its phi = 0 ray) as group-bounded
+    blocks after F's faces, the envelope kernel returns the same
+    candidates as from the fan evaluated whole. On the random complex
+    draws it evaluates under a tenth of the (ray, run, split) groups
+    (3.9%). The edge and huge-power
     channels are not counted: there the fan's polygons often reach the
     front, and every group is kept where p1, p2, a or b is 0 (p1
     subnormal too) and at p = (1e200, 1)."""
@@ -1128,7 +1145,7 @@ def _face_candidates(ch, wrap):
     kernel = inner._scheme_e_blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inner, "_scheme_e_blocks",
-                   lambda *args: wrap(kernel(*args)))
+                   lambda *args, **kw: wrap(kernel(*args, **kw)))
         mp.setattr(inner, "from_pareto_points",
                    lambda pts, **kw: region._front_candidates(pts))
         return inner.best_inner(ch)
@@ -1138,11 +1155,12 @@ def test_scheme_f_face_skip_is_exact():
     """Inside best_inner, scheme F's beta = gamma = 0 face, E's grouped
     blocks at 101 real scales, gives the same front points, in the same
     order, as with every group evaluated. On the random real draws the
-    kernel evaluates under 45% of the face's (run, split) groups (39.8% on
-    these 40 draws). The candidates may differ by dominated points: where
-    E's r1 exceeds A's cap(p1) by rounding, the face's first block
-    raises the bins' scale, and its groups are judged on the bins from
-    before (8 and 1 more candidates on two of these channels)."""
+    kernel evaluates under 45% of the face's (run, split) groups (30.6% on
+    these 40 draws, the run holding Costa's vertex first). The candidates
+    may differ by dominated points: where E's r1 exceeds A's cap(p1) by
+    rounding, the face's first block raises the bins' scale, and its
+    groups are judged on the bins from before (before the envelope's
+    final cull, 8 and 1 more candidates on two of these channels)."""
     kept, total = [], []
     draws = [0, 0]
     for k, ch in enumerate(random_channels(40, 42) + [
@@ -1160,19 +1178,24 @@ def test_scheme_f_face_skip_is_exact():
 
 
 def _e_streams(ch):
-    """Scheme E's four row streams, each as (name, blocks, splits, base
+    """Scheme E's five row streams, each as (name, blocks, splits, base
     amplitudes, scales): the phase-fan sweep, the costa1 and zero
-    coefficients on best_inner's split grid, and F's beta = gamma = 0 face
-    (101 real scales on E's default split grid)."""
+    coefficients on best_inner's split grid, best_inner's phase fan (the
+    sweep's without its phi = 0 ray, peak first), and F's beta = gamma = 0
+    face (101 real scales on E's default split grid, peak first)."""
     al = inner.default_alpha_grid(ch, matched=257, uniform=245)
     w_c1 = inner._scheme_e_costa1(ch, al)
-    fan = np.outer(np.linspace(0.0, 2.0, 101),
-                   np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))).ravel()
-    for name, base, scales in (("sweep", w_c1, fan),
+    lin = np.linspace(0.0, 2.0, 101)
+    phases = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 9))
+    for name, base, scales in (("sweep", w_c1, np.outer(lin, phases)),
                                ("costa1", w_c1, np.ones(1)),
                                ("zero", np.zeros_like(w_c1), np.ones(1))):
         yield (name, inner._scheme_e_cloud(ch, al, name, 101), al, base,
-               scales)
+               scales.ravel())
+    phases = np.delete(phases, 4)
+    yield ("best-fan", inner._scheme_e_blocks(ch, al, w_c1, lin, phases,
+                                              peak_first=True),
+           al, w_c1, np.outer(lin, phases).ravel())
     face = inner.default_alpha_grid(ch)
     # F's stream: D's cloud, then the face, then the interior fans
     yield ("face", itertools.takewhile(
@@ -1187,7 +1210,8 @@ def test_scheme_e_rows_lie_in_their_polygons(ch, monkeypatch):
     sum_cap} of its group, within 1e-12 max(1, cap), and the stream's rows
     are, bit for bit and as a multiset, the rows of E's bounds on the
     whole (scale, split) grid, each with its params alpha and lambda_re =
-    Re(w) / sqrt(p2)."""
+    Re(w) / sqrt(p2). Asked for width 2, a block gives the same (r1, r2)
+    rows without the params."""
     monkeypatch.setattr(inner, "_phase_fan", lambda ch: True)
 
     def inside(x, cap):
@@ -1204,7 +1228,9 @@ def test_scheme_e_rows_lie_in_their_polygons(ch, monkeypatch):
         seen = []
         for block in blocks:
             n = block.r1_cap.size
-            rows = block.rows(np.arange(n))
+            rows = block.rows(np.arange(n), 4)
+            assert np.array_equal(_bits(block.rows(np.arange(n), 2)),
+                                  _bits(rows[:2])), name
             seen.append(rows)
             g = np.arange(rows.shape[1]) % n
             r1, r2 = rows[:2]
@@ -1214,3 +1240,30 @@ def test_scheme_e_rows_lie_in_their_polygons(ch, monkeypatch):
             assert inside(r2, block.sum_cap[g]), name
         assert np.array_equal(_bit_sorted(np.concatenate(seen, axis=1)),
                               _bit_sorted(whole)), name
+
+
+@pytest.mark.parametrize("ch", [p for p in _E_CHANNELS if p.id[0] == "c"] + [
+    pytest.param(ChannelParams(-0.6 + 0.2j, 1.7, float(p), float(p)),
+                 id=f"p={p}") for p in ("1e8", "1e300", "1e308", "1e-320")])
+def test_fan_zero_ray_rows_are_f_face_rows(ch):
+    """best_inner leaves out its phase fan's phi = 0 ray: the ray's rows,
+    E's sweep at the phase e^(i 0) = 1 on best_inner's 502 splits and 101
+    scales (the first ray of `_scheme_e_cloud`'s sweep: its first two
+    blocks and the first 502 groups of its tail block), are, bit for bit,
+    a sub-multiset of the (r1, r2) rows of F's beta = gamma = 0 face, on
+    E's 1,002 splits at the same scales. So every point of the ray is a
+    point of the face, which best_inner streams."""
+    al = inner.default_alpha_grid(ch, matched=257, uniform=245)
+    assert inner._E_PHASES[4] == 1.0
+    sweep = list(inner._scheme_e_cloud(ch, al, "sweep", 101))
+    ray = [b.rows(np.arange(b.r1_cap.size), 2) for b in sweep[:2]]
+    ray.append(sweep[-1].rows(np.arange(al.size), 2))
+    ray = np.concatenate(ray, axis=1)
+    assert ray.shape[1] == 2 * 101 * al.size
+    face = itertools.takewhile(lambda b: not _interior(b),
+                               itertools.islice(_f_blocks(ch), 1, None))
+    face = np.concatenate([b.rows(np.arange(b.r1_cap.size), 2)
+                           for b in face], axis=1)
+    have = collections.Counter(map(tuple, _bits(face).T))
+    need = collections.Counter(map(tuple, _bits(ray).T))
+    assert all(have[row] >= k for row, k in need.items())

@@ -463,6 +463,93 @@ class TestEnvelopeKernels:
             assert np.array_equal(_upper_hull(hx, hy),
                                   _hull_by_definition(hx, hy))
 
+    def test_hull_vertices_lie_above_their_edge(self, rng):
+        """Every interior vertex lies strictly above, by the hull's rounded
+        cross product, the chord of two other vertices, one on either side
+        (the edge it was added against), though not always above the chord
+        of its final neighbours: on scheme E at (0.7, 0, 3, 7) some sit
+        exactly on it, and on scheme F at (-0.6+0.2j, 1.7, 1e308, 1e308) one
+        sits below it by rounding."""
+        def check(x, y, v, only=None):
+            for m in range(1, v.size - 1) if only is None else only:
+                a, b = v[:m, None], v[None, m + 1:]
+                h = ((y[v[m]] - y[a]) * (x[b] - x[a])
+                     - (y[b] - y[a]) * (x[v[m]] - x[a]))
+                assert (h > 0.0).any(), (m, v.size)
+
+        def neighbour_cross(x, y):
+            return ((y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
+                    - (y[2:] - y[:-2]) * (x[1:-1] - x[:-2]))
+
+        for trial in range(300):
+            # near-collinear runs, whose cross products round
+            n = int(rng.integers(3, 40))
+            x = np.sort(rng.uniform(0.0, rng.uniform(0.1, 10.0), n))
+            y = rng.uniform(1.0, 3.0) - rng.uniform(0.1, 3.0) * x
+            if trial % 2:
+                y = y - rng.random(n) * 1e-15 * (trial % 4 == 1)
+            v = _upper_hull(x, y)
+            assert v[0] == 0 and v[-1] == n - 1
+            check(x, y, v)
+        from gcifc import inner
+        from gcifc.channel import ChannelParams
+        for build, ch, sign in (
+                (inner.scheme_e, ChannelParams(0.7, 0.0, 3.0, 7.0), 0),
+                (inner.scheme_f, ChannelParams(-0.6 + 0.2j, 1.7, 1e308,
+                                               1e308), -1)):
+            reg = build(ch)
+            h = neighbour_cross(reg.r1, reg.r2)
+            odd = np.flatnonzero(np.sign(h) == sign) + 1
+            assert odd.size
+            check(reg.r1, reg.r2, np.arange(reg.r1.size), odd)
+
+    def test_final_recull_drops_only_dominated(self, rng):
+        """On streams whose later blocks dominate held points of earlier
+        ones, every source point that `_front_candidates` does not return
+        is strictly dominated by one that it does, and no returned point
+        lies at or below the largest r2 of a later bin: the final cull
+        leaves no point that the final bins dominate."""
+        def stream(trial):
+            start = 0
+            for k in range(int(rng.integers(1, 7))):
+                n = int(rng.integers(0, 50))
+                top = rng.uniform(0.5, 2.0) * (1.0 + k / 2)
+                x = rng.uniform(0.0, top, n)
+                y = (1.0 + k / 3) * top * (1.0 - (x / top) ** 2)
+                y -= rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.5)
+                if trial % 2:  # a binary grid, with exact ties
+                    x, y = np.round(x * 8) / 8, np.round(y * 8) / 8
+                rows = np.stack([x, y, start + np.arange(n)])
+                start += n
+                inf = np.full(1, np.inf)
+                yield (rows if k % 2 else
+                       GroupBlock(lambda keep, width, rows=rows: rows,
+                                  inf, inf))
+
+        for trial in range(150):
+            blocks = list(stream(trial))
+            pts = np.concatenate(
+                [b.rows(None, 3) if isinstance(b, GroupBlock) else b
+                 for b in blocks], axis=1)
+            if not pts.size:
+                continue
+            for nbins in (1, 8, 4096):
+                cols = _front_candidates(iter(blocks), 3, nbins)
+                kept = cols[2].astype(int)
+                x, y = np.clip(pts[:2], 0.0, None)
+                gone = np.setdiff1d(np.arange(x.size), kept)
+                ge = ((x[kept] >= x[gone, None]) & (y[kept] >= y[gone, None])
+                      & ((x[kept] > x[gone, None]) | (y[kept] > y[gone, None])))
+                assert ge.any(axis=1).all()
+                top = x.max()
+                if top > 0.0:
+                    b = np.minimum(cols[0] / top * nbins, nbins - 1).astype(int)
+                    best = np.full(nbins, -np.inf)
+                    np.maximum.at(best, b, cols[1])
+                    later = np.r_[np.maximum.accumulate(best[::-1])[::-1][1:],
+                                  -np.inf]
+                    assert np.all(cols[1] > later[b])
+
     def test_pareto_filter_matches_lexsort(self, rng):
         for x, y in _clouds(rng, 400):
             assert np.array_equal(_pareto_filter(x, y), _pareto_lexsort(x, y))
@@ -512,7 +599,7 @@ class TestEnvelopeKernels:
             # one uncapped group, each row carrying its source index
             inf = np.full(1, np.inf)
             cols = np.vstack([rows.T, start + np.arange(len(rows))])
-            return GroupBlock(lambda keep: cols, inf, inf)
+            return GroupBlock(lambda keep, width: cols, inf, inf)
 
         def split(pts, shuffle):
             cuts = np.sort(rng.integers(0, len(pts) + 1, 3))

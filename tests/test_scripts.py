@@ -25,14 +25,18 @@ RUNS = [
 ]
 
 
-def _run(script, args, cwd):
+def _run(script, args, cwd, code=0):
+    """The script's stdout, once it has exited with `code`; with code
+    None, (exit code, stdout, stderr)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
                           + args, cwd=cwd, env=env, capture_output=True,
                           text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    if code is None:
+        return proc.returncode, proc.stdout, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout
 
 
@@ -65,17 +69,21 @@ def test_region_support_compare(tmp_path):
 
 def test_region_digests_compare(tmp_path):
     """The compare mode reports, for every id, a run against itself as
-    unmoved, and counts a changed params digest under its own column."""
+    unmoved and exits 0, and counts a changed params digest under its own
+    column, names the pair on stderr and exits 1."""
     _run("region_digests.py", ["--n", "1", "--out", "old.csv"], tmp_path)
     lines = (tmp_path / "old.csv").read_text().splitlines()
     rows = [r.split(",") for r in lines]
     at = next(i for i, r in enumerate(rows) if r[0] == "a")
     rows[at][3] = "0" * 64
     (tmp_path / "new.csv").write_text("\n".join(map(",".join, rows)) + "\n")
-    out = _run("region_digests.py", ["--compare", "old.csv", "old.csv"],
-               tmp_path)
-    moved = _run("region_digests.py", ["--compare", "old.csv", "new.csv"],
-                 tmp_path)
+    code, out, err = _run("region_digests.py",
+                          ["--compare", "old.csv", "old.csv"], tmp_path, None)
+    assert (code, err) == (0, "")
+    code, moved, err = _run("region_digests.py",
+                            ["--compare", "old.csv", "new.csv"], tmp_path,
+                            None)
+    assert (code, err) == (1, f"a,{rows[at][1]},params\n")
     ids = list(BUILDERS) + ["classify"]
     for text, changed in ((out, None), (moved, "a")):
         got = list(csv.DictReader(io.StringIO(text)))
