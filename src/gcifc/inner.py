@@ -16,20 +16,21 @@ kernels run in float64; complex128 is kept for complex a. Every closed
 form reads the channel in noise units (`util.units`), the noise variance
 n in place of each unit noise.
 
-Each scheme of `best_inner` is a private point cloud (an array, or an
-iterator of blocks for the large E and F sweeps) behind a public
-builder. `best_inner` streams A, B, C, F's faces, E's phase fan where it
-applies and F's interior into one envelope: TDMA's corners are rows of
-B, F's faces are D's cloud and E's real-scale sweep, which holds the
-fan's phi = 0 ray.
+Each scheme of `best_inner` is a private point cloud (an array, D's
+`GroupBlock`, or an iterator of blocks for the large E and F sweeps)
+behind a public builder. `best_inner` streams A, B, C, F's faces, E's
+phase fan where it applies and F's interior into one envelope: TDMA's
+corners are rows of B, F's faces are D's cloud and E's real-scale sweep,
+which holds the fan's phi = 0 ray.
 
-F's interior fans and all of E's rows (its sweep, its fixed coefficients
-and F's beta = gamma = 0 face) reach the envelope as `GroupBlock`s:
-groups of rows, each with w-free caps on its rows' r1 and sum rate, so
-the kernel never evaluates a group whose polygon the front already
-dominates. F groups by split triple (Costa's bound, output variances),
-E's one kernel by phase ray, run of 8 scales and split (its r1 bound at
-the run's point nearest the Costa vertex t = cos(phi)).
+D's cloud, F's interior fans and all of E's rows (its sweep, its fixed
+coefficients and F's beta = gamma = 0 face) reach the envelope as
+`GroupBlock`s: groups of rows, each with w-free caps on its rows' r1 and
+sum rate, so the kernel never evaluates a group whose polygon the front
+already dominates. D groups by |rho|, F by split triple (Costa's bound,
+output variances), E's one kernel by phase ray, run of 8 scales and
+split (its r1 bound at the run's point nearest the Costa vertex t =
+cos(phi)).
 """
 
 from __future__ import annotations
@@ -174,34 +175,52 @@ def scheme_b(ch: ChannelParams, alpha_grid=None) -> RateRegion:
 def scheme_d_rates(ch: ChannelParams, rho):
     """(r1 cap, sum cap) of the all-common strategy at each correlation."""
     rho = np.asarray(rho, dtype=complex)
-    rsq = np.clip(np.abs(rho) ** 2, 0.0, 1.0)
+    return _scheme_d_bounds(ch, np.clip(np.abs(rho) ** 2, 0.0, 1.0),
+                            np.real(np.conj(ch.a) * rho), np.real(rho))
+
+
+def _scheme_d_bounds(ch: ChannelParams, rsq, cross1, cross2):
+    """`scheme_d_rates` from |rho|^2, Re(conj(a) rho) and Re(rho)."""
     u = units(ch)
     sp = math.sqrt(u.p1 * u.p2)
     r1 = np.minimum(u.cap((1.0 - rsq) * u.p1),
                     u.cap((1.0 - rsq) * ch.b ** 2 * u.p1))
-    s1 = u.cap(u.p1 + abs(ch.a) ** 2 * u.p2
-               + 2.0 * np.real(np.conj(ch.a) * rho) * sp)
-    s2 = u.cap(ch.b ** 2 * u.p1 + u.p2 + 2.0 * ch.b * np.real(rho) * sp)
+    s1 = u.cap(u.p1 + abs(ch.a) ** 2 * u.p2 + 2.0 * cross1 * sp)
+    s2 = u.cap(ch.b ** 2 * u.p1 + u.p2 + 2.0 * ch.b * cross2 * sp)
     return r1, np.minimum(s1, s2)
 
 
 def _scheme_d_cloud(ch: ChannelParams):
-    """The cloud, with the real part of each row's correlation."""
+    """The cloud as a `GroupBlock`, a group per |rho| = base (rho = +-base
+    e^(i phi) over the phase fan), each row with its Re(rho); all groups
+    give the plain cloud's rows, in its order. The caps are D's bounds at
+    |rho|^2 = base^2 (1 - 16 eps) and Re(rho) = |rho| = Re(conj(a) rho) /
+    |a| = base (1 + 16 eps): a row's rho rounds to within a few ulps of
+    base in magnitude, and each later step rounds monotonically, so they
+    bound each row as computed (at plain base, rows passed their r1 cap by
+    more than the envelope's margin from p = 1e8, by up to a bit)."""
     am = alpha_of_r1(r1_grid(ch.p1, 513), ch.p1)
     base = np.unique(np.concatenate([np.sqrt(1.0 - am),
                                      np.linspace(0.0, 1.0, 489)]))
-    rho = np.concatenate([base, -base])
-    if _phase_fan(ch):
-        phases = np.exp(1j * np.linspace(0.0, np.pi, 17))
-        rho = np.outer(base, phases).ravel()
+    fan = np.exp(1j * np.linspace(0.0, np.pi, 17)) if _phase_fan(ch) \
+        else np.ones(1)
+
+    def rows(keep, width):
+        rho = np.outer(base[keep], fan).ravel()
         rho = np.concatenate([rho, -rho])
-    r1, s = scheme_d_rates(ch, rho)
-    return _rect_sum_vertices(r1, s, s, np.real(rho))
+        r1, s = scheme_d_rates(ch, rho)
+        params = (np.real(rho),) if width > 2 else ()
+        return _rect_sum_vertices(r1, s, s, *params)
+
+    wide = 16.0 * np.finfo(float).eps
+    mag = base * (1.0 + wide)
+    return GroupBlock(rows, *_scheme_d_bounds(
+        ch, base ** 2 * (1.0 - wide), abs(ch.a) * mag, mag))
 
 
 def scheme_d(ch: ChannelParams) -> RateRegion:
     """Superposition strategy: both receivers decode both messages."""
-    return from_pareto_points(_scheme_d_cloud(ch), ("rho_re",),
+    return from_pareto_points(iter([_scheme_d_cloud(ch)]), ("rho_re",),
                               region_id="d")
 
 
@@ -466,6 +485,15 @@ def scheme_c46(ch: ChannelParams) -> RateRegion:
 
 # -- scheme F: rate-split unification of D and E -----------------------------
 
+def _scheme_f_triples(al, be, ga):
+    """F's split triples, flat in meshgrid order, with one gamma (the first)
+    at alpha >= 1: with no power left to split, every gamma gives the same
+    `_scheme_f_split` terms there, bit for bit."""
+    av, bv, gv = (v.ravel() for v in np.meshgrid(al, be, ga, indexing="ij"))
+    keep = (av < 1.0) | (gv == gv[:1])
+    return av[keep], bv[keep], gv[keep]
+
+
 def _scheme_f_split(ch: ChannelParams, alpha, beta, gamma):
     """Scheme F's pre-coding-free terms per split: alpha p1, y1p, y2p (the
     gains on the private primary atom), Var(Y1 | V2c), Var(Y2 | V2c), where
@@ -552,7 +580,8 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
                     face_lambda: int, between=()):
     """The cloud as blocks: the faces, so that the interior meets a front,
     the blocks `between`, then a `GroupBlock` per phase's pre-coding fan,
-    by falling cos(phi), one group per split triple, with w-free caps:
+    by falling cos(phi), one group per distinct split triple
+    (`_scheme_f_triples`), with w-free caps:
     m29c >= ms >= r1 + r2 at every vertex, and r1 <= min(m29a, m29b).
     m29b <= log2 Var(Y2 | V2c), and so is m29a <= log2 Var(Y1 | V2c)
     where X2 has no private power: conditional variances are >= the noise
@@ -560,12 +589,11 @@ def _scheme_f_cloud(ch: ChannelParams, al, be, ga, n_lambda: int,
     V2c) - I(U1; X2 | V2c) <= I(X1c; Y1 | X2, V2c) = cap(alpha p1),
     Costa's dirty-paper bound (IEEE Trans. IT, 1983), with equality at the
     Costa coefficient. The faces: beta = gamma = 1 with no pre-coding is
-    scheme D, streamed as D's own cloud (either sign of rho, all
+    scheme D, streamed as D's own grouped cloud (either sign of rho, all
     achievable); beta = gamma = 0 is scheme E, as E's grouped blocks on
     its split grid at real scales of its costa1 amplitude, peak first."""
-    av, bv, gv = (v.ravel() for v in np.meshgrid(al, be, ga, indexing="ij"))
     u = units(ch)
-    split = _scheme_f_split(ch, av, bv, gv)
+    split = _scheme_f_split(ch, *_scheme_f_triples(al, be, ga))
     a_pow, y1p, _, v_y1, v_y2, priv, _, m29c = split
     # Costa's amplitude for y1p, the interference u1c sees at y1 given v2c
     w_c = _costa(a_pow, y1p, u.n)
@@ -627,9 +655,10 @@ def best_inner(ch: ChannelParams, grid=None, fast=None) -> RateRegion:
     F's interior stream into one cull, Pareto filter and hull. A leads:
     its largest r1, cap(p1), which no scheme exceeds, sets the bin scale.
     F's faces, D's cloud and E's sweep at 101 real scales from the run
-    holding t = 1, form the front early; then come 11^3 split triples by
-    41 pre-coding scales. The kernel skips every group whose polygon the
-    front already dominates. `grid` and `fast` are accepted and ignored.
+    holding t = 1, form the front early; then come F's 1,221 distinct
+    split triples (of 11^3) by 41 pre-coding scales. The kernel skips
+    every group whose polygon the front already dominates. `grid` and
+    `fast` are accepted and ignored.
 
     Left out, as inside this hull: TDMA, whose corners are B's rows at
     alpha = 1 (r1 = cap(p1), the same expression) and alpha = 0 (r2 =

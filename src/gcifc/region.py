@@ -30,6 +30,7 @@ R1_GRID_DEFAULT = 2048
 
 _FLOAT_FMT = "%.12e"
 _MONO_SNAP = 1e-9
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 class Kind(enum.Enum):
@@ -202,6 +203,19 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     product), not always above the chord of its final neighbours. Vectorised
     quickhull: each pass adds, per hull edge, the candidate farthest above
     that edge (the first one on ties) and discards those on or below it.
+
+    Shortcut: where each point's cross product with its neighbours is
+    below -16 eps Y (x[i+1] - x[i-1]) - lam (Y = max y - min y, lam the
+    least normal double), every index is returned without passes. Proof:
+    a cross product, here or in a pass (h of c against an edge (a, b)), is
+    a difference of products of differences bounded by Y and its span w;
+    rounding, underflow included (eta the least subnormal), moves it by
+    under 5 eps Y w + 2 eta, and the threshold by under eps Y w + eta. So
+    each exact neighbour cross product is below -(10 eps Y w + lam - 3
+    eta) < 0: the chain is convex, c - 1 and c + 1 lie on or above line
+    ab, and c is at least as high above ab as above their chord. So the
+    exact h > 10 eps Y (x_b - x_a) + lam - 3 eta and the computed h > 0:
+    no pass drops a candidate, each adds one per edge, until all are kept.
     """
     n = x.size
     if n < 3:
@@ -209,7 +223,11 @@ def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # a point on or below the chord of its two neighbours is no vertex
     cross = ((x[1:-1] - x[:-2]) * (y[2:] - y[:-2])
              - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2]))
-    cand = np.flatnonzero(cross < 0.0) + 1
+    up = cross < 0.0
+    if up.all() and np.all(cross < -16.0 * _EPS * (y.max() - y.min())
+                           * (x[2:] - x[:-2]) - _TINY):
+        return np.arange(n)
+    cand = np.flatnonzero(up) + 1
     verts = np.array([0, n - 1])
     while cand.size:
         seg = np.searchsorted(verts, cand) - 1

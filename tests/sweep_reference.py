@@ -1,10 +1,16 @@
-"""Loop form of the scheme-F lambda fans, and the one-shot scheme-E sweep.
+"""Loop form of the scheme-F lambda fans, the one-shot scheme-E sweep, the
+plain scheme-D cloud and the hull's passes.
 
 The loop form evaluates one lambda scale at a time, as the library did
 before it broadcast the sweep. `scheme_e` builds the whole scheme-E cloud,
 its params columns included, at once, as the library did before it
 streamed the cloud one lambda fan at a time. The equivalence tests in test_sweeps.py
-require the library to reproduce them bit for bit.
+require the library to reproduce them bit for bit. `scheme_d_cloud` is
+scheme D's cloud as one plain block, as the library built it before it
+grouped the rows by correlation magnitude, and `upper_hull` the
+hull's quickhull passes without their shortcut for concave chains; the
+tests in test_inner.py and test_region.py hold the library to them, bit
+for bit.
 
 Like the library, they compute in float64 when the cross gain a is real
 (a.imag == 0) and in complex128 otherwise; a Costa amplitude is the real
@@ -114,3 +120,45 @@ def scheme_e(ch, alpha_grid=None, lambda_policy="sweep", n_lambda=201):
     return from_pareto_points(
         scheme_e_cloud(ch, alpha_grid, lambda_policy, n_lambda),
         ("alpha", "lambda_re"), region_id=f"e:{lambda_policy}")
+
+
+def scheme_d_cloud(ch):
+    """Scheme D's cloud as one block, columns r1, r2, rho_re: every first
+    vertex, then every second, over rho = +-base e^(i phi), base-major."""
+    am = alpha_of_r1(r1_grid(ch.p1, 513), ch.p1)
+    base = np.unique(np.concatenate([np.sqrt(1.0 - am),
+                                     np.linspace(0.0, 1.0, 489)]))
+    rho = np.concatenate([base, -base])
+    if abs(ch.a.imag) > 1e-12:
+        rho = np.outer(base, np.exp(1j * np.linspace(0.0, np.pi, 17))).ravel()
+        rho = np.concatenate([rho, -rho])
+    r1, s = inner.scheme_d_rates(ch, rho)
+    return inner._rect_sum_vertices(r1, s, s, np.real(rho))
+
+
+def upper_hull(x, y):
+    """region._upper_hull by its quickhull passes alone."""
+    n = x.size
+    if n < 3:
+        return np.arange(n)
+    cross = ((x[1:-1] - x[:-2]) * (y[2:] - y[:-2])
+             - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2]))
+    cand = np.flatnonzero(cross < 0.0) + 1
+    verts = np.array([0, n - 1])
+    while cand.size:
+        seg = np.searchsorted(verts, cand) - 1
+        a, b = verts[seg], verts[seg + 1]
+        h = (y[cand] - y[a]) * (x[b] - x[a]) - (y[b] - y[a]) * (x[cand] - x[a])
+        above = h > 0.0
+        cand, seg, h = cand[above], seg[above], h[above]
+        if not cand.size:
+            break
+        top = np.full(verts.size, -np.inf)
+        np.maximum.at(top, seg, h)
+        hit = np.flatnonzero(h == top[seg])
+        first = hit[np.concatenate(([True], seg[hit[1:]] != seg[hit[:-1]]))]
+        verts = np.sort(np.concatenate([verts, cand[first]]))
+        rest = np.ones(cand.size, dtype=bool)
+        rest[first] = False
+        cand = cand[rest]
+    return verts

@@ -16,6 +16,7 @@ from gcifc.errors import GcifcError
 from gcifc.util import cap, coop_sum_cap, units
 from gcifc.verify import random_channels
 import gaussmi
+import sweep_reference as ref
 from conftest import (EDGE_CHANNELS, HUGE_CHANNELS, channel_draw,
                       scheme_c_system, scheme_d_system, scheme_e_system,
                       scheme_f_system)
@@ -982,16 +983,17 @@ def _f_blocks(ch):
     return inner._scheme_f_cloud(ch, _F_GRID, _F_GRID, _F_GRID, 41, 101)
 
 
-def _f_triples(ch):
-    av, bv, gv = np.meshgrid(_F_GRID, _F_GRID, _F_GRID, indexing="ij")
-    return av.ravel(), bv.ravel(), gv.ravel()
+def _f_triples():
+    """The split triples of scheme F's interior, in its groups' order."""
+    return inner._scheme_f_triples(_F_GRID, _F_GRID, _F_GRID)
 
 
 def _interior(block):
     """Whether a block of scheme F's cloud is one of its interior fans: a
-    GroupBlock of one group per split triple (the face's groups are E's)."""
+    GroupBlock of one group per split triple (D's groups are its
+    correlations, the face's are E's)."""
     return (isinstance(block, region.GroupBlock)
-            and block.r1_cap.size == _F_GRID.size ** 3)
+            and block.r1_cap.size == _f_triples()[0].size)
 
 
 def _uncapped(blocks):
@@ -1025,11 +1027,10 @@ def _led(ch, blocks):
 
 
 def test_scheme_f_skip_is_exact():
-    """Fed scheme F's cloud as group-bounded blocks (D's face as rows,
-    then E's face and the interior fans as GroupBlocks) on bins of a fixed
-    scale, the envelope kernel returns the same candidates as with every
-    group evaluated, while it evaluates only part of the interior
-    triples. (Without the lead corner, E's face raises the scale that D's
+    """Fed scheme F's cloud as group-bounded blocks (D's face, E's face and
+    the interior fans, all GroupBlocks) on bins of a fixed scale, the
+    envelope kernel returns the same candidates as with every group
+    evaluated, while it evaluates only part of the interior triples. (Without the lead corner, E's face raises the scale that D's
     face set, so the candidates differ by dominated points; the regions
     are checked against their loop form in test_sweeps.py.)"""
     kept, total = [], []
@@ -1062,7 +1063,7 @@ def test_scheme_f_rows_lie_in_their_polygons(ch):
     one phase's fan of 41 scales, phases by falling cos(phi) (phi = 0
     first), and holds that fan's rows, bit for bit."""
     blocks = [b for b in _f_blocks(ch) if _interior(b)]
-    split = inner._scheme_f_split(ch, *_f_triples(ch))
+    split = inner._scheme_f_split(ch, *_f_triples())
     w_c = inner._costa(split[0], split[1], units(ch).n)
     scales = np.linspace(0.0, 2.0, 41)[None]
     if inner._phase_fan(ch):
@@ -1089,6 +1090,96 @@ def test_scheme_f_rows_lie_in_their_polygons(ch):
         r1, r2 = rows
         assert inside(r1, r1_cap[g]) and inside(r1 + r2, s_cap[g])
         assert inside(r2, s_cap[g])
+
+
+@pytest.mark.parametrize("ch", _F_CHANNELS + [
+    pytest.param(ch, id=name) for name, ch in _P1E308_CHANNELS])
+def test_scheme_f_split_ignores_gamma_at_full_alpha(ch):
+    """At alpha = 1 no power is left to split, so every array of
+    `_scheme_f_split` is, bit for bit, the same for every gamma: the
+    duplicate triples that `_scheme_f_triples` leaves out (110 of 11^3)
+    would repeat their first gamma's rows."""
+    be, ga = np.meshgrid(np.r_[_F_GRID, 0.37], np.r_[_F_GRID, 0.61, 1e-300],
+                         indexing="ij")
+    for v in inner._scheme_f_split(ch, np.ones_like(be), be, ga):
+        v = np.asarray(v)
+        assert v.shape == be.shape
+        assert all(v[:, k].tobytes() == v[:, 0].tobytes()
+                   for k in range(1, v.shape[1]))
+    av, bv, gv = _f_triples()
+    assert av.size == 11 ** 3 - 110
+    assert np.all(gv[av == 1.0] == 0.0) and np.sum(av == 1.0) == 11
+
+
+_D_CHANNELS = (
+    [pytest.param(ch, id=f"real{k}")
+     for k, ch in enumerate(random_channels(10, 42))]
+    + [pytest.param(ch, id=f"complex{k}")
+       for k, ch in enumerate(random_channels(10, 42, complex_a=True))]
+    + [pytest.param(ch, id=name) for name, ch in EDGE_CHANNELS + HUGE_CHANNELS]
+    + [pytest.param(ChannelParams(-0.6 + 0.2j, 1.7, float(p), float(p)),
+                    id=f"complex-p={p}")
+       for p in ("1e6", "1e10", "1e20", "1e100", "1e160", "1e300", "1e308")])
+
+
+@pytest.mark.parametrize("ch", _D_CHANNELS)
+def test_scheme_d_rows_lie_in_their_polygons(ch):
+    """With every group kept, scheme D's `GroupBlock` gives, bit for bit and
+    in order, its plain cloud (`sweep_reference.scheme_d_cloud`), params
+    included; a subset of groups gives those groups' rows. Every row lies
+    in its group's polygon {r1 <= min(r1_cap, sum_cap), r1 + r2 <=
+    sum_cap, r2 <= sum_cap} within the envelope kernel's margin 1e-9
+    max(top, 1), top = cap(p1) being best_inner's bin scale. (With the caps
+    at plain |rho|^2 = base^2 and |rho| = base, rows exceed their r1 cap by
+    more than that at p >= 1e6.)"""
+    block = inner._scheme_d_cloud(ch)
+    n = block.r1_cap.size
+    rows = block.rows(np.arange(n), 3)
+    assert np.array_equal(_bits(rows), _bits(ref.scheme_d_cloud(ch)))
+    assert np.array_equal(_bits(block.rows(np.arange(n), 2)), _bits(rows[:2]))
+    # per vertex, +rho then -rho, base-major over the phase fan
+    fan = rows.shape[1] // (4 * n)
+    g = np.arange(rows.shape[1]) % (n * fan) // fan
+    keep = np.arange(1, n, 3)
+    assert np.array_equal(_bits(block.rows(keep, 3)),
+                          _bits(rows[:, np.isin(g, keep)]))
+    u = units(ch)
+    tol = 1e-9 * max(float(u.cap(u.p1)), 1.0)
+    r1, r2 = rows[:2]
+    s_cap = block.sum_cap[g]
+    assert np.all(r1 <= np.minimum(block.r1_cap, block.sum_cap)[g] + tol)
+    assert np.all(r1 + r2 <= s_cap + tol) and np.all(r2 <= s_cap + tol)
+
+
+def _d_candidates(ch, wrap):
+    """`_front_candidates` of best_inner's block stream, scheme D's block
+    passed through `wrap`."""
+    cloud = inner._scheme_d_cloud
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inner, "_scheme_d_cloud",
+                   lambda ch: next(wrap(iter([cloud(ch)]))))
+        mp.setattr(inner, "from_pareto_points",
+                   lambda pts, **kw: region._front_candidates(pts))
+        return inner.best_inner(ch)
+
+
+def test_scheme_d_skip_is_exact():
+    """Inside best_inner, after A, B and C, scheme D's groups give the same
+    candidates, in the same order, as with every group evaluated (D's r1
+    never passes A's cap(p1), so D never rescales the bins). On the random
+    complex draws the kernel evaluates under 80% of D's groups (73.4%)."""
+    kept, total = [], []
+    draws = [0, 0]
+    for p in _D_CHANNELS:
+        ch = p.values[0]
+        kept.clear()
+        total.clear()
+        want = _d_candidates(ch, _uncapped)
+        got = _d_candidates(ch, lambda blocks: _counted(blocks, kept, total))
+        assert np.array_equal(got, want), ch
+        if p.id.startswith("complex") and "=" not in p.id:
+            draws = [draws[0] + sum(kept), draws[1] + sum(total)]
+    assert draws[0] < 0.8 * draws[1]
 
 
 _E_CHANNELS = (

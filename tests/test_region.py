@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gcifc import region
 from gcifc.errors import EmptyInput, MixedKinds
 from gcifc.region import (GapReport, GroupBlock, Kind, RateRegion,
                           _front_candidates, _pareto_filter, _upper_hull,
                           additive_gap, contains, from_boundary,
                           from_pareto_points, gap_report, intersect,
                           multiplicative_gap, union)
+import sweep_reference as ref
 
 
 def line_region(intercept, slope, kind=Kind.INNER, grid=257):
@@ -453,6 +455,23 @@ def _clouds(rng, count):
         yield x, y
 
 
+def _hull_and_passes(x, y):
+    """`_upper_hull`'s indices, and whether it ran its quickhull passes
+    (they look up np.searchsorted; its shortcut for concave chains does
+    not)."""
+    seen = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            seen.append(name)
+            return getattr(np, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region, "np", Numpy())
+        verts = _upper_hull(x, y)
+    return verts, "searchsorted" in seen
+
+
 class TestEnvelopeKernels:
     def test_hull_matches_definition(self, rng):
         for trial, (x, y) in enumerate(_clouds(rng, 400)):
@@ -502,6 +521,60 @@ class TestEnvelopeKernels:
             odd = np.flatnonzero(np.sign(h) == sign) + 1
             assert odd.size
             check(reg.r1, reg.r2, np.arange(reg.r1.size), odd)
+
+    def test_hull_shortcut_matches_the_passes(self, rng):
+        """`_upper_hull` returns the indices of its quickhull passes
+        (`sweep_reference.upper_hull`): on random strictly concave chains,
+        where its shortcut fires and every point is a vertex; on
+        near-collinear chains, where it must not fire; and on the fronts
+        that scheme_a, scheme_b and scheme_e(costa1) hand it, on which the
+        shortcut fires at least once."""
+        for trial in range(200):
+            n = int(rng.integers(3, 600))
+            w, h = rng.uniform(0.01, 30.0, 2)
+            x = np.unique(rng.uniform(0.0, w, n))
+            y = h * (1.0 - rng.uniform(0.0, 1.0) * x / w
+                     - rng.uniform(0.05, 1.0) * (x / w) ** 2)
+            verts, passes = _hull_and_passes(x, y)
+            assert not passes
+            assert np.array_equal(verts, np.arange(x.size))
+            assert np.array_equal(verts, ref.upper_hull(x, y))
+        for trial in range(200):
+            # lines, with at most a rounding-sized bow or ripple
+            n = int(rng.integers(3, 600))
+            x = np.sort(rng.uniform(0.0, rng.uniform(0.1, 10.0), n))
+            y = rng.uniform(1.0, 3.0) - rng.uniform(0.1, 3.0) * x
+            bow = [0.0, 4e-16 * x * (x[-1] - x),
+                   rng.uniform(-1e-15, 1e-15, n)][trial % 3]
+            y = y + bow
+            verts, passes = _hull_and_passes(x, y)
+            assert passes
+            assert np.array_equal(verts, ref.upper_hull(x, y))
+
+        from gcifc import inner
+        from gcifc.channel import ChannelParams
+        from gcifc.verify import random_channels
+        fronts = []
+
+        def hull(x, y):
+            fronts.append((x.copy(), y.copy()))
+            return _upper_hull(x, y)
+
+        chans = (random_channels(4, 42) + random_channels(2, 42, True)
+                 + [ChannelParams(0.5, 1.5, 1e300, 1e300),
+                    ChannelParams(0.7, 0.0, 3.0, 7.0)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(region, "_upper_hull", hull)
+            for ch in chans:
+                inner.scheme_a(ch)
+                inner.scheme_b(ch)
+                inner.scheme_e(ch, lambda_policy="costa1")
+        fired = 0
+        for x, y in fronts:
+            verts, passes = _hull_and_passes(x, y)
+            assert np.array_equal(verts, ref.upper_hull(x, y))
+            fired += not passes
+        assert fired
 
     def test_final_recull_drops_only_dominated(self, rng):
         """On streams whose later blocks dominate held points of earlier
